@@ -519,20 +519,20 @@ def _cmd_repair(args: argparse.Namespace) -> int:
 
 def _cmd_ingest(args: argparse.Namespace) -> int:
     from repro.core.analysis.completeness import assess_completeness
-    from repro.core.monitor.logparser import parse_log_report
+    from repro.core.monitor.logparser import parse_log_line
     from repro.core.monitor.salvage import salvage_archive
     from repro.errors import IngestError, LogParseError
 
     lines = _read_file(args.log, "log", lenient=args.salvage).splitlines()
-    if not args.salvage:
+    archive, report = salvage_archive(lines, job_id=args.job_id)
+    if not args.salvage and report.malformed_lines:
         # Strict mode: any malformed line is a typed parse error ...
         try:
-            parse_log_report(lines, strict=True)
+            parse_log_line(report.malformed_lines[0])
         except LogParseError as exc:
             raise IngestError(
                 f"{args.log}: {exc}; rerun with --salvage"
             ) from exc
-    archive, report = salvage_archive(lines, job_id=args.job_id)
     if not args.salvage and not report.clean:
         # ... and so is any structural anomaly the parse cannot see.
         raise IngestError(

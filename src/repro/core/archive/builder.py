@@ -1,7 +1,7 @@
 """Building performance archives from monitored runs.
 
-The builder turns the flat stream of parsed log records into the
-operation tree, attaches recorded infos, and — when a model is given —
+The builder turns the parsed log columns into the operation tree,
+attaches recorded infos, and — when a model is given —
 *filters* the tree to the operations the model covers ("the info of each
 job is collected, filtered, and stored", Section 3.3 P3): subtrees the
 model does not match are pruned from the archive and reported as
@@ -19,11 +19,7 @@ from typing import Dict, List, Optional, Tuple
 from repro.core.archive.archive import ArchivedOperation, PerformanceArchive
 from repro.core.model.job import JobModel
 from repro.core.model.rules import DurationRule
-from repro.core.monitor.records import (
-    LogRecord,
-    RecordColumns,
-    coerce_info_value,
-)
+from repro.core.monitor.records import RecordColumns, coerce_info_value
 from repro.core.monitor.session import MonitoredRun
 from repro.errors import ArchiveBuildError
 
@@ -68,11 +64,7 @@ def build_archive(
         (archive, build report)
     """
     report = BuildReport()
-    columns = getattr(run, "columns", None)
-    if columns is not None:
-        root = _build_tree_columns(columns, report)
-    else:
-        root = _build_tree(run.records, report)
+    root = _build_tree_columns(run.columns, report)
     if model is not None:
         _filter(root, model, report)
     _derive(root, model, report)
@@ -94,81 +86,16 @@ def build_archive(
     return archive, report
 
 
-def _build_tree(records: List[LogRecord], report: BuildReport) -> ArchivedOperation:
-    by_uid: Dict[str, ArchivedOperation] = {}
-    roots: List[ArchivedOperation] = []
-    for record in records:
-        if record.is_start:
-            if record.uid in by_uid:
-                raise ArchiveBuildError(
-                    f"operation {record.uid} started twice"
-                )
-            op = ArchivedOperation(
-                uid=record.uid,
-                mission=record.mission or "",
-                actor=record.actor or "",
-                start_time=record.timestamp,
-            )
-            by_uid[record.uid] = op
-            if record.parent_uid is None:
-                roots.append(op)
-            else:
-                parent = by_uid.get(record.parent_uid)
-                if parent is None:
-                    raise ArchiveBuildError(
-                        f"operation {record.uid} references unknown parent "
-                        f"{record.parent_uid}"
-                    )
-                op.parent = parent
-                parent.children.append(op)
-        elif record.is_end:
-            op = by_uid.get(record.uid)
-            if op is None:
-                raise ArchiveBuildError(
-                    f"end event for unknown operation {record.uid}"
-                )
-            if op.end_time is not None:
-                raise ArchiveBuildError(
-                    f"operation {record.uid} ended twice"
-                )
-            op.end_time = record.timestamp
-        else:  # info
-            op = by_uid.get(record.uid)
-            if op is None:
-                raise ArchiveBuildError(
-                    f"info event for unknown operation {record.uid}"
-                )
-            op.infos[record.info_name] = coerce_info_value(
-                record.info_value or ""
-            )
-            report.infos_recorded += 1
-
-    if not roots:
-        raise ArchiveBuildError("log contains no root operation")
-    if len(roots) > 1:
-        raise ArchiveBuildError(
-            f"log contains {len(roots)} root operations: "
-            f"{[r.mission for r in roots]}"
-        )
-    dangling = [op.mission for op in roots[0].walk() if op.end_time is None]
-    if dangling:
-        raise ArchiveBuildError(
-            f"{len(dangling)} operations never ended "
-            f"(e.g. {dangling[:3]}); incomplete log?"
-        )
-    return roots[0]
-
-
 def _build_tree_columns(
     columns: RecordColumns,
     report: BuildReport,
 ) -> ArchivedOperation:
-    """Columnar twin of :func:`_build_tree` (the ingest fast path).
+    """The operation tree of a well-formed log, in one pass.
 
-    Scans the raw columns instead of record objects; structure checks
-    and :class:`~repro.errors.ArchiveBuildError` messages are identical
-    to the record-stream path, so both produce the same archive for the
-    same log.
+    Strict: any structural anomaly (repeated start or end, unknown
+    parent or operation, several or no roots, an operation left open)
+    raises :class:`~repro.errors.ArchiveBuildError`.  Damaged logs go
+    through :mod:`repro.core.monitor.salvage`, which repairs instead.
     """
     by_uid: Dict[str, ArchivedOperation] = {}
     roots: List[ArchivedOperation] = []

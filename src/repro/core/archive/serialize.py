@@ -10,11 +10,10 @@ time instead of silently skewing an analysis.  Format version 3 encodes
 the operation tree in **columnar** form: parallel arrays in pre-order
 (``parent[i] < i``) plus a flattened info table, so encoding, decoding
 and point queries over large archives cost a handful of list scans
-instead of a recursive walk over nested objects.  Version-1 (no
-checksum) and version-2 (nested operations) archives remain readable,
-and ``archive_to_document(..., version=2)`` still writes the nested
-layout for consumers that expect it.  For loading *damaged* archives
-without raising, see :mod:`repro.core.archive.integrity`.
+instead of a recursive walk over nested objects.  Only version 3 is
+written; version-1 (no checksum) and version-2 (nested operations)
+archives remain readable.  For loading *damaged* archives without
+raising, see :mod:`repro.core.archive.integrity`.
 """
 
 from __future__ import annotations
@@ -69,18 +68,6 @@ def _decode_value(value: Any) -> Any:
         if value.lstrip("\\") in _INFINITY_SENTINELS:
             return value[1:]
     return value
-
-
-def _operation_to_dict(op: ArchivedOperation) -> Dict[str, Any]:
-    return {
-        "uid": op.uid,
-        "mission": op.mission,
-        "actor": op.actor,
-        "start": op.start_time,
-        "end": op.end_time,
-        "infos": {k: _encode_value(v) for k, v in op.infos.items()},
-        "children": [_operation_to_dict(c) for c in op.children],
-    }
 
 
 def _operation_from_dict(data: Dict[str, Any]) -> ArchivedOperation:
@@ -245,46 +232,24 @@ def payload_checksum(document: Dict[str, Any]) -> str:
     return hashlib.sha256(canonical.encode("utf-8")).hexdigest()
 
 
-def archive_to_document(
-    archive: PerformanceArchive,
-    version: int = PerformanceArchive.FORMAT_VERSION,
-) -> Dict[str, Any]:
+def archive_to_document(archive: PerformanceArchive) -> Dict[str, Any]:
     """The archive as its standardized document mapping (with checksum).
 
-    ``version=2`` writes the legacy nested-operations layout for
-    consumers that have not adopted the columnar format.  The current
-    version puts ``operations`` before ``environment`` so the payload
-    most valuable to salvage sits earliest in a crash-truncated file.
+    ``operations`` comes before ``environment`` so the payload most
+    valuable to salvage sits earliest in a crash-truncated file.
     """
-    if version not in (2, PerformanceArchive.FORMAT_VERSION):
-        raise ArchiveError(
-            f"cannot write archive format version {version!r} "
-            f"(writable: [2, {PerformanceArchive.FORMAT_VERSION}])"
-        )
-    environment = [
-        {"ts": ts, "node": node, "cpu": cpu}
-        for ts, node, cpu in archive.env_samples
-    ]
-    if version == 2:
-        document = {
-            "format": "granula-archive",
-            "format_version": 2,
-            "job_id": archive.job_id,
-            "platform": archive.platform,
-            "metadata": archive.metadata,
-            "environment": environment,
-            "operations": _operation_to_dict(archive.root),
-        }
-    else:
-        document = {
-            "format": "granula-archive",
-            "format_version": version,
-            "job_id": archive.job_id,
-            "platform": archive.platform,
-            "metadata": archive.metadata,
-            "operations": operations_to_columns(archive.root),
-            "environment": environment,
-        }
+    document = {
+        "format": "granula-archive",
+        "format_version": PerformanceArchive.FORMAT_VERSION,
+        "job_id": archive.job_id,
+        "platform": archive.platform,
+        "metadata": archive.metadata,
+        "operations": operations_to_columns(archive.root),
+        "environment": [
+            {"ts": ts, "node": node, "cpu": cpu}
+            for ts, node, cpu in archive.env_samples
+        ],
+    }
     document["integrity"] = {
         "algorithm": CHECKSUM_ALGORITHM,
         "checksum": payload_checksum(document),
@@ -292,25 +257,13 @@ def archive_to_document(
     return document
 
 
-def archive_to_json(
-    archive: PerformanceArchive,
-    indent: Optional[int] = None,
-    version: int = PerformanceArchive.FORMAT_VERSION,
-) -> str:
+def archive_to_json(archive: PerformanceArchive) -> str:
     """Serialize an archive to its standardized JSON text.
 
-    Columnar (v3) documents render compact: the format is machine
-    oriented, and compact output keeps the C encoder engaged — part of
-    the streaming ingest fast path.  Legacy versions keep their
-    human-readable two-space indent.  Pass ``indent`` to override the
-    format default.
+    The text is compact: the format is machine oriented, and compact
+    output keeps the C encoder engaged.
     """
-    document = archive_to_document(archive, version=version)
-    if indent is None and version >= 3:
-        return json.dumps(document, separators=(",", ":"),
-                          sort_keys=False)
-    return json.dumps(document, indent=2 if indent is None else indent,
-                      sort_keys=False)
+    return json.dumps(archive_to_document(archive), separators=(",", ":"))
 
 
 def document_to_archive(document: Dict[str, Any]) -> PerformanceArchive:

@@ -5,24 +5,21 @@ Two kinds of performance data are collected per job run: *platform logs*
 :mod:`repro.core.monitor.logparser`) and *environment logs* (per-node CPU
 series sampled by :mod:`repro.core.monitor.envmonitor`).
 :class:`repro.core.monitor.session.MonitoringSession` runs a job and
-gathers both.  Damaged logs — truncated, reordered, duplicated — go
-through :mod:`repro.core.monitor.salvage` instead of the strict parser.
+gathers both.  Every path parses into
+:class:`~repro.core.monitor.records.RecordColumns`; damaged logs —
+truncated, reordered, duplicated — are parsed leniently and repaired by
+:mod:`repro.core.monitor.salvage`, and :mod:`repro.core.monitor.live`
+does the same over the prefix of a log that is still being written.
 """
 
 from repro.core.monitor.records import EnvSample, LogRecord, RecordColumns
 from repro.core.monitor.logparser import (
     ParseReport,
-    parse_log,
     parse_log_columns,
     parse_log_line,
-    parse_log_report,
 )
 from repro.core.monitor.envmonitor import EnvironmentMonitor
-from repro.core.monitor.collector import (
-    collect_platform_log,
-    collect_platform_log_columns,
-    collect_platform_log_report,
-)
+from repro.core.monitor.collector import collect_platform_log_columns
 from repro.core.monitor.salvage import (
     IngestReport,
     SalvageParser,
@@ -40,14 +37,10 @@ __all__ = [
     "LogRecord",
     "RecordColumns",
     "ParseReport",
-    "parse_log",
     "parse_log_columns",
     "parse_log_line",
-    "parse_log_report",
     "EnvironmentMonitor",
-    "collect_platform_log",
     "collect_platform_log_columns",
-    "collect_platform_log_report",
     "IngestReport",
     "SalvageParser",
     "salvage_archive",

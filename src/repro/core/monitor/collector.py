@@ -2,52 +2,24 @@
 
 from __future__ import annotations
 
-from typing import List, Tuple
+from typing import Tuple
 
-from repro.core.monitor.logparser import (
-    ParseReport,
-    parse_log_columns,
-    parse_log_report,
-)
-from repro.core.monitor.records import LogRecord, RecordColumns
+from repro.core.monitor.logparser import ParseReport, parse_log_columns
+from repro.core.monitor.records import RecordColumns
 from repro.errors import MonitorError
 from repro.platforms.base import JobResult
-
-
-def collect_platform_log_report(
-    result: JobResult,
-    strict: bool = True,
-) -> Tuple[List[LogRecord], ParseReport]:
-    """Parse a job result's platform log, keeping the parse statistics.
-
-    Verifies the records belong to the job (a mixed-up log directory is a
-    classic monitoring failure on real clusters).  In lenient mode the
-    report's ``bad_lines`` carry what was skipped, so silent data loss
-    stays visible downstream.
-    """
-    records, report = parse_log_report(result.log_lines, strict=strict)
-    if not records:
-        raise MonitorError(
-            f"job {result.job_id}: platform log contains no GRANULA records"
-        )
-    foreign = {r.job_id for r in records if r.job_id != result.job_id}
-    if foreign:
-        raise MonitorError(
-            f"job {result.job_id}: log contains records of other jobs: "
-            f"{sorted(foreign)}"
-        )
-    return records, report
 
 
 def collect_platform_log_columns(
     result: JobResult,
     strict: bool = True,
 ) -> Tuple[RecordColumns, ParseReport]:
-    """Columnar twin of :func:`collect_platform_log_report`.
+    """Parse a job result's platform log, keeping the parse statistics.
 
-    Parses the log straight into :class:`RecordColumns` (the streaming
-    ingest fast path) while applying the same sanity checks with the
-    same :class:`~repro.errors.MonitorError` messages.
+    Verifies the records belong to the job (a mixed-up log directory is a
+    classic monitoring failure on real clusters).  In lenient mode the
+    report's ``bad_lines`` carry what was skipped, so silent data loss
+    stays visible downstream.
     """
     columns, report = parse_log_columns(result.log_lines, strict=strict)
     if not len(columns):
@@ -61,17 +33,3 @@ def collect_platform_log_columns(
             f"{sorted(foreign)}"
         )
     return columns, report
-
-
-def collect_platform_log(result: JobResult, strict: bool = True) -> List[LogRecord]:
-    """Parse a job result's platform log into records (no statistics)."""
-    records, _report = collect_platform_log_report(result, strict=strict)
-    return records
-
-
-def split_by_job(records: List[LogRecord]) -> dict:
-    """Group records of a shared log file by job id (order preserved)."""
-    by_job: dict = {}
-    for record in records:
-        by_job.setdefault(record.job_id, []).append(record)
-    return by_job

@@ -10,7 +10,9 @@ crash-truncated log), and publishes a sequence of **snapshots**:
 
 - each snapshot is a complete, self-contained archive document built
   from the full event prefix seen so far — never a delta, so a consumer
-  can join at any sequence number and be immediately consistent;
+  can join at any sequence number and be immediately consistent (every
+  line is parsed once, when fed; a snapshot re-scans the accumulated
+  columns);
 - sequence numbers are strictly monotonic and bump only when the
   underlying events changed, so pollers can cheaply detect "no news";
 - the **final** snapshot of a completed job carries the byte-identical
@@ -40,9 +42,9 @@ from typing import Dict, Iterable, Iterator, List, Optional, Tuple
 
 from repro.core.archive.archive import PerformanceArchive
 from repro.core.archive.serialize import archive_to_json
-from repro.core.monitor.records import EnvSample
+from repro.core.monitor.logparser import ParseReport, parse_log_columns
+from repro.core.monitor.records import EnvSample, RecordColumns
 from repro.core.monitor.salvage import DEFAULT_SKEW_TOLERANCE, SalvageParser
-from repro.errors import IngestError
 
 #: Default seconds between heartbeat comments on an idle SSE stream.
 DEFAULT_HEARTBEAT = 1.0
@@ -62,7 +64,10 @@ class LiveSnapshot:
             final snapshot of a completed job these are byte-identical
             to the file the store writes.
         complete: True only on the final snapshot.
-        records: log records folded into this snapshot.
+        records: log records folded into this snapshot — on a partial
+            snapshot those that survived job filtering and dedup, on
+            the final one every record parsed from the feed — so the
+            count never decreases along a stream.
         inferred_ends: operations whose close was synthesized because
             their end event has not arrived yet (provenance
             ``inferred``).
@@ -79,10 +84,10 @@ class LiveMonitor:
     """Incremental archive builder for one running job.
 
     Thread-safe: the runner feeds from the evaluation thread while any
-    number of SSE streams wait on :meth:`wait`.  Snapshots are built
-    lazily — feeding is O(append); the salvage parse over the full
-    prefix happens only when a consumer asks and events changed since
-    the last build.
+    number of SSE streams wait on :meth:`wait`.  Feeding parses the
+    new lines into the monitor's columns; snapshots are built lazily —
+    the salvage scan over those columns happens only when a consumer
+    asks and events changed since the last build.
     """
 
     def __init__(
@@ -103,7 +108,8 @@ class LiveMonitor:
             clock_skew_tolerance=clock_skew_tolerance
         )
         self._cond = threading.Condition()
-        self._lines: List[str] = []
+        self._columns = RecordColumns()
+        self._parsed = ParseReport()
         self._env: List[Tuple[float, str, float]] = []
         self._dirty = False
         self._seq = 0
@@ -124,17 +130,21 @@ class LiveMonitor:
         :meth:`complete` is a silent no-op — the final archive already
         supersedes anything a straggling tail could add.
         """
-        batch = list(lines)
+        columns, parsed = parse_log_columns(lines, strict=False)
         samples = [(s.timestamp, s.node, s.cpu) for s in env]
         with self._cond:
             if self._complete:
                 return 0
-            self._lines.extend(batch)
+            self._columns.extend(columns)
+            self._parsed.total_lines += parsed.total_lines
+            self._parsed.foreign_lines += parsed.foreign_lines
+            self._parsed.records += parsed.records
+            self._parsed.bad_lines.extend(parsed.bad_lines)
             self._env.extend(samples)
-            if batch or samples:
+            if parsed.total_lines or samples:
                 self._dirty = True
                 self._cond.notify_all()
-        return len(batch)
+        return parsed.total_lines
 
     def replay(
         self,
@@ -198,7 +208,7 @@ class LiveMonitor:
                 seq=self._seq,
                 body=body,
                 complete=True,
-                records=len(self._lines),
+                records=len(self._columns),
                 inferred_ends=0,
             )
             self._latest = snapshot
@@ -290,21 +300,18 @@ class LiveMonitor:
     def _build_locked(self) -> Optional[LiveSnapshot]:
         """Rebuild the partial archive from the full prefix (lock held).
 
-        Each snapshot re-parses the accumulated lines from scratch:
+        Each snapshot re-scans the accumulated columns from scratch:
         salvage synthesis (inferred ends, orphan quarantine) is not
         incremental — an operation open in snapshot N may close in
         N+1 — and re-deriving from the prefix is what makes every
         snapshot a valid self-contained archive.
         """
-        try:
-            records, report = self._parser.parse(
-                self._lines, job_id=self.job_id
-            )
-            if not records:
-                return None
-            root = self._parser.build_tree(records, report)
-        except IngestError:
+        columns, report = self._parser.select(
+            self._columns, self._parsed, job_id=self.job_id
+        )
+        if not len(columns):
             return None
+        root = self._parser.build_tree(columns, report)
         seq = self._seq + 1
         metadata = dict(self.metadata)
         metadata["live"] = {

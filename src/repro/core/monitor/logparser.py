@@ -1,10 +1,13 @@
-"""Parsing GRANULA platform logs into typed records.
+"""Parsing GRANULA platform logs into :class:`RecordColumns`.
 
 Platform logs are plain text interleaving GRANULA lines with the
-platform's own output; the parser skips foreign lines and converts the
-rest via :mod:`repro.logformat`, raising
+platform's own output; :func:`parse_log_columns` skips foreign lines
+and appends the rest to columns, raising
 :class:`~repro.errors.LogParseError` on malformed GRANULA lines (strict
-mode) or collecting them (lenient mode).
+mode) or collecting them (lenient mode).  The canonical writer layout
+is recognized token by token; every other line goes through
+:func:`parse_log_line`, the reference for what a line means and for
+the error a bad one raises.
 """
 
 from __future__ import annotations
@@ -103,54 +106,6 @@ def parse_log_line(line: str) -> LogRecord:
     )
 
 
-def parse_log(
-    lines: Iterable[str],
-    strict: bool = True,
-) -> Tuple[List[LogRecord], List[str]]:
-    """Parse a platform log.
-
-    Non-GRANULA lines are silently skipped (platforms log plenty of their
-    own).  Malformed GRANULA lines raise in strict mode; in lenient mode
-    they are returned as the second element for the analyst to inspect.
-
-    Returns:
-        (records, bad_lines)
-    """
-    records, report = parse_log_report(lines, strict=strict)
-    return records, report.bad_lines
-
-
-def parse_log_report(
-    lines: Iterable[str],
-    strict: bool = True,
-) -> Tuple[List[LogRecord], ParseReport]:
-    """Like :func:`parse_log`, but also reports what was skipped.
-
-    The report counts every inspected line, so lenient parses can no
-    longer lose data silently — callers surface the malformed/foreign
-    counts (see ``MonitoredRun.summary``).
-    """
-    records: List[LogRecord] = []
-    report = ParseReport()
-    for line in lines:
-        report.total_lines += 1
-        if not logformat.is_granula_line(line):
-            report.foreign_lines += 1
-            continue
-        try:
-            records.append(parse_log_line(line))
-            report.records += 1
-        except LogParseError:
-            if strict:
-                raise
-            report.bad_lines.append(line)
-    return records, report
-
-
-# ---------------------------------------------------------------------------
-# Streaming columnar parse (the ingest fast path)
-# ---------------------------------------------------------------------------
-
 _FAST_PREFIX = logformat.PREFIX + " "
 
 
@@ -170,6 +125,10 @@ def _append_fast(columns: RecordColumns, line: str) -> bool:
     :func:`parse_log_line`, which reproduces the exact strict-mode
     error semantics.
     """
+    if line[-1].isspace():
+        # A terminator ("\n" from iterating a file, "\r\n", padding)
+        # is not part of the last value; parse_log_line strips it too.
+        line = line.rstrip()
     parts = line.split(" ")
     n = len(parts)
     if n < 5 or not (
@@ -196,17 +155,19 @@ def _append_fast(columns: RecordColumns, line: str) -> bool:
         ):
             return False
         parent = _unquote_fast(parts[7][7:])
-        columns.append_start(
-            timestamp, job, uid,
+        columns.append(
+            timestamp, job, event, uid,
             None if parent == logformat.NO_PARENT else parent,
             _unquote_fast(parts[6][8:]),
             _unquote_fast(parts[5][6:]),
+            None, None,
         )
         return True
     if event == logformat.EVENT_END:
         if n != 5:
             return False
-        columns.append_end(timestamp, job, uid)
+        columns.append(timestamp, job, event, uid,
+                       None, None, None, None, None)
         return True
     if event == logformat.EVENT_INFO:
         if n != 7 or not (
@@ -214,8 +175,9 @@ def _append_fast(columns: RecordColumns, line: str) -> bool:
             and parts[6].startswith("value=")
         ):
             return False
-        columns.append_info(
-            timestamp, job, uid,
+        columns.append(
+            timestamp, job, event, uid,
+            None, None, None,
             _unquote_fast(parts[5][5:]),
             _unquote_fast(parts[6][6:]),
         )
@@ -227,13 +189,13 @@ def parse_log_columns(
     lines: Iterable[str],
     strict: bool = True,
 ) -> Tuple[RecordColumns, ParseReport]:
-    """Parse a platform log straight into :class:`RecordColumns`.
+    """Parse a platform log into :class:`RecordColumns`.
 
-    Semantically identical to :func:`parse_log_report` — same skipping
-    of foreign lines, same :class:`~repro.errors.LogParseError` on
-    malformed GRANULA lines in strict mode, same report counts — but
-    the canonical writer layout is recognized without building a field
-    mapping or a record object per event.
+    Non-GRANULA lines are skipped and counted (platforms log plenty of
+    their own).  Malformed GRANULA lines raise
+    :class:`~repro.errors.LogParseError` in strict mode; in lenient
+    mode they are collected in the report's ``bad_lines``, so a lenient
+    parse cannot lose data silently.
     """
     columns = RecordColumns()
     report = ParseReport()
@@ -247,7 +209,7 @@ def parse_log_columns(
             report.foreign_lines += 1
             continue
         try:
-            columns.append_record(parse_log_line(line))
+            columns.append(*parse_log_line(line))
             report.records += 1
         except LogParseError:
             if strict:

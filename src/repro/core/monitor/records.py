@@ -1,20 +1,17 @@
 """Typed records produced by monitoring.
 
-Besides the per-event :class:`LogRecord`, this module defines
-:class:`RecordColumns` — the same data as parallel columns.  The
-streaming ingest path parses platform logs straight into columns and
-builds archives from them without materializing a record object per
-event; :meth:`RecordColumns.records` is the lazy compatibility view for
-consumers that still want record objects.
+:class:`RecordColumns` is the one parsed-log representation: the parser
+appends rows to parallel columns, and the strict builder, salvage and
+live monitoring all scan those columns — no record object is allocated
+per event.  :class:`LogRecord` is the row type, built only for the
+occasional non-canonical line and for :meth:`RecordColumns.records`.
 """
 
 from __future__ import annotations
 
+import operator
 from dataclasses import dataclass, field
-from typing import Any, List, Optional, Sequence
-
-from repro import logformat
-from repro.errors import MonitorError
+from typing import Any, List, NamedTuple, Optional, Sequence
 
 
 def coerce_info_value(value: str) -> Any:
@@ -29,9 +26,8 @@ def coerce_info_value(value: str) -> Any:
         return value
 
 
-@dataclass(frozen=True)
-class LogRecord:
-    """One parsed GRANULA platform-log event.
+class LogRecord(NamedTuple):
+    """One parsed GRANULA platform-log event (a :class:`RecordColumns` row).
 
     Attributes:
         timestamp: simulated time of the event.
@@ -55,37 +51,14 @@ class LogRecord:
     info_name: Optional[str] = None
     info_value: Optional[str] = None
 
-    def __post_init__(self) -> None:
-        if self.event not in logformat.EVENTS:
-            raise MonitorError(f"unknown event kind {self.event!r}")
-        if not self.uid:
-            raise MonitorError("log record without operation uid")
-
-    @property
-    def is_start(self) -> bool:
-        """Whether this is an operation-start event."""
-        return self.event == logformat.EVENT_START
-
-    @property
-    def is_end(self) -> bool:
-        """Whether this is an operation-end event."""
-        return self.event == logformat.EVENT_END
-
-    @property
-    def is_info(self) -> bool:
-        """Whether this is an info event."""
-        return self.event == logformat.EVENT_INFO
-
 
 @dataclass
 class RecordColumns:
     """Parsed GRANULA log events as parallel columns.
 
     One row per event, in log order; per-event fields that do not apply
-    (e.g. ``mission`` of an end event) hold ``None``.  The streaming
-    pipeline appends rows during the parse and the archive builder scans
-    the raw columns, so no per-event object is allocated on the hot
-    path.
+    (e.g. ``mission`` of an end event) hold ``None``.  Columns are
+    declared in :class:`LogRecord` field order.
     """
 
     timestamp: List[float] = field(default_factory=list)
@@ -101,43 +74,7 @@ class RecordColumns:
     def __len__(self) -> int:
         return len(self.timestamp)
 
-    def append_start(
-        self,
-        timestamp: float,
-        job_id: str,
-        uid: str,
-        parent_uid: Optional[str],
-        mission: str,
-        actor: str,
-    ) -> None:
-        """Append one operation-start row."""
-        self._append(timestamp, job_id, logformat.EVENT_START, uid,
-                     parent_uid, mission, actor, None, None)
-
-    def append_end(self, timestamp: float, job_id: str, uid: str) -> None:
-        """Append one operation-end row."""
-        self._append(timestamp, job_id, logformat.EVENT_END, uid,
-                     None, None, None, None, None)
-
-    def append_info(
-        self,
-        timestamp: float,
-        job_id: str,
-        uid: str,
-        name: str,
-        value: str,
-    ) -> None:
-        """Append one info row."""
-        self._append(timestamp, job_id, logformat.EVENT_INFO, uid,
-                     None, None, None, name, value)
-
-    def append_record(self, record: LogRecord) -> None:
-        """Append an already-built record (the slow-path fallback)."""
-        self._append(record.timestamp, record.job_id, record.event,
-                     record.uid, record.parent_uid, record.mission,
-                     record.actor, record.info_name, record.info_value)
-
-    def _append(
+    def append(
         self,
         timestamp: float,
         job_id: str,
@@ -149,6 +86,7 @@ class RecordColumns:
         info_name: Optional[str],
         info_value: Optional[str],
     ) -> None:
+        """Append one row given in :class:`LogRecord` field order."""
         self.timestamp.append(timestamp)
         self.job_id.append(job_id)
         self.event.append(event)
@@ -159,50 +97,37 @@ class RecordColumns:
         self.info_name.append(info_name)
         self.info_value.append(info_value)
 
-    def record(self, index: int) -> LogRecord:
-        """Materialize one row as a :class:`LogRecord`."""
-        return LogRecord(
-            timestamp=self.timestamp[index],
-            job_id=self.job_id[index],
-            event=self.event[index],
-            uid=self.uid[index],
-            parent_uid=self.parent_uid[index],
-            mission=self.mission[index],
-            actor=self.actor[index],
-            info_name=self.info_name[index],
-            info_value=self.info_value[index],
+    def _lists(self) -> List[list]:
+        return [self.timestamp, self.job_id, self.event, self.uid,
+                self.parent_uid, self.mission, self.actor,
+                self.info_name, self.info_value]
+
+    def extend(self, other: "RecordColumns") -> None:
+        """Append every row of ``other`` (live monitoring's feed step)."""
+        for mine, theirs in zip(self._lists(), other._lists()):
+            mine.extend(theirs)
+
+    def select(self, rows: List[int]) -> "RecordColumns":
+        """The given rows, in the given order, as new columns."""
+        return RecordColumns(
+            *[[column[i] for i in rows] for column in self._lists()]
         )
 
-    def records(self) -> "ColumnRecordView":
-        """Lazy record-object view over these columns."""
-        return ColumnRecordView(self)
+    def records(self) -> Sequence[LogRecord]:
+        """Lazy row-object view: a :class:`LogRecord` per indexed row."""
+        return _Rows(self)
 
 
-class ColumnRecordView(Sequence):
-    """Sequence of :class:`LogRecord` backed by :class:`RecordColumns`.
-
-    Rows materialize (and are cached) only when indexed, so consumers
-    that merely count records — or never touch them because the builder
-    used the columns directly — pay nothing per event.
-    """
-
+class _Rows(Sequence):
     def __init__(self, columns: RecordColumns):
-        self._columns = columns
-        self._cache: List[Optional[LogRecord]] = [None] * len(columns)
+        self._lists = columns._lists()
 
     def __len__(self) -> int:
-        return len(self._cache)
+        return len(self._lists[0])
 
     def __getitem__(self, index):
-        if isinstance(index, slice):
-            return [self[i] for i in range(*index.indices(len(self)))]
-        if index < 0:
-            index += len(self._cache)
-        record = self._cache[index]
-        if record is None:
-            record = self._columns.record(index)
-            self._cache[index] = record
-        return record
+        index = operator.index(index)
+        return LogRecord(*[column[index] for column in self._lists])
 
 
 @dataclass(frozen=True)

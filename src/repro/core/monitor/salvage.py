@@ -5,8 +5,8 @@ mid-operation, skewed node clocks interleave records out of order,
 retransmissions duplicate lines, and lost lines orphan whole subtrees.
 The strict pipeline (:mod:`repro.core.monitor.logparser` +
 :mod:`repro.core.archive.builder`) raises on the first anomaly; this
-module instead salvages what is measurable, quarantines what is not, and
-reports honestly what is missing:
+module runs the same parse leniently, salvages what is measurable,
+quarantines what is not, and reports honestly what is missing:
 
 - **malformed lines** are collected, never raised, and attributed to the
   emitting node where the line still carries one;
@@ -28,14 +28,15 @@ completeness score instead of silently overstating its confidence.
 from __future__ import annotations
 
 import re
+from collections import Counter
 from dataclasses import dataclass, field
 from typing import Dict, Iterable, List, Optional, Tuple
 
 from repro import logformat
 from repro.core.archive.archive import ArchivedOperation, PerformanceArchive
-from repro.core.monitor.logparser import parse_log_line
-from repro.core.monitor.records import LogRecord, coerce_info_value
-from repro.errors import IngestError, LogParseError
+from repro.core.monitor.logparser import ParseReport, parse_log_columns
+from repro.core.monitor.records import RecordColumns, coerce_info_value
+from repro.errors import IngestError
 
 #: Node bucket for anomalies that cannot be attributed to a node.
 UNKNOWN_NODE = "<unknown>"
@@ -230,98 +231,111 @@ class SalvageParser:
         self,
         lines: Iterable[str],
         job_id: Optional[str] = None,
-    ) -> Tuple[List[LogRecord], IngestReport]:
-        """Parse leniently, filter to one job, dedup, and re-sort.
+    ) -> Tuple[RecordColumns, IngestReport]:
+        """Parse leniently, filter to one job, dedup, and re-sort."""
+        columns, parsed = parse_log_columns(lines, strict=False)
+        return self.select(columns, parsed, job_id=job_id)
 
-        When ``job_id`` is None the majority job of the log is used
-        (mixed-up log directories are a classic monitoring failure).
+    def select(
+        self,
+        columns: RecordColumns,
+        parsed: ParseReport,
+        job_id: Optional[str] = None,
+    ) -> Tuple[RecordColumns, IngestReport]:
+        """The rows of a lenient parse worth building a tree from.
+
+        Keeps one job's records, drops duplicates and restores
+        timestamp order — each step a selection of row indices, applied
+        to the columns once at the end.  When ``job_id`` is None the
+        majority job of the log is used (mixed-up log directories are a
+        classic monitoring failure).
         """
-        report = IngestReport()
-        records: List[LogRecord] = []
-        for line in lines:
-            report.total_lines += 1
-            if not logformat.is_granula_line(line):
-                report.foreign_lines += 1
-                continue
-            try:
-                records.append(parse_log_line(line))
-            except LogParseError:
-                report.malformed_lines.append(line)
-                report.node(_guess_node(line)).malformed += 1
-        if not records:
-            return [], report
+        report = IngestReport(
+            total_lines=parsed.total_lines,
+            foreign_lines=parsed.foreign_lines,
+            malformed_lines=list(parsed.bad_lines),
+        )
+        for line in parsed.bad_lines:
+            report.node(_guess_node(line)).malformed += 1
+        if not len(columns):
+            return columns, report
 
         if job_id is None:
-            tally: Dict[str, int] = {}
-            for record in records:
-                tally[record.job_id] = tally.get(record.job_id, 0) + 1
-            job_id = max(sorted(tally), key=lambda j: tally[j])
-        kept = [r for r in records if r.job_id == job_id]
-        report.foreign_job_records = len(records) - len(kept)
-        records = kept
+            tally = Counter(columns.job_id)
+            job_id = max(sorted(tally), key=tally.__getitem__)
+        rows = [i for i, job in enumerate(columns.job_id) if job == job_id]
+        report.foreign_job_records = len(columns) - len(rows)
 
-        records = self._dedup(records, report)
-        records = self._reorder(records, report)
-        report.records = len(records)
-        return records, report
+        rows = self._dedup(columns, rows, report)
+        rows = self._reorder(columns, rows, report)
+        report.records = len(rows)
+        return columns.select(rows), report
 
     def _dedup(
         self,
-        records: List[LogRecord],
+        columns: RecordColumns,
+        rows: List[int],
         report: IngestReport,
-    ) -> List[LogRecord]:
+    ) -> List[int]:
         """Drop exact duplicates and repeated start/end events per UID."""
+        events = columns.event
+        uids = columns.uid
         actor_of: Dict[str, str] = {}
-        for record in records:
-            if record.is_start and record.actor:
-                actor_of.setdefault(record.uid, record.actor)
+        for i in rows:
+            if events[i] == logformat.EVENT_START and columns.actor[i]:
+                actor_of.setdefault(uids[i], columns.actor[i])
         seen_exact = set()
         started = set()
         ended = set()
-        out: List[LogRecord] = []
-        for record in records:
+        out: List[int] = []
+        for i in rows:
+            event = events[i]
+            uid = uids[i]
             key = (
-                record.event, record.uid, record.timestamp,
-                record.info_name, record.info_value,
+                event, uid, columns.timestamp[i],
+                columns.info_name[i], columns.info_value[i],
             )
             duplicate = key in seen_exact
-            if record.is_start:
-                duplicate = duplicate or record.uid in started
-                started.add(record.uid)
-            elif record.is_end:
-                duplicate = duplicate or record.uid in ended
-                ended.add(record.uid)
+            if event == logformat.EVENT_START:
+                duplicate = duplicate or uid in started
+                started.add(uid)
+            elif event == logformat.EVENT_END:
+                duplicate = duplicate or uid in ended
+                ended.add(uid)
             seen_exact.add(key)
             if duplicate:
                 report.duplicate_records += 1
-                report.node(actor_of.get(record.uid)).duplicates += 1
+                report.node(actor_of.get(uid)).duplicates += 1
             else:
-                out.append(record)
+                out.append(i)
         return out
 
     def _reorder(
         self,
-        records: List[LogRecord],
+        columns: RecordColumns,
+        rows: List[int],
         report: IngestReport,
-    ) -> List[LogRecord]:
+    ) -> List[int]:
         """Stable-sort by timestamp, counting skew repairs."""
+        timestamps = columns.timestamp
         running_max = float("-inf")
-        for record in records:
-            if record.timestamp < running_max:
+        for i in rows:
+            timestamp = timestamps[i]
+            if timestamp < running_max:
                 report.reordered += 1
-                if running_max - record.timestamp > self.clock_skew_tolerance:
+                if running_max - timestamp > self.clock_skew_tolerance:
                     report.skew_violations += 1
             else:
-                running_max = record.timestamp
+                running_max = timestamp
         if report.reordered:
-            records = sorted(records, key=lambda r: r.timestamp)
-        return records
+            rows = sorted(rows, key=timestamps.__getitem__)
+        return rows
 
     # -- tree-level pass ---------------------------------------------------
 
     def build_tree(
         self,
-        records: List[LogRecord],
+        columns: RecordColumns,
         report: IngestReport,
     ) -> ArchivedOperation:
         """Assemble a (possibly partial) operation tree, salvaging.
@@ -331,45 +345,49 @@ class SalvageParser:
         a synthetic ``Unattributed`` operation, and a lost root is
         replaced by a synthetic ``SalvagedJob`` root.
         """
-        if not records:
+        if not len(columns):
             raise IngestError("no records to build a tree from")
-        last_ts = max(r.timestamp for r in records)
+        events = columns.event
+        uids = columns.uid
+        timestamps = columns.timestamp
+        last_ts = max(timestamps)
         by_uid: Dict[str, ArchivedOperation] = {}
         # Pass 1: materialize every started operation (order-independent,
         # so a parent whose start sorted after its child still links up).
-        for record in records:
-            if record.is_start and record.uid not in by_uid:
-                by_uid[record.uid] = ArchivedOperation(
-                    uid=record.uid,
-                    mission=record.mission or "",
-                    actor=record.actor or "",
-                    start_time=record.timestamp,
+        for i, event in enumerate(events):
+            if event == logformat.EVENT_START and uids[i] not in by_uid:
+                by_uid[uids[i]] = ArchivedOperation(
+                    uid=uids[i],
+                    mission=columns.mission[i] or "",
+                    actor=columns.actor[i] or "",
+                    start_time=timestamps[i],
                 )
         # Pass 2: ends, infos, parent links.
         parent_of: Dict[str, Optional[str]] = {}
-        for record in records:
-            op = by_uid.get(record.uid)
-            if record.is_start:
-                if record.uid in parent_of:
+        for i, event in enumerate(events):
+            uid = uids[i]
+            op = by_uid.get(uid)
+            if event == logformat.EVENT_START:
+                if uid in parent_of:
                     continue  # Duplicate start already dropped by dedup.
-                parent_of[record.uid] = record.parent_uid
+                parent_of[uid] = columns.parent_uid[i]
             elif op is None:
                 # End/info for an operation whose start line was lost:
                 # nothing measurable to attach it to.
                 report.dropped_events += 1
                 report.node(None).orphaned += 1
-            elif record.is_end:
+            elif event == logformat.EVENT_END:
                 if op.end_time is None:
-                    if record.timestamp < op.start_time:
+                    if timestamps[i] < op.start_time:
                         # Skew beyond repair: clamp to a zero-length span.
                         op.end_time = op.start_time
                         op.mark_inferred()
                         report.skew_violations += 1
                     else:
-                        op.end_time = record.timestamp
+                        op.end_time = timestamps[i]
             else:
-                op.infos[record.info_name] = coerce_info_value(
-                    record.info_value or ""
+                op.infos[columns.info_name[i]] = coerce_info_value(
+                    columns.info_value[i] or ""
                 )
 
         roots: List[ArchivedOperation] = []
@@ -491,15 +509,15 @@ def salvage_archive(
             records at all.
     """
     parser = SalvageParser(clock_skew_tolerance=clock_skew_tolerance)
-    records, report = parser.parse(lines, job_id=job_id)
-    if not records:
+    columns, report = parser.parse(lines, job_id=job_id)
+    if not len(columns):
         raise IngestError(
             f"nothing salvageable: {report.total_lines} lines, "
             f"{report.malformed} malformed, 0 usable records"
         )
-    root = parser.build_tree(records, report)
+    root = parser.build_tree(columns, report)
     archive = PerformanceArchive(
-        job_id=records[0].job_id,
+        job_id=columns.job_id[0],
         root=root,
         platform=platform,
         metadata={"salvaged": True, "ingest": report.to_dict()},

@@ -23,27 +23,28 @@ class MonitoredRun:
 
     Attributes:
         result: the platform's job result (output, stats, raw log).
-        records: parsed GRANULA platform-log records.  Sessions fill
-            this with a lazy view over ``columns``, so record objects
-            only materialize for consumers that index them.
+        columns: the parsed GRANULA platform-log records; the archive
+            builder scans these.
         env_series: per-node CPU usage series over the job window.
         env_samples: the same data as flat records (archive-friendly).
         node_names: nodes the job ran on, in cluster order.
         parse_report: statistics of the log parse (foreign/malformed
-            line counts) — None for runs built before monitoring kept
-            them.
-        columns: the parsed records as :class:`RecordColumns` — the
-            streaming ingest fast path; the archive builder scans these
-            directly when present.
+            line counts) — None when the caller kept none.
+        records: ``columns`` as a lazy sequence of record objects, for
+            consumers that want rows; derived when not given.
     """
 
     result: JobResult
-    records: Sequence[LogRecord]
+    columns: RecordColumns
     env_series: Dict[str, UsageSeries]
     env_samples: List[EnvSample] = field(default_factory=list)
     node_names: List[str] = field(default_factory=list)
     parse_report: Optional[ParseReport] = None
-    columns: Optional[RecordColumns] = None
+    records: Optional[Sequence[LogRecord]] = None
+
+    def __post_init__(self) -> None:
+        if self.records is None:
+            self.records = self.columns.records()
 
     @property
     def job_id(self) -> str:
@@ -59,7 +60,7 @@ class MonitoredRun:
         """
         out: Dict[str, Any] = {
             "job_id": self.job_id,
-            "records": len(self.records),
+            "records": len(self.columns),
             "nodes": len(self.node_names),
             "env_samples": len(self.env_samples),
             "makespan": self.result.makespan,
@@ -102,10 +103,9 @@ class MonitoringSession:
         )
         return MonitoredRun(
             result=result,
-            records=columns.records(),
+            columns=columns,
             env_series=env_series,
             env_samples=env_samples,
             node_names=list(nodes),
             parse_report=parse_report,
-            columns=columns,
         )

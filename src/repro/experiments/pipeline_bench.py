@@ -3,17 +3,14 @@
 The PageRank Pipeline Benchmark argues the whole pipeline is the unit
 that must be fast; this module times Granula's own
 Monitoring→Archiving→Analysis loop across the experiment suite's run
-matrix under the two accelerators this repository ships:
+matrix under the accelerators this repository ships (the
+monitoring→archive stage alone is measured in absolute terms by the
+``ingest_archive`` workload of ``perfbench``):
 
 - **end-to-end**: the suite's workload runs executed serially against a
   cold artifact cache, then again with a warm cache fanned out across
   ``--jobs`` worker processes.  Both phases produce byte-identical
   archives (asserted), so the speedup is pure overhead removal.
-- **ingest/archive**: the monitoring→archive stage alone — the legacy
-  per-record path (field-map parse, one object per event, nested v2
-  JSON) against the streaming columnar path (fixed-layout parse into
-  column buffers, columnar tree build, v3 JSON) over the same platform
-  log.
 - **columnar query**: warm archive queries answered from the mmap'd
   ``.gcol`` binary sidecar (:mod:`repro.core.archive.columnar`)
   against the same battery run by materializing the JSON operation
@@ -45,10 +42,7 @@ from pathlib import Path
 from typing import Any, Dict, List, Optional, Tuple, Union
 
 from repro.cache import CACHE_DIR_ENV
-from repro.core.archive.builder import build_archive
 from repro.core.archive.serialize import archive_from_json, archive_to_json
-from repro.core.monitor.logparser import parse_log_columns, parse_log_report
-from repro.core.monitor.session import MonitoredRun
 from repro.core.process import EvaluationIteration
 from repro.workloads.datasets import clear_cache
 from repro.workloads.parallel import RunRequest
@@ -60,6 +54,11 @@ SMALL_ENV = "GRANULA_BENCH_SMALL"
 
 #: The four platforms of the cross-platform experiment.
 PLATFORMS = ("Giraph", "PowerGraph", "Hadoop", "PGX.D")
+
+#: Reps of the columnar-query battery.  It is milliseconds per rep, so
+#: reps are nearly free — and fewer are too noisy for a ratio that
+#: gates CI.
+QUERY_REPS = 20
 
 
 def small_mode() -> bool:
@@ -130,64 +129,6 @@ def _timed_suite(
     t0 = time.perf_counter()
     iterations = runner.run_many(requests, jobs=jobs)
     return time.perf_counter() - t0, iterations
-
-
-def _bench_ingest(
-    iteration: EvaluationIteration,
-    runner: WorkloadRunner,
-    platform: str,
-    reps: int,
-) -> Dict[str, Any]:
-    """Legacy vs streaming monitoring→archive stage over one job log."""
-    run = iteration.run
-    result = run.result
-    model = runner.library.get(platform)
-
-    t0 = time.perf_counter()
-    for _ in range(reps):
-        records, report = parse_log_report(result.log_lines)
-        legacy = MonitoredRun(
-            result=result,
-            records=records,
-            env_series=run.env_series,
-            env_samples=run.env_samples,
-            node_names=run.node_names,
-            parse_report=report,
-        )
-        old_archive, _ = build_archive(legacy, model)
-        old_text = archive_to_json(old_archive, version=2)
-    old_s = time.perf_counter() - t0
-
-    t0 = time.perf_counter()
-    for _ in range(reps):
-        columns, report = parse_log_columns(result.log_lines)
-        streaming = MonitoredRun(
-            result=result,
-            records=columns.records(),
-            env_series=run.env_series,
-            env_samples=run.env_samples,
-            node_names=run.node_names,
-            parse_report=report,
-            columns=columns,
-        )
-        new_archive, _ = build_archive(streaming, model)
-        new_text = archive_to_json(new_archive)
-    new_s = time.perf_counter() - t0
-
-    # Both paths must agree on content (layout differs by design).
-    same = (
-        archive_to_json(new_archive, version=2) == old_text
-        and archive_to_json(old_archive) == new_text
-    )
-    return {
-        "job": result.job_id,
-        "log_lines": len(result.log_lines),
-        "reps": reps,
-        "legacy_s": round(old_s, 4),
-        "streaming_s": round(new_s, 4),
-        "speedup": round(old_s / new_s, 2) if new_s else None,
-        "identical_archives": same,
-    }
 
 
 def _query_battery(query) -> Tuple[Any, ...]:
@@ -391,14 +332,11 @@ def _bench_fanout_rss(small: bool) -> Dict[str, Any]:
 def run_pipeline_bench(
     jobs: int = 4,
     small: Optional[bool] = None,
-    reps: Optional[int] = None,
 ) -> Dict[str, Any]:
     """Time the pipeline end to end; returns the artifact document."""
     if small is None:
         small = small_mode()
     requests = bench_requests(small)
-    if reps is None:
-        reps = 3 if small else 10
 
     with tempfile.TemporaryDirectory(prefix="granula-bench-") as tmp:
         with _cache_dir(tmp):
@@ -409,14 +347,9 @@ def run_pipeline_bench(
         for a, b in zip(serial, parallel)
     )
 
-    # The ingest and query stages are measured on the Giraph BFS run
-    # (the paper's headline workload) from the serial phase.
-    runner = WorkloadRunner()
-    ingest = _bench_ingest(serial[0], runner, PLATFORMS[0], reps)
-    # The query battery is milliseconds per rep, so extra reps are
-    # nearly free — and the small-mode rep count is far too noisy for
-    # a ratio that gates CI.
-    columnar = _bench_columnar_query(serial[0], max(reps, 20))
+    # The query stage is measured on the Giraph BFS run (the paper's
+    # headline workload) from the serial phase.
+    columnar = _bench_columnar_query(serial[0], QUERY_REPS)
     with tempfile.TemporaryDirectory(prefix="granula-bench-") as tmp:
         with _cache_dir(tmp):
             fanout = _bench_fanout_rss(small)
@@ -432,7 +365,6 @@ def run_pipeline_bench(
             "speedup": round(serial_cold_s / warm_jobs_s, 2)
             if warm_jobs_s else None,
         },
-        "ingest_archive": ingest,
         "columnar_query": columnar,
         "fanout_rss": fanout,
         "byte_identical_archives": identical,
@@ -449,16 +381,12 @@ def write_pipeline_bench(path: Union[str, Path], document: Dict[str, Any]) -> No
 def render_pipeline_bench(document: Dict[str, Any]) -> str:
     """Human-readable summary of one benchmark document."""
     e2e = document["end_to_end"]
-    ingest = document["ingest_archive"]
     lines = [
         f"pipeline benchmark ({document['runs']} runs, "
         f"{'small' if document['small'] else 'full'} matrix)",
         f"  end-to-end: serial cold {e2e['serial_cold_s']:.2f}s, "
         f"warm --jobs {document['jobs']} {e2e['warm_jobs_s']:.2f}s "
         f"({e2e['speedup']}x)",
-        f"  ingest/archive: legacy {ingest['legacy_s']:.2f}s, "
-        f"streaming {ingest['streaming_s']:.2f}s "
-        f"({ingest['speedup']}x over {ingest['reps']} reps)",
     ]
     columnar = document.get("columnar_query", {})
     if "speedup" in columnar:
@@ -491,7 +419,6 @@ def render_pipeline_bench(document: Dict[str, Any]) -> str:
 #: seconds, so the committed baseline survives machine changes.
 GATE_METRICS: Dict[str, str] = {
     "end_to_end_speedup": "higher",
-    "ingest_speedup": "higher",
     "columnar_query_speedup": "higher",
     "fanout_shm_pss_ratio_4v2": "lower",
 }
@@ -504,7 +431,6 @@ def extract_metrics(document: Dict[str, Any]) -> Dict[str, Any]:
     """The gate metrics of one benchmark document (None = unmeasured)."""
     return {
         "end_to_end_speedup": document["end_to_end"].get("speedup"),
-        "ingest_speedup": document["ingest_archive"].get("speedup"),
         "columnar_query_speedup":
             document.get("columnar_query", {}).get("speedup"),
         "fanout_shm_pss_ratio_4v2":

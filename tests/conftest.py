@@ -14,10 +14,11 @@ from repro.cluster.node import das5_node
 from repro.core.archive.builder import build_archive
 from repro.core.model.giraph_model import giraph_model
 from repro.core.model.powergraph_model import powergraph_model
-from repro.core.monitor.session import MonitoringSession
+from repro.core.monitor.logparser import parse_log_columns
+from repro.core.monitor.session import MonitoredRun, MonitoringSession
 from repro.graph.generators.datagen import datagen_graph
 from repro.graph.graph import Graph
-from repro.platforms.base import JobRequest
+from repro.platforms.base import JobRequest, JobResult
 from repro.platforms.gas.engine import PowerGraphPlatform
 from repro.platforms.pregel.engine import GiraphPlatform
 
@@ -39,6 +40,18 @@ def make_powergraph_cluster() -> Cluster:
         [das5_node(n) for n in DAS5_POWERGRAPH_NODES],
         hdfs_block_size=TEST_HDFS_BLOCK,
     )
+
+
+def columns_run(lines, job_id="j", env_samples=()) -> MonitoredRun:
+    """Literal log lines as a monitored run, parsed the way sessions parse."""
+    lines = list(lines)
+    columns, report = parse_log_columns(lines)
+    result = JobResult(job_id=job_id, algorithm="bfs", dataset="d",
+                       output={}, started_at=0.0, finished_at=1.0,
+                       log_lines=lines)
+    return MonitoredRun(result=result, columns=columns, env_series={},
+                        env_samples=list(env_samples), node_names=["n1"],
+                        parse_report=report)
 
 
 @pytest.fixture(scope="session")

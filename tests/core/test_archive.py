@@ -10,10 +10,8 @@ from repro.core.archive.query import ArchiveQuery
 from repro.core.archive.serialize import archive_from_json, archive_to_json
 from repro.core.archive.store import ArchiveStore
 from repro.core.model.giraph_model import giraph_model
-from repro.core.monitor.logparser import parse_log
-from repro.core.monitor.session import MonitoredRun
 from repro.errors import ArchiveBuildError, ArchiveError, QueryError
-from repro.platforms.base import JobResult
+from tests.conftest import columns_run
 
 
 def make_archive():
@@ -105,15 +103,8 @@ class TestPerformanceArchive:
 
 
 class TestBuilder:
-    def make_run(self, lines, job_id="j"):
-        records, _ = parse_log(lines)
-        result = JobResult(job_id=job_id, algorithm="bfs", dataset="d",
-                           output={}, started_at=0.0, finished_at=1.0)
-        return MonitoredRun(result=result, records=records, env_series={},
-                            env_samples=[], node_names=["n1"])
-
     def test_build_minimal_tree(self):
-        run = self.make_run([
+        run = columns_run([
             "GRANULA ts=0 job=j event=start uid=a parent=- mission=Job actor=C",
             "GRANULA ts=1 job=j event=info uid=a name=Bytes value=42",
             "GRANULA ts=2 job=j event=end uid=a",
@@ -125,7 +116,7 @@ class TestBuilder:
         assert report.infos_recorded == 1
 
     def test_info_values_typed(self):
-        run = self.make_run([
+        run = columns_run([
             "GRANULA ts=0 job=j event=start uid=a parent=- mission=Job actor=C",
             "GRANULA ts=0 job=j event=info uid=a name=I value=7",
             "GRANULA ts=0 job=j event=info uid=a name=F value=1.5",
@@ -138,58 +129,62 @@ class TestBuilder:
         assert archive.root.infos["S"] == "hello"
 
     def test_double_start_rejected(self):
-        run = self.make_run([
+        run = columns_run([
             "GRANULA ts=0 job=j event=start uid=a parent=- mission=A actor=C",
             "GRANULA ts=0 job=j event=start uid=a parent=- mission=A actor=C",
         ])
-        with pytest.raises(ArchiveBuildError):
+        with pytest.raises(ArchiveBuildError, match="operation a started twice"):
             build_archive(run)
 
     def test_unknown_parent_rejected(self):
-        run = self.make_run([
+        run = columns_run([
             "GRANULA ts=0 job=j event=start uid=a parent=ghost "
             "mission=A actor=C",
         ])
-        with pytest.raises(ArchiveBuildError):
+        with pytest.raises(ArchiveBuildError, match="operation a references unknown parent ghost"):
             build_archive(run)
 
     def test_end_without_start_rejected(self):
-        run = self.make_run(["GRANULA ts=0 job=j event=end uid=ghost"])
-        with pytest.raises(ArchiveBuildError):
+        run = columns_run(["GRANULA ts=0 job=j event=end uid=ghost"])
+        with pytest.raises(ArchiveBuildError, match="end event for unknown operation ghost"):
             build_archive(run)
 
     def test_double_end_rejected(self):
-        run = self.make_run([
+        run = columns_run([
             "GRANULA ts=0 job=j event=start uid=a parent=- mission=A actor=C",
             "GRANULA ts=1 job=j event=end uid=a",
             "GRANULA ts=2 job=j event=end uid=a",
         ])
-        with pytest.raises(ArchiveBuildError):
+        with pytest.raises(ArchiveBuildError, match="operation a ended twice"):
             build_archive(run)
 
     def test_dangling_operation_rejected(self):
-        run = self.make_run([
+        run = columns_run([
             "GRANULA ts=0 job=j event=start uid=a parent=- mission=A actor=C",
         ])
-        with pytest.raises(ArchiveBuildError):
+        with pytest.raises(ArchiveBuildError, match="1 operations never ended"):
             build_archive(run)
 
     def test_multiple_roots_rejected(self):
-        run = self.make_run([
+        run = columns_run([
             "GRANULA ts=0 job=j event=start uid=a parent=- mission=A actor=C",
             "GRANULA ts=0 job=j event=start uid=b parent=- mission=B actor=C",
             "GRANULA ts=1 job=j event=end uid=a",
             "GRANULA ts=1 job=j event=end uid=b",
         ])
-        with pytest.raises(ArchiveBuildError):
+        with pytest.raises(ArchiveBuildError, match="log contains 2 root operations"):
             build_archive(run)
 
     def test_info_for_unknown_op_rejected(self):
-        run = self.make_run([
+        run = columns_run([
             "GRANULA ts=0 job=j event=info uid=ghost name=X value=1",
         ])
-        with pytest.raises(ArchiveBuildError):
+        with pytest.raises(ArchiveBuildError, match="info event for unknown operation ghost"):
             build_archive(run)
+
+    def test_log_without_operations_rejected(self):
+        with pytest.raises(ArchiveBuildError, match="no root operation"):
+            build_archive(columns_run([]))
 
     def test_full_run_with_model(self, giraph_run):
         archive, report = build_archive(giraph_run, giraph_model())
@@ -347,6 +342,21 @@ class TestSerialize:
         clone = archive_from_json(archive_to_json(archive))
         assert clone.root.infos["Dist"] == math.inf
 
+    #: A version-2 (nested operations) document as the writer removed
+    #: in PR 12 wrote it, checksum included.  Nothing writes this layout
+    #: any more; the reader keeps accepting it.
+    NESTED_V2 = (
+        '{"format":"granula-archive","format_version":2,"job_id":"j",'
+        '"platform":"","metadata":{},"environment":[],'
+        '"operations":{"uid":"u","mission":"A","actor":"x","start":0.0,'
+        '"end":1.0,"infos":{"Label":"\\\\Infinity","Neg":"\\\\-Infinity",'
+        '"Escaped":"\\\\\\\\Infinity","Dist":"Infinity",'
+        '"NegDist":"-Infinity"},"children":[{"uid":"c","mission":"B",'
+        '"actor":"y","start":0.0,"end":0.5,"infos":{"Hops":"Infinity"},'
+        '"children":[]}]},"integrity":{"algorithm":"sha256","checksum":'
+        '"95752ae8e8ac326eb7508033fe9edef451305f441b00ba65fac71008c91075f3"}}'
+    )
+
     @pytest.mark.parametrize("version", [2, 3])
     def test_literal_infinity_string_roundtrips(self, version):
         # A *string* info value that happens to spell a sentinel must
@@ -360,11 +370,18 @@ class TestSerialize:
             "NegDist": -math.inf,
         }
         root = ArchivedOperation("u", "A", "x", 0.0, 1.0, infos=dict(infos))
-        archive = PerformanceArchive("j", root)
-        clone = archive_from_json(archive_to_json(archive, version=version))
+        child = ArchivedOperation("c", "B", "y", 0.0, 0.5,
+                                  infos={"Hops": math.inf}, parent=root)
+        root.children.append(child)
+        text = (self.NESTED_V2 if version == 2
+                else archive_to_json(PerformanceArchive("j", root)))
+        assert f'"format_version":{version}' in text
+        clone = archive_from_json(text)
         assert clone.root.infos == infos
         assert isinstance(clone.root.infos["Label"], str)
         assert isinstance(clone.root.infos["Dist"], float)
+        assert clone.root.children[0].infos == {"Hops": math.inf}
+        assert clone.root.children[0].parent is clone.root
 
     def test_rejects_non_json(self):
         with pytest.raises(ArchiveError):

@@ -114,6 +114,24 @@ class TestLiveMonitor:
         assert monitor.feed(["tail straggler"]) == 0
         assert monitor.snapshot() is final
 
+    def test_records_never_decrease_across_a_replay_with_foreign_lines(self):
+        # The final snapshot used to report raw fed lines (foreign and
+        # malformed included) where partial ones report parsed records.
+        log = full_log()
+        noisy = []
+        for granula in log:
+            noisy += ["INFO platform noise", granula]
+        noisy.append("GRANULA ts=zzz job=job-1 event=end uid=j")
+        archive, _report = salvage_archive(log, platform="Giraph")
+        monitor = LiveMonitor("job-1", platform="Giraph")
+        counts = []
+        for offset in range(0, len(noisy), 3):
+            monitor.feed(noisy[offset:offset + 3])
+            counts.append(monitor.snapshot().records)
+        counts.append(monitor.complete(archive).records)
+        assert counts == sorted(counts)
+        assert counts[-1] == len(log) < len(noisy)
+
     def test_env_samples_flow_into_snapshots(self):
         monitor = LiveMonitor("job-1")
         monitor.feed(full_log()[:2], [EnvSample(0.5, "node085", 3.0)])

@@ -7,9 +7,12 @@ from repro.core.archive.archive import (
     PROVENANCE_INFERRED,
     PROVENANCE_MEASURED,
 )
+from repro.core.monitor.logparser import parse_log_columns
+from repro.core.monitor.records import RecordColumns
 from repro.core.monitor.salvage import (
     SALVAGED_ROOT_MISSION,
     UNATTRIBUTED_MISSION,
+    IngestReport,
     SalvageParser,
     salvage_archive,
 )
@@ -115,11 +118,30 @@ class TestReordering:
         log = clean_log()
         parser = SalvageParser(clock_skew_tolerance=0.5)
         log[2], log[3] = log[3], log[2]
-        records, report = parser.parse(log)
+        columns, report = parser.parse(log)
         assert report.skew_violations >= 1
+        assert columns.timestamp == sorted(columns.timestamp)
         parser_tolerant = SalvageParser(clock_skew_tolerance=10.0)
         _, tolerant_report = parser_tolerant.parse(log)
         assert tolerant_report.skew_violations == 0
+
+
+class TestTreeFromUnfilteredColumns:
+    """``build_tree`` on columns that skipped ``parse``'s selection."""
+
+    def test_repeated_start_keeps_the_first(self):
+        log = clean_log()
+        log.insert(2, line(1.5, "start", "a", parent="b",
+                           mission="Impostor", actor="Worker-9"))
+        columns, _parsed = parse_log_columns(log)
+        report = IngestReport()
+        root = SalvageParser().build_tree(columns, report)
+        assert [c.mission for c in root.children] == ["Startup", "LoadGraph"]
+        assert report.clean
+
+    def test_no_records_is_a_typed_error(self):
+        with pytest.raises(IngestError, match="no records"):
+            SalvageParser().build_tree(RecordColumns(), IngestReport())
 
 
 class TestOrphans:

@@ -121,14 +121,14 @@ class TestSequentialLoadBehaviour:
         (the full Figure 5 dominance is asserted at experiment scale)."""
         result = platform.run_job(JobRequest(
             "bfs", "tiny", 8, params={"source": 0}))
-        from repro.core.monitor.logparser import parse_log
-        records, _ = parse_log(result.log_lines)
+        from repro.core.monitor.logparser import parse_log_columns
+        records = parse_log_columns(result.log_lines)[0].records()
 
         def duration_of(mission):
             start = next(r for r in records
-                         if r.is_start and r.mission == mission)
+                         if r.event == "start" and r.mission == mission)
             end = next(r for r in records
-                       if r.is_end and r.uid == start.uid)
+                       if r.event == "end" and r.uid == start.uid)
             return end.timestamp - start.timestamp
 
         assert duration_of("LoadGraph") > duration_of("ProcessGraph")

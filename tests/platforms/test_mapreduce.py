@@ -145,11 +145,12 @@ class TestPenalty:
         """Every round scans all vertices (no frontier)."""
         result = platform.run_job(JobRequest("bfs", "tiny", 8,
                                              params={"source": 0}))
-        from repro.core.monitor.logparser import parse_log
-        records, _ = parse_log(result.log_lines)
+        from repro.core.monitor.logparser import parse_log_columns
+        columns, _ = parse_log_columns(result.log_lines)
         scanned = sum(
-            int(r.info_value) for r in records
-            if r.is_info and r.info_name == "RecordsScanned"
+            int(value)
+            for name, value in zip(columns.info_name, columns.info_value)
+            if name == "RecordsScanned"
         )
         rounds = result.stats["rounds"]
         assert scanned == rounds * tiny_graph.num_vertices

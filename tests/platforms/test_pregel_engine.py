@@ -142,12 +142,14 @@ class TestEmittedLog:
             assert f"name={name}" in text, name
 
     def test_timestamps_monotone_per_operation(self, log):
-        from repro.core.monitor.logparser import parse_log
-        records, _bad = parse_log(log)
-        starts = {r.uid: r.timestamp for r in records if r.is_start}
-        for record in records:
-            if record.is_end:
-                assert record.timestamp >= starts[record.uid]
+        from repro.core.monitor.logparser import parse_log_columns
+        columns, _report = parse_log_columns(log)
+        rows = list(zip(columns.event, columns.uid, columns.timestamp))
+        starts = {uid: ts for event, uid, ts in rows if event == "start"}
+        assert starts
+        for event, uid, ts in rows:
+            if event == "end":
+                assert ts >= starts[uid]
 
 
 class TestResourceUsage:

@@ -207,3 +207,16 @@ class TestResilienceCommands:
         out = capsys.readouterr().out
         assert "salvage ingest" in out
         assert "completeness" in out
+
+    def test_ingest_malformed_line_names_the_parse_error(self, capsys,
+                                                         tmp_path, giraph_run):
+        lines = list(giraph_run.result.log_lines)
+        lines.insert(3, "GRANULA ts=zzz job=x event=end uid=a")
+        log = tmp_path / "run.log"
+        log.write_text("\n".join(lines) + "\n")
+        assert main(["ingest", str(log)]) == 2
+        err = capsys.readouterr().err
+        assert "cannot parse log line (bad timestamp 'zzz')" in err
+        assert "rerun with --salvage" in err
+        assert main(["ingest", str(log), "--salvage"]) == 0
+        assert "malformed lines      1" in capsys.readouterr().out

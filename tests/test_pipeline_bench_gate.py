@@ -21,11 +21,10 @@ from repro.experiments.pipeline_bench import (
 REPO_ROOT = Path(__file__).resolve().parents[1]
 
 
-def document(end_to_end=3.0, ingest=2.5, columnar=4.0, shm_ratio=1.2):
+def document(end_to_end=3.0, columnar=4.0, shm_ratio=1.2):
     return {
         "small": True,
         "end_to_end": {"speedup": end_to_end},
-        "ingest_archive": {"speedup": ingest},
         "columnar_query": {"speedup": columnar},
         "fanout_rss": {"shm_pss_ratio_4v2": shm_ratio},
     }
@@ -71,8 +70,7 @@ class TestCompare:
         assert "fanout_shm_pss_ratio_4v2" in messages[0]
 
     def test_improvements_never_fail(self):
-        current = document(end_to_end=9.0, ingest=9.0, columnar=9.0,
-                           shm_ratio=1.0)
+        current = document(end_to_end=9.0, columnar=9.0, shm_ratio=1.0)
         assert compare_pipeline_bench(self.baseline(), current) == []
 
     def test_unmeasured_metric_is_skipped(self):

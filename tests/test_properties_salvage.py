@@ -18,8 +18,7 @@ from hypothesis import strategies as st
 
 from repro import logformat
 from repro.core.archive.integrity import load_salvaged, recover_json
-from repro.core.monitor.logparser import parse_log_line, parse_log_report
-from repro.core.monitor.records import LogRecord
+from repro.core.monitor.logparser import parse_log_columns, parse_log_line
 from repro.core.monitor.salvage import salvage_archive
 from repro.errors import IngestError, LogParseError, ReproError
 
@@ -86,42 +85,66 @@ def mangle_line(rng_choice, line, index):
 
 # -- line-level invariants ---------------------------------------------------
 
+def parse_agreeing(line):
+    """The row ``parse_log_columns`` makes of one line (None if foreign).
+
+    Whatever the line looks like, the column parser must treat it the
+    way ``parse_log_line`` does: the same row, or the same typed error.
+    """
+    try:
+        expected = parse_log_line(line)
+    except LogParseError as exc:
+        expected = str(exc)
+    try:
+        columns, report = parse_log_columns([line])
+    except LogParseError as exc:
+        assert str(exc) == expected
+        raise
+    if report.foreign_lines:
+        assert not logformat.is_granula_line(line)
+        return None
+    (record,) = columns.records()
+    assert record == expected
+    return record
+
+
 class TestLineParsing:
     @given(start_lines())
     @settings(max_examples=100, deadline=None)
     def test_valid_lines_round_trip(self, line):
-        record = parse_log_line(line)
-        assert isinstance(record, LogRecord)
-        assert record.is_start
-        assert logformat.is_granula_line(line)
+        record = parse_agreeing(line)
+        assert record.event == "start"
+        assert logformat.format_line({
+            "ts": repr(record.timestamp), "job": record.job_id,
+            "event": record.event, "uid": record.uid,
+            "parent": record.parent_uid or "-",
+            "mission": record.mission, "actor": record.actor,
+        }) == line
 
     @given(st.text(max_size=120))
     @settings(max_examples=150, deadline=None)
     def test_arbitrary_text_never_raises_raw_errors(self, text):
         try:
-            record = parse_log_line(text)
+            parse_agreeing(text)
         except ReproError:
-            return  # typed: LogParseError is fine
-        assert isinstance(record, LogRecord)
+            pass  # typed: LogParseError is fine
 
     @given(start_lines(), st.integers(0, 3), st.integers(0, 50))
     @settings(max_examples=150, deadline=None)
     def test_mangled_lines_typed_or_salvaged(self, line, kind, index):
-        mangled = mangle_line(kind, line, index)
         try:
-            record = parse_log_line(mangled)
+            parse_agreeing(mangle_line(kind, line, index))
         except LogParseError:
-            return
-        assert isinstance(record, LogRecord)
+            pass
 
     @given(st.lists(st.text(max_size=80), max_size=20))
     @settings(max_examples=100, deadline=None)
     def test_lenient_report_accounts_for_every_line(self, lines):
-        records, report = parse_log_report(lines, strict=False)
+        columns, report = parse_log_columns(lines, strict=False)
         assert report.total_lines == len(lines)
         assert (report.foreign_lines + report.records
                 + report.malformed) == len(lines)
-        assert len(records) == report.records
+        assert len(columns) == report.records
 
 
 # -- log-level invariants ----------------------------------------------------
