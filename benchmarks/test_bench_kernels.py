@@ -3,9 +3,10 @@
 Two artifacts land in ``benchmarks/output/kernel_bench.json``:
 
 * ``kernels`` — per-kernel throughput (vertices+edges processed per
-  second) of every vectorized program on both engines at dg100-scaled
-  size.  This is the PageRank-Pipeline-style unit of comparison: raw
-  kernel rate, independent of the Granula analysis stages.
+  second) of every vectorized program on all four engines at
+  dg100-scaled size.  This is the PageRank-Pipeline-style unit of
+  comparison: raw kernel rate, independent of the Granula analysis
+  stages.
 * ``fixtures`` — warm A/B wall-clock of the paper's dg1000-scaled BFS
   session fixtures in ``scalar`` vs ``auto`` engine mode, next to the
   pre-optimization cold baselines, with the speedup the fast path must
@@ -39,6 +40,17 @@ MIN_SPEEDUP = 5.0
 
 _ARTIFACT = "kernel_bench.json"
 
+#: Every built-in program with a vectorized kernel, per engine.
+_KERNELS = {
+    "Giraph": ("bfs", "pagerank", "wcc", "sssp", "cdlp"),
+    "PowerGraph": ("bfs", "pagerank", "wcc", "sssp", "cdlp"),
+    "Hadoop": ("bfs", "pagerank", "wcc"),
+    "PGX.D": ("bfs", "pagerank"),
+}
+
+#: The stats key under which each engine counts its iterations.
+_ITERATION_STATS = ("supersteps", "iterations", "rounds", "phases")
+
 
 def _update_artifact(output_dir, section, payload):
     path = output_dir / _ARTIFACT
@@ -67,18 +79,19 @@ def _timed_run(runner, spec):
 
 
 def test_bench_kernel_throughput(output_dir):
-    """Vertices+edges per second of each vectorized kernel, both engines."""
+    """Vertices+edges per second of each vectorized kernel, all engines."""
     graph = build_dataset("dg100-scaled")
     rows = {}
-    for platform_name in ("Giraph", "PowerGraph"):
-        for algo in ("bfs", "pagerank", "wcc", "sssp", "cdlp"):
+    for platform_name, algos in _KERNELS.items():
+        for algo in algos:
             spec = WorkloadSpec(platform_name, algo, "dg100-scaled",
                                 workers=8)
             runner = _prepared_runner("vectorized", spec)
             best = min(_timed_run(runner, spec)[0] for _ in range(2))
             _, iteration = _timed_run(runner, spec)
             stats = iteration.run.result.stats
-            iters = stats.get("supersteps", stats.get("iterations", 1))
+            iters = next(
+                (stats[key] for key in _ITERATION_STATS if key in stats), 1)
             work = (graph.num_vertices + graph.num_edges) * max(iters, 1)
             rows[f"{platform_name}/{algo}"] = {
                 "seconds": round(best, 4),

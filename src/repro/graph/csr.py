@@ -120,6 +120,21 @@ class CsrGraph:
         """Vector of all out-degrees."""
         return np.diff(self.indptr)
 
+    def transposed(self) -> "CsrGraph":
+        """The same edges keyed by destination (the in-adjacency).
+
+        Row ``v`` lists the sources of ``v``'s in-edges ascending — the
+        order :meth:`Graph.in_neighbors` iterates — because the out-edge
+        expansion is already source-sorted and the sort by destination
+        is stable.
+        """
+        n = self.num_vertices
+        sources = np.repeat(np.arange(n, dtype=np.int64), self.out_degrees())
+        order = np.argsort(self.indices, kind="stable")
+        indptr = np.zeros(n + 1, dtype=np.int64)
+        np.cumsum(np.bincount(self.indices, minlength=n), out=indptr[1:])
+        return CsrGraph(indptr, sources[order])
+
     def edges(self) -> Iterator[Tuple[int, int]]:
         """All (src, dst) pairs, sorted by src then dst."""
         for v in range(self.num_vertices):

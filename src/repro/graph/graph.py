@@ -21,7 +21,10 @@ class _CsrRows:
     mirrors the edge data into per-process Python lists.  Rows are not
     memoized: callers that need a row repeatedly hold the returned
     list, and the vectorized engines bypass adjacency entirely via
-    :meth:`Graph.csr`.
+    :meth:`Graph.csr` / :meth:`Graph.in_csr`.  Degrees never
+    materialize a row: a CSR-backed :class:`Graph` answers
+    ``out_degree`` / ``in_degree`` / ``degree_histogram`` /
+    ``max_out_degree`` from ``indptr`` differences.
     """
 
     __slots__ = ("_indptr", "_indices")
@@ -57,6 +60,11 @@ class _CsrRows:
     __hash__ = None
 
 
+def _row_length(indptr: np.ndarray, v: int) -> int:
+    """Length of CSR row ``v`` as a Python int, without slicing the row."""
+    return indptr.item(v + 1) - indptr.item(v)
+
+
 class Graph:
     """A directed graph over vertices ``0 .. n-1``.
 
@@ -89,6 +97,7 @@ class Graph:
         self._in: Optional[List[List[int]]] = None
         self._undirected: Optional[List[List[int]]] = None
         self._csr = None
+        self._in_csr = None
 
     @classmethod
     def from_edge_arrays(
@@ -135,6 +144,7 @@ class Graph:
         graph._in = None
         graph._undirected = None
         graph._csr = None
+        graph._in_csr = None
         return graph
 
     @classmethod
@@ -167,6 +177,7 @@ class Graph:
         graph._in = None
         graph._undirected = None
         graph._csr = csr
+        graph._in_csr = None
         return graph
 
     def csr(self):
@@ -175,6 +186,23 @@ class Graph:
             from repro.graph.csr import CsrGraph
             self._csr = CsrGraph.from_graph(self)
         return self._csr
+
+    def in_csr(self):
+        """CSR view of the in-adjacency (built lazily, cached).
+
+        Row ``v`` holds the sources of ``v``'s in-edges ascending, the
+        order :meth:`in_neighbors` iterates; every consumer of in-edges
+        (the pull kernels, the CSR-backed adjacency facade,
+        :meth:`reversed`) shares this one transposition.
+        """
+        if self._in_csr is None:
+            self._in_csr = self.csr().transposed()
+        return self._in_csr
+
+    @property
+    def _csr_backed(self) -> bool:
+        """True when the adjacency is a lazy facade over CSR arrays."""
+        return isinstance(self._out, _CsrRows)
 
     @property
     def num_vertices(self) -> int:
@@ -205,13 +233,17 @@ class Graph:
         """In-neighbors of ``v``, sorted (built lazily)."""
         self._check_vertex(v)
         if self._in is None:
-            inc: List[List[int]] = [[] for _ in range(self._n)]
-            for src in range(self._n):
-                for dst in self._out[src]:
-                    inc[dst].append(src)
-            for adj in inc:
-                adj.sort()
-            self._in = inc
+            if self._csr_backed:
+                in_csr = self.in_csr()
+                self._in = _CsrRows(in_csr.indptr, in_csr.indices)
+            else:
+                inc: List[List[int]] = [[] for _ in range(self._n)]
+                for src in range(self._n):
+                    for dst in self._out[src]:
+                        inc[dst].append(src)
+                for adj in inc:
+                    adj.sort()
+                self._in = inc
         return self._in[v]
 
     def neighbors_undirected(self, v: int) -> Sequence[int]:
@@ -230,10 +262,15 @@ class Graph:
     def out_degree(self, v: int) -> int:
         """Number of out-edges of ``v``."""
         self._check_vertex(v)
+        if self._csr_backed:
+            return _row_length(self._csr.indptr, v)
         return len(self._out[v])
 
     def in_degree(self, v: int) -> int:
         """Number of in-edges of ``v``."""
+        if self._csr_backed:
+            self._check_vertex(v)
+            return _row_length(self.in_csr().indptr, v)
         return len(self.in_neighbors(v))
 
     def degree_undirected(self, v: int) -> int:
@@ -256,10 +293,21 @@ class Graph:
 
     def reversed(self) -> "Graph":
         """A new graph with every edge direction flipped."""
+        if self._csr_backed:
+            in_csr = self.in_csr()
+            return Graph.from_csr_arrays(
+                self._n, in_csr.indptr, in_csr.indices)
         return Graph(self._n, ((dst, src) for src, dst in self.edges()))
 
     def degree_histogram(self) -> Dict[int, int]:
         """Mapping out-degree -> number of vertices with that degree."""
+        if self._csr_backed:
+            # Keys in first-seen vertex order, like the loop below.
+            degrees, first, counts = np.unique(
+                self._csr.out_degrees(), return_index=True,
+                return_counts=True)
+            order = np.argsort(first)
+            return dict(zip(degrees[order].tolist(), counts[order].tolist()))
         hist: Dict[int, int] = {}
         for v in range(self._n):
             d = len(self._out[v])
@@ -270,6 +318,8 @@ class Graph:
         """Largest out-degree, 0 for an empty graph."""
         if self._n == 0:
             return 0
+        if self._csr_backed:
+            return int(self._csr.out_degrees().max())
         return max(len(adj) for adj in self._out)
 
     def _check_vertex(self, v: int) -> None:

@@ -15,7 +15,7 @@ path *exactly*:
   with ``min`` (order-insensitive, ``np.minimum.at`` is safe); PageRank
   sums each mailbox as a *sequential left fold* in (sender worker,
   sender vertex) order, which the kernel reproduces with
-  :func:`repro.platforms.vecops.segmented_fold_add` over a
+  :func:`repro.platforms.vecops.csr_rows_fold_add` over a
   destination-grouped, sender-ordered edge permutation;
 * identical record byte accounting: ``Record.encoded_size`` is
   ``12 + len(str(state))``, replayed with vectorized digit counting for
@@ -42,7 +42,7 @@ from repro.platforms.mapreduce.algorithms import (
     WccMapReduce,
 )
 from repro.platforms.mapreduce.api import MapReduceRound, Record
-from repro.platforms.vecops import fold_add, group_starts, segmented_fold_add
+from repro.platforms.vecops import csr_rows_fold_add, fold_add
 
 #: Sentinel larger than any BFS level or WCC label.
 _BIG = np.int64(2 ** 62)
@@ -340,10 +340,8 @@ class _PageRankRounds(_KernelRounds):
         dst1 = self.e_dst[by_sender]
         by_dst = np.argsort(dst1, kind="stable")
         self.pr_src = self.e_src[by_sender][by_dst]
-        pr_dst = dst1[by_dst]
-        self.pr_starts = group_starts(pr_dst)
-        self.pr_dst_ids = pr_dst[self.pr_starts] \
-            if len(pr_dst) else pr_dst
+        #: Mailbox boundaries: one row per destination, as in the in-CSR.
+        self.pr_indptr = graph.in_csr().indptr
         self.dangling_idx = np.flatnonzero(self.deg == 0)
         self.safe_deg = np.where(self.deg > 0, self.deg, 1)
         self._emissions = self._per_worker(self.owner, weights=self.deg)
@@ -370,9 +368,7 @@ class _PageRankRounds(_KernelRounds):
         # order exactly like the scalar generator expression.
         dangling = fold_add(states[self.dangling_idx])
         shares = states / self.safe_deg
-        folded = segmented_fold_add(shares[self.pr_src], self.pr_starts)
-        incoming = np.zeros(n, dtype=np.float64)
-        incoming[self.pr_dst_ids] = folded
+        incoming = csr_rows_fold_add(shares[self.pr_src], self.pr_indptr)
         damping = driver.damping
         new = (1.0 - damping) / n + damping * (incoming + dangling / n)
 

@@ -1,28 +1,39 @@
-"""Vectorized kernel for the PGX.D direction-optimizing BFS.
+"""Vectorized kernels for the PGX.D push-pull engine's pull phases.
 
-The scalar :class:`~repro.platforms.pgxd.algorithms.BfsPushPull` spends
-its time in the *pull* phases: every unreached vertex scans its sorted
-in-neighbors until the first frontier member (Beamer's early break).
-That scan is replayed here off an in-CSR — for each unreached vertex
-the position of its first frontier in-neighbor gives both the edges
-examined and whether it joins the next frontier — and is exact:
+Two built-in programs spend their time pulling over in-edges, and both
+are replayed here off the graph's shared in-CSR
+(:meth:`repro.graph.graph.Graph.in_csr`: rows keyed by destination,
+sources ascending — the order ``graph.in_neighbors`` iterates):
 
-- the in-CSR is built by a stable sort of the out-edge expansion by
-  destination, so each row lists sources ascending, the same order
-  ``graph.in_neighbors`` iterates;
-- every phase counter is integer arithmetic (``np.bincount`` sums), so
-  no float accumulation order is in play;
-- *push* phases stay scalar.  A push phase iterates the frontier
-  ``set`` and attributes each ``remote`` update to whichever frontier
-  vertex the set yields first — that tie-break is set-iteration order,
-  which this kernel preserves by constructing every frontier set with
-  the same insertion sequence as the reference (ascending for pull
-  results, discovery order for push results).  Push frontiers are
-  sparse by construction (the ALPHA/BETA switch), so the scalar loop
-  is cheap there.
+- **BFS** (:class:`BfsPushPullKernel`).  In a pull phase every unreached
+  vertex scans its sorted in-neighbors until the first frontier member
+  (Beamer's early break); the position of that first hit gives both the
+  edges examined and whether the vertex joins the next frontier.  Every
+  phase counter is integer arithmetic (``np.bincount`` sums), so no
+  float accumulation order is in play.
+- **PageRank** (:class:`PageRankPushPullKernel`).  Every phase pulls
+  every in-edge: ``incoming[u]`` is the sequential left fold of
+  ``ranks[w] / out_degree(w)`` over ``u``'s in-row and the dangling mass
+  is a left fold in vertex order — both replayed with the exact folds
+  of :mod:`repro.platforms.vecops` (never ``np.sum`` / ``reduceat``,
+  which reduce pairwise) — and the per-owner edge counts and remote
+  updates are the same in every phase, so they are counted once.
 
-The other push-pull programs (SSSP, WCC, PageRank) only appear in the
-experiment suite on small inputs and keep the scalar path.
+What stays scalar, and why:
+
+- BFS *push* phases.  A push phase iterates the frontier ``set`` and
+  attributes each ``remote`` update to whichever frontier vertex the
+  set yields first — that tie-break is set-iteration order, which the
+  BFS kernel preserves by constructing every frontier set with the same
+  insertion sequence as the reference (ascending for pull results,
+  discovery order for push results).  Push frontiers are sparse by
+  construction (the ALPHA/BETA switch), so the scalar loop is cheap.
+- WCC and SSSP.  Both push with *in-place* updates inside a phase: a
+  label or distance lowered early in the sorted frontier sweep is read
+  by later vertices of the same sweep, and ``updates`` counts every
+  repeated lowering of one vertex.  A data-parallel step sees only the
+  phase's starting state, so it can match neither the values mid-phase
+  nor the counters; they keep the reference path.
 """
 
 from __future__ import annotations
@@ -37,9 +48,11 @@ from repro.platforms.pgxd.algorithms import (
     ALPHA,
     BETA,
     BfsPushPull,
+    PageRankPushPull,
     PhaseResult,
     PushPullProgram,
 )
+from repro.platforms.vecops import csr_rows_fold_add, fold_add
 
 
 class BfsPushPullKernel(BfsPushPull):
@@ -48,18 +61,11 @@ class BfsPushPullKernel(BfsPushPull):
     def __init__(self, graph: Graph, owner_of: Sequence[int], source: int):
         PushPullProgram.__init__(self, graph, owner_of)
         n = graph.num_vertices
-        csr = graph.csr()
-        self.deg = np.diff(csr.indptr)
+        self.deg = graph.csr().out_degrees()
         self.owner = np.asarray(owner_of, dtype=np.int64)
-        # In-CSR matching graph.in_neighbors: rows keyed by destination,
-        # sources ascending (stable sort of the already src-sorted
-        # expansion preserves that order within each destination).
-        e_src = np.repeat(np.arange(n, dtype=np.int64), self.deg)
-        order = np.argsort(csr.indices, kind="stable")
-        self.in_indices = e_src[order]
-        self.in_indptr = np.zeros(n + 1, dtype=np.int64)
-        np.cumsum(np.bincount(csr.indices, minlength=n),
-                  out=self.in_indptr[1:])
+        in_csr = graph.in_csr()
+        self.in_indptr = in_csr.indptr
+        self.in_indices = in_csr.indices
         self.levels_arr = np.full(n, UNREACHED, dtype=np.int64)
         self.levels_arr[source] = 0
         self.frontier: Set[int] = {source}
@@ -149,14 +155,68 @@ class BfsPushPullKernel(BfsPushPull):
         return dict(enumerate(self.levels_arr.tolist()))
 
 
+class PageRankPushPullKernel(PageRankPushPull):
+    """Pull-based PageRank with every phase as array folds."""
+
+    def __init__(self, graph: Graph, owner_of: Sequence[int],
+                 iterations: int = 20, damping: float = 0.85):
+        PushPullProgram.__init__(self, graph, owner_of)
+        self.iterations = iterations
+        self.damping = damping
+        n = graph.num_vertices
+        deg = graph.csr().out_degrees()
+        in_csr = graph.in_csr()
+        self.in_indptr = in_csr.indptr
+        self.in_src = in_csr.indices
+        self.in_src_deg = deg[self.in_src]
+        self.dangling_idx = np.flatnonzero(deg == 0)
+        self.ranks_arr = np.full(n, 1.0 / n if n else 0.0, dtype=np.float64)
+        # Every phase pulls every in-edge, so the work counters are the
+        # same in each: in-degree per owner, and in-edges whose source
+        # lives on another runtime.
+        owner = np.asarray(owner_of, dtype=np.int64)
+        in_deg = in_csr.out_degrees()
+        self._edges = [int(c) for c in np.bincount(
+            owner, weights=in_deg, minlength=self.num_owners)]
+        self._remote = int(np.count_nonzero(
+            owner[self.in_src] != np.repeat(owner, in_deg)))
+
+    @classmethod
+    def from_program(
+        cls, program: PageRankPushPull
+    ) -> "PageRankPushPullKernel":
+        """Rebuild a freshly constructed scalar program as a kernel."""
+        return cls(program.graph, program.owner_of,
+                   iterations=program.iterations, damping=program.damping)
+
+    def run_phase(self, phase_index: int) -> PhaseResult:
+        n = self.graph.num_vertices
+        ranks = self.ranks_arr
+        if n:
+            dangling = fold_add(ranks[self.dangling_idx])
+            incoming = csr_rows_fold_add(
+                ranks[self.in_src] / self.in_src_deg, self.in_indptr)
+            self.ranks_arr = (1.0 - self.damping) / n + self.damping * (
+                incoming + dangling / n
+            )
+        return PhaseResult("pull", list(self._edges), n, self._remote,
+                           converged=phase_index + 1 >= self.iterations)
+
+    def output(self) -> Dict[int, float]:
+        return dict(enumerate(self.ranks_arr.tolist()))
+
+
 def pushpull_kernel_class(
     program: PushPullProgram,
-) -> Optional[Type[BfsPushPullKernel]]:
+) -> Optional[Type[PushPullProgram]]:
     """The kernel for ``program``, or None when it must stay scalar.
 
     Dispatch is by exact type: subclasses and custom programs keep the
-    reference path.
+    reference path.  Kernel classes are built from the freshly
+    constructed scalar program by their ``from_program``.
     """
     if type(program) is BfsPushPull:
         return BfsPushPullKernel
+    if type(program) is PageRankPushPull:
+        return PageRankPushPullKernel
     return None

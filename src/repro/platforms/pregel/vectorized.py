@@ -430,9 +430,10 @@ class _CdlpKernel(_KernelBase):
         n, W = self.n, self.W
         e_src = np.repeat(np.arange(n, dtype=np.int64), self.deg)
         e_dst = self.indices
-        rev = np.argsort(e_dst, kind="stable")
-        self.rev_dst = e_dst[rev]
-        self.rev_src = e_src[rev]
+        in_csr = graph.in_csr()
+        self.rev_dst = np.repeat(np.arange(n, dtype=np.int64),
+                                 in_csr.out_degrees())
+        self.rev_src = in_csr.indices
         # Without a combiner every raw message crosses the wire.
         self.static_messages_in = np.bincount(
             owner[e_dst], minlength=W

@@ -74,6 +74,20 @@ def segmented_fold_add(values: np.ndarray, starts: np.ndarray) -> np.ndarray:
     return out
 
 
+def csr_rows_fold_add(values: np.ndarray, indptr: np.ndarray) -> np.ndarray:
+    """Sequential left fold of each CSR row ``values[indptr[i]:indptr[i+1]]``.
+
+    Empty rows fold to ``+0.0`` (the scalar accumulators' start value).
+    Only the non-empty rows reach :func:`segmented_fold_add`: the start
+    of the next non-empty row is the end of this one, so their starts
+    alone delimit the segments.
+    """
+    out = np.zeros(len(indptr) - 1, dtype=np.float64)
+    rows = np.flatnonzero(indptr[1:] > indptr[:-1])
+    out[rows] = segmented_fold_add(values, indptr[rows])
+    return out
+
+
 def group_starts(keys: np.ndarray) -> np.ndarray:
     """Start offsets of each run of equal values in a sorted array."""
     if len(keys) == 0:

@@ -54,6 +54,12 @@ def columns_run(lines, job_id="j", env_samples=()) -> MonitoredRun:
                         parse_report=report)
 
 
+def csr_twin(graph: Graph) -> Graph:
+    """The same graph as a lazy facade over its CSR arrays (cache-hit shape)."""
+    csr = graph.csr()
+    return Graph.from_csr_arrays(graph.num_vertices, csr.indptr, csr.indices)
+
+
 @pytest.fixture(scope="session")
 def tiny_graph() -> Graph:
     """A small, connected Datagen-like graph (shared, do not mutate)."""

@@ -31,28 +31,47 @@ from repro.platforms.faults import FaultPlan
 from repro.platforms.gas.algorithms import BfsGas, make_gas_program
 from repro.platforms.gas.engine import PowerGraphPlatform
 from repro.platforms.gas.vectorized import gas_kernel_class
+from repro.platforms.mapreduce.engine import HadoopPlatform
+from repro.platforms.pgxd.algorithms import (
+    PageRankPushPull,
+    make_pushpull_program,
+)
+from repro.platforms.pgxd.engine import PgxdPlatform
+from repro.platforms.pgxd.vectorized import (
+    BfsPushPullKernel,
+    PageRankPushPullKernel,
+    pushpull_kernel_class,
+)
 from repro.platforms.pregel.algorithms import BfsProgram, make_pregel_program
 from repro.platforms.pregel.engine import GiraphPlatform
 from repro.platforms.pregel.vectorized import pregel_kernel_class
 from repro.platforms.vecops import (
     FOLD_CHUNK,
+    csr_rows_fold_add,
     expand_positions,
     fold_add,
     group_sizes,
     group_starts,
     segmented_fold_add,
 )
-from repro.workloads.runner import WorkloadRunner
+from repro.workloads.runner import WorkloadRunner, build_cluster
 from repro.workloads.spec import WorkloadSpec
 
-from tests.conftest import make_giraph_cluster, make_powergraph_cluster
+from tests.conftest import (
+    csr_twin,
+    make_giraph_cluster,
+    make_powergraph_cluster,
+)
 
 _PLATFORMS = {
     "Giraph": (GiraphPlatform, make_giraph_cluster),
     "PowerGraph": (PowerGraphPlatform, make_powergraph_cluster),
+    "Hadoop": (HadoopPlatform, lambda: build_cluster("Hadoop")),
+    "PGX.D": (PgxdPlatform, lambda: build_cluster("PGX.D")),
 }
 
-#: Every program with a vectorized kernel, with non-trivial parameters.
+#: Every Giraph / PowerGraph program with a vectorized kernel, with
+#: non-trivial parameters.
 _CASES = [
     ("bfs", {"source": 0}),
     ("pagerank", {"iterations": 6}),
@@ -61,6 +80,30 @@ _CASES = [
     ("sssp", {"source": 0}),
     ("cdlp", {"iterations": 4}),
 ]
+
+_HADOOP_CASES = [
+    ("bfs", {"source": 0}),
+    ("pagerank", {"iterations": 6}),
+    ("pagerank", {"iterations": 40, "tolerance": 1e-3}),
+    ("wcc", {}),
+]
+
+#: PGX.D: WCC and SSSP have no kernel (see pgxd/vectorized.py).
+_PGXD_CASES = [
+    ("bfs", {"source": 0}),
+    ("bfs", {"source": 1}),
+    ("pagerank", {"iterations": 0}),
+    ("pagerank", {"iterations": 1}),
+    ("pagerank", {"iterations": 6}),
+    ("pagerank", {"iterations": 3, "damping": 0.6}),
+]
+
+_CASES_BY_PLATFORM = {
+    "Giraph": _CASES,
+    "PowerGraph": _CASES,
+    "Hadoop": _HADOOP_CASES,
+    "PGX.D": _PGXD_CASES,
+}
 
 
 @st.composite
@@ -100,7 +143,7 @@ def _fingerprint(platform_name, mode, graph, algo, params,
 
 
 class TestEngineEquivalence:
-    """Both engines, all five kernels, random graphs and worker counts."""
+    """All four engines, every kernel, random graphs and worker counts."""
 
     @given(graph=small_graphs(), case=st.sampled_from(_CASES),
            workers=st.integers(1, 6))
@@ -125,9 +168,56 @@ class TestEngineEquivalence:
                             workers)
         )
 
+    @given(graph=small_graphs(), case=st.sampled_from(_HADOOP_CASES),
+           workers=st.integers(1, 6))
+    @settings(max_examples=20, deadline=None)
+    def test_hadoop_runs_identically(self, graph, case, workers):
+        algo, params = case
+        assert (
+            _fingerprint("Hadoop", "scalar", graph, algo, params, workers)
+            == _fingerprint("Hadoop", "vectorized", graph, algo, params,
+                            workers)
+        )
+
+    @given(graph=small_graphs(), case=st.sampled_from(_PGXD_CASES),
+           workers=st.integers(1, 6))
+    @settings(max_examples=20, deadline=None)
+    def test_pgxd_runs_identically(self, graph, case, workers):
+        algo, params = case
+        # The engine sizes per-runtime counters by the owners that hold
+        # a vertex, so it needs at least one vertex per runtime.
+        workers = min(workers, graph.num_vertices)
+        reference = _fingerprint("PGX.D", "scalar", graph, algo, params,
+                                 workers)
+        twin = csr_twin(graph)
+        assert reference == _fingerprint(
+            "PGX.D", "vectorized", graph, algo, params, workers)
+        assert reference == _fingerprint(
+            "PGX.D", "scalar", twin, algo, params, workers)
+        assert reference == _fingerprint(
+            "PGX.D", "vectorized", twin, algo, params, workers)
+
+    @pytest.mark.parametrize("backing", ["list", "csr"])
+    @pytest.mark.parametrize("case", _PGXD_CASES, ids=repr)
+    def test_pgxd_cases_identical_on_hubs(self, case, backing):
+        # Vertex 0 pulls from more than FOLD_CHUNK in-neighbors (the
+        # per-hub fold), 1 is dangling, 2 has a self-loop, the last
+        # vertex is isolated.
+        n = FOLD_CHUNK + 12
+        edges = [(v, 0) for v in range(2, n - 1)]
+        edges += [(0, 1), (0, 3), (2, 2), (3, 4), (4, 1), (5, 3)]
+        graph = Graph(n, edges)
+        if backing == "csr":
+            graph = csr_twin(graph)
+        algo, params = case
+        assert (
+            _fingerprint("PGX.D", "scalar", graph, algo, params)
+            == _fingerprint("PGX.D", "vectorized", graph, algo, params)
+        )
+
     def test_zero_iteration_jobs_identical(self, line_graph):
-        for platform_name in _PLATFORMS:
-            for algo in ("pagerank", "cdlp"):
+        for platform_name, cases in _CASES_BY_PLATFORM.items():
+            for algo in sorted({a for a, p in cases if "iterations" in p}):
                 params = {"iterations": 0}
                 assert (
                     _fingerprint(platform_name, "scalar", line_graph, algo,
@@ -177,9 +267,11 @@ class TestFaultEquivalence:
 class TestArchiveEquivalence:
     """Full pipeline: serialized archives are byte-identical."""
 
-    @pytest.mark.parametrize("platform_name", ["Giraph", "PowerGraph"])
-    @pytest.mark.parametrize(
-        "algo", ["bfs", "pagerank", "wcc", "sssp", "cdlp"])
+    @pytest.mark.parametrize("algo,platform_name", [
+        pytest.param(algo, name, id=f"{algo}-{name}")
+        for name, cases in _CASES_BY_PLATFORM.items()
+        for algo in dict(cases)
+    ])
     def test_archive_bytes_identical(self, platform_name, algo):
         blobs = {}
         for mode in ("scalar", "vectorized"):
@@ -236,6 +328,49 @@ class TestDispatch:
         platform.run_job(JobRequest("lcc", "g", 4))
         assert platform.last_engine_path == "scalar"
 
+    def test_pgxd_dispatches_bfs_and_pagerank_only(self, line_graph):
+        owner_of = [0, 0, 1, 1, 1]
+        expected = {"bfs": BfsPushPullKernel,
+                    "pagerank": PageRankPushPullKernel,
+                    "wcc": None, "sssp": None}
+        for algo, kernel in expected.items():
+            program = make_pushpull_program(
+                algo, {"source": 0}, line_graph, owner_of)
+            assert pushpull_kernel_class(program) is kernel
+
+    def test_pgxd_subclass_stays_scalar(self, line_graph):
+        class TracingPageRank(PageRankPushPull):
+            pass
+
+        program = TracingPageRank(line_graph, [0, 0, 1, 1, 1])
+        assert pushpull_kernel_class(program) is None
+
+    @pytest.mark.parametrize("algo", ["wcc", "sssp"])
+    def test_pgxd_forced_vectorized_rejects_push_programs(self, algo,
+                                                          line_graph):
+        platform = PgxdPlatform(build_cluster("PGX.D"),
+                                engine_mode="vectorized")
+        platform.deploy_dataset("g", line_graph)
+        with pytest.raises(PlatformError, match="no vectorized kernel"):
+            platform.run_job(JobRequest(algo, "g", 4))
+
+    @pytest.mark.parametrize("algo", ["wcc", "sssp"])
+    def test_pgxd_auto_falls_back_for_push_programs(self, algo, line_graph):
+        platform = PgxdPlatform(build_cluster("PGX.D"), engine_mode="auto")
+        platform.deploy_dataset("g", line_graph)
+        platform.run_job(JobRequest(algo, "g", 4))
+        assert platform.last_engine_path == "scalar"
+
+    def test_job_life_matrix_never_falls_back(self):
+        # perfbench's job_life matrix: a built-in program that silently
+        # loses its kernel shows here, not as a slow benchmark.
+        runner = WorkloadRunner()
+        for platform_name in _PLATFORMS:
+            for algo in ("bfs", "pagerank"):
+                runner.run(WorkloadSpec(platform_name, algo, "dg-tiny"))
+                path = runner.platform(platform_name).last_engine_path
+                assert path == "vectorized", (platform_name, algo)
+
     def test_resolve_rejects_unknown_mode(self):
         with pytest.raises(PlatformError):
             resolve_engine_mode("turbo", True, "Giraph", "bfs")
@@ -279,6 +414,17 @@ class TestVecops:
                 acc += x
             assert out[i] == acc
             offset += length
+
+    def test_csr_rows_fold_add_scatters_empty_rows(self):
+        # Rows: [], [1, 2], [], [], [3], [] — empty first, middle, last.
+        indptr = np.array([0, 0, 2, 2, 2, 3, 3], dtype=np.int64)
+        values = np.array([0.1, 0.2, 0.3], dtype=np.float64)
+        out = csr_rows_fold_add(values, indptr)
+        assert out.tolist() == [0.0, 0.1 + 0.2, 0.0, 0.0, 0.3, 0.0]
+        assert csr_rows_fold_add(
+            np.empty(0), np.zeros(4, dtype=np.int64)).tolist() == [0.0] * 3
+        assert len(csr_rows_fold_add(
+            np.empty(0), np.zeros(1, dtype=np.int64))) == 0
 
     def test_group_starts_and_sizes(self):
         keys = np.array([3, 3, 5, 9, 9, 9], dtype=np.int64)
