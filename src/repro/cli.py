@@ -33,7 +33,7 @@ Subcommands::
                 [--group-by KEYS] [--agg AGGS] [--metric M]
                 [--mission M] [--path P] [--platform P]
                 [--algorithm A] [--dataset D] [--k SIGMA]
-                [--mode auto|tree] [--json]
+                [--json]
                                    cross-archive analytics over every
                                    job in a store: vectorized column
                                    scans over the mmap'd .gcol
@@ -385,7 +385,7 @@ def _cmd_fleet(args: argparse.Namespace) -> int:
         params["k"] = str(args.k)
     plan = FleetPlan.from_params(params, op=args.op)
     store = ArchiveStore(args.store)
-    document = run_fleet_query(store, plan, mode=args.mode)
+    document = run_fleet_query(store, plan)
     if args.json:
         print(json.dumps(document, indent=2, sort_keys=True))
     else:
@@ -563,7 +563,7 @@ def _cmd_serve(args: argparse.Namespace) -> int:
 
     chaos = load_chaos_plan(args.chaos) if args.chaos else None
     if args.workers > 1 or args.shards:
-        from repro.service.cluster import create_cluster, serve_cluster
+        from repro.service.cluster import create_cluster
 
         if args.read_only:
             raise ServiceError(
@@ -594,19 +594,18 @@ def _cmd_serve(args: argparse.Namespace) -> int:
             max_body_bytes=args.max_body_bytes,
             request_timeout=args.request_timeout,
         )
-        serve_cluster(server)
-        return 0
-    server = create_server(
-        args.store,
-        host=args.host,
-        port=args.port,
-        cache_size=args.cache_size,
-        writable=not args.read_only,
-        queue_size=args.queue_size,
-        chaos=chaos,
-        max_body_bytes=args.max_body_bytes,
-        request_timeout=args.request_timeout,
-    )
+    else:
+        server = create_server(
+            args.store,
+            host=args.host,
+            port=args.port,
+            cache_size=args.cache_size,
+            writable=not args.read_only,
+            queue_size=args.queue_size,
+            chaos=chaos,
+            max_body_bytes=args.max_body_bytes,
+            request_timeout=args.request_timeout,
+        )
     serve(server)
     return 0
 
@@ -827,11 +826,6 @@ def build_parser() -> argparse.ArgumentParser:
     p_fleet.add_argument("--k", type=float, default=None,
                          help="regressions: sigma multiplier for the "
                               "deviation threshold (default 3.0)")
-    p_fleet.add_argument("--mode", choices=("auto", "tree"),
-                         default="auto",
-                         help="auto: columnar scan with per-job tree "
-                              "fallback; tree: reference implementation "
-                              "(every archive materialized)")
     p_fleet.add_argument("--json", action="store_true",
                          help="print the raw result document as JSON")
     p_fleet.set_defaults(func=_cmd_fleet)

@@ -120,10 +120,7 @@ class FleetScanSession:
         self.jobs_scanned = 0
         self.jobs_failed = 0
         self.degraded_jobs: List[str] = []
-        self._top_k = max(
-            (agg.k for agg in plan.aggs if agg.kind == "top"),
-            default=0,
-        )
+        self._top_k = _top_depth(plan)[1]
         self._need_shares = plan.op == "regressions"
         self._need_timestamp = plan.op == "series"
         self._active = None
@@ -353,20 +350,36 @@ def percentile_of(sorted_values: np.ndarray, q: float) -> Optional[float]:
     return float(sorted_values[rank - 1])
 
 
+def _top_depth(plan: FleetPlan) -> Tuple[Optional[str], int]:
+    """(label, k) of the plan's deepest top-k aggregation, or (None, 0).
+
+    Shallower top lists are prefixes of the deepest one, so it is the
+    only one a scan or a merge ever has to carry.
+    """
+    deepest = max((agg for agg in plan.aggs if agg.kind == "top"),
+                  key=lambda agg: agg.k, default=None)
+    return (None, 0) if deepest is None else (deepest.label, deepest.k)
+
+
 class _GroupAcc:
     """Streaming accumulator for one group's metric values.
 
-    Count/sum/min/max fold job by job (in sorted job order, so the
-    result is deterministic and identical for the columnar and tree
-    paths, which share this code).  Raw values are retained only when
-    a percentile aggregation — or the router's sample request — needs
-    them.
+    Folds either whole jobs (:meth:`add`, a store scan) or another
+    store's finished group (:meth:`add_partial`, the cluster router's
+    merge) — :meth:`aggregate` is the only place an ``AggSpec`` becomes
+    an output, so a single store and N merged shards cannot disagree.
+    Count/sum/min/max fold in arrival order (sorted job order within a
+    store, shard order across stores), so the result is deterministic
+    and identical for the columnar and tree paths, which share this
+    code.  Raw values are retained only when a percentile aggregation
+    — or the router's sample request — needs them.
     """
 
-    __slots__ = ("jobs", "count", "total", "vmin", "vmax", "parts",
-                 "top")
+    __slots__ = ("key", "jobs", "count", "total", "vmin", "vmax",
+                 "parts", "top")
 
-    def __init__(self) -> None:
+    def __init__(self, key: Dict[str, str]) -> None:
+        self.key = key
         self.jobs = 0
         self.count = 0
         self.total = 0.0
@@ -375,21 +388,55 @@ class _GroupAcc:
         self.parts: List[np.ndarray] = []
         self.top: List[Tuple[float, str, str]] = []
 
+    def _widen(self, low: Optional[float], high: Optional[float]) -> None:
+        if low is not None:
+            self.vmin = low if self.vmin is None else min(self.vmin, low)
+        if high is not None:
+            self.vmax = high if self.vmax is None else max(self.vmax, high)
+
+    def _keep_top(self, rows: List[Tuple[float, str, str]],
+                  top_k: int) -> None:
+        """k best of the candidates seen so far (exact: no job or
+        shard hides a global winner behind its own local top-k)."""
+        self.top.extend(rows)
+        self.top.sort(key=lambda t: (-t[0], t[1], t[2]))
+        del self.top[top_k:]
+
     def add(self, scan: JobScan, keep_values: bool, top_k: int) -> None:
         values = scan.values
         self.jobs += 1
         self.count += len(values)
         if len(values):
             self.total += float(values.sum())
-            low, high = float(values.min()), float(values.max())
-            self.vmin = low if self.vmin is None else min(self.vmin, low)
-            self.vmax = high if self.vmax is None else max(self.vmax, high)
+            self._widen(float(values.min()), float(values.max()))
         if keep_values:
             self.parts.append(values)
         if top_k:
-            self.top.extend(scan.top)
-            self.top.sort(key=lambda t: (-t[0], t[1], t[2]))
-            del self.top[top_k:]
+            self._keep_top(scan.top, top_k)
+
+    def add_partial(self, group: Dict[str, Any],
+                    top_label: Optional[str], top_k: int) -> None:
+        """Fold one group entry of another store's query document.
+
+        Sums of shard sums, means recomputed from the merged sums,
+        percentiles from the concatenated ``samples`` vectors, top-k
+        from the shards' deepest top rows.
+        """
+        self.jobs += group.get("jobs", 0)
+        stats = group.get("stats", {})
+        self.count += stats.get("count", 0)
+        self.total += stats.get("sum", 0.0)
+        self._widen(stats.get("min"), stats.get("max"))
+        self.parts.append(
+            np.asarray(group.get("samples", []), dtype=np.float64)
+        )
+        if top_label is not None:
+            self._keep_top(
+                [(row.get("value"), row.get("job_id", ""),
+                  row.get("path", ""))
+                 for row in group.get("aggs", {}).get(top_label, [])],
+                top_k,
+            )
 
     def sorted_values(self) -> np.ndarray:
         if not self.parts:
@@ -423,6 +470,7 @@ class _GroupAcc:
                     for value, job_id, path in self.top[:agg.k]
                 ]
         result = {
+            "key": self.key,
             "jobs": self.jobs,
             "stats": {
                 "count": self.count,
@@ -437,6 +485,24 @@ class _GroupAcc:
                 sorted_values = self.sorted_values()
             result["samples"] = sorted_values.tolist()
         return result
+
+
+def _acc_for(groups: Dict[Tuple[str, ...], _GroupAcc], plan: FleetPlan,
+             group: Dict[str, str]) -> _GroupAcc:
+    """The accumulator of the group ``group`` names; its first
+    sighting supplies the emitted ``key`` mapping."""
+    key = tuple(group.get(name, "") for name in plan.group_by)
+    acc = groups.get(key)
+    if acc is None:
+        acc = groups[key] = _GroupAcc(group)
+    return acc
+
+
+def _group_documents(groups: Dict[Tuple[str, ...], _GroupAcc],
+                     plan: FleetPlan,
+                     include_samples: bool) -> List[Dict[str, Any]]:
+    return [groups[key].aggregate(plan.aggs, include_samples)
+            for key in sorted(groups)]
 
 
 def reduce_single(values: np.ndarray, agg: AggSpec) -> Optional[float]:
@@ -463,25 +529,24 @@ def reduce_single(values: np.ndarray, agg: AggSpec) -> Optional[float]:
 
 def _run_query(session: FleetScanSession, plan: FleetPlan,
                include_samples: bool) -> Dict[str, Any]:
-    top_k = max((agg.k for agg in plan.aggs if agg.kind == "top"),
-                default=0)
+    top_k = _top_depth(plan)[1]
     keep_values = plan.needs_values or include_samples
     groups: Dict[Tuple[str, ...], _GroupAcc] = {}
-    keys: Dict[Tuple[str, ...], Dict[str, str]] = {}
     for scan in session.jobs():
-        key = tuple(scan.group[name] for name in plan.group_by)
-        acc = groups.get(key)
-        if acc is None:
-            acc = groups[key] = _GroupAcc()
-            keys[key] = scan.group
-        acc.add(scan, keep_values, top_k)
+        _acc_for(groups, plan, scan.group).add(scan, keep_values, top_k)
     document = session.base_document(plan)
-    document["groups"] = [
-        dict({"key": keys[key]},
-             **groups[key].aggregate(plan.aggs, include_samples))
-        for key in sorted(groups)
-    ]
+    document["groups"] = _group_documents(groups, plan, include_samples)
     return document
+
+
+def _series_order(point: Dict[str, Any]) -> Tuple[bool, float, str]:
+    """Series points run by timestamp; undated ones last, by job id."""
+    timestamp = point.get("timestamp")
+    return (
+        timestamp is None,
+        timestamp if timestamp is not None else 0,
+        point.get("job_id", ""),
+    )
 
 
 def _run_series(session: FleetScanSession,
@@ -495,11 +560,7 @@ def _run_series(session: FleetScanSession,
             "group": scan.group,
             "value": reduce_single(scan.values, agg),
         })
-    points.sort(key=lambda p: (
-        p["timestamp"] is None,
-        p["timestamp"] if p["timestamp"] is not None else 0,
-        p["job_id"],
-    ))
+    points.sort(key=_series_order)
     document = session.base_document(plan)
     document["points"] = points
     return document
@@ -518,9 +579,7 @@ def detect_regressions(
     ``cohorts`` maps each group key to its jobs' (job_id, mission ->
     share) in scan order.  A job missing a mission its cohort runs
     contributes share 0.0 — skipping a whole phase *is* the anomaly.
-    Returns (finding entries, cohorts large enough to judge).  Shared
-    by the single-store engine and the cluster router, so a fanned-out
-    detection over merged shards reproduces the single-store result.
+    Returns (finding entries, cohorts large enough to judge).
     """
     entries: List[Dict[str, Any]] = []
     judged = 0
@@ -575,30 +634,95 @@ def detect_regressions(
     return entries, judged
 
 
-def _run_regressions(session: FleetScanSession, plan: FleetPlan,
-                     include_shares: bool) -> Dict[str, Any]:
+def _judge_cohorts(document: Dict[str, Any], rows: List[Dict[str, Any]],
+                   plan: FleetPlan, include_shares: bool) -> Dict[str, Any]:
+    """Pool per-job share rows into cohorts and run the detection.
+
+    ``rows`` are ``{"job_id", "group", "shares"}`` in job order within
+    each cohort — one store's scan or every shard's rows pooled, so a
+    cohort spanning shards is judged whole (shard-local σ over a
+    partial cohort would be wrong).  ``include_shares`` passes the rows
+    on, which is what lets a router pool them again.
+    """
     cohorts: Dict[Tuple[str, ...], List[Tuple[str, Dict[str, float]]]] = {}
     keys: Dict[Tuple[str, ...], Dict[str, str]] = {}
-    for scan in session.jobs():
-        if scan.shares is None:
-            continue  # No usable makespan: shares are undefined.
-        key = tuple(scan.group[name] for name in plan.group_by)
-        cohorts.setdefault(key, []).append((scan.job_id, scan.shares))
-        keys.setdefault(key, scan.group)
-    entries, judged = detect_regressions(cohorts, keys, plan)
-    document = session.base_document(plan)
-    document["cohorts"] = judged
-    document["findings"] = entries
+    for row in rows:
+        group = row.get("group", {})
+        key = tuple(group.get(name, "") for name in plan.group_by)
+        cohorts.setdefault(key, []).append(
+            (row.get("job_id", ""), row.get("shares", {}))
+        )
+        keys.setdefault(key, group)
+    document["findings"], document["cohorts"] = detect_regressions(
+        cohorts, keys, plan
+    )
     if include_shares:
-        # Raw per-job shares, so a cluster router can pool cohorts
-        # across shards and rerun the detection over the full fleet
-        # (shard-local σ over a partial cohort would be wrong).
-        document["shares"] = [
-            {"job_id": job_id, "group": keys[key], "shares": shares}
-            for key in sorted(cohorts)
-            for job_id, shares in cohorts[key]
-        ]
+        document["shares"] = rows
     return document
+
+
+def _run_regressions(session: FleetScanSession, plan: FleetPlan,
+                     include_shares: bool) -> Dict[str, Any]:
+    rows = [
+        {"job_id": scan.job_id, "group": scan.group, "shares": scan.shares}
+        for scan in session.jobs()
+        if scan.shares is not None  # No usable makespan: undefined.
+    ]
+    # Cohort by cohort, scan (job id) order within each.
+    rows.sort(key=lambda row: tuple(
+        row["group"][name] for name in plan.group_by
+    ))
+    return _judge_cohorts(
+        session.base_document(plan), rows, plan, include_shares
+    )
+
+
+def merge_fleet_documents(
+    plan: FleetPlan,
+    documents: List[Dict[str, Any]],
+    include_samples: bool,
+) -> Dict[str, Any]:
+    """Merge per-store fleet documents into the single-store answer.
+
+    The cluster router's half of a fan-out: each document is one
+    shard's answer to ``plan``, asked with ``samples`` whenever the
+    merge needs raw material (sample vectors for percentiles, per-job
+    shares for regressions).  Groups fold through the same
+    :class:`_GroupAcc` a store scan uses, series points re-sort by the
+    one series order, and regressions re-run the detector over the
+    pooled shares.
+    """
+    merged: Dict[str, Any] = {
+        "op": plan.op,
+        "plan": plan.to_document(),
+        "jobs_scanned": sum(
+            d.get("jobs_scanned", 0) for d in documents
+        ),
+        "jobs_failed": sum(d.get("jobs_failed", 0) for d in documents),
+        "degraded_jobs": sorted({
+            job for d in documents for job in d.get("degraded_jobs", [])
+        }),
+    }
+    if plan.op == "series":
+        merged["points"] = sorted(
+            (p for d in documents for p in d.get("points", [])),
+            key=_series_order,
+        )
+        return merged
+    if plan.op == "regressions":
+        rows = [r for d in documents for r in d.get("shares", [])
+                if isinstance(r, dict)]
+        rows.sort(key=lambda r: r.get("job_id", ""))
+        return _judge_cohorts(merged, rows, plan, include_samples)
+    top_label, top_k = _top_depth(plan)
+    groups: Dict[Tuple[str, ...], _GroupAcc] = {}
+    for document in documents:
+        for group in document.get("groups", []):
+            _acc_for(groups, plan, group.get("key", {})).add_partial(
+                group, top_label, top_k
+            )
+    merged["groups"] = _group_documents(groups, plan, include_samples)
+    return merged
 
 
 def run_fleet_query(
@@ -724,6 +848,7 @@ __all__ = [
     "SCAN_MODES",
     "detect_regressions",
     "fleet_findings",
+    "merge_fleet_documents",
     "percentile_of",
     "reduce_single",
     "render_fleet_text",

@@ -50,11 +50,7 @@ from repro.service.backpressure import (
 )
 from repro.service.cache import ArchiveCache
 from repro.service.chaos import ChaosController, ChaosPlan
-from repro.service.cluster import (
-    ClusterServer,
-    create_cluster,
-    serve_cluster,
-)
+from repro.service.cluster import ClusterServer, create_cluster
 from repro.service.ingest import IngestPipeline
 from repro.service.metrics import ServiceMetrics
 from repro.service.router import ClusterService, ConsistentHashRing
@@ -81,5 +77,4 @@ __all__ = [
     "create_server",
     "retry_after_seconds",
     "serve",
-    "serve_cluster",
 ]

@@ -6,6 +6,14 @@ filtering, pagination, conditional-GET, and write-path logic is
 unit-testable and the HTTP layer (:mod:`repro.service.server`) stays a
 thin adapter.
 
+This module also owns the service *contract* both tiers answer to:
+the route table (:data:`ROUTES`), the dispatch that times, labels and
+error-maps every request (:class:`ServiceContract`), and the request
+codec (:func:`int_param`, :func:`page_window`, :func:`submission_kind`,
+:func:`fleet_request`, :func:`conditional_json`).  The cluster router
+(:mod:`repro.service.router`) binds the same handler names to shard
+proxies and merges, so a route, a label or an error text exists once.
+
 Writes: when an :class:`repro.service.ingest.IngestPipeline` is
 attached, ``POST /jobs`` appends the request to a durable WAL and
 answers ``202 Accepted`` with a tracking id (``GET /ingest/{id}``
@@ -29,7 +37,7 @@ import json
 import time
 from dataclasses import dataclass, field
 from typing import (
-    Any, Dict, Iterator, Mapping, Optional, Tuple, Union,
+    Any, Dict, Iterator, List, Mapping, NamedTuple, Optional, Tuple, Union,
 )
 
 from repro.core.analysis.fleet import run_fleet_query
@@ -55,6 +63,7 @@ from repro.errors import (
     IngestOverloadError,
     IngestUnavailableError,
     QueryError,
+    ShardUnavailableError,
 )
 from repro.service.cache import ArchiveCache
 from repro.service.ingest import IngestPipeline
@@ -165,8 +174,245 @@ def _operation_record(op: ArchivedOperation) -> Dict[str, Any]:
     }
 
 
-class ArchiveService:
-    """Routes service requests against one archive store."""
+_READ_METHODS = ("GET", "HEAD")
+
+#: The route table: (methods, path shape) -> (endpoint label, handler
+#: name); ``*`` matches any one segment.  Labels are the closed set in
+#: :data:`repro.service.metrics.KNOWN_ENDPOINTS` — raw paths must never
+#: become metric labels (cardinality leak under random-path scans),
+#: which is why unroutable requests all share ``other``.  A tier
+#: implements handler ``name`` as its ``_name(request)`` method.
+ROUTES: Tuple[Tuple[Tuple[str, ...], Tuple[str, ...], str, str], ...] = (
+    (("POST",), ("jobs",), "POST /jobs", "submit"),
+    (("POST",), ("fleet", "query"), "POST /fleet/query", "fleet"),
+    (_READ_METHODS, ("healthz",), "/healthz", "healthz"),
+    (_READ_METHODS, ("metrics",), "/metrics", "metrics"),
+    (_READ_METHODS, ("jobs",), "/jobs", "jobs"),
+    (_READ_METHODS, ("ingest", "*"), "/ingest/{id}", "ingest_status"),
+    (_READ_METHODS, ("fleet", "query"), "/fleet/query", "fleet"),
+    (_READ_METHODS, ("fleet", "series"), "/fleet/series", "fleet"),
+    (_READ_METHODS, ("fleet", "regressions"), "/fleet/regressions",
+     "fleet"),
+    (_READ_METHODS, ("jobs", "*"), "/jobs/{id}", "job_summary"),
+    (_READ_METHODS, ("jobs", "*", "query"), "/jobs/{id}/query",
+     "job_query"),
+    (_READ_METHODS, ("jobs", "*", "report"), "/jobs/{id}/report",
+     "job_report"),
+    (_READ_METHODS, ("jobs", "*", "live"), "/jobs/{id}/live", "job_live"),
+)
+
+
+class Request(NamedTuple):
+    """One routed request as every handler receives it."""
+
+    path: str
+    #: The path's non-empty segments (``parts[1]`` is the job or
+    #: tracking id on the per-id routes, the op on ``/fleet/{op}``).
+    parts: List[str]
+    params: Dict[str, str]
+    headers: Dict[str, str]
+    method: str
+    body: bytes
+
+
+def resolve_route(
+    path: str, method: str,
+) -> Tuple[str, Optional[str], List[str]]:
+    """Resolve (endpoint label, handler name, path segments).
+
+    The handler is ``None`` for an unroutable request.  A write method
+    on a path that only accepts ``POST`` keeps that route's label, so a
+    PUT storm on ``/jobs`` stays visible under a stable name.
+    """
+    parts = [part for part in path.split("/") if part]
+    label = "other"
+    for methods, shape, endpoint, handler in ROUTES:
+        if len(shape) != len(parts) or not all(
+            want in ("*", part) for want, part in zip(shape, parts)
+        ):
+            continue
+        if method in methods:
+            return endpoint, handler, parts
+        if method not in _READ_METHODS and "POST" in methods:
+            label = endpoint
+    return label, None, parts
+
+
+class ServiceContract:
+    """The request path both service tiers share.
+
+    :meth:`handle` resolves a request against :data:`ROUTES`, calls the
+    tier's ``_<handler>(request)`` method, maps the errors a handler may
+    raise onto statuses and records the outcome under the route's
+    label.  :class:`ArchiveService` answers from one store;
+    :class:`repro.service.router.ClusterService` binds the same names
+    to its shard proxy and fan-out merges.
+    """
+
+    metrics: ServiceMetrics
+
+    def handle(
+        self,
+        path: str,
+        params: Optional[Mapping[str, str]] = None,
+        headers: Optional[Mapping[str, str]] = None,
+        method: str = "GET",
+        body: bytes = b"",
+    ) -> AnyResponse:
+        """Dispatch one request; never raises on client/shard errors."""
+        started = time.perf_counter()
+        self._on_request()
+        endpoint, handler, parts = resolve_route(path, method)
+        if handler is None:
+            response: AnyResponse = _unroutable(endpoint, path, method)
+        else:
+            request = Request(path, parts, dict(params or {}),
+                              dict(headers or {}), method, body)
+            try:
+                response = getattr(self, f"_{handler}")(request)
+            except (_BadRequest, QueryError) as exc:
+                response = error_response(400, str(exc))
+            except ShardUnavailableError as exc:
+                response = _shard_rejection(exc)
+            except ArchiveError as exc:
+                response = error_response(404, str(exc))
+        self.metrics.observe(
+            endpoint, response.status, time.perf_counter() - started
+        )
+        return response
+
+    def _on_request(self) -> None:
+        """Runs inside the timed region, before routing."""
+
+
+def _unroutable(endpoint: str, path: str, method: str) -> Response:
+    if method not in _READ_METHODS and endpoint == "other":
+        return error_response(405, f"method {method} not allowed")
+    if endpoint == "POST /jobs":
+        return error_response(405, f"method {method} not allowed on /jobs")
+    return error_response(404, f"no route for {path!r}")
+
+
+def _shard_rejection(exc: ShardUnavailableError) -> Response:
+    """A 503 for one shard's keyspace, carrying shard + back-off."""
+    response = json_response(503, {
+        "error": str(exc),
+        "status": 503,
+        "shard": exc.shard,
+    })
+    response.headers["Retry-After"] = str(exc.retry_after)
+    return response
+
+
+# -- request codec ---------------------------------------------------------
+
+
+class _BadRequest(Exception):
+    """Internal: a client error, answered 400 with its message."""
+
+
+def int_param(
+    params: Mapping[str, str],
+    name: str,
+    default: int,
+    minimum: Optional[int] = None,
+) -> int:
+    raw = params.get(name)
+    if raw is None:
+        return default
+    try:
+        value = int(raw)
+    except ValueError:
+        raise _BadRequest(
+            f"parameter {name}={raw!r} is not an integer"
+        ) from None
+    if minimum is not None and value < minimum:
+        raise _BadRequest(
+            f"parameter {name}={value} must be >= {minimum}"
+        )
+    return value
+
+
+def page_window(params: Mapping[str, str]) -> Tuple[int, int]:
+    """The ``/jobs`` listing's (offset, limit), limit capped."""
+    offset = int_param(params, "offset", 0, minimum=0)
+    limit = int_param(params, "limit", DEFAULT_PAGE, minimum=1)
+    return offset, min(limit, MAX_PAGE)
+
+
+def checked_job_id(job_id: str) -> str:
+    """``job_id`` if it is safe to hash, route and open; 400 if not."""
+    try:
+        validate_job_id(job_id)
+    except ArchiveError as exc:
+        raise _BadRequest(str(exc)) from None
+    return job_id
+
+
+def submission_kind(
+    params: Mapping[str, str], headers: Mapping[str, str],
+) -> str:
+    """What a ``POST /jobs`` body is: the ``kind`` parameter, else
+    inferred from the content type (``text/plain`` is a raw log)."""
+    kind = params.get("kind")
+    if kind is None:
+        content_type = headers.get(
+            "Content-Type", "application/json"
+        ).split(";")[0].strip().lower()
+        kind = "log" if content_type == "text/plain" else "archive"
+    return kind
+
+
+def fleet_request(
+    op: str, params: Mapping[str, str], method: str, body: bytes,
+) -> Tuple[FleetPlan, bool]:
+    """Parse one fleet request into (plan, include_samples).
+
+    ``GET /fleet/{op}`` carries the plan as flat parameters, ``POST
+    /fleet/query`` as a JSON document naming its own op.  ``samples``
+    is the cluster router's internal knob: groups additionally carry
+    their sorted value vectors (regressions their per-job shares) so
+    the answer can be recomputed exactly across shards.
+    """
+    if method == "POST":
+        try:
+            document = json.loads(body.decode("utf-8") or "{}")
+        except (ValueError, UnicodeDecodeError) as exc:
+            raise _BadRequest(
+                f"body is not valid JSON ({exc})"
+            ) from None
+        include_samples = False
+        if isinstance(document, dict):
+            document = dict(document)
+            include_samples = bool(document.pop("samples", False))
+        return FleetPlan.from_json(document), include_samples
+    params = dict(params)
+    include_samples = params.pop("samples", "").lower() in ("1", "true")
+    return FleetPlan.from_params(params, op=op), include_samples
+
+
+def conditional_json(
+    document: Any, headers: Mapping[str, str],
+) -> Response:
+    """``document`` as a 200 whose ETag is its content digest, or a
+    304 when the client's ``If-None-Match`` already names it.
+
+    For answers whose identity is their content (listings, merged
+    fan-outs): the digest of the canonical document revalidates as
+    long as nothing it was computed from changed.
+    """
+    canonical = json.dumps(document, sort_keys=True,
+                           separators=(",", ":"))
+    etag = _etag_of(
+        hashlib.sha256(canonical.encode("utf-8")).hexdigest()
+    )
+    if _etag_matches(headers.get("If-None-Match"), etag):
+        return Response(304, headers={"ETag": etag})
+    return json_response(200, document, etag=etag)
+
+
+class ArchiveService(ServiceContract):
+    """Answers service requests from one archive store."""
 
     def __init__(
         self,
@@ -188,135 +434,13 @@ class ArchiveService:
         self.live = live
         self.live_heartbeat = live_heartbeat
 
-    # -- entry point -------------------------------------------------------
-
-    def handle(
-        self,
-        path: str,
-        params: Optional[Mapping[str, str]] = None,
-        headers: Optional[Mapping[str, str]] = None,
-        method: str = "GET",
-        body: bytes = b"",
-    ) -> AnyResponse:
-        """Dispatch one request; never raises on client errors."""
-        started = time.perf_counter()
+    def _on_request(self) -> None:
         if self.ingest is not None and self.ingest.chaos is not None:
             self.ingest.chaos.on("request")
-        endpoint, response = self._dispatch(
-            path, dict(params or {}), dict(headers or {}), method, body
-        )
-        self.metrics.observe(
-            endpoint, response.status, time.perf_counter() - started
-        )
-        return response
-
-    def _route(
-        self, path: str, method: str,
-    ) -> Tuple[str, Optional[str]]:
-        """Resolve (endpoint label, handler name) for one request.
-
-        Labels come from the closed set in
-        :data:`repro.service.metrics.KNOWN_ENDPOINTS` — raw paths must
-        never become metric labels (cardinality leak under random-path
-        scans), which is why unroutable requests all share ``other``.
-        """
-        parts = [part for part in path.split("/") if part]
-        if parts == ["jobs"] and method == "POST":
-            return "POST /jobs", "submit"
-        if parts == ["fleet", "query"] and method == "POST":
-            return "POST /fleet/query", "fleet_submit"
-        if method not in ("GET", "HEAD"):
-            # Label by the closest route so a POST storm on a read-only
-            # service stays visible under a stable name.
-            if parts == ["jobs"]:
-                return "POST /jobs", None
-            if parts == ["fleet", "query"]:
-                return "POST /fleet/query", None
-            return "other", None
-        if parts == ["healthz"]:
-            return "/healthz", "healthz"
-        if parts == ["metrics"]:
-            return "/metrics", "metrics"
-        if parts == ["jobs"]:
-            return "/jobs", "jobs"
-        if len(parts) == 2 and parts[0] == "ingest":
-            return "/ingest/{id}", "ingest_status"
-        if parts == ["fleet", "query"]:
-            return "/fleet/query", "fleet_query"
-        if parts == ["fleet", "series"]:
-            return "/fleet/series", "fleet_series"
-        if parts == ["fleet", "regressions"]:
-            return "/fleet/regressions", "fleet_regressions"
-        if len(parts) >= 2 and parts[0] == "jobs":
-            if len(parts) == 2:
-                return "/jobs/{id}", "job_summary"
-            if parts[2:] == ["query"]:
-                return "/jobs/{id}/query", "job_query"
-            if parts[2:] == ["report"]:
-                return "/jobs/{id}/report", "job_report"
-            if parts[2:] == ["live"]:
-                return "/jobs/{id}/live", "job_live"
-        return "other", None
-
-    def _dispatch(
-        self,
-        path: str,
-        params: Dict[str, str],
-        headers: Dict[str, str],
-        method: str,
-        body: bytes,
-    ) -> Tuple[str, AnyResponse]:
-        endpoint, handler = self._route(path, method)
-        if handler is None:
-            if method not in ("GET", "HEAD") and endpoint == "other":
-                return endpoint, error_response(
-                    405, f"method {method} not allowed"
-                )
-            if endpoint == "POST /jobs":
-                return endpoint, error_response(
-                    405, f"method {method} not allowed on /jobs"
-                )
-            return endpoint, error_response(404, f"no route for {path!r}")
-        parts = [part for part in path.split("/") if part]
-        try:
-            if handler == "submit":
-                if self.ingest is None:
-                    return endpoint, error_response(
-                        405, "writes are disabled (read-only service)"
-                    )
-                return endpoint, self._submit_job(params, headers, body)
-            if handler == "healthz":
-                return endpoint, self._healthz()
-            if handler == "metrics":
-                return endpoint, self._metrics()
-            if handler == "jobs":
-                return endpoint, self._jobs(params, headers)
-            if handler == "fleet_submit":
-                return endpoint, self._fleet_submit(headers, body)
-            if handler in ("fleet_query", "fleet_series",
-                           "fleet_regressions"):
-                return endpoint, self._fleet(
-                    handler.split("_", 1)[1], params, headers
-                )
-            if handler == "ingest_status":
-                return endpoint, self._ingest_status(parts[1])
-            if handler == "job_summary":
-                return endpoint, self._job_summary(parts[1], headers)
-            if handler == "job_query":
-                return endpoint, self._job_query(parts[1], params, headers)
-            if handler == "job_live":
-                return endpoint, self._job_live(parts[1], params, headers)
-            return endpoint, self._job_report(parts[1], params, headers)
-        except _BadRequest as exc:
-            return endpoint, error_response(400, str(exc))
-        except QueryError as exc:
-            return endpoint, error_response(400, str(exc))
-        except ArchiveError as exc:
-            return endpoint, error_response(404, str(exc))
 
     # -- endpoints ---------------------------------------------------------
 
-    def _healthz(self) -> Response:
+    def _healthz(self, request: Request) -> Response:
         self.store.refresh()
         document: Dict[str, Any] = {
             "status": "ok",
@@ -332,29 +456,23 @@ class ArchiveService:
                                   "reason": "read-only service"}
         return json_response(200, document)
 
-    def _metrics(self) -> Response:
+    def _metrics(self, request: Request) -> Response:
         return json_response(200, self.metrics.snapshot(
             self.cache.stats(),
             self.ingest.stats() if self.ingest is not None else None,
         ))
 
-    def _submit_job(
-        self,
-        params: Dict[str, str],
-        headers: Dict[str, str],
-        body: bytes,
-    ) -> Response:
-        content_type = headers.get(
-            "Content-Type", "application/json"
-        ).split(";")[0].strip().lower()
-        kind = params.get("kind")
-        if kind is None:
-            kind = "log" if content_type == "text/plain" else "archive"
+    def _submit(self, request: Request) -> Response:
+        if self.ingest is None:
+            return error_response(
+                405, "writes are disabled (read-only service)"
+            )
+        params = request.params
         overwrite = params.get("overwrite", "").lower() in ("1", "true")
         try:
             document = self.ingest.submit(
-                body,
-                kind=kind,
+                request.body,
+                kind=submission_kind(params, request.headers),
                 job_id=params.get("job_id"),
                 overwrite=overwrite,
             )
@@ -366,7 +484,8 @@ class ArchiveService:
             return error_response(400, str(exc))
         return json_response(202, document)
 
-    def _ingest_status(self, tracking_id: str) -> Response:
+    def _ingest_status(self, request: Request) -> Response:
+        tracking_id = request.parts[1]
         if self.ingest is None:
             return error_response(
                 404, "no ingestion on a read-only service"
@@ -380,14 +499,9 @@ class ArchiveService:
             )
         return json_response(200, document)
 
-    def _jobs(
-        self, params: Dict[str, str], headers: Dict[str, str],
-    ) -> Response:
-        offset = _int_param(params, "offset", 0, "/jobs", minimum=0)
-        limit = _int_param(
-            params, "limit", DEFAULT_PAGE, "/jobs", minimum=1
-        )
-        limit = min(limit, MAX_PAGE)
+    def _jobs(self, request: Request) -> Response:
+        params = request.params
+        offset, limit = page_window(params)
         self.store.refresh()
         job_ids = self.store.list(
             platform=params.get("platform"),
@@ -399,63 +513,16 @@ class ArchiveService:
             dict(self.store.summary(job_id), job_id=job_id)
             for job_id in page
         ]
-        document = {
+        return conditional_json({
             "total": len(job_ids),
             "offset": offset,
             "limit": limit,
             "jobs": jobs,
-        }
-        # The listing's identity is its content: a digest over the
-        # canonical document revalidates as long as no archive changed.
-        canonical = json.dumps(document, sort_keys=True,
-                               separators=(",", ":"))
-        etag = _etag_of(
-            hashlib.sha256(canonical.encode("utf-8")).hexdigest()
-        )
-        if _etag_matches(headers.get("If-None-Match"), etag):
-            return Response(304, headers={"ETag": etag})
-        return json_response(200, document, etag=etag)
+        }, request.headers)
 
-    def _fleet(
-        self, op: str, params: Dict[str, str], headers: Dict[str, str],
-    ) -> Response:
-        """``GET /fleet/{query,series,regressions}``.
-
-        ``samples=1`` is the cluster router's internal knob: groups
-        additionally carry their sorted value vectors so percentiles
-        can be recomputed exactly across shards.
-        """
-        params = dict(params)
-        include_samples = params.pop("samples", "").lower() in (
-            "1", "true"
-        )
-        plan = FleetPlan.from_params(params, op=op)
-        return self._fleet_answer(plan, headers, include_samples)
-
-    def _fleet_submit(
-        self, headers: Dict[str, str], body: bytes,
-    ) -> Response:
-        """``POST /fleet/query`` with the plan as a JSON document."""
-        try:
-            document = json.loads(body.decode("utf-8") or "{}")
-        except (ValueError, UnicodeDecodeError) as exc:
-            raise _BadRequest(
-                "POST /fleet/query", f"body is not valid JSON ({exc})"
-            ) from None
-        include_samples = False
-        if isinstance(document, dict):
-            document = dict(document)
-            include_samples = bool(document.pop("samples", False))
-        plan = FleetPlan.from_json(document)
-        return self._fleet_answer(plan, headers, include_samples)
-
-    def _fleet_answer(
-        self,
-        plan: FleetPlan,
-        headers: Dict[str, str],
-        include_samples: bool,
-    ) -> Response:
-        """Run (or revalidate / serve cached) one fleet plan.
+    def _fleet(self, request: Request) -> Response:
+        """``GET /fleet/{query,series,regressions}`` and ``POST
+        /fleet/query``: run (or revalidate / serve cached) one plan.
 
         The ETag digests the store's listing checksum together with the
         canonical plan: any archive added, removed, or rewritten — or
@@ -463,13 +530,16 @@ class ArchiveService:
         fresh as the fleet itself.  The same digest keys the result
         cache, sparing the scan entirely on a warm repeat.
         """
+        plan, include_samples = fleet_request(
+            request.parts[1], request.params, request.method, request.body
+        )
         self.store.refresh()
         identity = hashlib.sha256(
             f"{self.store.listing_checksum()}|{plan.canonical()}"
             f"|samples={int(include_samples)}".encode("utf-8")
         ).hexdigest()
         etag = _etag_of(identity)
-        if _etag_matches(headers.get("If-None-Match"), etag):
+        if _etag_matches(request.headers.get("If-None-Match"), etag):
             return Response(304, headers={"ETag": etag})
         cache_key = f"fleet:{identity}"
         document = self.cache.get(cache_key)
@@ -480,12 +550,11 @@ class ArchiveService:
             self.cache.put(cache_key, document)
         return json_response(200, document, etag=etag)
 
-    def _job_summary(
-        self, job_id: str, headers: Dict[str, str],
-    ) -> Response:
+    def _job_summary(self, request: Request) -> Response:
+        job_id = request.parts[1]
         checksum = self._checksum(job_id)
         etag = _etag_of(checksum)
-        if _etag_matches(headers.get("If-None-Match"), etag):
+        if _etag_matches(request.headers.get("If-None-Match"), etag):
             return Response(304, headers={"ETag": etag})
         self.store.refresh()
         summary = self.store.summary(job_id)
@@ -495,23 +564,18 @@ class ArchiveService:
             etag=etag,
         )
 
-    def _job_query(
-        self,
-        job_id: str,
-        params: Dict[str, str],
-        headers: Dict[str, str],
-    ) -> Response:
+    def _job_query(self, request: Request) -> Response:
+        job_id, params = request.parts[1], request.params
         agg = params.get("agg", "total")
         if agg not in AGGREGATIONS:
             raise _BadRequest(
-                "/jobs/{id}/query",
                 f"unknown agg {agg!r}; expected one of "
                 f"{', '.join(AGGREGATIONS)}",
             )
         metric = params.get("metric", "Duration")
         checksum = self._checksum(job_id)
         etag = _etag_of(checksum)
-        if _etag_matches(headers.get("If-None-Match"), etag):
+        if _etag_matches(request.headers.get("If-None-Match"), etag):
             return Response(304, headers={"ETag": etag})
 
         query = self._query_surface(job_id, checksum)
@@ -522,9 +586,7 @@ class ArchiveService:
         if "actor" in params:
             query = query.actor(params["actor"])
         if "iteration" in params:
-            query = query.iteration(_int_param(
-                params, "iteration", 0, "/jobs/{id}/query"
-            ))
+            query = query.iteration(int_param(params, "iteration", 0))
         result = self._aggregate(query, agg, metric, params)
         return json_response(200, {
             "job_id": job_id,
@@ -573,7 +635,7 @@ class ArchiveService:
         if agg == "values":
             return query.values(metric)
         if agg == "top":
-            n = _int_param(params, "n", 5, "/jobs/{id}/query", minimum=1)
+            n = int_param(params, "n", 5, minimum=1)
             if columnar:
                 return query.top_records(metric, n)
             return [
@@ -584,16 +646,11 @@ class ArchiveService:
             return query.operation_records()
         return [_operation_record(op) for op in query.operations()]
 
-    def _job_report(
-        self,
-        job_id: str,
-        params: Dict[str, str],
-        headers: Dict[str, str],
-    ) -> Response:
-        fmt = params.get("format", "text")
+    def _job_report(self, request: Request) -> Response:
+        job_id = request.parts[1]
+        fmt = request.params.get("format", "text")
         if fmt not in ("text", "html"):
             raise _BadRequest(
-                "/jobs/{id}/report",
                 f"unknown format {fmt!r}; expected text or html",
             )
         monitor = self.live.get(job_id) if self.live is not None else None
@@ -612,7 +669,7 @@ class ArchiveService:
             return self._render_report(archive, fmt, live_url, etag=None)
         etag = _etag_of(checksum)
         if live_url is None and _etag_matches(
-            headers.get("If-None-Match"), etag
+            request.headers.get("If-None-Match"), etag
         ):
             return Response(304, headers={"ETag": etag})
         archive = self._archive(job_id, checksum)
@@ -638,12 +695,7 @@ class ArchiveService:
             200, body.encode("utf-8"), content_type, headers
         )
 
-    def _job_live(
-        self,
-        job_id: str,
-        params: Dict[str, str],
-        headers: Dict[str, str],
-    ) -> StreamingResponse:
+    def _job_live(self, request: Request) -> StreamingResponse:
         """``GET /jobs/{id}/live``: the job's snapshot stream as SSE.
 
         Event ids are snapshot sequence numbers, so a reconnecting
@@ -652,11 +704,8 @@ class ArchiveService:
         of the stored archive bytes followed by ``complete`` — the
         static case is just a stream that is already over.
         """
-        try:
-            validate_job_id(job_id)
-        except ArchiveError as exc:
-            raise _BadRequest("/jobs/{id}/live", str(exc)) from None
-        last_id = _last_event_id(headers, params)
+        job_id = checked_job_id(request.parts[1])
+        last_id = _last_event_id(request.headers, request.params)
         monitor = self.live.get(job_id) if self.live is not None else None
         if monitor is not None:
             chunks = self._live_events(monitor, last_id)
@@ -721,10 +770,7 @@ class ArchiveService:
 
     def _checksum(self, job_id: str) -> str:
         """The job's payload checksum; 400 on unsafe ids, 404 if absent."""
-        try:
-            validate_job_id(job_id)
-        except ArchiveError as exc:
-            raise _BadRequest("/jobs/{id}", str(exc)) from None
+        checked_job_id(job_id)
         try:
             return self.store.checksum(job_id)
         except ArchiveError:
@@ -780,43 +826,22 @@ def _last_event_id(
         return 0
 
 
-class _BadRequest(Exception):
-    """Internal: a client error with the endpoint label attached."""
-
-    def __init__(self, endpoint: str, message: str):
-        super().__init__(message)
-        self.endpoint = endpoint
-
-
-def _int_param(
-    params: Mapping[str, str],
-    name: str,
-    default: int,
-    endpoint: str,
-    minimum: Optional[int] = None,
-) -> int:
-    raw = params.get(name)
-    if raw is None:
-        return default
-    try:
-        value = int(raw)
-    except ValueError:
-        raise _BadRequest(
-            endpoint, f"parameter {name}={raw!r} is not an integer"
-        ) from None
-    if minimum is not None and value < minimum:
-        raise _BadRequest(
-            endpoint, f"parameter {name}={value} must be >= {minimum}"
-        )
-    return value
-
-
 __all__ = [
     "ArchiveService",
+    "ServiceContract",
+    "Request",
     "Response",
     "StreamingResponse",
     "AnyResponse",
     "AGGREGATIONS",
+    "ROUTES",
+    "resolve_route",
+    "int_param",
+    "page_window",
+    "checked_job_id",
+    "submission_kind",
+    "fleet_request",
+    "conditional_json",
     "json_response",
     "error_response",
 ]

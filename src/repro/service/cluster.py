@@ -5,7 +5,10 @@
 adapter, same request hygiene) hosting a
 :class:`repro.service.router.ClusterService` instead of a single-shard
 app, plus a :class:`repro.service.supervisor.ShardSupervisor` that
-keeps N forked shard workers alive behind it.
+keeps N forked shard workers alive behind it.  It is served by the
+same :func:`repro.service.server.serve` loop as a single worker; what
+differs — the banner and what stopping means — is what
+:class:`ClusterServer` overrides.
 
 A chaos plan is split at the tier boundary by
 :func:`repro.service.chaos.split_chaos_plan`: worker-level events
@@ -19,8 +22,6 @@ so a plan can deterministically SIGKILL shard k after its j-th probe.
 from __future__ import annotations
 
 import logging
-import signal
-import threading
 from pathlib import Path
 from typing import List, Optional, Union
 
@@ -58,6 +59,27 @@ class ClusterServer(ArchiveServer):
             max_body_bytes=max_body_bytes,
         )
         self.supervisor = supervisor
+
+    stopped = "cluster stopped"
+
+    def describe(self) -> str:
+        degraded = self.supervisor.degraded()
+        health = (
+            "all live" if not degraded
+            else f"degraded shards {degraded}"
+        )
+        return (f"routing {len(self.supervisor)} shard(s) at "
+                f"{self.url} ({health}; Ctrl-C to stop)")
+
+    def begin_stop(self) -> None:
+        """Nothing to flip: the shard workers own the write path."""
+
+    def finish_stop(self) -> None:
+        """The front listener has stopped taking requests; the
+        supervisor SIGTERMs every worker so each drains its own
+        ingestion queue (anything slower stays in that shard's WAL for
+        the next start)."""
+        self.supervisor.stop()
 
 
 def create_cluster(
@@ -125,48 +147,4 @@ def create_cluster(
     return server
 
 
-def serve_cluster(server: ClusterServer, banner: bool = True) -> None:
-    """Serve the cluster until SIGINT/SIGTERM, then stop everything.
-
-    Shutdown order: the front listener stops taking requests, then the
-    supervisor SIGTERMs every worker so each drains its own ingestion
-    queue (anything slower stays in that shard's WAL for next start).
-    """
-    stop = threading.Event()
-
-    def request_shutdown(signum, _frame) -> None:
-        logger.info("signal %s: shutting down cluster", signum)
-        stop.set()
-        threading.Thread(target=server.shutdown, daemon=True).start()
-
-    on_main = threading.current_thread() is threading.main_thread()
-    previous = {}
-    if on_main:
-        for signum in (signal.SIGINT, signal.SIGTERM):
-            previous[signum] = signal.signal(signum, request_shutdown)
-    try:
-        if banner:
-            supervisor = server.supervisor
-            degraded = supervisor.degraded()
-            health = (
-                "all live" if not degraded
-                else f"degraded shards {degraded}"
-            )
-            print(
-                f"granula serve: routing {len(supervisor)} shard(s) at "
-                f"{server.url} ({health}; Ctrl-C to stop)"
-            )
-        server.serve_forever()
-    except KeyboardInterrupt:
-        server.shutdown()
-    finally:
-        server.server_close()
-        server.supervisor.stop()
-        if on_main:
-            for signum, handler in previous.items():
-                signal.signal(signum, handler)
-        if banner:
-            print("granula serve: cluster stopped")
-
-
-__all__ = ["ClusterServer", "create_cluster", "serve_cluster"]
+__all__ = ["ClusterServer", "create_cluster"]

@@ -17,7 +17,9 @@ from __future__ import annotations
 
 import threading
 from collections import Counter, deque
-from typing import Any, Deque, Dict, FrozenSet, List, Optional
+from typing import Any, Deque, Dict, FrozenSet, Optional
+
+from repro.core.analysis.fleet import percentile_of
 
 #: Latency observations retained per endpoint.
 WINDOW = 2048
@@ -42,14 +44,6 @@ KNOWN_ENDPOINTS: FrozenSet[str] = frozenset({
     "POST /fleet/query",
     "other",
 })
-
-
-def percentile(values: List[float], fraction: float) -> float:
-    """Nearest-rank percentile of a non-empty value list."""
-    ordered = sorted(values)
-    rank = max(0, min(len(ordered) - 1,
-                      round(fraction * (len(ordered) - 1))))
-    return ordered[rank]
 
 
 class ServiceMetrics:
@@ -91,9 +85,9 @@ class ServiceMetrics:
         with self._lock:
             latency = {}
             for endpoint, window in self._latencies.items():
-                values = list(window)
+                ordered = sorted(window)
                 latency[endpoint] = {
-                    f"p{p}_ms": percentile(values, p / 100.0) * 1000.0
+                    f"p{p}_ms": percentile_of(ordered, p) * 1000.0
                     for p in PERCENTILES
                 }
             document: Dict[str, Any] = {

@@ -1,14 +1,16 @@
 """Consistent-hash request routing for the clustered archive service.
 
 :class:`ClusterService` is the front tier's transport-independent
-brain, shaped exactly like :class:`repro.service.app.ArchiveService`
-(``handle(path, params, headers, method, body) -> Response``) so the
-stdlib HTTP layer in :mod:`repro.service.server` hosts either one
-unchanged.  It owns no archives itself: every job id maps onto one of
-N shard workers through a :class:`ConsistentHashRing`, and requests
-are proxied over loopback HTTP to the owner shard (the transport is an
-injectable callable, so routing logic is unit-testable with in-process
-fakes and zero sockets).
+brain: the same :class:`repro.service.app.ServiceContract` as the
+single-store :class:`~repro.service.app.ArchiveService` — one route
+table, one dispatch, one request codec — so the stdlib HTTP layer in
+:mod:`repro.service.server` hosts either one unchanged and a route
+cannot answer differently on the two tiers.  What lives here is what
+only a router does: placement, proxying and fan-out.  It owns no
+archives itself: every job id maps onto one of N shard workers through
+a :class:`ConsistentHashRing`, and requests are proxied over loopback
+HTTP to the owner shard (the transport is an injectable callable, so
+routing logic is unit-testable with in-process fakes and zero sockets).
 
 Failure semantics are *partial*, never total:
 
@@ -33,7 +35,6 @@ from __future__ import annotations
 import bisect
 import hashlib
 import json
-import time
 import urllib.error
 import urllib.parse
 import urllib.request
@@ -41,25 +42,23 @@ from typing import (
     Any, Callable, Dict, Iterator, List, Mapping, Optional, Tuple,
 )
 
-from repro.core.analysis.fleet import detect_regressions, percentile_of
-from repro.core.analysis.fleetplan import FleetPlan
-from repro.core.archive.store import validate_job_id
-from repro.errors import (
-    ArchiveError,
-    QueryError,
-    ServiceError,
-    ShardUnavailableError,
-)
+from repro.core.analysis.fleet import merge_fleet_documents
+from repro.errors import ServiceError, ShardUnavailableError
 from repro.service.app import (
-    DEFAULT_PAGE,
-    MAX_PAGE,
     AnyResponse,
+    Request,
     Response,
+    ServiceContract,
     StreamingResponse,
+    _BadRequest,
+    checked_job_id,
+    conditional_json,
     error_response,
+    fleet_request,
     json_response,
+    page_window,
+    submission_kind,
 )
-from repro.service.app import _etag_matches, _etag_of  # shared ETag rules
 from repro.service.chaos import ChaosController
 from repro.service.metrics import ServiceMetrics
 from repro.service.supervisor import ShardSupervisor
@@ -208,18 +207,7 @@ def _relay_stream(reply) -> Iterator[bytes]:
         reply.close()
 
 
-def _rejection(exc: ShardUnavailableError) -> Response:
-    """A 503 for one shard's keyspace, carrying shard + back-off."""
-    response = json_response(503, {
-        "error": str(exc),
-        "status": 503,
-        "shard": exc.shard,
-    })
-    response.headers["Retry-After"] = str(exc.retry_after)
-    return response
-
-
-class ClusterService:
+class ClusterService(ServiceContract):
     """Routes requests across shard workers behind one supervisor."""
 
     def __init__(
@@ -236,103 +224,6 @@ class ClusterService:
         self.chaos = chaos
         self.request_timeout = request_timeout
         self._transport: Transport = transport or http_transport
-
-    # -- entry point -------------------------------------------------------
-
-    def handle(
-        self,
-        path: str,
-        params: Optional[Mapping[str, str]] = None,
-        headers: Optional[Mapping[str, str]] = None,
-        method: str = "GET",
-        body: bytes = b"",
-    ) -> AnyResponse:
-        """Dispatch one request; never raises on client/shard errors."""
-        started = time.perf_counter()
-        endpoint, response = self._dispatch(
-            path, dict(params or {}), dict(headers or {}), method, body
-        )
-        self.metrics.observe(
-            endpoint, response.status, time.perf_counter() - started
-        )
-        return response
-
-    def _route(
-        self, path: str, method: str,
-    ) -> Tuple[str, Optional[str]]:
-        """Same label set and routing rules as the single-shard app."""
-        parts = [part for part in path.split("/") if part]
-        if parts == ["jobs"] and method == "POST":
-            return "POST /jobs", "submit"
-        if parts == ["fleet", "query"] and method == "POST":
-            return "POST /fleet/query", "fleet"
-        if method not in ("GET", "HEAD"):
-            if parts == ["jobs"]:
-                return "POST /jobs", None
-            if parts == ["fleet", "query"]:
-                return "POST /fleet/query", None
-            return "other", None
-        if parts == ["healthz"]:
-            return "/healthz", "healthz"
-        if parts == ["metrics"]:
-            return "/metrics", "metrics"
-        if parts == ["jobs"]:
-            return "/jobs", "jobs"
-        if len(parts) == 2 and parts[0] == "fleet" and parts[1] in (
-            "query", "series", "regressions"
-        ):
-            return f"/fleet/{parts[1]}", "fleet"
-        if len(parts) == 2 and parts[0] == "ingest":
-            return "/ingest/{id}", "ingest_status"
-        if len(parts) >= 2 and parts[0] == "jobs":
-            if len(parts) == 2:
-                return "/jobs/{id}", "job"
-            if parts[2:] in (["query"], ["report"], ["live"]):
-                endpoint = f"/jobs/{{id}}/{parts[2]}"
-                return endpoint, "job"
-        return "other", None
-
-    def _dispatch(
-        self,
-        path: str,
-        params: Dict[str, str],
-        headers: Dict[str, str],
-        method: str,
-        body: bytes,
-    ) -> Tuple[str, AnyResponse]:
-        endpoint, handler = self._route(path, method)
-        if handler is None:
-            if method not in ("GET", "HEAD") and endpoint == "other":
-                return endpoint, error_response(
-                    405, f"method {method} not allowed"
-                )
-            if endpoint == "POST /jobs":
-                return endpoint, error_response(
-                    405, f"method {method} not allowed on /jobs"
-                )
-            return endpoint, error_response(404, f"no route for {path!r}")
-        parts = [part for part in path.split("/") if part]
-        try:
-            if handler == "submit":
-                return endpoint, self._submit(path, params, headers, body)
-            if handler == "healthz":
-                return endpoint, self._healthz()
-            if handler == "metrics":
-                return endpoint, self._metrics()
-            if handler == "jobs":
-                return endpoint, self._jobs(path, params, headers)
-            if handler == "fleet":
-                return endpoint, self._fleet(
-                    path, params, headers, method, body
-                )
-            if handler == "ingest_status":
-                return endpoint, self._ingest_status(path, headers)
-            # Per-job endpoints: one owner shard, straight proxy.
-            return endpoint, self._per_job(
-                parts[1], path, params, headers, method, body
-            )
-        except ShardUnavailableError as exc:
-            return endpoint, _rejection(exc)
 
     # -- shard proxying ----------------------------------------------------
 
@@ -383,46 +274,22 @@ class ClusterService:
 
     # -- routed endpoints --------------------------------------------------
 
-    def _per_job(
-        self,
-        job_id: str,
-        path: str,
-        params: Dict[str, str],
-        headers: Dict[str, str],
-        method: str,
-        body: bytes,
-    ) -> AnyResponse:
-        try:
-            validate_job_id(job_id)
-        except ArchiveError as exc:
-            return error_response(400, str(exc))
-        shard = self.ring.shard_for(job_id)
-        return self._proxy(shard, path, params, headers, method, body)
+    def _per_job(self, request: Request) -> AnyResponse:
+        """Per-job endpoints: one owner shard, straight proxy."""
+        return self._to_owner(request.parts[1], request)
 
-    def _submit(
-        self,
-        path: str,
-        params: Dict[str, str],
-        headers: Dict[str, str],
-        body: bytes,
-    ) -> Response:
-        job_id, failure = self._routing_key(params, headers, body)
-        if failure is not None:
-            return failure
-        try:
-            validate_job_id(job_id)
-        except ArchiveError as exc:
-            return error_response(400, str(exc))
-        shard = self.ring.shard_for(job_id)
-        return self._proxy(shard, path, params, headers, "POST", body)
+    _job_summary = _job_query = _job_report = _job_live = _per_job
 
-    def _routing_key(
-        self,
-        params: Dict[str, str],
-        headers: Dict[str, str],
-        body: bytes,
-    ) -> Tuple[str, Optional[Response]]:
-        """The job id a write routes by, or a 400 explaining why not.
+    def _submit(self, request: Request) -> AnyResponse:
+        return self._to_owner(self._routing_key(request), request)
+
+    def _to_owner(self, job_id: str, request: Request) -> AnyResponse:
+        shard = self.ring.shard_for(checked_job_id(job_id))
+        return self._proxy(shard, request.path, request.params,
+                           request.headers, request.method, request.body)
+
+    def _routing_key(self, request: Request) -> str:
+        """The job id a write routes by (400 when there is none).
 
         An explicit ``job_id`` parameter wins.  Archive submissions
         carry their id in the document's top-level ``job_id`` field, so
@@ -430,121 +297,104 @@ class ClusterService:
         *derives* its id inside the worker — the router cannot know it
         up front, so cluster mode requires ``job_id`` on ``kind=log``.
         """
-        explicit = params.get("job_id")
+        explicit = request.params.get("job_id")
         if explicit:
-            return explicit, None
-        content_type = headers.get(
-            "Content-Type", "application/json"
-        ).split(";")[0].strip().lower()
-        kind = params.get("kind")
-        if kind is None:
-            kind = "log" if content_type == "text/plain" else "archive"
-        if kind != "archive":
-            return "", error_response(
-                400,
+            return explicit
+        if submission_kind(request.params, request.headers) != "archive":
+            raise _BadRequest(
                 "cluster mode needs an explicit job_id parameter for "
                 "kind=log submissions (the salvage-derived id is not "
-                "known until a worker parses the log)",
+                "known until a worker parses the log)"
             )
         try:
-            document = json.loads(body)
-            embedded = document.get("job_id")
+            embedded = json.loads(request.body).get("job_id")
         except (ValueError, AttributeError):
             embedded = None
         if not isinstance(embedded, str) or not embedded:
-            return "", error_response(
-                400,
+            raise _BadRequest(
                 "archive submission has no routable job id: pass a "
-                "job_id parameter or include a top-level job_id field",
+                "job_id parameter or include a top-level job_id field"
             )
-        return embedded, None
+        return embedded
 
     # -- fan-out endpoints -------------------------------------------------
 
     def _fan_out(
-        self,
-        path: str,
-        params: Mapping[str, str],
-        headers: Mapping[str, str],
-    ) -> Tuple[Dict[int, Response], List[int]]:
-        """One GET against every shard; unreachable ones go degraded."""
-        responses: Dict[int, Response] = {}
+        self, ask: Callable[[int], Any],
+    ) -> Tuple[Dict[int, Any], List[int]]:
+        """``ask(shard)`` of every shard in order: (answers by shard,
+        the unreachable shards) — a dead shard degrades a fan-out,
+        never fails it."""
+        answers: Dict[int, Any] = {}
         degraded: List[int] = []
         for shard in range(len(self.supervisor)):
             try:
-                responses[shard] = self._proxy(
-                    shard, path, params, headers, "GET", b""
-                )
+                answers[shard] = ask(shard)
             except ShardUnavailableError:
                 degraded.append(shard)
-        return responses, degraded
+        return answers, degraded
 
-    def _jobs(
-        self,
-        path: str,
-        params: Dict[str, str],
-        headers: Dict[str, str],
-    ) -> Response:
-        offset, failure = _int_param(params, "offset", 0)
-        if failure is not None:
-            return failure
-        limit, failure = _int_param(params, "limit", DEFAULT_PAGE,
-                                    minimum=1)
-        if failure is not None:
-            return failure
-        if offset < 0:
-            return error_response(400,
-                                  "parameter offset must be >= 0")
-        limit = min(limit, MAX_PAGE)
-        # Each shard pages from 0 up to what the merged page could
-        # need; the router re-slices the merged ordering.  Deeper
-        # global offsets than MAX_PAGE are capped like the app's page.
-        shard_params = dict(params)
-        shard_params["offset"] = "0"
-        shard_params["limit"] = str(min(MAX_PAGE, offset + limit))
+    def _jobs(self, request: Request) -> Response:
+        offset, limit = page_window(request.params)
         # Do not forward the client's validator: shard-local ETags
         # cannot match the merged document's.
-        shard_headers = {k: v for k, v in headers.items()
-                         if k != "If-None-Match"}
-        responses, degraded = self._fan_out(path, shard_params,
-                                            shard_headers)
+        headers = {k: v for k, v in request.headers.items()
+                   if k != "If-None-Match"}
+        listings, degraded = self._fan_out(
+            lambda shard: self._shard_listing(
+                shard, request, headers, offset + limit
+            )
+        )
         total = 0
         merged: List[Dict[str, Any]] = []
-        for shard in sorted(responses):
-            reply = responses[shard]
-            if reply.status != 200:
+        for shard, listing in listings.items():
+            if listing is None:
                 degraded.append(shard)
                 continue
-            document = reply.json()
-            total += document.get("total", 0)
-            merged.extend(document.get("jobs", []))
+            total += listing[0]
+            merged.extend(listing[1])
         # Shard listings are each sorted; the merged view re-sorts by
         # job_id so pagination is stable across shard boundaries.
         merged.sort(key=lambda job: job.get("job_id", ""))
-        document = {
+        return conditional_json({
             "total": total,
             "offset": offset,
             "limit": limit,
             "jobs": merged[offset:offset + limit],
-            "degraded_shards": sorted(set(degraded)),
-        }
-        canonical = json.dumps(document, sort_keys=True,
-                               separators=(",", ":"))
-        etag = _etag_of(
-            hashlib.sha256(canonical.encode("utf-8")).hexdigest()
-        )
-        if _etag_matches(headers.get("If-None-Match"), etag):
-            return Response(304, headers={"ETag": etag})
-        return json_response(200, document, etag=etag)
+            "degraded_shards": sorted(degraded),
+        }, request.headers)
 
-    def _fleet(
+    def _shard_listing(
         self,
-        path: str,
-        params: Dict[str, str],
+        shard: int,
+        request: Request,
         headers: Dict[str, str],
-        method: str,
-        body: bytes,
-    ) -> Response:
+        need: int,
+    ) -> Optional[Tuple[int, List[Dict[str, Any]]]]:
+        """(total, first ``need`` rows) of one shard's listing.
+
+        The merged page ``[offset, offset+limit)`` can only draw on each
+        shard's first ``offset+limit`` rows, but a shard caps every
+        answer at its own page limit — so page through it until the
+        rows are covered or the shard runs out.  ``None`` when the shard
+        answers anything but 200.
+        """
+        rows: List[Dict[str, Any]] = []
+        while True:
+            params = dict(request.params, offset=str(len(rows)),
+                          limit=str(need - len(rows)))
+            reply = self._proxy(shard, request.path, params, headers,
+                                "GET", b"")
+            if reply.status != 200:
+                return None
+            document = reply.json()
+            total = document.get("total", 0)
+            page = document.get("jobs", [])
+            rows.extend(page)
+            if not page or len(rows) >= min(need, total):
+                return total, rows
+
+    def _fleet(self, request: Request) -> Response:
         """Fleet analytics across every shard's store, merged exactly.
 
         The plan is parsed at the router (client errors never fan out),
@@ -556,76 +406,43 @@ class ClusterService:
         shard-local σ would judge partial cohorts).  Unreachable shards
         degrade the answer, never fail it.
         """
-        parts = [part for part in path.split("/") if part]
-        try:
-            if method == "POST":
-                try:
-                    document = json.loads(body.decode("utf-8") or "{}")
-                except (ValueError, UnicodeDecodeError) as exc:
-                    return error_response(
-                        400, f"body is not valid JSON ({exc})"
-                    )
-                client_samples = False
-                if isinstance(document, dict):
-                    document = dict(document)
-                    client_samples = bool(document.pop("samples", False))
-                plan = FleetPlan.from_json(document)
-            else:
-                params = dict(params)
-                client_samples = params.pop("samples", "").lower() in (
-                    "1", "true"
-                )
-                plan = FleetPlan.from_params(params, op=parts[1])
-        except QueryError as exc:
-            return error_response(400, str(exc))
-        need_raw = (
-            plan.needs_values or client_samples
-            or plan.op == "regressions"
+        plan, client_samples = fleet_request(
+            request.parts[1], request.params, request.method, request.body
         )
         shard_document = dict(plan.to_document())
-        if need_raw:
+        if (plan.needs_values or client_samples
+                or plan.op == "regressions"):
             shard_document["samples"] = True
         shard_body = json.dumps(
             shard_document, sort_keys=True
         ).encode("utf-8")
-        responses: Dict[int, Response] = {}
-        degraded: List[int] = []
-        for shard in range(len(self.supervisor)):
-            try:
-                responses[shard] = self._proxy(
-                    shard, "/fleet/query", {},
-                    {"Content-Type": "application/json"},
-                    "POST", shard_body,
-                )
-            except ShardUnavailableError:
-                degraded.append(shard)
+        replies, degraded = self._fan_out(
+            lambda shard: self._proxy(
+                shard, "/fleet/query", {},
+                {"Content-Type": "application/json"}, "POST", shard_body,
+            )
+        )
         documents: List[Dict[str, Any]] = []
-        for shard in sorted(responses):
-            reply = responses[shard]
+        for shard, reply in replies.items():
             if reply.status != 200:
                 degraded.append(shard)
-                continue
-            documents.append(reply.json())
-        merged = _merge_fleet(plan, documents, client_samples)
-        merged["degraded_shards"] = sorted(set(degraded))
-        canonical = json.dumps(merged, sort_keys=True,
-                               separators=(",", ":"))
-        etag = _etag_of(
-            hashlib.sha256(canonical.encode("utf-8")).hexdigest()
-        )
-        if _etag_matches(headers.get("If-None-Match"), etag):
-            return Response(304, headers={"ETag": etag})
-        return json_response(200, merged, etag=etag)
+            else:
+                documents.append(reply.json())
+        merged = merge_fleet_documents(plan, documents, client_samples)
+        merged["degraded_shards"] = sorted(degraded)
+        return conditional_json(merged, request.headers)
 
-    def _ingest_status(
-        self, path: str, headers: Dict[str, str],
-    ) -> Response:
+    def _ingest_status(self, request: Request) -> Response:
         """Tracking ids are worker-local, so ask everyone: first 200
         wins; all-degraded is a 503, all-miss a 404."""
-        responses, degraded = self._fan_out(path, {}, headers)
-        for shard in sorted(responses):
-            if responses[shard].status == 200:
-                return responses[shard]
+        responses, degraded = self._fan_out(
+            lambda shard: self._proxy(
+                shard, request.path, {}, request.headers, "GET", b""
+            )
+        )
+        for response in responses.values():
+            if response.status == 200:
+                return response
         if not responses:
             raise ShardUnavailableError(
                 "no shard is reachable to resolve the tracking id",
@@ -635,14 +452,13 @@ class ClusterService:
                     default=1.0,
                 ),
             )
-        tracking_id = [p for p in path.split("/") if p][-1]
         return error_response(
             404,
-            f"unknown tracking id {tracking_id!r} on any reachable "
+            f"unknown tracking id {request.parts[1]!r} on any reachable "
             f"shard (degraded: {sorted(degraded)})",
         )
 
-    def _healthz(self) -> Response:
+    def _healthz(self, request: Request) -> Response:
         shards: List[Dict[str, Any]] = []
         all_ok = True
         for index in range(len(self.supervisor)):
@@ -674,7 +490,7 @@ class ClusterService:
             "shards": shards,
         })
 
-    def _metrics(self) -> Response:
+    def _metrics(self, request: Request) -> Response:
         document: Dict[str, Any] = {
             "router": self.metrics.snapshot({}),
             "supervisor": self.supervisor.stats(),
@@ -690,169 +506,6 @@ class ClusterService:
             except (ShardUnavailableError, ValueError):
                 continue
         return json_response(200, document)
-
-
-def _merge_fleet(
-    plan: FleetPlan,
-    documents: List[Dict[str, Any]],
-    include_samples: bool,
-) -> Dict[str, Any]:
-    """Merge per-shard fleet documents into the single-store answer.
-
-    Count/sum/min/max fold exactly from each group's ``stats`` block;
-    means are recomputed from the merged sums; percentiles from the
-    concatenated sample vectors; top-k from the shards' top rows
-    (k best of N·k candidates is exact — no shard hides a global
-    winner).  Regressions re-run the detector over the pooled per-job
-    shares, so cohort statistics cover the whole fleet.
-    """
-    merged: Dict[str, Any] = {
-        "op": plan.op,
-        "plan": plan.to_document(),
-        "jobs_scanned": sum(
-            d.get("jobs_scanned", 0) for d in documents
-        ),
-        "jobs_failed": sum(d.get("jobs_failed", 0) for d in documents),
-        "degraded_jobs": sorted({
-            job for d in documents for job in d.get("degraded_jobs", [])
-        }),
-    }
-    if plan.op == "series":
-        points = [p for d in documents for p in d.get("points", [])]
-        points.sort(key=lambda p: (
-            p.get("timestamp") is None,
-            p.get("timestamp") if p.get("timestamp") is not None else 0,
-            p.get("job_id", ""),
-        ))
-        merged["points"] = points
-        return merged
-    if plan.op == "regressions":
-        rows = [r for d in documents for r in d.get("shares", [])
-                if isinstance(r, dict)]
-        rows.sort(key=lambda r: r.get("job_id", ""))
-        cohorts: Dict[Tuple[str, ...], List[Tuple[str, Dict]]] = {}
-        keys: Dict[Tuple[str, ...], Dict[str, str]] = {}
-        for row in rows:
-            group = row.get("group", {})
-            key = tuple(group.get(name, "") for name in plan.group_by)
-            cohorts.setdefault(key, []).append(
-                (row.get("job_id", ""), row.get("shares", {}))
-            )
-            keys.setdefault(key, group)
-        entries, judged = detect_regressions(cohorts, keys, plan)
-        merged["cohorts"] = judged
-        merged["findings"] = entries
-        if include_samples:
-            merged["shares"] = rows
-        return merged
-    top_k = max((agg.k for agg in plan.aggs if agg.kind == "top"),
-                default=0)
-    top_label = max(
-        (agg for agg in plan.aggs if agg.kind == "top"),
-        key=lambda agg: agg.k, default=None,
-    )
-    groups: Dict[Tuple[str, ...], Dict[str, Any]] = {}
-    for document in documents:
-        for shard_group in document.get("groups", []):
-            group_key = shard_group.get("key", {})
-            key = tuple(
-                group_key.get(name, "") for name in plan.group_by
-            )
-            acc = groups.get(key)
-            if acc is None:
-                acc = groups[key] = {
-                    "key": group_key, "jobs": 0, "count": 0,
-                    "sum": 0.0, "min": None, "max": None,
-                    "samples": [], "top": [],
-                }
-            acc["jobs"] += shard_group.get("jobs", 0)
-            stats = shard_group.get("stats", {})
-            acc["count"] += stats.get("count", 0)
-            acc["sum"] += stats.get("sum", 0.0)
-            for bound, fold in (("min", min), ("max", max)):
-                value = stats.get(bound)
-                if value is not None:
-                    acc[bound] = (
-                        value if acc[bound] is None
-                        else fold(acc[bound], value)
-                    )
-            acc["samples"].extend(shard_group.get("samples", []))
-            if top_label is not None:
-                # Only the deepest top list: shallower labels on the
-                # same shard are prefixes and would duplicate rows.
-                acc["top"].extend(
-                    (row.get("value"), row.get("job_id", ""),
-                     row.get("path", ""))
-                    for row in shard_group.get("aggs", {}).get(
-                        top_label.label, []
-                    )
-                )
-    out_groups: List[Dict[str, Any]] = []
-    for key in sorted(groups):
-        acc = groups[key]
-        samples = sorted(acc["samples"])
-        top = sorted(
-            acc["top"], key=lambda t: (-t[0], t[1], t[2])
-        )[:top_k]
-        aggs_out: Dict[str, Any] = {}
-        for agg in plan.aggs:
-            if agg.kind == "count":
-                aggs_out[agg.label] = acc["count"]
-            elif agg.kind == "sum":
-                aggs_out[agg.label] = acc["sum"]
-            elif agg.kind == "mean":
-                aggs_out[agg.label] = (
-                    acc["sum"] / acc["count"] if acc["count"] else None
-                )
-            elif agg.kind == "min":
-                aggs_out[agg.label] = acc["min"]
-            elif agg.kind == "max":
-                aggs_out[agg.label] = acc["max"]
-            elif agg.kind == "percentile":
-                aggs_out[agg.label] = percentile_of(samples, agg.q)
-            elif agg.kind == "top":
-                aggs_out[agg.label] = [
-                    {"value": value, "job_id": job_id, "path": path}
-                    for value, job_id, path in top[:agg.k]
-                ]
-        entry: Dict[str, Any] = {
-            "key": acc["key"],
-            "jobs": acc["jobs"],
-            "stats": {
-                "count": acc["count"],
-                "sum": acc["sum"],
-                "min": acc["min"],
-                "max": acc["max"],
-            },
-            "aggs": aggs_out,
-        }
-        if include_samples:
-            entry["samples"] = samples
-        out_groups.append(entry)
-    merged["groups"] = out_groups
-    return merged
-
-
-def _int_param(
-    params: Mapping[str, str],
-    name: str,
-    default: int,
-    minimum: Optional[int] = None,
-) -> Tuple[int, Optional[Response]]:
-    raw = params.get(name)
-    if raw is None:
-        return default, None
-    try:
-        value = int(raw)
-    except ValueError:
-        return 0, error_response(
-            400, f"parameter {name}={raw!r} is not an integer"
-        )
-    if minimum is not None and value < minimum:
-        return 0, error_response(
-            400, f"parameter {name}={value} must be >= {minimum}"
-        )
-    return value, None
 
 
 __all__ = [

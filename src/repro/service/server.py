@@ -244,6 +244,36 @@ class ArchiveServer(ThreadingHTTPServer):
         host, port = self.server_address[:2]
         return f"http://{host}:{port}"
 
+    # -- what :func:`serve` asks of the thing it serves --------------------
+
+    #: Reported on the way out.
+    stopped = "stopped"
+
+    def describe(self) -> str:
+        """The startup banner's account of what is being served."""
+        ingest = self.service.ingest
+        mode = "read-only" if ingest is None else "writable"
+        if ingest is not None and ingest.chaos is not None:
+            mode += f", chaos plan {ingest.chaos.plan.signature()} armed"
+        return (f"{len(self.service.store)} archived job(s) at "
+                f"{self.url} ({mode}; Ctrl-C to stop)")
+
+    def begin_stop(self) -> None:
+        """On the stop signal, before the listener closes: reject writes
+        while we stop."""
+        if self.service.ingest is not None:
+            self.service.ingest.begin_drain()
+
+    def finish_stop(self) -> None:
+        """After the listener closed: drain the ingestion queue."""
+        ingest = self.service.ingest
+        if ingest is not None and not ingest.drain_and_stop():
+            logger.warning(
+                "ingestion queue did not fully drain; %d record(s) "
+                "remain in the WAL for the next start",
+                ingest.wal.lag(),
+            )
+
 
 def create_server(
     store: Union[str, Path, ArchiveStore],
@@ -320,23 +350,22 @@ def create_server(
 def serve(server: ArchiveServer, banner: bool = True) -> None:
     """Serve until SIGINT/SIGTERM, then shut down gracefully.
 
-    Shutdown order matters: writes flip to draining first (new POSTs
-    answer 503), the listener stops, and the ingestion queue drains so
-    every 202-acknowledged job is in the store (or still safe in the
-    WAL) when the process exits.
+    Shutdown order matters: the server's ``begin_stop`` runs first (a
+    writable worker flips to draining, so new POSTs answer 503), the
+    listener stops, then ``finish_stop`` runs — a worker drains its
+    ingestion queue so every 202-acknowledged job is in the store (or
+    still safe in the WAL) when the process exits; a cluster front
+    stops its supervisor, which SIGTERMs every shard worker into the
+    same drain.
 
     Signal handlers are only installed when running on the main thread
     (the CLI path); callers embedding the server elsewhere stop it with
     ``server.shutdown()``.
     """
-    stop = threading.Event()
-    ingest = server.service.ingest
 
     def request_shutdown(signum, _frame) -> None:
         logger.info("signal %s: shutting down", signum)
-        stop.set()
-        if ingest is not None:
-            ingest.begin_drain()  # Reject writes while we stop.
+        server.begin_stop()
         # shutdown() must not run on the serve_forever thread.
         threading.Thread(target=server.shutdown, daemon=True).start()
 
@@ -347,32 +376,18 @@ def serve(server: ArchiveServer, banner: bool = True) -> None:
             previous[signum] = signal.signal(signum, request_shutdown)
     try:
         if banner:
-            jobs = len(server.service.store)
-            mode = "read-only" if ingest is None else "writable"
-            extra = ""
-            if ingest is not None and ingest.chaos is not None:
-                extra = (f", chaos plan "
-                         f"{ingest.chaos.plan.signature()} armed")
-            print(f"granula serve: {jobs} archived job(s) at "
-                  f"{server.url} ({mode}{extra}; Ctrl-C to stop)")
+            print(f"granula serve: {server.describe()}")
         server.serve_forever()
     except KeyboardInterrupt:
         server.shutdown()
     finally:
         server.server_close()
-        if ingest is not None:
-            drained = ingest.drain_and_stop()
-            if not drained:
-                logger.warning(
-                    "ingestion queue did not fully drain; %d record(s) "
-                    "remain in the WAL for the next start",
-                    ingest.wal.lag(),
-                )
+        server.finish_stop()
         if on_main:
             for signum, handler in previous.items():
                 signal.signal(signum, handler)
         if banner:
-            print("granula serve: stopped")
+            print(f"granula serve: {server.stopped}")
 
 
 __all__ = [

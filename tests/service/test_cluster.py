@@ -21,11 +21,11 @@ import urllib.request
 
 import pytest
 
+from repro.core.analysis.fleet import percentile_of
 from repro.core.archive.serialize import archive_to_json
 from repro.core.archive.store import ArchiveStore
 from repro.service.chaos import ChaosPlan, WorkerKill
 from repro.service.cluster import create_cluster
-from repro.service.metrics import percentile
 from tests.service.conftest import make_archive
 
 
@@ -202,7 +202,7 @@ class TestShardFailover:
                 latencies.append(time.perf_counter() - started)
                 statuses.add(status)
             assert statuses == {200}
-            p99 = percentile(latencies, 0.99)
+            p99 = percentile_of(sorted(latencies), 99)
             assert p99 < 1.0, f"healthy-shard p99 {p99:.3f}s"
 
             server.supervisor.restart_backoff_base = 0.05

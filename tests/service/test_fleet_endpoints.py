@@ -12,11 +12,12 @@ never leak into metrics (see :mod:`repro.service.metrics`).
 from __future__ import annotations
 
 import json
+from collections import Counter
 
 import pytest
 
 from repro.core.archive.store import ArchiveStore
-from repro.service.app import ArchiveService
+from repro.service.app import ArchiveService, resolve_route
 from repro.service.metrics import KNOWN_ENDPOINTS, ServiceMetrics
 from repro.service.router import ClusterService, ConsistentHashRing
 from tests.service.conftest import make_archive
@@ -170,10 +171,28 @@ class TestClosedEndpointLabelSet:
         ("PATCH", "/metrics"),
     ]
 
-    def test_every_routable_label_is_known(self, service):
+    def test_every_routable_label_is_known(self, service, fleet_cluster):
+        """Both tiers count every probe under the same known label, and
+        answer the unroutable ones with the same status and body."""
+        tiers = (service, fleet_cluster)
+
+        def counts(tier):
+            return Counter(
+                tier.metrics.snapshot({})["requests_by_endpoint"]
+            )
+
         for method, path in self.PROBES:
-            label, _ = service._route(path, method)
+            label, handler, _ = resolve_route(path, method)
             assert label in KNOWN_ENDPOINTS, (method, path, label)
+            before = [counts(tier) for tier in tiers]
+            single, routed = (
+                tier.handle(path, method=method) for tier in tiers
+            )
+            for tier, seen in zip(tiers, before):
+                assert counts(tier) - seen == {label: 1}, (method, path)
+            if handler is None:
+                assert (single.status, single.body) == \
+                    (routed.status, routed.body), (method, path)
 
     def test_fleet_labels_are_registered(self):
         assert {"/fleet/query", "/fleet/series", "/fleet/regressions",

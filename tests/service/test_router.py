@@ -215,6 +215,42 @@ class TestMergedListing:
         assert response.status == 200
         assert response.json()["jobs"] == []
 
+    def test_deep_pages_match_the_union_store(self, tmp_path, monkeypatch):
+        """Every page of the routed listing is the union store's page,
+        also when a shard holds more matching jobs than one shard
+        answer may carry (the router pages through it)."""
+        monkeypatch.setattr("repro.service.app.MAX_PAGE", 4)
+        ring = ConsistentHashRing(2)
+        shards = {
+            f"fake://shard-{index}": ArchiveService(
+                ArchiveStore(tmp_path / f"shard-{index}")
+            )
+            for index in range(2)
+        }
+        union = ArchiveService(ArchiveStore(tmp_path / "union"))
+        job_ids = [f"job-{index:02d}" for index in range(20)]
+        for job_id in job_ids:
+            archive = make_archive(job_id)
+            shards[f"fake://shard-{ring.shard_for(job_id)}"].store.save(
+                archive
+            )
+            union.store.save(archive)
+        assert max(len(shard.store) for shard in shards.values()) > 4
+
+        def transport(base, path, params, headers, method, body, timeout):
+            return shards[base].handle(
+                path, params, headers, method=method, body=body
+            )
+
+        routed = ClusterService(FakeSupervisor(2), transport=transport)
+        for offset in range(len(job_ids) + 2):
+            for limit in (1, 3, 4, 9):
+                params = {"offset": str(offset), "limit": str(limit)}
+                merged = routed.handle("/jobs", params).json()
+                assert merged.pop("degraded_shards") == []
+                assert merged == union.handle("/jobs", params).json(), \
+                    params
+
 
 class TestShardFailure:
     def test_down_shard_keyspace_503_with_retry_after(self, cluster):

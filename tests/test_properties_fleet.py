@@ -6,7 +6,9 @@ fleet query must return the *same document* whether it runs the
 vectorized columnar scan (``mode="auto"``) or materializes every
 archive (``mode="tree"``).  And when sidecars are corrupted or
 deleted, the columnar scan must degrade per job (reported in
-``degraded_jobs``), never change a value.
+``degraded_jobs``), never change a value.  And a fleet split across
+several stores, merged the way the cluster router merges its shards,
+must answer what one store holding every job answers.
 """
 
 from __future__ import annotations
@@ -17,7 +19,10 @@ from pathlib import Path
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro.core.analysis.fleet import run_fleet_query
+from repro.core.analysis.fleet import (
+    merge_fleet_documents,
+    run_fleet_query,
+)
 from repro.core.analysis.fleetplan import FleetPlan
 from repro.core.archive.archive import ArchivedOperation, PerformanceArchive
 from repro.core.archive.store import ArchiveStore
@@ -58,8 +63,17 @@ PLANS = (
 
 
 @st.composite
-def stores_of_archives(draw):
-    """2–5 random archives, keyed for one ArchiveStore."""
+def stores_of_archives(draw, integral=False):
+    """2–5 random archives, keyed for one ArchiveStore.
+
+    ``integral`` keeps every timestamp and info value a small whole
+    number: float sums are then exact whatever the fold order, and
+    equal values (top-k ties) are common.
+    """
+    stamps, values = timestamps, info_values
+    if integral:
+        stamps = st.one_of(st.none(), st.integers(0, 20))
+        values = st.one_of(st.none(), st.integers(-5, 5))
     jobs = draw(st.integers(min_value=2, max_value=5))
     archives = []
     for j in range(jobs):
@@ -70,10 +84,10 @@ def stores_of_archives(draw):
                 uid=f"j{j}op{index}",
                 mission=draw(st.sampled_from(MISSIONS)),
                 actor=draw(st.sampled_from(ACTORS)),
-                start_time=draw(timestamps),
-                end_time=draw(timestamps),
+                start_time=draw(stamps),
+                end_time=draw(stamps),
                 infos=draw(st.dictionaries(
-                    st.sampled_from(INFO_KEYS), info_values,
+                    st.sampled_from(INFO_KEYS), values,
                     max_size=2)),
             )
             if index:
@@ -130,3 +144,32 @@ class TestFleetModeInvariance:
             tree = run_fleet_query(store, plan, mode="tree")
             assert columnar["degraded_jobs"] == victims
             assert dict(columnar, degraded_jobs=[]) == tree
+
+
+class TestFleetMergeInvariance:
+    @given(stores_of_archives(integral=True), st.sampled_from(PLANS),
+           st.integers(min_value=1, max_value=4), st.data())
+    @settings(max_examples=25, deadline=None)
+    def test_merged_partials_equal_the_single_pass(
+        self, archives, plan, partials, data,
+    ):
+        """Jobs dealt over 1–4 stores (some possibly left empty), each
+        asked with ``samples`` and merged, answer exactly what one
+        store answers: count/min/max/pNN/topK always, sum/mean because
+        the values are whole numbers."""
+        with tempfile.TemporaryDirectory() as directory:
+            union = ArchiveStore(Path(directory) / "union")
+            stores = [ArchiveStore(Path(directory) / f"part-{index}")
+                      for index in range(partials)]
+            for archive in archives:
+                union.save(archive)
+                stores[data.draw(st.integers(0, partials - 1))].save(
+                    archive
+                )
+            merged = merge_fleet_documents(
+                plan,
+                [run_fleet_query(store, plan, include_samples=True)
+                 for store in stores],
+                False,
+            )
+            assert merged == run_fleet_query(union, plan)
