@@ -32,7 +32,7 @@ from __future__ import annotations
 import json
 import logging
 import math
-from typing import Any, Dict, Iterator, List, Optional, Tuple
+from typing import Any, Callable, Dict, Iterator, List, Optional, Tuple
 
 import numpy as np
 
@@ -45,6 +45,7 @@ from repro.core.analysis.fleetplan import (
     AggSpec,
     FleetPlan,
 )
+from repro.core.archive.archive import ArchivedOperation
 from repro.core.archive.query import ArchiveQuery
 from repro.core.archive.store import ArchiveStore
 from repro.errors import ArchiveError, QueryError
@@ -152,33 +153,47 @@ class FleetScanSession:
                 group[key] = _group_value(meta.get(key[len(META_PREFIX):]))
         return group
 
-    def _local_top(self, values: np.ndarray, paths: List[str],
-                   job_id: str) -> List[Tuple[float, str, str]]:
+    def _local_top(
+        self, values: np.ndarray,
+        paths_of: Callable[[np.ndarray], List[str]], job_id: str,
+    ) -> List[Tuple[float, str, str]]:
+        """The job's k largest values as (value, job_id, path) rows.
+
+        ``paths_of`` maps positions in ``values`` to mission paths and
+        is asked for the k winners only.
+        """
         if self._top_k == 0 or len(values) == 0:
             return []
         # Stable descending sort keeps pre-order tie-breaking, exactly
         # like the tree path's sorted(..., reverse=True).
         order = np.argsort(-values, kind="stable")[:self._top_k]
-        return [(float(values[i]), job_id, paths[i]) for i in order]
+        return [(float(values[i]), job_id, path)
+                for i, path in zip(order.tolist(), paths_of(order))]
 
     @staticmethod
-    def _shares_of(bases: List[str], durations: np.ndarray,
+    def _shares_of(words: List[str], codes: np.ndarray,
+                   durations: np.ndarray,
                    makespan: Any) -> Optional[Dict[str, float]]:
-        """Per-mission share of the makespan (vectorized group-sum)."""
+        """Per-mission share of the makespan.
+
+        Row ``i`` ran mission base ``words[codes[i]]``.  Durations are
+        summed per distinct base with one in-order ``np.bincount``, so
+        the Python work is per word, not per row; keys come out sorted.
+        """
         if (
             not isinstance(makespan, (int, float))
             or isinstance(makespan, bool) or makespan <= 0
         ):
             return None
-        if not bases:
-            return {}
-        uniq, inverse = np.unique(np.asarray(bases, dtype=object),
-                                  return_inverse=True)
-        sums = np.bincount(inverse, weights=durations,
-                           minlength=len(uniq))
+        names = sorted(set(words))
+        position = {word: i for i, word in enumerate(names)}
+        index = np.fromiter((position[word] for word in words),
+                            dtype=np.intp, count=len(words))[codes]
+        sums = np.bincount(index, weights=durations, minlength=len(names))
+        seen = np.bincount(index, minlength=len(names))
         return {
-            str(base): float(total) / float(makespan)
-            for base, total in zip(uniq, sums)
+            names[base]: float(sums[base]) / float(makespan)
+            for base in np.flatnonzero(seen).tolist()
         }
 
     def _scan_columnar(self, job_id: str, summary: Dict,
@@ -206,23 +221,16 @@ class FleetScanSession:
         else:
             rows, values = selected.numeric_info_vector(self.plan.metric)
 
-        top: List[Tuple[float, str, str]] = []
-        if self._top_k and len(values):
-            order = np.argsort(-values, kind="stable")[:self._top_k]
-            paths = selected.paths_at(rows[order])
-            top = [
-                (float(values[i]), job_id, paths[n])
-                for n, i in enumerate(order)
-            ]
+        top = self._local_top(
+            values, lambda order: selected.paths_at(rows[order]), job_id)
 
         shares = None
         if self._need_shares:
             srows, sdur = selected.duration_vector()
             keep = srows != 0  # The root *is* the makespan; exclude it.
-            shares = self._shares_of(
-                selected.mission_bases_at(srows[keep]), sdur[keep],
-                summary.get("makespan"),
-            )
+            bases, codes = selected.mission_base_codes(srows[keep])
+            shares = self._shares_of(bases, codes, sdur[keep],
+                                     summary.get("makespan"))
 
         timestamp = view.root_start if self._need_timestamp else None
         return JobScan(job_id, group, values, top, shares, timestamp,
@@ -244,14 +252,14 @@ class FleetScanSession:
             query = query.path(self.plan.path)
         ops = query.operations()
 
-        paths: List[str] = []
+        kept: List[ArchivedOperation] = []
         raw: List[float] = []
         if self.plan.metric == DURATION_METRIC:
             for op in ops:
                 if op.duration is None:
                     continue
                 raw.append(op.duration)
-                paths.append(op.path)
+                kept.append(op)
         else:
             for op in ops:
                 value = op.infos.get(self.plan.metric)
@@ -262,10 +270,11 @@ class FleetScanSession:
                 except (TypeError, ValueError):
                     continue
                 raw.append(number)
-                paths.append(op.path)
+                kept.append(op)
         values = np.asarray(raw, dtype=np.float64)
 
-        top = self._local_top(values, paths, job_id)
+        top = self._local_top(
+            values, lambda order: [kept[i].path for i in order], job_id)
 
         shares = None
         if self._need_shares:
@@ -277,7 +286,8 @@ class FleetScanSession:
                 bases.append(op.mission_base)
                 durations.append(op.duration)
             shares = self._shares_of(
-                bases, np.asarray(durations, dtype=np.float64),
+                bases, np.arange(len(bases)),
+                np.asarray(durations, dtype=np.float64),
                 summary.get("makespan"),
             )
 

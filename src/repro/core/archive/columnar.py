@@ -4,38 +4,55 @@ A version-3 archive already stores its operation tree as parallel
 pre-order columns — but inside JSON, so answering a point query still
 costs a full text parse.  The ``.gcol`` sidecar is the same data as raw
 little-endian bytes: numeric columns land as aligned numpy blobs that
-``np.memmap``/``np.frombuffer`` can expose without copying, and string
-columns (uids, missions, actors, info keys/values) become offset-indexed
-UTF-8 heaps.  :class:`ColumnarArchiveView` answers the archive-query
-surface (path/mission/actor/iteration selection; count, total, mean,
-top, values, durations, operations) straight off those columns —
-byte-identical to the tree-based :class:`~repro.core.archive.query.ArchiveQuery`
-path, with no :class:`~repro.core.archive.archive.ArchivedOperation`
-materialization.
+``np.memmap``/``np.frombuffer`` can expose without copying, uids and
+info values become offset-indexed UTF-8 heaps, and the heavily
+repeated missions, actors and info keys become a per-archive dictionary
+plus one integer code per row.  :class:`ColumnarArchiveView` answers
+the archive-query surface (path/mission/actor/iteration selection;
+count, total, mean, top, values, durations, operations) straight off
+those columns — byte-identical to the tree-based
+:class:`~repro.core.archive.query.ArchiveQuery` path, with no
+:class:`~repro.core.archive.archive.ArchivedOperation` materialization.
+Selectors evaluate once per distinct string and index the result with
+the codes, so Python work scales with the dictionary, numpy with rows.
 
 File layout (all integers little-endian)::
 
     0   magic  b"GCOL"
-    4   u32    sidecar format version (1)
+    4   u32    sidecar layout version (2)
     8   u32    header length H
     12  u32    reserved (0)
     16  JSON header, H bytes:
           archive_checksum   payload checksum of the JSON archive this
                              sidecar belongs to (binds the pair)
           count, info_count  row counts
-          data_offset        absolute offset of the data region
           data_sha256        checksum over the whole data region
           columns            name -> {offset (relative), nbytes, dtype}
-    data_offset   column blobs, each aligned to 64 bytes
+          index              optional store index entry + metadata
+    align64(16 + H)   column blobs, each aligned to 64 bytes:
+          parent <i8; start, end <f8 with start_kind, end_kind |u1
+          uid_offsets <i8 + uid_heap |u1
+          {mission,actor,info_key}_dict_offsets <i8 + _dict_heap |u1
+              (distinct strings, first-seen order)
+          {mission,actor}_codes <i4 per operation row
+          info_op <i8, info_key_codes <i4 per info row
+          info_value_offsets <i8 + info_value_heap |u1 (compact JSON)
+          info_num <f8 + info_isnum |u1 (numeric shadow of the values)
+
+Version 1 stored mission, actor and info_key as per-row heaps
+(``{name}_offsets`` + ``{name}_heap``); such files still load — the
+decoder turns each heap into the same (dictionary, codes) pair at open.
 
 The sidecar is strictly an accelerator: the JSON archive remains the
 durable truth, and any damage (bad magic, checksum mismatch, a stale
-``archive_checksum``) makes the loader raise :class:`SidecarError` so
-callers fall back to the tree path.
+``archive_checksum``, a row pointing outside its table) makes the
+loader raise :class:`SidecarError` so callers fall back to the tree
+path.
 """
 
 from __future__ import annotations
 
+import functools
 import hashlib
 import json
 import mmap
@@ -50,6 +67,7 @@ from typing import (
     List,
     Mapping,
     Optional,
+    Sequence,
     Tuple,
     Union,
 )
@@ -60,9 +78,12 @@ from repro.core.archive.query import _numeric, translate_path_pattern
 from repro.core.archive.serialize import _decode_value
 from repro.core.model.operation import split_iteration
 from repro.errors import ArchiveError, QueryError
+from repro.platforms.vecops import fold_add
 
 MAGIC = b"GCOL"
-SIDECAR_VERSION = 1
+SIDECAR_VERSION = 2
+#: Layout versions the loader accepts (1: per-row string heaps).
+READABLE_VERSIONS = (1, SIDECAR_VERSION)
 ALIGNMENT = 64
 SIDECAR_SUFFIX = ".gcol"
 
@@ -70,8 +91,15 @@ _PREAMBLE = struct.Struct("<4sIII")
 
 #: Numeric dtypes a sidecar may carry (guards the decoder against a
 #: hand-edited header smuggling object dtypes in).
-_DTYPES = {"<i8": np.dtype("<i8"), "<f8": np.dtype("<f8"),
-           "|u1": np.dtype("|u1")}
+_DTYPES = {"<i8": np.dtype("<i8"), "<i4": np.dtype("<i4"),
+           "<f8": np.dtype("<f8"), "|u1": np.dtype("|u1")}
+
+#: String columns stored as a dictionary plus one code per row.
+_CODED = ("mission", "actor", "info_key")
+
+#: ``split_iteration`` memoised across archives: a fleet's mission and
+#: actor names repeat in every job, so each is split once per process.
+_split = functools.lru_cache(maxsize=1 << 14)(split_iteration)
 
 
 class SidecarError(ArchiveError):
@@ -94,6 +122,27 @@ def _heap(strings: Iterable[str]) -> (np.ndarray, bytes):
     offsets = np.zeros(len(blobs) + 1, dtype="<i8")
     np.cumsum([len(b) for b in blobs], out=offsets[1:])
     return offsets, b"".join(blobs)
+
+
+def _decode_heap(offsets: np.ndarray, heap: np.ndarray) -> List[str]:
+    """The strings of an offset-indexed UTF-8 heap."""
+    blob = heap.tobytes()
+    bounds = offsets.tolist()
+    if blob.isascii():
+        # Byte offsets are character offsets: decode the heap once and
+        # slice the str instead of UTF-8-decoding every slice.
+        text = blob.decode("ascii")
+        return [text[bounds[i]:bounds[i + 1]]
+                for i in range(len(bounds) - 1)]
+    return [blob[bounds[i]:bounds[i + 1]].decode("utf-8")
+            for i in range(len(bounds) - 1)]
+
+
+def _dictionary(strings: Iterable[str]) -> Tuple[List[str], np.ndarray]:
+    """(distinct strings in first-seen order, ``<i4`` code per string)."""
+    index: Dict[str, int] = {}
+    codes = [index.setdefault(s, len(index)) for s in strings]
+    return list(index), np.asarray(codes, dtype="<i4")
 
 
 #: Timestamp kinds: absent, float, or int (ints round-trip exactly so
@@ -157,14 +206,16 @@ def build_sidecar(
     blobs["parent"] = np.asarray(columns["parent"], dtype="<i8")
     blobs["start"], blobs["start_kind"] = _timestamp_column(columns["start"])
     blobs["end"], blobs["end_kind"] = _timestamp_column(columns["end"])
-    for name in ("uid", "mission", "actor"):
-        offsets, heap = _heap(columns[name])
-        blobs[f"{name}_offsets"] = offsets
-        blobs[f"{name}_heap"] = np.frombuffer(heap, dtype="|u1")
+    offsets, heap = _heap(columns["uid"])
+    blobs["uid_offsets"] = offsets
+    blobs["uid_heap"] = np.frombuffer(heap, dtype="|u1")
+    for name in _CODED:
+        words, codes = _dictionary(columns[name])
+        offsets, heap = _heap(words)
+        blobs[f"{name}_dict_offsets"] = offsets
+        blobs[f"{name}_dict_heap"] = np.frombuffer(heap, dtype="|u1")
+        blobs[f"{name}_codes"] = codes
     blobs["info_op"] = np.asarray(columns["info_op"], dtype="<i8")
-    key_offsets, key_heap = _heap(columns["info_key"])
-    blobs["info_key_offsets"] = key_offsets
-    blobs["info_key_heap"] = np.frombuffer(key_heap, dtype="|u1")
     encoded_values = [
         json.dumps(value, sort_keys=True, separators=(",", ":"))
         for value in columns["info_value"]
@@ -265,40 +316,50 @@ def write_sidecar(
 # -- loading -----------------------------------------------------------------
 
 
+def _parse_header(raw: Any, name: str) -> Dict[str, Any]:
+    """Vet a sidecar's preamble + JSON header from its leading bytes.
+
+    ``raw`` is any sliceable byte buffer that starts at the preamble —
+    the mapped file itself, or just the bytes read up to the header's
+    end.  Returns the header with ``version`` and ``data_offset``
+    added.
+    """
+    if len(raw) < _PREAMBLE.size:
+        raise SidecarError(f"sidecar {name}: truncated preamble")
+    magic, version, header_len, _reserved = _PREAMBLE.unpack_from(raw)
+    if magic != MAGIC:
+        raise SidecarError(f"sidecar {name}: bad magic {magic!r}")
+    if version not in READABLE_VERSIONS:
+        raise SidecarError(f"sidecar {name}: unsupported version {version}")
+    end = _PREAMBLE.size + header_len
+    if len(raw) < end:
+        raise SidecarError(f"sidecar {name}: truncated header")
+    try:
+        header = json.loads(bytes(raw[_PREAMBLE.size:end]).decode("utf-8"))
+    except (ValueError, UnicodeDecodeError) as exc:
+        raise SidecarError(
+            f"sidecar {name}: header is not valid JSON ({exc})"
+        ) from None
+    if not isinstance(header, dict) or not isinstance(
+        header.get("columns"), dict
+    ):
+        raise SidecarError(f"sidecar {name}: malformed header")
+    header["version"] = version
+    header["data_offset"] = _align(end)
+    return header
+
+
 def read_sidecar_header(path: Union[str, Path]) -> Dict[str, Any]:
     """Parse and vet a sidecar's preamble + JSON header (no data read)."""
     path = Path(path)
     try:
         with path.open("rb") as handle:
-            preamble = handle.read(_PREAMBLE.size)
-            if len(preamble) < _PREAMBLE.size:
-                raise SidecarError(f"sidecar {path.name}: truncated preamble")
-            magic, version, header_len, _reserved = _PREAMBLE.unpack(preamble)
-            if magic != MAGIC:
-                raise SidecarError(
-                    f"sidecar {path.name}: bad magic {magic!r}"
-                )
-            if version != SIDECAR_VERSION:
-                raise SidecarError(
-                    f"sidecar {path.name}: unsupported version {version}"
-                )
-            header_json = handle.read(header_len)
+            raw = handle.read(_PREAMBLE.size)
+            if len(raw) == _PREAMBLE.size:
+                raw += handle.read(_PREAMBLE.unpack(raw)[2])
     except OSError as exc:
         raise SidecarError(f"cannot read sidecar {path}: {exc}") from None
-    if len(header_json) < header_len:
-        raise SidecarError(f"sidecar {path.name}: truncated header")
-    try:
-        header = json.loads(header_json.decode("utf-8"))
-    except (ValueError, UnicodeDecodeError) as exc:
-        raise SidecarError(
-            f"sidecar {path.name}: header is not valid JSON ({exc})"
-        ) from None
-    if not isinstance(header, dict) or not isinstance(
-        header.get("columns"), dict
-    ):
-        raise SidecarError(f"sidecar {path.name}: malformed header")
-    header["data_offset"] = _align(_PREAMBLE.size + header_len)
-    return header
+    return _parse_header(raw, path.name)
 
 
 def load_sidecar(
@@ -308,59 +369,70 @@ def load_sidecar(
 ) -> "ColumnarArchiveView":
     """Memory-map a sidecar into a query view (checksum-verified).
 
-    ``expected_checksum`` is the JSON archive's payload checksum; a
-    sidecar written for different archive bytes is *stale* and raises
-    :class:`SidecarError` — callers fall back to the tree path.  With
-    ``verify`` the data region's SHA-256 is recomputed, so bit rot is
-    detected before a single query is answered.
+    The file is opened once: the header is parsed off the same mapping
+    the columns are served from.  ``expected_checksum`` is the JSON
+    archive's payload checksum; a sidecar written for different archive
+    bytes is *stale* and raises :class:`SidecarError` — callers fall
+    back to the tree path.  With ``verify`` the data region's SHA-256 is
+    recomputed, so bit rot is detected before a single query is
+    answered.
     """
     path = Path(path)
-    header = read_sidecar_header(path)
-    if expected_checksum is not None and (
-        header.get("archive_checksum") != expected_checksum
-    ):
-        raise SidecarError(
-            f"sidecar {path.name} is stale: written for archive "
-            f"checksum {header.get('archive_checksum')!r}, the JSON "
-            f"now has {expected_checksum!r}"
-        )
     try:
         with path.open("rb") as handle:
             buffer = mmap.mmap(handle.fileno(), 0, access=mmap.ACCESS_READ)
     except (OSError, ValueError) as exc:
         raise SidecarError(f"cannot map sidecar {path}: {exc}") from None
-    data_offset = header["data_offset"]
-    if verify:
-        digest = hashlib.sha256(
-            memoryview(buffer)[data_offset:]
-        ).hexdigest()
-        if digest != header.get("data_sha256"):
-            buffer.close()
-            raise SidecarError(
-                f"sidecar {path.name}: data checksum mismatch (stored "
-                f"{header.get('data_sha256')!r}, computed {digest!r})"
-            )
     try:
+        header = _parse_header(buffer, path.name)
+        if expected_checksum is not None and (
+            header.get("archive_checksum") != expected_checksum
+        ):
+            raise SidecarError(
+                f"sidecar {path.name} is stale: written for archive "
+                f"checksum {header.get('archive_checksum')!r}, the JSON "
+                f"now has {expected_checksum!r}"
+            )
+        data_offset = header["data_offset"]
+        if verify:
+            digest = hashlib.sha256(
+                memoryview(buffer)[data_offset:]
+            ).hexdigest()
+            if digest != header.get("data_sha256"):
+                raise SidecarError(
+                    f"sidecar {path.name}: data checksum mismatch (stored "
+                    f"{header.get('data_sha256')!r}, computed {digest!r})"
+                )
         table = _ColumnTable(header, buffer, data_offset)
-    except SidecarError:
-        buffer.close()
-        raise
-    return ColumnarArchiveView(table)
+    except SidecarError as exc:
+        # The failed frames still view the mapping; dropping the
+        # traceback frees them, so the mapping can close right away.
+        error = exc.with_traceback(None)
+    else:
+        return ColumnarArchiveView(table)
+    buffer.close()
+    raise error
 
 
 class _ColumnTable:
     """Decoded sidecar columns plus lazily derived lookup structures.
 
     One table is shared by every view chained off it, so derived
-    artifacts (paths, decoded string columns, per-key info row maps)
-    are computed at most once per loaded sidecar.
+    artifacts (decoded dictionaries, per-key info row maps) are computed
+    at most once per loaded sidecar.  Everything derived is either
+    dictionary-sized or a numpy vector over the rows.
     """
 
     def __init__(self, header: Dict[str, Any], buffer: Any,
                  data_offset: int):
         self.archive_checksum = str(header.get("archive_checksum", ""))
-        self.count = int(header["count"])
-        self.info_count = int(header["info_count"])
+        try:
+            self.count = int(header["count"])
+            self.info_count = int(header["info_count"])
+        except (KeyError, TypeError, ValueError) as exc:
+            raise SidecarError(
+                f"sidecar header lacks its row counts ({exc!r})"
+            ) from None
         extra = header.get("index")
         #: The store's embedded index entry + metadata copy (may be
         #: absent on sidecars written before extras existed).
@@ -368,7 +440,9 @@ class _ColumnTable:
             extra if isinstance(extra, dict) else None
         )
         self._buffer = buffer
-        view = memoryview(buffer)
+        # One read-only byte array over the mapping; columns are typed
+        # views of slices of it.
+        data = np.frombuffer(buffer, dtype=np.uint8)
 
         def column(name: str) -> np.ndarray:
             try:
@@ -381,150 +455,176 @@ class _ColumnTable:
                     f"sidecar column {name!r} missing or malformed "
                     f"({exc})"
                 ) from None
-            if nbytes % dtype.itemsize or start + nbytes > len(view):
+            if (nbytes % dtype.itemsize or start < data_offset
+                    or nbytes < 0 or start + nbytes > len(data)):
                 raise SidecarError(
                     f"sidecar column {name!r} out of bounds"
                 )
-            array = np.frombuffer(view[start:start + nbytes], dtype=dtype)
-            array.flags.writeable = False
-            return array
+            return data[start:start + nbytes].view(dtype)
 
         self.parent = column("parent")
         self.start = column("start")
         self.start_kind = column("start_kind")
         self.end = column("end")
         self.end_kind = column("end_kind")
-        #: Whether any timestamp needs int reconstruction (disables the
-        #: vectorized float fast paths in favour of exact arithmetic).
-        self.has_int_timestamps = bool(
-            (self.start_kind == _TS_INT).any()
-            or (self.end_kind == _TS_INT).any()
-        )
-        self._heaps = {
-            name: (column(f"{name}_offsets"), column(f"{name}_heap"))
-            for name in ("uid", "mission", "actor", "info_key",
-                         "info_value")
-        }
+        self._uid_heap = (column("uid_offsets"), column("uid_heap"))
         self.info_op = column("info_op")
+        self._value_heap = (column("info_value_offsets"),
+                            column("info_value_heap"))
         self.info_num = column("info_num")
         self.info_isnum = column("info_isnum")
-        n, k = self.count, self.info_count
-        if (
-            len(self.parent) != n or len(self.start) != n
-            or len(self.end) != n or len(self.info_op) != k
-            or len(self.info_num) != k
-            or any(len(offsets) != (k if name.startswith("info") else n) + 1
-                   for name, (offsets, _heap) in self._heaps.items())
-        ):
-            raise SidecarError("sidecar column lengths disagree with counts")
-        self._strings: Dict[str, List[str]] = {}
-        self._paths: Optional[List[str]] = None
-        self._mission_base: Optional[List[str]] = None
-        self._iteration: Optional[List[Optional[int]]] = None
-        self._actor_base: Optional[List[str]] = None
-        #: info key -> {operation row -> info row} (last write wins,
-        #: matching dict-assignment order in the tree decoder).
-        self._rows_by_key: Optional[Dict[str, Dict[int, int]]] = None
-        self._decoded_values: Dict[int, Any] = {}
-
-    def strings(self, name: str) -> List[str]:
-        """Decode one string heap into a per-row list (cached)."""
-        cached = self._strings.get(name)
-        if cached is None:
-            offsets, heap = self._heaps[name]
-            blob = heap.tobytes()
-            bounds = offsets.tolist()
-            if blob.isascii():
-                # Byte offsets are character offsets: decode the heap
-                # once and slice the str (fleet scans decode thousands
-                # of heaps, and per-slice UTF-8 decoding dominates).
-                text = blob.decode("ascii")
-                cached = [
-                    text[bounds[i]:bounds[i + 1]]
-                    for i in range(len(bounds) - 1)
-                ]
+        #: name -> one code per row into the name's dictionary.
+        self.codes: Dict[str, np.ndarray] = {}
+        self._dictionaries: Dict[str, List[str]] = {}
+        self._dictionary_heaps: Dict[str, Tuple[np.ndarray, np.ndarray]] = {}
+        sizes: Dict[str, int] = {}
+        for name in _CODED:
+            if header["version"] == 1:
+                try:
+                    words, codes = _dictionary(_decode_heap(
+                        column(f"{name}_offsets"), column(f"{name}_heap")))
+                except UnicodeDecodeError as exc:
+                    raise SidecarError(
+                        f"sidecar column {name!r} is not UTF-8 ({exc})"
+                    ) from None
+                self._dictionaries[name] = words
+                sizes[name] = len(words)
             else:
-                cached = [
-                    blob[bounds[i]:bounds[i + 1]].decode("utf-8")
-                    for i in range(len(bounds) - 1)
-                ]
-            self._strings[name] = cached
-        return cached
+                heap = (column(f"{name}_dict_offsets"),
+                        column(f"{name}_dict_heap"))
+                self._dictionary_heaps[name] = heap
+                codes = column(f"{name}_codes")
+                sizes[name] = len(heap[0]) - 1
+            self.codes[name] = codes
+        self._check(sizes)
+        self._uids: Optional[List[str]] = None
+        #: info key -> per-operation-row info row (-1: key absent).
+        self._info_rows: Dict[str, np.ndarray] = {}
 
-    @property
-    def paths(self) -> List[str]:
-        if self._paths is None:
-            missions = self.strings("mission")
-            parent = self.parent.tolist()
-            paths: List[str] = []
-            for i, mission in enumerate(missions):
-                p = parent[i]
-                paths.append(
-                    mission if p < 0 else f"{paths[p]}/{mission}"
+    def _check(self, sizes: Dict[str, int]) -> None:
+        """Reject columns whose rows point outside their tables.
+
+        A checksum-consistent file can still be hand-built: pre-order
+        (``parent[i] < i``) is what guarantees every parent walk ends,
+        and in-range ``info_op`` and codes are what make every lookup a
+        plain index.
+        """
+        n, k = self.count, self.info_count
+        lengths = {
+            n: (self.parent, self.start, self.start_kind, self.end,
+                self.end_kind, self.codes["mission"], self.codes["actor"]),
+            n + 1: (self._uid_heap[0],),
+            k: (self.info_op, self.codes["info_key"], self.info_num,
+                self.info_isnum),
+            k + 1: (self._value_heap[0],),
+        }
+        if any(len(array) != size
+               for size, arrays in lengths.items() for array in arrays):
+            raise SidecarError("sidecar column lengths disagree with counts")
+        if n and (self.parent >= np.arange(n)).any():
+            raise SidecarError(
+                "sidecar parent column is not in pre-order "
+                "(a row's parent must precede it)"
+            )
+        # Viewed unsigned, a negative index is huge: one max() per column.
+        if k and self.info_op.view("<u8").max() >= n:
+            raise SidecarError(
+                "sidecar info_op column points outside the operation rows"
+            )
+        for name, codes in self.codes.items():
+            if len(codes) and codes.view("<u4").max() >= sizes[name]:
+                raise SidecarError(
+                    f"sidecar {name} codes point outside its dictionary"
                 )
-            self._paths = paths
-        return self._paths
 
-    def _split_missions(self) -> None:
-        # Mission names repeat heavily within one archive (every
-        # Compute row, every Superstep-<k> per level), so split each
-        # distinct string once instead of regex-matching per row.
-        memo: Dict[str, Tuple[str, Optional[int]]] = {}
-        bases: List[str] = []
-        iterations: List[Optional[int]] = []
-        for mission in self.strings("mission"):
-            pair = memo.get(mission)
-            if pair is None:
-                pair = memo[mission] = split_iteration(mission)
-            bases.append(pair[0])
-            iterations.append(pair[1])
-        self._mission_base = bases
-        self._iteration = iterations
+    @functools.cached_property
+    def has_int_timestamps(self) -> bool:
+        """Whether any timestamp needs int reconstruction (disables the
+        vectorized float fast paths in favour of exact arithmetic)."""
+        return bool((self.start_kind == _TS_INT).any()
+                    or (self.end_kind == _TS_INT).any())
 
-    @property
-    def mission_base(self) -> List[str]:
-        if self._mission_base is None:
-            self._split_missions()
-        return self._mission_base
+    def dictionary(self, name: str) -> List[str]:
+        """The distinct strings of one coded column (decoded once)."""
+        words = self._dictionaries.get(name)
+        if words is None:
+            words = _decode_heap(*self._dictionary_heaps[name])
+            self._dictionaries[name] = words
+        return words
 
-    @property
-    def iteration(self) -> List[Optional[int]]:
-        if self._iteration is None:
-            self._split_missions()
-        return self._iteration
+    def lut(self, name: str, accept: Callable[[str], Any]) -> np.ndarray:
+        """``accept`` of every dictionary string, indexable by code."""
+        words = self.dictionary(name)
+        return np.fromiter((bool(accept(word)) for word in words),
+                           dtype=bool, count=len(words))
 
-    @property
-    def actor_base(self) -> List[str]:
-        if self._actor_base is None:
-            memo: Dict[str, str] = {}
-            bases: List[str] = []
-            for actor in self.strings("actor"):
-                base = memo.get(actor)
-                if base is None:
-                    base = memo[actor] = split_iteration(actor)[0]
-                bases.append(base)
-            self._actor_base = bases
-        return self._actor_base
+    def info_rows(self, key: str) -> np.ndarray:
+        """Per operation row, its info row of ``key`` (-1 where absent).
 
-    def rows_by_key(self, key: str) -> Dict[int, int]:
-        """Info rows of one key, as an operation-row -> info-row map."""
-        if self._rows_by_key is None:
-            by_key: Dict[str, Dict[int, int]] = {}
-            ops = self.info_op.tolist()
-            for row, key_name in enumerate(self.strings("info_key")):
-                by_key.setdefault(key_name, {})[ops[row]] = row
-            self._rows_by_key = by_key
-        return self._rows_by_key.get(key, {})
+        Last write wins, as dict assignment does in the tree decoder:
+        over the key's info rows reversed, ``np.unique`` picks each
+        operation's first occurrence — its last write.
+        """
+        cached = self._info_rows.get(key)
+        if cached is not None:
+            return cached
+        rows = np.flatnonzero(
+            self.lut("info_key", lambda word: word == key)[
+                self.codes["info_key"]]
+        )[::-1]
+        out = np.full(self.count, -1, dtype=np.int64)
+        if len(rows):
+            ops, first = np.unique(self.info_op[rows], return_index=True)
+            out[ops] = rows[first]
+            # Only keys the archive carries are cached: the cache stays
+            # bounded by the dictionary whatever keys a client asks for.
+            self._info_rows[key] = out
+        return out
+
+    def values_at(self, rows: np.ndarray) -> List[Any]:
+        """Decoded info values of the given info rows, in order.
+
+        Each stored value is one compact JSON document, so the wanted
+        slices joined with commas form one JSON array: a single parse.
+        """
+        offsets, heap = self._value_heap
+        raw = heap.tobytes()
+        starts = offsets[rows].tolist()
+        ends = offsets[rows + 1].tolist()
+        values = json.loads(
+            b"[" + b",".join([raw[s:e] for s, e in zip(starts, ends)]) + b"]"
+        )
+        return [_decode_value(value) for value in values]
 
     def value(self, row: int) -> Any:
-        """The decoded info value of one info row (memoized)."""
-        try:
-            return self._decoded_values[row]
-        except KeyError:
-            encoded = self.strings("info_value")[row]
-            value = _decode_value(json.loads(encoded))
-            self._decoded_values[row] = value
-            return value
+        """The decoded info value of one info row."""
+        return self.values_at(np.asarray([row], dtype=np.int64))[0]
+
+    def paths_at(self, rows: Iterable[int]) -> List[str]:
+        """Mission paths of the given rows, walking parent pointers.
+
+        Only the requested rows and their ancestors are visited (each
+        once per call); pre-order, checked at load, bounds every walk.
+        """
+        names = self.dictionary("mission")
+        codes = self.codes["mission"]
+        parent = self.parent
+        memo: Dict[int, str] = {}
+        out: List[str] = []
+        for row in rows:
+            row = int(row)
+            chain: List[int] = []
+            while row >= 0 and row not in memo:
+                chain.append(row)
+                row = int(parent[row])
+            path = memo.get(row)
+            for link in reversed(chain):
+                name = names[codes[link]]
+                path = memo[link] = (
+                    name if path is None else f"{path}/{name}"
+                )
+            out.append(path)
+        return out
 
     def timestamp(self, column: np.ndarray, kinds: np.ndarray,
                   i: int) -> Optional[Union[int, float]]:
@@ -535,22 +635,30 @@ class _ColumnTable:
             return int(column[i])
         return float(column[i])
 
-    def record(self, i: int) -> Dict[str, Any]:
-        """The service-level operation record of one row."""
-        start = self.timestamp(self.start, self.start_kind, i)
-        end = self.timestamp(self.end, self.end_kind, i)
-        return {
-            "uid": self.strings("uid")[i],
-            "path": self.paths[i],
-            "mission": self.strings("mission")[i],
-            "actor": self.strings("actor")[i],
-            "start": start,
-            "end": end,
-            "duration": (
-                end - start if start is not None and end is not None
-                else None
-            ),
-        }
+    def records(self, rows: Sequence[int]) -> List[Dict[str, Any]]:
+        """The service-level operation records of the given rows."""
+        rows = [int(i) for i in rows]
+        if self._uids is None:
+            self._uids = _decode_heap(*self._uid_heap)
+        missions = self.dictionary("mission")
+        actors = self.dictionary("actor")
+        out: List[Dict[str, Any]] = []
+        for i, path in zip(rows, self.paths_at(rows)):
+            start = self.timestamp(self.start, self.start_kind, i)
+            end = self.timestamp(self.end, self.end_kind, i)
+            out.append({
+                "uid": self._uids[i],
+                "path": path,
+                "mission": missions[self.codes["mission"][i]],
+                "actor": actors[self.codes["actor"][i]],
+                "start": start,
+                "end": end,
+                "duration": (
+                    end - start if start is not None and end is not None
+                    else None
+                ),
+            })
+        return out
 
     @property
     def closed(self) -> bool:
@@ -573,14 +681,12 @@ class _ColumnTable:
         self.start = self.start_kind = None
         self.end = self.end_kind = None
         self.info_op = self.info_num = self.info_isnum = None
-        self._heaps = {}
-        self._strings = {}
-        self._paths = None
-        self._mission_base = None
-        self._iteration = None
-        self._actor_base = None
-        self._rows_by_key = None
-        self._decoded_values = {}
+        self._uid_heap = self._value_heap = None
+        self.codes = {}
+        self._dictionary_heaps = {}
+        self._dictionaries = {}
+        self._uids = None
+        self._info_rows = {}
         try:
             buffer.close()
         except (BufferError, OSError):  # pragma: no cover - exported refs
@@ -651,48 +757,55 @@ class ColumnarArchiveView:
 
     # -- selection ---------------------------------------------------------
 
-    def _narrow(self, keep: Iterable[bool]) -> "ColumnarArchiveView":
-        mask = np.fromiter(keep, dtype=bool, count=len(self._selection))
-        return ColumnarArchiveView(self._table, self._selection[mask])
+    def _narrow(self, keep: np.ndarray) -> "ColumnarArchiveView":
+        return ColumnarArchiveView(self._table, self._selection[keep])
+
+    def _coded(self, name: str,
+               accept: Callable[[str], Any]) -> "ColumnarArchiveView":
+        table = self._table
+        return self._narrow(
+            table.lut(name, accept)[table.codes[name][self._selection]]
+        )
 
     def path(self, pattern: str) -> "ColumnarArchiveView":
         """Narrow to rows whose mission path matches the glob."""
         regex = translate_path_pattern(pattern)
-        paths = self._table.paths
-        return self._narrow(
-            regex.match(paths[i]) is not None for i in self._selection
-        )
+        paths = self._table.paths_at(self._selection)
+        return self._narrow(np.fromiter(
+            (regex.match(path) is not None for path in paths),
+            dtype=bool, count=len(paths),
+        ))
 
     def mission(self, base: str) -> "ColumnarArchiveView":
         """Narrow to rows with this mission base name."""
-        bases = self._table.mission_base
-        return self._narrow(bases[i] == base for i in self._selection)
+        return self._coded("mission", lambda word: _split(word)[0] == base)
 
     def actor(self, base: str) -> "ColumnarArchiveView":
         """Narrow to rows with this actor base name."""
-        bases = self._table.actor_base
-        return self._narrow(bases[i] == base for i in self._selection)
+        return self._coded("actor", lambda word: _split(word)[0] == base)
 
     def iteration(self, index: int) -> "ColumnarArchiveView":
         """Narrow to rows of one iteration index."""
-        iterations = self._table.iteration
-        return self._narrow(
-            iterations[i] == index for i in self._selection
-        )
+        return self._coded("mission",
+                           lambda word: _split(word)[1] == index)
 
     def where(
         self, predicate: Callable[[Dict[str, Any]], bool],
     ) -> "ColumnarArchiveView":
         """Narrow with a predicate over operation records."""
-        table = self._table
-        return self._narrow(
-            bool(predicate(table.record(i))) for i in self._selection
-        )
+        records = self._table.records(self._selection)
+        return self._narrow(np.fromiter(
+            (bool(predicate(record)) for record in records),
+            dtype=bool, count=len(records),
+        ))
 
     # -- aggregation -------------------------------------------------------
 
-    def _value_rows(self, info: str) -> Dict[int, int]:
-        return self._table.rows_by_key(info)
+    def _carrying(self, info: str) -> Tuple[np.ndarray, np.ndarray]:
+        """(selected operation rows carrying ``info``, their info rows)."""
+        rows = self._table.info_rows(info)[self._selection]
+        keep = rows >= 0
+        return self._selection[keep], rows[keep]
 
     def _numeric_at(self, info: str, row: int, op_row: int) -> float:
         """One info value coerced exactly as the tree path coerces it."""
@@ -701,51 +814,57 @@ class ColumnarArchiveView:
             return float(table.info_num[row])
         # Non-numeric: decode for the identical typed error.
         return _numeric(table.value(row), info,
-                        _OpProxy(table.paths[op_row]))
+                        _OpProxy(table.paths_at([op_row])[0]))
 
     def total(self, info: str = "Duration") -> float:
         """Sum of a numeric info over the selection (missing counts 0).
 
-        The additions run sequentially in selection order — never as a
-        pairwise ``np.sum`` — so the float result is bit-identical to
-        the tree path's left fold.
+        An all-numeric selection folds with one ``cumsum``
+        (:func:`~repro.platforms.vecops.fold_add`) — the exact left fold
+        of the tree path, never a pairwise ``np.sum``; anything else
+        takes the tree path's own loop, with its skipped nulls and typed
+        errors.
         """
         table = self._table
-        by_op = self._value_rows(info)
+        ops, rows = self._carrying(info)
+        numeric = table.info_isnum[rows] == 1
+        if numeric.all():
+            return fold_add(table.info_num[rows])
+        others = iter(table.values_at(rows[~numeric]))
         total = 0.0
-        for i in self._selection:
-            row = by_op.get(int(i))
-            if row is None:
-                continue
-            if table.info_isnum[row]:
+        for op_row, row, is_number in zip(ops.tolist(), rows.tolist(),
+                                          numeric.tolist()):
+            if is_number:
                 total += float(table.info_num[row])
                 continue
-            value = table.value(row)
+            value = next(others)
             if value is None:
                 continue  # A stored null counts 0, as in the tree path.
-            total += _numeric(value, info, _OpProxy(table.paths[int(i)]))
+            total += _numeric(value, info,
+                              _OpProxy(table.paths_at([op_row])[0]))
         return total
 
     def mean(self, info: str = "Duration") -> float:
         """Mean of a numeric info over rows that carry it."""
-        by_op = self._value_rows(info)
-        values = [
-            self._numeric_at(info, by_op[int(i)], int(i))
-            for i in self._selection
-            if int(i) in by_op
-        ]
-        if not values:
+        table = self._table
+        ops, rows = self._carrying(info)
+        if not len(rows):
             raise QueryError(f"no operation in selection carries {info!r}")
+        if table.info_isnum[rows].all():
+            values = table.info_num[rows].tolist()
+        else:
+            values = [self._numeric_at(info, row, op_row)
+                      for op_row, row in zip(ops.tolist(), rows.tolist())]
+        # ``sum`` as the tree path sums, whatever the Python version's
+        # float summation.
         return sum(values) / len(values)
 
     def values(self, info: str, default: Any = None) -> List[Any]:
         """The info value of every selected row (in pre-order)."""
-        by_op = self._value_rows(info)
-        out: List[Any] = []
-        for i in self._selection:
-            row = by_op.get(int(i))
-            out.append(default if row is None else self._table.value(row))
-        return out
+        rows = self._table.info_rows(info)[self._selection]
+        decoded = iter(self._table.values_at(rows[rows >= 0]))
+        return [default if row < 0 else next(decoded)
+                for row in rows.tolist()]
 
     def durations(self) -> List[float]:
         """Durations of selected rows (skipping unknown ones)."""
@@ -774,22 +893,25 @@ class ColumnarArchiveView:
         """
         if n <= 0:
             raise QueryError(f"n must be positive, got {n}")
-        by_op = self._value_rows(info)
-        carrying = [int(i) for i in self._selection if int(i) in by_op]
+        ops, rows = self._carrying(info)
+        ops, rows = ops.tolist(), rows.tolist()
         ranked = sorted(
-            carrying,
-            key=lambda i: self._numeric_at(info, by_op[i], i),
+            range(len(ops)),
+            key=lambda j: self._numeric_at(info, rows[j], ops[j]),
             reverse=True,
         )[:n]
+        table = self._table
+        values = table.values_at(np.asarray([rows[j] for j in ranked],
+                                            dtype=np.int64))
         return [
-            dict(self._table.record(i),
-                 value=self._table.value(by_op[i]))
-            for i in ranked
+            dict(record, value=value)
+            for record, value in zip(
+                table.records([ops[j] for j in ranked]), values)
         ]
 
     def operation_records(self) -> List[Dict[str, Any]]:
         """Service records of every selected row, in pre-order."""
-        return [self._table.record(int(i)) for i in self._selection]
+        return self._table.records(self._selection)
 
     # -- fleet-scan vectors --------------------------------------------------
 
@@ -826,29 +948,26 @@ class ColumnarArchiveView:
         die on one string-valued info.
         """
         table = self._table
-        sel = self._selection
-        by_op = table.rows_by_key(info)
-        if not by_op:
-            return sel[:0], np.zeros(0, dtype="<f8")
-        row_of = np.full(table.count, -1, dtype=np.int64)
-        for op_row, info_row in by_op.items():
-            row_of[op_row] = info_row
-        info_rows = row_of[sel]
-        keep = info_rows >= 0
-        rows, info_rows = sel[keep], info_rows[keep]
-        keep = table.info_isnum[info_rows] == 1
-        rows, info_rows = rows[keep], info_rows[keep]
-        return rows, np.asarray(table.info_num[info_rows], dtype="<f8")
+        ops, rows = self._carrying(info)
+        keep = table.info_isnum[rows] == 1
+        return ops[keep], np.asarray(table.info_num[rows[keep]],
+                                     dtype="<f8")
 
     def paths_at(self, rows: Iterable[int]) -> List[str]:
         """Mission paths of the given rows (for top-k attribution)."""
-        paths = self._table.paths
-        return [paths[int(i)] for i in rows]
+        return self._table.paths_at(rows)
 
-    def mission_bases_at(self, rows: Iterable[int]) -> List[str]:
-        """Mission base names of the given rows."""
-        bases = self._table.mission_base
-        return [bases[int(i)] for i in rows]
+    def mission_base_codes(
+        self, rows: np.ndarray,
+    ) -> Tuple[List[str], np.ndarray]:
+        """(mission base of every dictionary string, code of each row).
+
+        Bases are split once per distinct mission, so grouping rows by
+        base never touches a per-row string.
+        """
+        table = self._table
+        bases = [_split(word)[0] for word in table.dictionary("mission")]
+        return bases, table.codes["mission"][rows]
 
 
 __all__ = [

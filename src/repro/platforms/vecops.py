@@ -12,6 +12,9 @@ be vectorized:
 * min-folds are order-insensitive, so ``np.minimum.reduceat`` is safe.
 * Work counters are derived with ``np.bincount`` over owner/destination
   arrays; counts are exact integers regardless of evaluation order.
+* The folds run under ``np.errstate(invalid="ignore", over="ignore")``:
+  ``inf + -inf`` is nan and ``1e308 + 1e308`` is inf in the scalar fold
+  too, which Python computes silently where numpy would warn.
 """
 
 from __future__ import annotations
@@ -38,7 +41,8 @@ def fold_add(values: np.ndarray) -> float:
     # The scalar fold starts from +0.0, so an all-negative-zero input
     # folds to +0.0; adding +0.0 reproduces that (and is exact for
     # every other float, including nan and inf).
-    return float(np.cumsum(values)[-1]) + 0.0
+    with np.errstate(invalid="ignore", over="ignore"):
+        return float(np.cumsum(values)[-1]) + 0.0
 
 
 def segmented_fold_add(values: np.ndarray, starts: np.ndarray) -> np.ndarray:
@@ -58,19 +62,20 @@ def segmented_fold_add(values: np.ndarray, starts: np.ndarray) -> np.ndarray:
     ends[-1] = len(values)
     lens = ends - starts
     long_idx = np.flatnonzero(lens > FOLD_CHUNK)
-    for i in long_idx:
-        out[i] = np.cumsum(values[starts[i]:ends[i]])[-1] + 0.0
     short = np.flatnonzero(lens <= FOLD_CHUNK)
-    if len(short):
-        order = np.argsort(-lens[short], kind="stable")
-        s_starts = starts[short][order]
-        neg_lens = -lens[short][order]
-        acc = np.zeros(len(short), dtype=np.float64)
-        maxlen = int(-neg_lens[0])
-        for k in range(maxlen):
-            cnt = int(np.searchsorted(neg_lens, -k, side="left"))
-            acc[:cnt] += values[s_starts[:cnt] + k]
-        out[short[order]] = acc
+    with np.errstate(invalid="ignore", over="ignore"):
+        for i in long_idx:
+            out[i] = np.cumsum(values[starts[i]:ends[i]])[-1] + 0.0
+        if len(short):
+            order = np.argsort(-lens[short], kind="stable")
+            s_starts = starts[short][order]
+            neg_lens = -lens[short][order]
+            acc = np.zeros(len(short), dtype=np.float64)
+            maxlen = int(-neg_lens[0])
+            for k in range(maxlen):
+                cnt = int(np.searchsorted(neg_lens, -k, side="left"))
+                acc[:cnt] += values[s_starts[:cnt] + k]
+            out[short[order]] = acc
     return out
 
 

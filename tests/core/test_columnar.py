@@ -6,20 +6,29 @@ damaged sidecar is never queried) and *survivable* (queries fall back
 to the JSON tree path with identical results).
 """
 
+import hashlib
+import json
 import math
 import shutil
+import struct
 
+import numpy as np
 import pytest
 
 from repro.core.archive.archive import ArchivedOperation, PerformanceArchive
 from repro.core.archive.columnar import (
     ColumnarArchiveView,
     SidecarError,
+    build_sidecar,
     load_sidecar,
     read_sidecar_header,
 )
 from repro.core.archive.integrity import validate_sidecar
 from repro.core.archive.query import ArchiveQuery
+from repro.core.archive.serialize import (
+    archive_to_document,
+    operations_from_columns,
+)
 from repro.core.archive.store import ArchiveStore
 from repro.errors import QueryError
 
@@ -94,6 +103,24 @@ class TestQueryIdentity:
         with pytest.raises(QueryError) as view_mean:
             view.mission("Nope").mean("Duration")
         assert str(view_mean.value) == str(tree_mean.value)
+        view.close()
+
+    def test_repeated_info_key_last_write_wins(self, tmp_path):
+        columns = dict(archive_to_document(make_archive())["operations"])
+        # Operation 4 gets its Duration written twice, operation 0 a
+        # Duration between them: the tree decoder keeps each op's last.
+        columns["info_op"] = list(columns["info_op"]) + [4, 0, 4]
+        columns["info_key"] = list(columns["info_key"]) + [
+            "Duration", "Duration", "Duration"]
+        columns["info_value"] = list(columns["info_value"]) + [7.5, 1, 9]
+        path = tmp_path / "dup.gcol"
+        path.write_bytes(build_sidecar(columns, "x"))
+        tree = ArchiveQuery(PerformanceArchive(
+            "dup", operations_from_columns(columns)))
+        view = load_sidecar(path)
+        assert view.values("Duration") == tree.values("Duration")
+        assert view.values("Duration")[4] == 9
+        assert view.total("Duration") == tree.total("Duration")
         view.close()
 
     def test_literal_infinity_string_survives_sidecar(self, store):
@@ -187,3 +214,90 @@ class TestDamageDetection:
         out = capsys.readouterr().out
         assert "sidecar-unusable" in out
         assert "fall back" in out
+
+
+def patched(payload, name, row, value):
+    """Sidecar bytes with one cell of a column changed, checksum re-bound.
+
+    The data SHA-256 is recomputed and swapped in place (same length),
+    so the file passes every integrity check and only the column's
+    *contents* are wrong — what a hand-built file can do.
+    """
+    header_len = struct.unpack_from("<I", payload, 8)[0]
+    header = json.loads(payload[16:16 + header_len])
+    data_offset = (16 + header_len + 63) // 64 * 64
+    entry = header["columns"][name]
+    dtype = np.dtype(entry["dtype"])
+    out = bytearray(payload)
+    column = np.frombuffer(out, dtype=dtype,
+                           count=entry["nbytes"] // dtype.itemsize,
+                           offset=data_offset + entry["offset"])
+    column[row] = value
+    digest = hashlib.sha256(bytes(out[data_offset:])).hexdigest()
+    return bytes(out).replace(header["data_sha256"].encode(),
+                              digest.encode())
+
+
+class TestMalformedColumns:
+    """A checksum-consistent but hand-built sidecar whose rows point
+    outside their tables is rejected at load, so the store falls back
+    to the tree instead of a query failing (or a parent walk looping)
+    later."""
+
+    @pytest.fixture()
+    def columns(self):
+        return archive_to_document(make_archive())["operations"]
+
+    def load(self, tmp_path, payload):
+        path = tmp_path / "crafted.gcol"
+        path.write_bytes(payload)
+        return load_sidecar(path)
+
+    def test_well_formed_columns_load(self, tmp_path, columns):
+        view = self.load(tmp_path, build_sidecar(columns, "x"))
+        assert len(view) == columns["count"]
+        view.close()
+
+    def test_parent_not_in_pre_order_is_rejected(self, tmp_path, columns):
+        parent = list(columns["parent"])
+        parent[2] = 5  # A row whose parent comes after it.
+        crafted = build_sidecar(dict(columns, parent=parent), "x")
+        with pytest.raises(SidecarError, match="pre-order"):
+            self.load(tmp_path, crafted)
+        parent[2] = 2  # Its own parent: a walk would never end.
+        crafted = build_sidecar(dict(columns, parent=parent), "x")
+        with pytest.raises(SidecarError, match="pre-order"):
+            self.load(tmp_path, crafted)
+
+    @pytest.mark.parametrize("row", [-1, 10 ** 6])
+    def test_info_op_outside_rows_is_rejected(self, tmp_path, columns, row):
+        info_op = list(columns["info_op"])
+        info_op[0] = row
+        crafted = build_sidecar(dict(columns, info_op=info_op), "x")
+        with pytest.raises(SidecarError, match="info_op"):
+            self.load(tmp_path, crafted)
+
+    @pytest.mark.parametrize("name", ["mission", "actor", "info_key"])
+    @pytest.mark.parametrize("code", [-1, 99])
+    def test_code_outside_dictionary_is_rejected(self, tmp_path, columns,
+                                                 name, code):
+        crafted = patched(build_sidecar(columns, "x"), f"{name}_codes",
+                          -1, code)
+        with pytest.raises(SidecarError, match="dictionary"):
+            self.load(tmp_path, crafted)
+
+    def test_header_without_row_counts_is_rejected(self, tmp_path, columns):
+        payload = build_sidecar(columns, "x")
+        crafted = payload.replace(b'"count":', b'"COUNT":', 1)
+        assert crafted != payload
+        with pytest.raises(SidecarError, match="row counts"):
+            self.load(tmp_path, crafted)
+
+    def test_store_falls_back_on_a_crafted_sidecar(self, store, saved):
+        document = archive_to_document(saved)
+        columns = dict(document["operations"])
+        columns["parent"] = [0] * columns["count"]
+        store.sidecar_path(saved.job_id).write_bytes(build_sidecar(
+            columns, document["integrity"]["checksum"]))
+        assert store.columnar_view(saved.job_id) is None
+

@@ -12,6 +12,9 @@ primitives and the partitioner fast paths.
 
 from __future__ import annotations
 
+import math
+import warnings
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -414,6 +417,24 @@ class TestVecops:
                 acc += x
             assert out[i] == acc
             offset += length
+
+    def test_non_finite_folds_match_python_silently(self):
+        # inf + -inf is nan and 1e308 + 1e308 is inf in a Python fold;
+        # numpy computes the same but would warn about both.
+        inf = float("inf")
+        short = [inf, -inf, 1.0, 1e308, 1e308]
+        hub = [1e308] * (FOLD_CHUNK + 1) + [-inf, inf]
+        with warnings.catch_warnings():
+            warnings.simplefilter("error", RuntimeWarning)
+            assert math.isnan(fold_add(np.asarray(short)))
+            assert fold_add(np.asarray([1e308, 1e308])) == inf
+            out = segmented_fold_add(np.asarray(short + hub),
+                                     np.asarray([0, len(short)]))
+            rows = csr_rows_fold_add(
+                np.asarray([1e308, 1e308, inf, -inf]),
+                np.asarray([0, 2, 2, 4]))
+        assert math.isnan(out[0]) and math.isnan(out[1])
+        assert rows[0] == inf and rows[1] == 0.0 and math.isnan(rows[2])
 
     def test_csr_rows_fold_add_scatters_empty_rows(self):
         # Rows: [], [1, 2], [], [], [3], [] — empty first, middle, last.

@@ -27,7 +27,8 @@ from repro.core.analysis.fleetplan import FleetPlan
 from repro.core.archive.archive import ArchivedOperation, PerformanceArchive
 from repro.core.archive.store import ArchiveStore
 
-MISSIONS = ("Load", "Compute", "Step-0", "Step-1", "Step-12", "IO-2")
+MISSIONS = ("Load", "Compute", "Step-0", "Step-1", "Step-12", "IO-2",
+            "Step-007", "a--1", "Step-1-2", "-3", "Wörk-1")
 ACTORS = ("Master", "Worker-1", "Worker-2")
 INFO_KEYS = ("Duration", "Bytes", "Status")
 PLATFORMS = ("Giraph", "PowerGraph", "")
@@ -59,6 +60,8 @@ PLANS = (
         op="series"),
     FleetPlan.from_params({"group_by": "platform", "k": "1.0"},
                           op="regressions"),
+    FleetPlan.from_params({"group_by": "meta:flavor", "k": "0.5",
+                           "path": "*/**"}, op="regressions"),
 )
 
 
@@ -107,17 +110,37 @@ def stores_of_archives(draw, integral=False):
 
 
 class TestFleetModeInvariance:
-    @given(stores_of_archives(), st.sampled_from(PLANS))
+    @given(stores_of_archives(), st.sampled_from(PLANS), st.booleans())
     @settings(max_examples=25, deadline=None)
-    def test_columnar_scan_equals_tree_scan(self, archives, plan):
+    def test_columnar_scan_equals_tree_scan(self, archives, plan, samples):
+        """``samples`` also compares what a document only carries for a
+        router: sorted value vectors, and every job's per-mission
+        regression shares."""
         with tempfile.TemporaryDirectory() as directory:
             store = ArchiveStore(Path(directory) / "s")
             for archive in archives:
                 store.save(archive)
-            columnar = run_fleet_query(store, plan, mode="auto")
-            tree = run_fleet_query(store, plan, mode="tree")
+            columnar = run_fleet_query(store, plan, mode="auto",
+                                       include_samples=samples)
+            tree = run_fleet_query(store, plan, mode="tree",
+                                   include_samples=samples)
             assert columnar == tree
             assert columnar["degraded_jobs"] == []
+
+    @given(stores_of_archives())
+    @settings(max_examples=25, deadline=None)
+    def test_regression_shares_equal_the_tree(self, archives):
+        plan = PLANS[3]
+        with tempfile.TemporaryDirectory() as directory:
+            store = ArchiveStore(Path(directory) / "s")
+            for archive in archives:
+                store.save(archive)
+            columnar = run_fleet_query(store, plan, include_samples=True)
+            tree = run_fleet_query(store, plan, mode="tree",
+                                   include_samples=True)
+            assert columnar["shares"] == tree["shares"]
+            for row in columnar["shares"]:
+                assert list(row["shares"]) == sorted(row["shares"])
 
     @given(stores_of_archives(), st.sampled_from(PLANS),
            st.data())
