@@ -56,7 +56,6 @@ import functools
 import hashlib
 import json
 import mmap
-import os
 import struct
 from pathlib import Path
 from typing import (
@@ -75,7 +74,7 @@ from typing import (
 import numpy as np
 
 from repro.core.archive.query import _numeric, translate_path_pattern
-from repro.core.archive.serialize import _decode_value
+from repro.core.archive.serialize import SORTED_ENCODER, _decode_value
 from repro.core.model.operation import split_iteration
 from repro.errors import ArchiveError, QueryError
 from repro.platforms.vecops import fold_add
@@ -101,6 +100,10 @@ _CODED = ("mission", "actor", "info_key")
 #: actor names repeat in every job, so each is split once per process.
 _split = functools.lru_cache(maxsize=1 << 14)(split_iteration)
 
+#: The JSON encoder's own string quoting (ASCII-escaped, as every
+#: rendering here is).
+_encode_string = json.encoder.encode_basestring_ascii
+
 
 class SidecarError(ArchiveError):
     """A sidecar is unreadable, damaged, or stale; use the JSON."""
@@ -116,12 +119,20 @@ def _align(offset: int) -> int:
     return (offset + ALIGNMENT - 1) // ALIGNMENT * ALIGNMENT
 
 
-def _heap(strings: Iterable[str]) -> (np.ndarray, bytes):
+def _heap(strings: Sequence[str]) -> (np.ndarray, bytes):
     """Offset-index + UTF-8 blob encoding of a string column."""
-    blobs = [s.encode("utf-8") for s in strings]
-    offsets = np.zeros(len(blobs) + 1, dtype="<i8")
-    np.cumsum([len(b) for b in blobs], out=offsets[1:])
-    return offsets, b"".join(blobs)
+    text = "".join(strings)
+    if text.isascii():
+        # One byte per character: the lengths are the byte lengths.
+        lengths = list(map(len, strings))
+        blob = text.encode("ascii")
+    else:
+        blobs = [s.encode("utf-8") for s in strings]
+        lengths = list(map(len, blobs))
+        blob = b"".join(blobs)
+    offsets = np.zeros(len(lengths) + 1, dtype="<i8")
+    np.cumsum(lengths, out=offsets[1:])
+    return offsets, blob
 
 
 def _decode_heap(offsets: np.ndarray, heap: np.ndarray) -> List[str]:
@@ -138,11 +149,12 @@ def _decode_heap(offsets: np.ndarray, heap: np.ndarray) -> List[str]:
             for i in range(len(bounds) - 1)]
 
 
-def _dictionary(strings: Iterable[str]) -> Tuple[List[str], np.ndarray]:
+def _dictionary(strings: Sequence[str]) -> Tuple[List[str], np.ndarray]:
     """(distinct strings in first-seen order, ``<i4`` code per string)."""
-    index: Dict[str, int] = {}
-    codes = [index.setdefault(s, len(index)) for s in strings]
-    return list(index), np.asarray(codes, dtype="<i4")
+    words = list(dict.fromkeys(strings))
+    code_of = {word: code for code, word in enumerate(words)}
+    return words, np.fromiter(map(code_of.__getitem__, strings),
+                              dtype="<i4", count=len(strings))
 
 
 #: Timestamp kinds: absent, float, or int (ints round-trip exactly so
@@ -150,7 +162,7 @@ def _dictionary(strings: Iterable[str]) -> Tuple[List[str], np.ndarray]:
 _TS_NULL, _TS_FLOAT, _TS_INT = 0, 1, 2
 
 
-def _timestamp_column(values: Iterable[Any]) -> (np.ndarray, np.ndarray):
+def _timestamp_column(values: Sequence[Any]) -> (np.ndarray, np.ndarray):
     """(float64 column, uint8 kind mask) for optional timestamps.
 
     Only ``None``, floats, and exactly-representable ints are
@@ -158,11 +170,17 @@ def _timestamp_column(values: Iterable[Any]) -> (np.ndarray, np.ndarray):
     raises :class:`SidecarError` so the writer skips the sidecar and
     readers use the JSON truth.
     """
-    values = list(values)
+    if set(map(type, values)) <= {float}:
+        return (np.array(values, dtype="<f8"),
+                np.full(len(values), _TS_FLOAT, dtype="|u1"))
     kinds = np.zeros(len(values), dtype="|u1")
     column = np.zeros(len(values), dtype="<f8")
     for i, value in enumerate(values):
         if value is None:
+            continue
+        if type(value) is float:
+            kinds[i] = _TS_FLOAT
+            column[i] = value
             continue
         if isinstance(value, bool) or not isinstance(value, (int, float)):
             raise SidecarError(
@@ -179,6 +197,48 @@ def _timestamp_column(values: Iterable[Any]) -> (np.ndarray, np.ndarray):
             kinds[i] = _TS_FLOAT
         column[i] = float(value)
     return column, kinds
+
+
+def _encode_values(
+    values: Sequence[Any],
+) -> Tuple[List[str], List[float], List[int]]:
+    """(value-heap text, numeric shadow, shadow mask) of info values.
+
+    One pass: the text is each value's compact sorted-key JSON, and the
+    shadow is the decoded value as a float where the tree path's
+    aggregation coercion would accept it (numbers and numeric strings,
+    never booleans), 0 with a clear mask elsewhere — it lets
+    total/mean/top skip JSON decoding.  The exact type picks the
+    encoder: a finite float is its ``repr``, a string goes through the C
+    string encoder, anything else through the sorted-key encoder.
+    """
+    texts: List[str] = []
+    numbers: List[float] = []
+    flags: List[int] = []
+    for value in values:
+        kind = type(value)
+        if kind is float and value - value == 0.0:
+            texts.append(float.__repr__(value))
+            numbers.append(value)
+            flags.append(1)
+            continue
+        if kind is str:
+            texts.append(_encode_string(value))
+        elif kind is int:
+            texts.append(int.__repr__(value))
+        else:
+            texts.append(SORTED_ENCODER.encode(value))
+        decoded = _decode_value(value)
+        if not isinstance(decoded, bool):
+            try:
+                numbers.append(float(decoded))
+                flags.append(1)
+                continue
+            except (TypeError, ValueError):
+                pass
+        numbers.append(0.0)
+        flags.append(0)
+    return texts, numbers, flags
 
 
 def build_sidecar(
@@ -216,54 +276,29 @@ def build_sidecar(
         blobs[f"{name}_dict_heap"] = np.frombuffer(heap, dtype="|u1")
         blobs[f"{name}_codes"] = codes
     blobs["info_op"] = np.asarray(columns["info_op"], dtype="<i8")
-    encoded_values = [
-        json.dumps(value, sort_keys=True, separators=(",", ":"))
-        for value in columns["info_value"]
-    ]
+    encoded_values, numbers, flags = _encode_values(columns["info_value"])
     value_offsets, value_heap = _heap(encoded_values)
     blobs["info_value_offsets"] = value_offsets
     blobs["info_value_heap"] = np.frombuffer(value_heap, dtype="|u1")
-    # Numeric shadow of the info values: the decoded value as float64
-    # where the tree path's aggregation coercion would accept it
-    # (numbers and numeric strings, never booleans), NaN elsewhere with
-    # the mask as authority.  Lets total/mean/top skip JSON decoding.
-    isnum = np.zeros(len(encoded_values), dtype="|u1")
-    num = np.zeros(len(encoded_values), dtype="<f8")
-    for row, value in enumerate(columns["info_value"]):
-        decoded = _decode_value(value)
-        if isinstance(decoded, bool):
-            continue
-        try:
-            num[row] = float(decoded)
-        except (TypeError, ValueError):
-            continue
-        isnum[row] = 1
-    blobs["info_num"] = num
-    blobs["info_isnum"] = isnum
+    blobs["info_num"] = np.array(numbers, dtype="<f8")
+    blobs["info_isnum"] = np.array(flags, dtype="|u1")
 
     directory: Dict[str, Dict[str, Any]] = {}
-    parts: List[bytes] = []
-    offset = 0
+    data = bytearray()
     for name, array in blobs.items():
-        offset = _align(offset)
+        data.extend(bytes(_align(len(data)) - len(data)))
         raw = array.tobytes()
         directory[name] = {
-            "offset": offset,
+            "offset": len(data),
             "nbytes": len(raw),
             "dtype": array.dtype.str,
         }
-        parts.append(raw)
-        offset += len(raw)
-    data = bytearray()
-    for name, part in zip(blobs, parts):
-        pad = directory[name]["offset"] - len(data)
-        data.extend(b"\x00" * pad)
-        data.extend(part)
+        data.extend(raw)
     header: Dict[str, Any] = {
         "archive_checksum": archive_checksum,
         "count": count,
         "info_count": len(encoded_values),
-        "data_sha256": hashlib.sha256(bytes(data)).hexdigest(),
+        "data_sha256": hashlib.sha256(data).hexdigest(),
         "columns": directory,
     }
     if extra is not None:
@@ -277,40 +312,6 @@ def build_sidecar(
     out.extend(b"\x00" * (data_offset - len(out)))
     out.extend(data)
     return bytes(out)
-
-
-def write_sidecar(
-    path: Union[str, Path],
-    columns: Mapping[str, Any],
-    archive_checksum: str,
-    fsync: bool = True,
-    extra: Optional[Mapping[str, Any]] = None,
-) -> Path:
-    """Atomically write a sidecar next to its archive.
-
-    The bytes land in a uniquely-named temporary sibling, are fsync'd,
-    and renamed into place — the same durability discipline as the
-    archive JSON itself, so a crash leaves either the old sidecar, the
-    new one, or none (never a torn file).  Directory fsync is the
-    caller's job (the store batches it with the JSON rename).
-    """
-    path = Path(path)
-    payload = build_sidecar(columns, archive_checksum, extra=extra)
-    tmp = path.with_name(f"{path.name}.{os.getpid()}.tmp")
-    try:
-        with tmp.open("wb") as handle:
-            handle.write(payload)
-            if fsync:
-                handle.flush()
-                os.fsync(handle.fileno())
-        os.replace(tmp, path)
-    except BaseException:
-        try:
-            tmp.unlink()
-        except OSError:
-            pass
-        raise
-    return path
 
 
 # -- loading -----------------------------------------------------------------
@@ -978,5 +979,4 @@ __all__ = [
     "load_sidecar",
     "read_sidecar_header",
     "sidecar_path",
-    "write_sidecar",
 ]

@@ -21,7 +21,8 @@ from __future__ import annotations
 import hashlib
 import json
 import math
-from typing import Any, Dict, List, Optional
+from itertools import repeat
+from typing import Any, Dict, Iterable, List, Tuple
 
 from repro.core.archive.archive import ArchivedOperation, PerformanceArchive
 from repro.errors import ArchiveError, ArchiveIntegrityError
@@ -43,6 +44,12 @@ INFO_COLUMNS = ("info_op", "info_key", "info_value")
 #: Strings reserved for encoded float infinities.
 _INFINITY_SENTINELS = ("Infinity", "-Infinity")
 
+#: The compact encoders behind every rendering: sorted keys for the
+#: canonical payload (and the sidecar's value heap), insertion order for
+#: the document text.  Both run on the C encoder.
+SORTED_ENCODER = json.JSONEncoder(sort_keys=True, separators=(",", ":"))
+_DOCUMENT_ENCODER = json.JSONEncoder(separators=(",", ":"))
+
 
 def _encode_value(value: Any) -> Any:
     """JSON-safe encoding (infinities become strings).
@@ -52,6 +59,13 @@ def _encode_value(value: Any) -> Any:
     true inverse: the string ``"Infinity"`` and the float ``inf``
     remain distinct through a round trip.
     """
+    kind = type(value)
+    if kind is float:
+        if value == math.inf:
+            return "Infinity"
+        return "-Infinity" if value == -math.inf else value
+    if kind is int or kind is bool or value is None:
+        return value
     if isinstance(value, float) and math.isinf(value):
         return "Infinity" if value > 0 else "-Infinity"
     if isinstance(value, str) and value.lstrip("\\") in _INFINITY_SENTINELS:
@@ -98,42 +112,32 @@ def operations_to_columns(root: ArchivedOperation) -> Dict[str, Any]:
     flattened into a three-column table (operation index, key, value)
     in traversal order.
     """
-    uid: List[str] = []
-    mission: List[str] = []
-    actor: List[str] = []
+    ops: List[ArchivedOperation] = []
     parent: List[int] = []
-    start: List[Optional[float]] = []
-    end: List[Optional[float]] = []
-    info_op: List[int] = []
-    info_key: List[str] = []
-    info_value: List[Any] = []
-
     stack: List[tuple] = [(root, -1)]
     while stack:
         op, parent_index = stack.pop()
-        index = len(uid)
-        uid.append(op.uid)
-        mission.append(op.mission)
-        actor.append(op.actor)
+        if op.children:
+            stack.extend(zip(reversed(op.children), repeat(len(ops))))
+        ops.append(op)
         parent.append(parent_index)
-        start.append(op.start_time)
-        end.append(op.end_time)
+    info_op: List[int] = []
+    info_key: List[str] = []
+    info_value: List[Any] = []
+    for index, op in enumerate(ops):
         for key, value in op.infos.items():
             info_op.append(index)
             info_key.append(key)
             info_value.append(_encode_value(value))
-        stack.extend(
-            (child, index) for child in reversed(op.children)
-        )
     return {
         "layout": COLUMNAR_LAYOUT,
-        "count": len(uid),
-        "uid": uid,
-        "mission": mission,
-        "actor": actor,
+        "count": len(ops),
+        "uid": [op.uid for op in ops],
+        "mission": [op.mission for op in ops],
+        "actor": [op.actor for op in ops],
         "parent": parent,
-        "start": start,
-        "end": end,
+        "start": [op.start_time for op in ops],
+        "end": [op.end_time for op in ops],
         "info_op": info_op,
         "info_key": info_key,
         "info_value": info_value,
@@ -232,29 +236,73 @@ def payload_checksum(document: Dict[str, Any]) -> str:
     return hashlib.sha256(canonical.encode("utf-8")).hexdigest()
 
 
-def archive_to_document(archive: PerformanceArchive) -> Dict[str, Any]:
-    """The archive as its standardized document mapping (with checksum).
+def _renderings(value: Any) -> Tuple[str, str]:
+    """(canonical, document) text of one piece of an archive.
+
+    Text without a ``{`` holds no mapping, so key order cannot change
+    it and the one rendering serves both.
+    """
+    canonical = SORTED_ENCODER.encode(value)
+    if "{" in canonical:
+        return canonical, _DOCUMENT_ENCODER.encode(value)
+    return canonical, canonical
+
+
+def _object(members: Iterable[Tuple[str, str]]) -> str:
+    """A JSON object spliced from (plain key, rendered value) pairs."""
+    return "{" + ",".join(f'"{key}":{text}' for key, text in members) + "}"
+
+
+def render_archive(archive: PerformanceArchive) -> Tuple[Dict[str, Any], str]:
+    """The archive's document mapping (with checksum) and its JSON text.
+
+    Each piece — every column list, the metadata, the environment — is
+    rendered once; the canonical payload that is hashed and the document
+    text are both spliced from those pieces, byte-identical to
+    :func:`payload_checksum` over the document and to ``json.dumps`` of
+    it.  Only pieces holding a mapping (metadata, environment samples,
+    dict-valued infos) are rendered a second time, in insertion order.
 
     ``operations`` comes before ``environment`` so the payload most
     valuable to salvage sits earliest in a crash-truncated file.
     """
+    operations = operations_to_columns(archive.root)
     document = {
         "format": "granula-archive",
         "format_version": PerformanceArchive.FORMAT_VERSION,
         "job_id": archive.job_id,
         "platform": archive.platform,
         "metadata": archive.metadata,
-        "operations": operations_to_columns(archive.root),
+        "operations": operations,
         "environment": [
             {"ts": ts, "node": node, "cpu": cpu}
             for ts, node, cpu in archive.env_samples
         ],
     }
+    pieces = {key: _renderings(document[key])
+              for key in ("job_id", "platform", "metadata", "environment")}
+    columns = {name: _renderings(value)
+               for name, value in operations.items()}
+    pieces["operations"] = (
+        _object(sorted((name, c) for name, (c, _) in columns.items())),
+        _object((name, d) for name, (_, d) in columns.items()),
+    )
+    payload = _object(sorted((key, c) for key, (c, _) in pieces.items()))
     document["integrity"] = {
         "algorithm": CHECKSUM_ALGORITHM,
-        "checksum": payload_checksum(document),
+        "checksum": hashlib.sha256(payload.encode("utf-8")).hexdigest(),
     }
-    return document
+    text = _object(
+        (key, pieces[key][1] if key in pieces
+         else _DOCUMENT_ENCODER.encode(value))
+        for key, value in document.items()
+    )
+    return document, text
+
+
+def archive_to_document(archive: PerformanceArchive) -> Dict[str, Any]:
+    """The archive as its standardized document mapping (with checksum)."""
+    return render_archive(archive)[0]
 
 
 def archive_to_json(archive: PerformanceArchive) -> str:
@@ -263,7 +311,7 @@ def archive_to_json(archive: PerformanceArchive) -> str:
     The text is compact: the format is machine oriented, and compact
     output keeps the C encoder engaged.
     """
-    return json.dumps(archive_to_document(archive), separators=(",", ":"))
+    return render_archive(archive)[1]
 
 
 def document_to_archive(document: Dict[str, Any]) -> PerformanceArchive:

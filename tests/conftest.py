@@ -7,11 +7,16 @@ deterministic state without re-running the simulations.
 
 from __future__ import annotations
 
+import json
+from pathlib import Path
+from typing import Dict
+
 import pytest
 
 from repro.cluster.cluster import Cluster, DAS5_GIRAPH_NODES, DAS5_POWERGRAPH_NODES
 from repro.cluster.node import das5_node
 from repro.core.archive.builder import build_archive
+from repro.core.archive.store import ArchiveStore
 from repro.core.model.giraph_model import giraph_model
 from repro.core.model.powergraph_model import powergraph_model
 from repro.core.monitor.logparser import parse_log_columns
@@ -58,6 +63,39 @@ def csr_twin(graph: Graph) -> Graph:
     """The same graph as a lazy facade over its CSR arrays (cache-hit shape)."""
     csr = graph.csr()
     return Graph.from_csr_arrays(graph.num_vertices, csr.indptr, csr.indices)
+
+
+def folded_index(directory) -> Dict[str, Dict]:
+    """A store's index as its files state it, read without the store.
+
+    The ``index.json`` snapshot with every complete ``index.journal``
+    line (``[job_id, entry]`` or ``[job_id, null]``) applied in order.
+    """
+    directory = Path(directory)
+    index = json.loads((directory / "index.json").read_bytes())
+    journal = directory / "index.journal"
+    if journal.exists():
+        for line in journal.read_bytes().split(b"\n")[:-1]:
+            job_id, entry = json.loads(line)
+            if entry is None:
+                index.pop(job_id, None)
+            else:
+                index[job_id] = entry
+    return index
+
+
+def assert_index_is_rebuild(directory, folded: Dict[str, Dict]) -> None:
+    """``folded`` is ``rebuild_index()``, and compacting the store's
+    index writes exactly the bytes the rebuild writes."""
+    directory = Path(directory)
+    store = ArchiveStore(directory)
+    assert {job_id: store.summary(job_id) for job_id in store.list()} \
+        == folded
+    with store._mutex, store._locked():
+        store._compact()
+    compacted = (directory / "index.json").read_bytes()
+    assert store.rebuild_index() == folded
+    assert (directory / "index.json").read_bytes() == compacted
 
 
 @pytest.fixture(scope="session")

@@ -20,6 +20,7 @@ from repro.core.analysis.fleet import (
 from repro.core.analysis.fleetplan import AggSpec, FleetPlan
 from repro.core.archive.store import ArchiveStore
 from repro.errors import ArchiveError, QueryError
+from tests.conftest import assert_index_is_rebuild, folded_index
 from tests.service.conftest import make_archive
 
 
@@ -253,6 +254,8 @@ class TestDescriptorHygiene:
 class TestStoreFastPath:
     def test_sidecar_rebuild_matches_json_rebuild_bytes(self, fleet_store):
         index_path = fleet_store.directory / "index.json"
+        assert_index_is_rebuild(fleet_store.directory,
+                                folded_index(fleet_store.directory))
         expected = index_path.read_bytes()
 
         # Fast path: every sidecar present -> no JSON archive parsed.

@@ -1,21 +1,22 @@
 """Multi-process archive store tests.
 
 Regression suite for the concurrent-writer guarantees: N forked
-processes each ``save()`` into one store, and the final index must
-contain every entry and be byte-identical to a fresh
-``rebuild_index()`` over the same files.  Before the advisory lock,
+processes each ``save()`` into one store, and the final index (the
+snapshot with the journal folded in) must contain every entry, equal a
+fresh ``rebuild_index()`` over the same files, and compact to the
+rebuild's exact bytes.  Before the advisory lock,
 interleaved read-modify-write cycles silently dropped entries.
 """
 
 from __future__ import annotations
 
-import json
 import multiprocessing
 
 import pytest
 
 from repro.core.archive.archive import ArchivedOperation, PerformanceArchive
 from repro.core.archive.store import ArchiveStore, atomic_write_text
+from tests.conftest import assert_index_is_rebuild, folded_index
 
 WRITERS = 8
 SAVES_PER_WRITER = 4
@@ -64,16 +65,14 @@ class TestConcurrentWriters:
             for w in range(WRITERS)
             for i in range(SAVES_PER_WRITER)
         }
-        index = json.loads((tmp_path / "index.json").read_text())
+        index = folded_index(tmp_path)
         assert set(index) == expected
 
-        # The incrementally-maintained index must be byte-for-byte what
-        # a from-scratch rebuild over the same archives produces.
-        incremental = (tmp_path / "index.json").read_text()
-        store = ArchiveStore(tmp_path)
-        store.rebuild_index()
-        assert (tmp_path / "index.json").read_text() == incremental
-        assert len(store) == WRITERS * SAVES_PER_WRITER
+        # The journal-maintained index must be what a fresh
+        # rebuild over the same archives produces, and compact to the
+        # rebuild's bytes exactly.
+        assert_index_is_rebuild(tmp_path, index)
+        assert len(ArchiveStore(tmp_path)) == WRITERS * SAVES_PER_WRITER
 
     def test_interleaved_save_and_delete(self, tmp_path, fork):
         seed = ArchiveStore(tmp_path)

@@ -6,8 +6,9 @@ real forked workers over real loopback HTTP:
 - every job the router 202-acknowledged is in exactly one shard store
   after the killed worker restarts and replays its WAL;
 - reads on healthy shards keep answering fast while one shard is down;
-- each shard's ``index.json`` is byte-identical to a from-scratch
-  ``rebuild_index()`` — supervised restarts leave no index drift;
+- each shard's index (snapshot + journal) equals a fresh
+  ``rebuild_index()`` and compacts to its bytes — supervised restarts
+  leave no index drift;
 - the aggregated ``/healthz`` converges back to ``ok``.
 """
 
@@ -26,6 +27,7 @@ from repro.core.archive.serialize import archive_to_json
 from repro.core.archive.store import ArchiveStore
 from repro.service.chaos import ChaosPlan, WorkerKill
 from repro.service.cluster import create_cluster
+from tests.conftest import assert_index_is_rebuild, folded_index
 from tests.service.conftest import make_archive
 
 
@@ -155,15 +157,11 @@ class TestShardFailover:
             stop_cluster(server)
 
         # After a full stop (workers drained), each shard's on-disk
-        # index must be byte-identical to a from-scratch rebuild: the
-        # kill/replay cycle may not leave index drift behind.
+        # index must be a fresh rebuild and compact to the
+        # rebuild's exact bytes: the kill/replay cycle may not leave
+        # index drift behind.
         for index, directory in enumerate(dirs):
-            index_path = directory / "index.json"
-            before = index_path.read_bytes()
-            ArchiveStore(directory).rebuild_index()
-            assert index_path.read_bytes() == before, (
-                f"shard {index} index drifted from its archives"
-            )
+            assert_index_is_rebuild(directory, folded_index(directory))
             stored = set(ArchiveStore(directory).list())
             expected = {j for j, owner in
                         {j: server.service.ring.shard_for(j)
