@@ -2,8 +2,8 @@
 
 Redirects the artifact cache into a per-session temporary directory so
 test runs neither read nor pollute the developer's ``~/.cache/granula``.
-CI can pre-set ``GRANULA_CACHE_DIR`` to persist the cache across runs
-(the pipeline-bench job does); an explicit setting always wins.
+CI can pre-set ``GRANULA_CACHE_DIR`` to persist the cache across runs;
+an explicit setting always wins.
 """
 
 from __future__ import annotations

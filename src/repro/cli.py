@@ -21,14 +21,6 @@ Subcommands::
                                    printed one line per snapshot
     granula experiments [--out FILE] [--jobs N] [--html FILE]
                                    reproduce every table/figure
-    granula bench [--suite pipeline|fleet] [--jobs N] [--small]
-                [--out FILE] [--gate | --update-baseline]
-                                   time the pipeline end to end and the
-                                   ingest/archive stage alone, or the
-                                   fleet columnar scan vs the tree
-                                   reference (--suite fleet); --gate
-                                   compares against the committed
-                                   per-suite baseline
     granula fleet query|series|regressions <store-dir>
                 [--group-by KEYS] [--agg AGGS] [--metric M]
                 [--mission M] [--path P] [--platform P]
@@ -307,65 +299,6 @@ def _cmd_experiments(args: argparse.Namespace) -> int:
         Path(args.html).write_text(render_html(runner))
         print(f"HTML report written to {args.html}")
     return 0 if all(r.all_checks_pass for r in results) else 1
-
-
-def _cmd_bench(args: argparse.Namespace) -> int:
-    from repro.experiments.pipeline_bench import write_pipeline_bench
-
-    small = True if args.small else None
-    if args.suite == "fleet":
-        from repro.experiments.fleet_bench import (
-            compare_fleet_bench,
-            fleet_baseline_document,
-            render_fleet_bench,
-            run_fleet_bench,
-        )
-
-        document = run_fleet_bench(small=small)
-        render, to_baseline = render_fleet_bench, fleet_baseline_document
-        compare = compare_fleet_bench
-        default_baseline = "BENCH_fleet.json"
-    else:
-        from repro.experiments.pipeline_bench import (
-            baseline_document,
-            compare_pipeline_bench,
-            render_pipeline_bench,
-            run_pipeline_bench,
-        )
-
-        document = run_pipeline_bench(jobs=args.jobs, small=small)
-        render, to_baseline = render_pipeline_bench, baseline_document
-        compare = compare_pipeline_bench
-        default_baseline = "BENCH_pipeline.json"
-    print(render(document))
-    if args.out:
-        write_pipeline_bench(args.out, document)
-        print(f"benchmark artifact written to {args.out}")
-    baseline_path = Path(args.baseline or default_baseline)
-    if args.update_baseline:
-        write_pipeline_bench(baseline_path, to_baseline(document))
-        print(f"perf baseline updated at {baseline_path}")
-        return 0
-    if args.gate:
-        try:
-            baseline = json.loads(baseline_path.read_text())
-        except OSError as exc:
-            raise ReproError(
-                f"cannot read perf baseline {baseline_path}: {exc}; "
-                f"create one with 'granula bench --update-baseline'"
-            ) from None
-        except ValueError as exc:
-            raise ReproError(
-                f"perf baseline {baseline_path} is not JSON: {exc}"
-            ) from None
-        regressions = compare(baseline, document)
-        if regressions:
-            print("\nperf gate FAILED:")
-            for message in regressions:
-                print(f"  {message}")
-            return 1
-        print(f"\nperf gate passed against {baseline_path}")
-    return 0
 
 
 def _cmd_fleet(args: argparse.Namespace) -> int:
@@ -756,37 +689,6 @@ def build_parser() -> argparse.ArgumentParser:
                             "worker processes")
     p_exp.add_argument("--html", help="also write the HTML report here")
     p_exp.set_defaults(func=_cmd_experiments)
-
-    p_bench = sub.add_parser(
-        "bench",
-        help="time the monitoring->archiving->analysis pipeline "
-             "(end-to-end + ingest/archive stages) or the fleet "
-             "analytics scan (--suite fleet)")
-    p_bench.add_argument("--suite", choices=("pipeline", "fleet"),
-                         default="pipeline",
-                         help="pipeline: the end-to-end pipeline "
-                              "benchmark; fleet: columnar cross-archive "
-                              "scans vs tree materialization")
-    p_bench.add_argument("--jobs", type=int, default=4,
-                         help="worker processes for the warm parallel "
-                              "phase (default 4; pipeline suite only)")
-    p_bench.add_argument("--small", action="store_true",
-                         help="CI-smoke matrix (dg100-scaled only)")
-    p_bench.add_argument("--out",
-                         help="write the benchmark JSON artifact here")
-    p_bench.add_argument("--baseline", default=None,
-                         help="perf-trajectory baseline file (default "
-                              "BENCH_pipeline.json / BENCH_fleet.json "
-                              "per --suite)")
-    gate = p_bench.add_mutually_exclusive_group()
-    gate.add_argument("--update-baseline", action="store_true",
-                      help="write this run's gate metrics (speedup "
-                           "ratios, not absolute times) to --baseline")
-    gate.add_argument("--gate", action="store_true",
-                      help="compare this run against --baseline and "
-                           "exit 1 when any gate metric regressed "
-                           "beyond tolerance")
-    p_bench.set_defaults(func=_cmd_bench)
 
     p_fleet = sub.add_parser(
         "fleet",

@@ -9,7 +9,7 @@ job ids off the index and reading each job's metric values straight
 from its memory-mapped ``.gcol`` sidecar as numpy vectors — no
 :class:`~repro.core.archive.archive.PerformanceArchive` tree is ever
 materialized on the hot path.  Jobs whose sidecar is missing or damaged
-fall back to the tree-based reference extraction and are reported in
+fall back to tree-based extraction and are reported in
 ``degraded_jobs``; their values are identical (the tree is the truth
 the sidecar mirrors), only slower to obtain.
 
@@ -52,11 +52,6 @@ from repro.errors import ArchiveError, QueryError
 
 logger = logging.getLogger(__name__)
 
-#: Execution modes: ``auto`` scans sidecars and falls back to the tree
-#: per damaged job; ``tree`` is the reference implementation (always
-#: materializes, never touches a sidecar).
-SCAN_MODES = ("auto", "tree")
-
 #: Deviations beyond this multiple of the plan's threshold escalate a
 #: regression finding from warning to critical.
 CRITICAL_FACTOR = 1.5
@@ -80,13 +75,13 @@ class JobScan:
     """
 
     __slots__ = ("job_id", "group", "values", "top", "shares",
-                 "timestamp", "degraded")
+                 "timestamp")
 
     def __init__(self, job_id: str, group: Dict[str, str],
                  values: np.ndarray,
                  top: List[Tuple[float, str, str]],
                  shares: Optional[Dict[str, float]],
-                 timestamp: Optional[float], degraded: bool):
+                 timestamp: Optional[float]):
         self.job_id = job_id
         self.group = group
         self.values = values
@@ -95,7 +90,6 @@ class JobScan:
         self.top = top
         self.shares = shares
         self.timestamp = timestamp
-        self.degraded = degraded
 
 
 class FleetScanSession:
@@ -108,16 +102,9 @@ class FleetScanSession:
     active mapping is closed both per-job and on session exit.
     """
 
-    def __init__(self, store: ArchiveStore, plan: FleetPlan,
-                 mode: str = "auto"):
-        if mode not in SCAN_MODES:
-            raise QueryError(
-                f"unknown scan mode {mode!r}; expected one of "
-                f"{', '.join(SCAN_MODES)}"
-            )
+    def __init__(self, store: ArchiveStore, plan: FleetPlan):
         self.store = store
         self.plan = plan
-        self.mode = mode
         self.jobs_scanned = 0
         self.jobs_failed = 0
         self.degraded_jobs: List[str] = []
@@ -233,12 +220,14 @@ class FleetScanSession:
                                      summary.get("makespan"))
 
         timestamp = view.root_start if self._need_timestamp else None
-        return JobScan(job_id, group, values, top, shares, timestamp,
-                       degraded=False)
+        return JobScan(job_id, group, values, top, shares, timestamp)
 
-    def _scan_tree(self, job_id: str, summary: Dict,
-                   degraded: bool) -> JobScan:
-        """Reference extraction via full archive materialization."""
+    def _scan_tree(self, job_id: str, summary: Dict) -> JobScan:
+        """Fallback extraction via full archive materialization.
+
+        The path of a job whose sidecar is missing or damaged; the
+        values match what the sidecar would have answered.
+        """
         handle = self.store.handle(job_id)
         group = self._group_key(
             job_id, summary,
@@ -294,8 +283,7 @@ class FleetScanSession:
         timestamp = (
             archive.root.start_time if self._need_timestamp else None
         )
-        return JobScan(job_id, group, values, top, shares, timestamp,
-                       degraded=degraded)
+        return JobScan(job_id, group, values, top, shares, timestamp)
 
     # -- iteration -----------------------------------------------------------
 
@@ -310,21 +298,15 @@ class FleetScanSession:
         for job_id in self.store.iter_jobs(**filters):
             summary = self.store.summary(job_id)
             try:
-                if self.mode == "tree":
-                    scan = self._scan_tree(job_id, summary,
-                                           degraded=False)
+                view = self.store.columnar_view(job_id)
+                if view is None:
+                    scan = self._scan_tree(job_id, summary)
                 else:
-                    view = self.store.columnar_view(job_id)
-                    if view is None:
-                        scan = self._scan_tree(job_id, summary,
-                                               degraded=True)
-                    else:
-                        self._active = view
-                        try:
-                            scan = self._scan_columnar(job_id, summary,
-                                                       view)
-                        finally:
-                            self._close_active()
+                    self._active = view
+                    try:
+                        scan = self._scan_columnar(job_id, summary, view)
+                    finally:
+                        self._close_active()
             except (ArchiveError, OSError, UnicodeDecodeError) as exc:
                 self.jobs_failed += 1
                 logger.warning(
@@ -333,7 +315,7 @@ class FleetScanSession:
                 )
                 continue
             self.jobs_scanned += 1
-            if scan.degraded:
+            if view is None:
                 self.degraded_jobs.append(job_id)
             yield scan
 
@@ -738,20 +720,18 @@ def merge_fleet_documents(
 def run_fleet_query(
     store: ArchiveStore,
     plan: FleetPlan,
-    mode: str = "auto",
     include_samples: bool = False,
 ) -> Dict[str, Any]:
     """Execute one fleet plan against a store; returns the JSON document.
 
-    ``mode`` is ``"auto"`` (columnar scan, per-job tree fallback
-    reported in ``degraded_jobs``) or ``"tree"`` (the reference
-    implementation — every archive materialized).  Both produce
-    value-identical results on the same store; the sidecar is an
-    accelerator, never an oracle.  ``include_samples`` attaches each
-    group's sorted value vector (the cluster router uses this to
-    recompute percentiles across shards).
+    Jobs are scanned off their ``.gcol`` sidecars; a job whose sidecar
+    is missing or damaged falls back to its archive tree and is
+    reported in ``degraded_jobs``.  Values are identical either way;
+    the sidecar is an accelerator, never an oracle.
+    ``include_samples`` attaches each group's sorted value vector (the
+    cluster router uses this to recompute percentiles across shards).
     """
-    with FleetScanSession(store, plan, mode=mode) as session:
+    with FleetScanSession(store, plan) as session:
         if plan.op == "series":
             return _run_series(session, plan)
         if plan.op == "regressions":
@@ -855,7 +835,6 @@ __all__ = [
     "CRITICAL_FACTOR",
     "FleetScanSession",
     "JobScan",
-    "SCAN_MODES",
     "detect_regressions",
     "fleet_findings",
     "merge_fleet_documents",

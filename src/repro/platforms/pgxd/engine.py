@@ -155,6 +155,10 @@ class PgxdPlatform(Platform):
                     f"driver exceeded {_MAX_PHASES} phases"
                 )
             result = program.run_phase(phase_index)
+            # Runtimes past the last vertex owner (more runtimes than
+            # vertices) hold no vertex, so they traverse no edges.
+            edges_by_rank = result.edges_by_owner + [0] * (
+                request.workers - len(result.edges_by_owner))
             t0 = clock.now()
             phase_op = writer.start(f"ComputePhase-{phase_index}",
                                     "Engine", process, ts=t0)
@@ -162,13 +166,13 @@ class PgxdPlatform(Platform):
             busy_ends = []
             for rank, node in enumerate(runtime_nodes):
                 work_t = (
-                    result.edges_by_owner[rank] * cost.traverse_edge_s
+                    edges_by_rank[rank] * cost.traverse_edge_s
                 ) * execution_jitter(rank, phase_index, 0.05)
                 end = t0 + work_t
                 batch = writer.span(f"TaskBatch-{phase_index}",
                                     f"Runtime-{rank}", phase_op, t0, end)
                 writer.info(batch, "EdgesTraversed",
-                            result.edges_by_owner[rank], ts=end)
+                            edges_by_rank[rank], ts=end)
                 if work_t > 0:
                     node.work(t0, work_t, cost.compute_cores,
                               "pgxd:compute")

@@ -17,9 +17,9 @@ vectorized kernel, per ``engine_mode``).
 
 Unlike the ordinary monitored runs — whose archives carry *modeled*
 DAS5 timings — a PRPB run is measured: every kernel's wall-clock
-interval lands in the archive, so stored PRPB archives double as
-perf-trajectory samples (see ``granula bench`` and the repo-root
-``BENCH_pipeline.json`` gate).
+interval lands in the archive, so a store of PRPB archives is a
+per-kernel trajectory: ``granula fleet series <store> --mission
+PageRank`` plots one kernel's wall-clock across runs.
 """
 
 from __future__ import annotations

@@ -8,13 +8,17 @@ deterministic state without re-running the simulations.
 from __future__ import annotations
 
 import json
+import shutil
+import tempfile
 from pathlib import Path
-from typing import Dict
+from typing import Any, Dict
 
 import pytest
 
 from repro.cluster.cluster import Cluster, DAS5_GIRAPH_NODES, DAS5_POWERGRAPH_NODES
 from repro.cluster.node import das5_node
+from repro.core.analysis.fleet import run_fleet_query
+from repro.core.analysis.fleetplan import FleetPlan
 from repro.core.archive.builder import build_archive
 from repro.core.archive.store import ArchiveStore
 from repro.core.model.giraph_model import giraph_model
@@ -96,6 +100,23 @@ def assert_index_is_rebuild(directory, folded: Dict[str, Dict]) -> None:
     compacted = (directory / "index.json").read_bytes()
     assert store.rebuild_index() == folded
     assert (directory / "index.json").read_bytes() == compacted
+
+
+def tree_fleet_query(store: ArchiveStore, plan: FleetPlan,
+                     include_samples: bool = False) -> Dict[str, Any]:
+    """``plan``'s document from a copy of ``store`` without sidecars.
+
+    Every ``.gcol`` is left out of the copy, so each job takes the
+    tree fallback a missing sidecar takes in production, and is
+    reported in ``degraded_jobs``.  Compare it with a sidecar scan of
+    ``store`` field by field, ignoring only ``degraded_jobs``.
+    """
+    with tempfile.TemporaryDirectory(prefix="granula-tree-") as scratch:
+        copy = Path(scratch) / "store"
+        shutil.copytree(store.directory, copy,
+                        ignore=shutil.ignore_patterns("*.gcol"))
+        return run_fleet_query(ArchiveStore(copy), plan,
+                               include_samples=include_samples)
 
 
 @pytest.fixture(scope="session")

@@ -20,7 +20,11 @@ from repro.core.analysis.fleet import (
 from repro.core.analysis.fleetplan import AggSpec, FleetPlan
 from repro.core.archive.store import ArchiveStore
 from repro.errors import ArchiveError, QueryError
-from tests.conftest import assert_index_is_rebuild, folded_index
+from tests.conftest import (
+    assert_index_is_rebuild,
+    folded_index,
+    tree_fleet_query,
+)
 from tests.service.conftest import make_archive
 
 
@@ -157,10 +161,11 @@ class TestFleetQueries:
             FleetPlan.from_params({"k": "1.0"}, op="regressions"),
         ]
         for plan in plans:
-            columnar = run_fleet_query(fleet_store, plan, mode="auto")
-            tree = run_fleet_query(fleet_store, plan, mode="tree")
-            assert columnar == tree
+            columnar = run_fleet_query(fleet_store, plan)
+            tree = tree_fleet_query(fleet_store, plan)
             assert columnar["degraded_jobs"] == []
+            assert tree["degraded_jobs"] == fleet_store.list()
+            assert columnar == dict(tree, degraded_jobs=[])
 
     def test_group_and_filter(self, fleet_store):
         plan = FleetPlan.from_params(
@@ -198,10 +203,11 @@ class TestFleetQueries:
         fleet_store.sidecar_path("gamma").write_bytes(b"junk")
         plan = FleetPlan.from_params(
             {"group_by": "platform", "agg": "count,sum,p50"})
-        columnar = run_fleet_query(fleet_store, plan, mode="auto")
-        tree = run_fleet_query(fleet_store, plan, mode="tree")
+        columnar = run_fleet_query(fleet_store, plan)
+        tree = tree_fleet_query(fleet_store, plan)
         assert columnar["degraded_jobs"] == ["beta", "gamma"]
-        assert dict(columnar, degraded_jobs=[]) == tree
+        assert dict(columnar, degraded_jobs=[]) == \
+            dict(tree, degraded_jobs=[])
 
     def test_fleet_findings_round_trip(self, fleet_store):
         plan = FleetPlan.from_params({"k": "0.5"}, op="regressions")

@@ -3,13 +3,19 @@
 from __future__ import annotations
 
 import multiprocessing as mp
+import os
 
 import numpy as np
 import pytest
 
+from repro.graph import shm
 from repro.graph.generators.datagen import datagen_graph
 from repro.graph.graph import Graph, _CsrRows
 from repro.graph.shm import SharedCsrHandle, SharedGraphPages, attach_graph
+from repro.workloads import parallel
+
+#: The pool's task function, kept before a test swaps in the probe.
+_RUN_REQUEST = parallel._run_request
 
 
 @pytest.fixture
@@ -27,6 +33,23 @@ def _attach_in_child(handle, queue):
         attached.out_neighbors(7),
         attached.content_key,
     ))
+
+
+def _run_and_probe_pages(request):
+    """Run ``request`` in a pool worker, then report where its dataset's
+    CSR arrays live: (pid, indptr in a segment, indices in a segment).
+    A private copy shares no memory with any attached segment."""
+    from repro.workloads.datasets import build_dataset
+
+    _RUN_REQUEST(request)
+    csr = build_dataset(request.spec.dataset).csr()
+    segments = [np.frombuffer(segment.buf, dtype=np.uint8)
+                for segment in shm._ATTACHED]
+    return (
+        os.getpid(),
+        any(np.shares_memory(csr.indptr, pages) for pages in segments),
+        any(np.shares_memory(csr.indices, pages) for pages in segments),
+    )
 
 
 class TestShareAttach:
@@ -141,3 +164,36 @@ class TestFanOutSharing:
             if pages is not None:
                 pages.close()
             datasets.clear_cache()
+
+    def test_forked_workers_read_the_shared_pages(self, tmp_path,
+                                                  monkeypatch):
+        from repro.workloads import datasets
+        from repro.workloads.parallel import RunRequest, execute_parallel
+        from repro.workloads.runner import WorkloadRunner
+        from repro.workloads.spec import WorkloadSpec
+
+        try:
+            mp.get_context("fork")
+        except ValueError:
+            pytest.skip("platform cannot fork")
+        monkeypatch.setenv("GRANULA_CACHE_DIR", str(tmp_path / "cache"))
+        monkeypatch.setattr(parallel, "available_cpus", lambda: 2)
+        monkeypatch.setattr(parallel, "_run_request", _run_and_probe_pages)
+        datasets.clear_cache()
+        requests = [
+            RunRequest(WorkloadSpec("Giraph", algorithm, "dg-tiny",
+                                    workers=4))
+            for algorithm in ("bfs", "pagerank")
+        ]
+        runner = WorkloadRunner()
+        try:
+            probes = execute_parallel(
+                requests, jobs=2, library=runner.library,
+                n_nodes=runner.n_nodes, engine_mode=runner.engine_mode,
+            )
+        finally:
+            datasets.clear_cache()
+        assert probes is not None
+        for pid, indptr_shared, indices_shared in probes:
+            assert pid != os.getpid()
+            assert indptr_shared and indices_shared

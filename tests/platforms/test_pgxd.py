@@ -161,6 +161,25 @@ class TestEngine:
         assert makespans["pgxd"] < makespans["giraph"]
         assert makespans["pgxd"] < makespans["powergraph"]
 
+    @pytest.mark.parametrize("engine_mode", ["scalar", "auto"])
+    @pytest.mark.parametrize("algorithm", ["bfs", "pagerank"])
+    def test_more_runtimes_than_vertices(self, algorithm, engine_mode):
+        from repro.core.archive.builder import build_archive
+        from repro.core.model.other_models import pgxd_model
+        from repro.core.monitor.session import MonitoringSession
+
+        platform = PgxdPlatform(build_cluster("PGX.D"),
+                                engine_mode=engine_mode)
+        platform.deploy_dataset("g", Graph(3, [(0, 1), (1, 2)]))
+        run = MonitoringSession(platform).run(JobRequest(algorithm, "g", 8))
+        archive, _report = build_archive(run, pgxd_model())
+        # Runtimes 3..7 own no vertex: every batch of theirs is empty.
+        idle = {f"Runtime-{rank}" for rank in range(3, 8)}
+        batches = [op for op in archive.find(mission_base="TaskBatch")
+                   if op.actor in idle]
+        assert {op.actor for op in batches} == idle
+        assert all(op.infos["EdgesTraversed"] == 0 for op in batches)
+
     def test_unknown_algorithm(self, platform, tiny_graph):
         with pytest.raises(PlatformError):
             platform.run_job(JobRequest("lcc", "tiny", 8))

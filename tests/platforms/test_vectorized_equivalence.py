@@ -187,9 +187,6 @@ class TestEngineEquivalence:
     @settings(max_examples=20, deadline=None)
     def test_pgxd_runs_identically(self, graph, case, workers):
         algo, params = case
-        # The engine sizes per-runtime counters by the owners that hold
-        # a vertex, so it needs at least one vertex per runtime.
-        workers = min(workers, graph.num_vertices)
         reference = _fingerprint("PGX.D", "scalar", graph, algo, params,
                                  workers)
         twin = csr_twin(graph)

@@ -1,6 +1,6 @@
 """Unit tests for the transport-independent service layer."""
 
-from repro.core.archive.store import ArchiveStore
+from repro.core.archive.store import ArchiveHandle, ArchiveStore
 from repro.service.app import ArchiveService
 
 from tests.service.conftest import make_archive
@@ -182,13 +182,21 @@ class TestJobQuery:
         assert response.status == 400
         assert "not numeric" in response.json()["error"]
 
-    def test_conditional_get_skips_work(self, service):
+    def test_conditional_get_skips_work(self, service, monkeypatch):
         etag = service.handle(
             "/jobs/alpha/query", {"agg": "count"}).headers["ETag"]
-        response = service.handle(
-            "/jobs/alpha/query", {"agg": "count"},
-            headers={"If-None-Match": etag})
-        assert response.status == 304
+
+        def no_work(*_args, **_kwargs):
+            raise AssertionError("a revalidation opened the archive")
+
+        # A matching tag answers before any view, tree or render.
+        monkeypatch.setattr(service.store, "columnar_view", no_work)
+        monkeypatch.setattr(ArchiveHandle, "archive", no_work)
+        for path, params in (("/jobs/alpha/query", {"agg": "count"}),
+                             ("/jobs/alpha/report", {})):
+            response = service.handle(
+                path, params, headers={"If-None-Match": etag})
+            assert response.status == 304
 
     def test_cache_reuses_materialized_archive(self, service):
         # Queries share one cached columnar view (first query misses,

@@ -145,6 +145,56 @@ class TestFleetEndpoints:
         assert "other" not in counts
 
 
+def _no_tree(*_args, **_kwargs):
+    raise AssertionError("a clean store's sidecars were bypassed")
+
+
+@pytest.fixture()
+def columns_only(monkeypatch):
+    """Every way to materialize an archive tree raises."""
+    monkeypatch.setattr("repro.core.archive.store.ArchiveHandle.archive",
+                        _no_tree)
+    monkeypatch.setattr("repro.core.archive.serialize.archive_from_json",
+                        _no_tree)
+    monkeypatch.setattr("repro.service.app.archive_from_json", _no_tree)
+
+
+class TestColumnarHotPaths:
+    """On a clean store, fleet scans and per-job queries answer from the
+    ``.gcol`` columns alone; no archive tree is ever built."""
+
+    @pytest.mark.parametrize("route,params", [
+        ("/fleet/query", QUERY_PARAMS),
+        ("/fleet/query", {"group_by": "meta:dataset", "agg": "mean,p50",
+                          "metric": "BytesRead", "samples": "1"}),
+        ("/fleet/series", {"agg": "max", "mission": "Superstep"}),
+        ("/fleet/regressions", {"k": "0.5", "samples": "1"}),
+        ("/fleet/regressions", {"path": "Job/**", "k": "1.0"}),
+    ])
+    def test_fleet_ops_scan_columns_only(self, service, columns_only,
+                                         route, params):
+        response = service.handle(route, params)
+        assert response.status == 200, response.text
+        document = response.json()
+        assert document["jobs_scanned"] == 3
+        assert document["degraded_jobs"] == []
+
+    @pytest.mark.parametrize("params", [
+        {},
+        {"agg": "count", "path": "Job/**/Superstep-*"},
+        {"agg": "mean", "mission": "LocalLoad", "metric": "BytesRead"},
+        {"agg": "top", "metric": "Duration", "n": "2"},
+        {"agg": "values", "actor": "Worker"},
+        {"agg": "durations", "mission": "Superstep"},
+        {"agg": "operations", "iteration": "1"},
+    ])
+    def test_job_query_reads_columns_only(self, service, columns_only,
+                                          params):
+        response = service.handle("/jobs/alpha/query", params)
+        assert response.status == 200, response.text
+        assert response.json()["job_id"] == "alpha"
+
+
 class TestClosedEndpointLabelSet:
     """Satellite guard: the metrics label set stays closed."""
 

@@ -95,10 +95,6 @@ class TestCommands:
         assert code == 2
         assert "single run" in capsys.readouterr().err
 
-    def test_bench_parser(self):
-        args = build_parser().parse_args(["bench", "--small", "--jobs", "2"])
-        assert args.small and args.jobs == 2 and callable(args.func)
-
     def test_report_from_archive(self, capsys, tmp_path, giraph_archive):
         path = tmp_path / "a.json"
         path.write_text(archive_to_json(giraph_archive))

@@ -1,12 +1,12 @@
-"""Property-based tests (hypothesis): fleet scans are mode-invariant.
+"""Property-based tests (hypothesis): fleet scans are path-invariant.
 
 For stores of random archives — random tree shapes, int/float/missing
 timestamps, heterogeneous info values, partially absent metadata — a
 fleet query must return the *same document* whether it runs the
-vectorized columnar scan (``mode="auto"``) or materializes every
-archive (``mode="tree"``).  And when sidecars are corrupted or
-deleted, the columnar scan must degrade per job (reported in
-``degraded_jobs``), never change a value.  And a fleet split across
+vectorized columnar scan or, on a copy of the store without sidecars,
+materializes every archive; only ``degraded_jobs`` may differ.  And
+when sidecars are corrupted or deleted, the columnar scan must degrade
+per job (reported in ``degraded_jobs``), never change a value.  And a fleet split across
 several stores, merged the way the cluster router merges its shards,
 must answer what one store holding every job answers.
 """
@@ -26,6 +26,7 @@ from repro.core.analysis.fleet import (
 from repro.core.analysis.fleetplan import FleetPlan
 from repro.core.archive.archive import ArchivedOperation, PerformanceArchive
 from repro.core.archive.store import ArchiveStore
+from tests.conftest import tree_fleet_query
 
 MISSIONS = ("Load", "Compute", "Step-0", "Step-1", "Step-12", "IO-2",
             "Step-007", "a--1", "Step-1-2", "-3", "Wörk-1")
@@ -120,12 +121,12 @@ class TestFleetModeInvariance:
             store = ArchiveStore(Path(directory) / "s")
             for archive in archives:
                 store.save(archive)
-            columnar = run_fleet_query(store, plan, mode="auto",
+            columnar = run_fleet_query(store, plan,
                                        include_samples=samples)
-            tree = run_fleet_query(store, plan, mode="tree",
-                                   include_samples=samples)
-            assert columnar == tree
+            tree = tree_fleet_query(store, plan, include_samples=samples)
             assert columnar["degraded_jobs"] == []
+            assert tree["degraded_jobs"] == store.list()
+            assert columnar == dict(tree, degraded_jobs=[])
 
     @given(stores_of_archives())
     @settings(max_examples=25, deadline=None)
@@ -136,8 +137,7 @@ class TestFleetModeInvariance:
             for archive in archives:
                 store.save(archive)
             columnar = run_fleet_query(store, plan, include_samples=True)
-            tree = run_fleet_query(store, plan, mode="tree",
-                                   include_samples=True)
+            tree = tree_fleet_query(store, plan, include_samples=True)
             assert columnar["shares"] == tree["shares"]
             for row in columnar["shares"]:
                 assert list(row["shares"]) == sorted(row["shares"])
@@ -163,10 +163,11 @@ class TestFleetModeInvariance:
                     side.unlink()
                 else:
                     side.write_bytes(b"GCOL not a real sidecar")
-            columnar = run_fleet_query(store, plan, mode="auto")
-            tree = run_fleet_query(store, plan, mode="tree")
+            tree = tree_fleet_query(store, plan)
+            columnar = run_fleet_query(store, plan)
             assert columnar["degraded_jobs"] == victims
-            assert dict(columnar, degraded_jobs=[]) == tree
+            assert dict(columnar, degraded_jobs=[]) == \
+                dict(tree, degraded_jobs=[])
 
 
 class TestFleetMergeInvariance:

@@ -1,10 +1,11 @@
 """Determinism properties of the parallel run harness.
 
-The contract from the issue: archives produced through the parallel
-fan-out (``run_many(jobs=N)``) are byte-identical to a serial run, and
-archives produced against a warm artifact cache are byte-identical to
-a cold-cache run.  The test forces the process pool on via a CPU-count
-override — on a one-CPU box the harness deliberately clamps to serial.
+Archives produced through the parallel fan-out (``run_many(jobs=N)``)
+are byte-identical to a serial run, and archives produced against a
+warm artifact cache are byte-identical to a cold-cache run — which
+regenerates no dataset and recomputes no vertex cut.  The test forces
+the process pool on via a CPU-count override — on a one-CPU box the
+harness deliberately clamps to serial.
 """
 
 from __future__ import annotations
@@ -12,7 +13,9 @@ from __future__ import annotations
 import pytest
 
 from repro.core.archive.serialize import archive_to_json
-from repro.workloads import parallel
+from repro.platforms.gas import engine as gas_engine
+from repro.workloads import datasets, parallel
+from repro.workloads import runner as runner_module
 from repro.workloads.datasets import clear_cache
 from repro.workloads.parallel import RunRequest, available_cpus, execute_parallel
 from repro.workloads.runner import WorkloadRunner
@@ -41,11 +44,15 @@ def _requests():
     ]
 
 
-def _archives(runner, jobs=None):
+def _archives(runner, jobs=None, requests=None):
     return [
         archive_to_json(iteration.archive)
-        for iteration in runner.run_many(_requests(), jobs=jobs)
+        for iteration in runner.run_many(requests or _requests(), jobs=jobs)
     ]
+
+
+def _no_rebuild(*_args, **_kwargs):
+    raise AssertionError("a warm artifact cache rebuilt an artifact")
 
 
 @pytest.fixture
@@ -63,8 +70,17 @@ class TestParallelDeterminism:
         # Force the pool even on a one-CPU machine: determinism must
         # hold when the fan-out actually forks.
         monkeypatch.setattr(parallel, "available_cpus", lambda: 4)
+        returned = []
+
+        def recording(*args, **kwargs):
+            returned.append(parallel.execute_parallel(*args, **kwargs))
+            return returned[-1]
+
+        monkeypatch.setattr(runner_module, "execute_parallel", recording)
         parallel_out = _archives(WorkloadRunner(), jobs=4)
         assert serial == parallel_out
+        # The pool really ran them: no silent serial fallback.
+        assert len(returned) == 1 and returned[0] is not None
 
     def test_jobs_on_one_cpu_falls_back_to_serial(self, cache_dir,
                                                   monkeypatch):
@@ -78,11 +94,19 @@ class TestParallelDeterminism:
         # run_many still completes (serially) and stays deterministic.
         assert _archives(runner, jobs=4) == _archives(WorkloadRunner())
 
-    def test_warm_cache_matches_cold_byte_for_byte(self, cache_dir):
-        cold = _archives(WorkloadRunner())
+    def test_warm_cache_matches_cold_byte_for_byte(self, cache_dir,
+                                                   monkeypatch):
+        requests = _requests() + [
+            RunRequest(WorkloadSpec("PowerGraph", algorithm, "dg-tiny",
+                                    workers=4))
+            for algorithm in ("bfs", "pagerank")
+        ]
+        cold = _archives(WorkloadRunner(), requests=requests)
         assert cache_dir.is_dir()  # the cold run populated the cache
         clear_cache()  # drop the in-process memo; disk cache stays warm
-        warm = _archives(WorkloadRunner())
+        monkeypatch.setattr(datasets, "datagen_graph", _no_rebuild)
+        monkeypatch.setattr(gas_engine, "greedy_vertex_cut", _no_rebuild)
+        warm = _archives(WorkloadRunner(), requests=requests)
         assert cold == warm
 
     def test_run_many_dedupes_and_aligns(self, cache_dir):
