@@ -19,7 +19,7 @@ from repro.core.visualize.render_text import table
 from repro.graph.partition.vertexcut import greedy_vertex_cut
 from repro.platforms.base import JobRequest
 from repro.platforms.gas.algorithms import make_gas_program
-from repro.platforms.gas.async_engine import AsyncGasEngine
+from benchmarks.gas_async import AsyncGasEngine
 from repro.platforms.gas.engine import PowerGraphPlatform
 from repro.platforms.gas.sync_engine import SyncGasEngine
 from repro.platforms.pregel.engine import GiraphPlatform

@@ -29,8 +29,9 @@ Subcommands::
                                    cross-archive analytics over every
                                    job in a store: vectorized column
                                    scans over the mmap'd .gcol
-                                   sidecars, tree fallback per damaged
-                                   archive (reported as degraded);
+                                   sidecars, or the JSON's own columns
+                                   when a sidecar is missing or damaged
+                                   (reported as degraded);
                                    regressions exits 1 when any job
                                    deviates >k sigma from its cohort
     granula cache ls|gc|clear [--max-bytes N]
@@ -693,8 +694,8 @@ def build_parser() -> argparse.ArgumentParser:
     p_fleet = sub.add_parser(
         "fleet",
         help="cross-archive analytics over every job in a store "
-             "(vectorized .gcol column scans; tree fallback per "
-             "damaged archive)")
+             "(vectorized column scans of each .gcol sidecar, or of "
+             "the JSON's own columns when the sidecar is unusable)")
     p_fleet.add_argument("op", choices=("query", "series", "regressions"),
                          help="query: group-by aggregation; series: "
                               "per-job metric time series; regressions: "

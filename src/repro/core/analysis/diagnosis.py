@@ -19,8 +19,7 @@ from dataclasses import dataclass
 from typing import Dict, List
 
 from repro.core.analysis.completeness import assess_completeness
-from repro.core.archive.archive import PerformanceArchive
-from repro.core.archive.query import ArchiveQuery
+from repro.core.archive.archive import ArchivedOperation, PerformanceArchive
 
 #: An actor must be slowest in at least this fraction of iterations to
 #: be called a straggler.
@@ -140,12 +139,22 @@ def recovery_overhead(archive: PerformanceArchive) -> Dict[str, float]:
     return overhead
 
 
-def _detect_stragglers(
+def _computes_by_iteration(
     archive: PerformanceArchive,
     compute_mission: str,
+) -> Dict[int, List[ArchivedOperation]]:
+    """The compute operations grouped by iteration, in pre-order
+    (operations without an iteration index are skipped)."""
+    groups: Dict[int, List[ArchivedOperation]] = {}
+    for op in archive.find(mission_base=compute_mission):
+        if op.iteration is not None:
+            groups.setdefault(op.iteration, []).append(op)
+    return groups
+
+
+def _detect_stragglers(
+    by_iteration: Dict[int, List[ArchivedOperation]],
 ) -> List[Finding]:
-    computes = ArchiveQuery(archive).mission(compute_mission)
-    by_iteration = computes.group_by_iteration()
     if len(by_iteration) < 3:
         return []
     slowest_counts: Dict[str, int] = {}
@@ -184,12 +193,11 @@ def _detect_stragglers(
 
 
 def _detect_imbalance(
-    archive: PerformanceArchive,
+    by_iteration: Dict[int, List[ArchivedOperation]],
     compute_mission: str,
 ) -> List[Finding]:
-    computes = ArchiveQuery(archive).mission(compute_mission)
     findings = []
-    for iteration, ops in sorted(computes.group_by_iteration().items()):
+    for iteration, ops in sorted(by_iteration.items()):
         durations = [op.duration for op in ops if op.duration is not None]
         if len(durations) < 2:
             continue
@@ -219,11 +227,12 @@ def diagnose(
     ``compute_mission`` names the per-worker compute operation (the
     Giraph default; pass ``"Gather"`` for PowerGraph archives).
     """
+    by_iteration = _computes_by_iteration(archive, compute_mission)
     findings = (
         _detect_incompleteness(archive)
         + _detect_recoveries(archive)
-        + _detect_stragglers(archive, compute_mission)
-        + _detect_imbalance(archive, compute_mission)
+        + _detect_stragglers(by_iteration)
+        + _detect_imbalance(by_iteration, compute_mission)
     )
     order = {"critical": 0, "warning": 1}
     findings.sort(key=lambda f: (order.get(f.severity, 9), f.kind, f.subject))

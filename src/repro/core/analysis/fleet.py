@@ -8,10 +8,10 @@ against an :class:`~repro.core.archive.store.ArchiveStore` by streaming
 job ids off the index and reading each job's metric values straight
 from its memory-mapped ``.gcol`` sidecar as numpy vectors — no
 :class:`~repro.core.archive.archive.PerformanceArchive` tree is ever
-materialized on the hot path.  Jobs whose sidecar is missing or damaged
-fall back to tree-based extraction and are reported in
-``degraded_jobs``; their values are identical (the tree is the truth
-the sidecar mirrors), only slower to obtain.
+materialized.  A job whose sidecar is missing or damaged is read from
+its JSON document's own columns instead, through the same extraction,
+and is reported in ``degraded_jobs``; its values are identical (the
+sidecar only mirrors those columns), only slower to obtain.
 
 The scan discipline lives in :class:`FleetScanSession`: one context
 manager that opens each job's sidecar exactly once per query, extracts
@@ -45,8 +45,7 @@ from repro.core.analysis.fleetplan import (
     AggSpec,
     FleetPlan,
 )
-from repro.core.archive.archive import ArchivedOperation
-from repro.core.archive.query import ArchiveQuery
+from repro.core.archive.columnar import ColumnarArchiveView, document_view
 from repro.core.archive.store import ArchiveStore
 from repro.errors import ArchiveError, QueryError
 
@@ -69,9 +68,8 @@ def _group_value(value: Any) -> str:
 class JobScan:
     """Everything one fleet query needs from one job, post-extraction.
 
-    Built while the job's sidecar view (or archive tree) is open, then
-    carried as plain Python/numpy data — nothing here keeps the mapping
-    alive.
+    Built while the job's column view is open, then carried as plain
+    Python/numpy data — nothing here keeps the mapping alive.
     """
 
     __slots__ = ("job_id", "group", "values", "top", "shares",
@@ -98,8 +96,8 @@ class FleetScanSession:
     The session is the scan planner: per the plan it decides which
     artifacts to extract (values always; top candidates, mission
     shares, and timestamps only when an aggregation or the plan kind
-    needs them), opens each sidecar exactly once, and guarantees the
-    active mapping is closed both per-job and on session exit.
+    needs them), opens each job's column view exactly once, and closes
+    it before the next job's is opened.
     """
 
     def __init__(self, store: ArchiveStore, plan: FleetPlan):
@@ -111,7 +109,6 @@ class FleetScanSession:
         self._top_k = _top_depth(plan)[1]
         self._need_shares = plan.op == "regressions"
         self._need_timestamp = plan.op == "series"
-        self._active = None
         self._entered = False
 
     def __enter__(self) -> "FleetScanSession":
@@ -119,13 +116,7 @@ class FleetScanSession:
         return self
 
     def __exit__(self, *exc_info: Any) -> None:
-        self._close_active()
         self._entered = False
-
-    def _close_active(self) -> None:
-        view, self._active = self._active, None
-        if view is not None:
-            view.close()
 
     # -- per-job extraction --------------------------------------------------
 
@@ -152,7 +143,7 @@ class FleetScanSession:
         if self._top_k == 0 or len(values) == 0:
             return []
         # Stable descending sort keeps pre-order tie-breaking, exactly
-        # like the tree path's sorted(..., reverse=True).
+        # like sorted(..., reverse=True) over a walk.
         order = np.argsort(-values, kind="stable")[:self._top_k]
         return [(float(values[i]), job_id, path)
                 for i, path in zip(order.tolist(), paths_of(order))]
@@ -184,7 +175,7 @@ class FleetScanSession:
         }
 
     def _scan_columnar(self, job_id: str, summary: Dict,
-                       view) -> JobScan:
+                       view: ColumnarArchiveView) -> JobScan:
         metadata: Optional[Dict] = None
         if self.plan.meta_keys:
             extra = view.index_extra
@@ -222,69 +213,6 @@ class FleetScanSession:
         timestamp = view.root_start if self._need_timestamp else None
         return JobScan(job_id, group, values, top, shares, timestamp)
 
-    def _scan_tree(self, job_id: str, summary: Dict) -> JobScan:
-        """Fallback extraction via full archive materialization.
-
-        The path of a job whose sidecar is missing or damaged; the
-        values match what the sidecar would have answered.
-        """
-        handle = self.store.handle(job_id)
-        group = self._group_key(
-            job_id, summary,
-            handle.metadata if self.plan.meta_keys else None,
-        )
-        archive = handle.archive()
-        query = ArchiveQuery(archive)
-        if self.plan.mission is not None:
-            query = query.mission(self.plan.mission)
-        if self.plan.path is not None:
-            query = query.path(self.plan.path)
-        ops = query.operations()
-
-        kept: List[ArchivedOperation] = []
-        raw: List[float] = []
-        if self.plan.metric == DURATION_METRIC:
-            for op in ops:
-                if op.duration is None:
-                    continue
-                raw.append(op.duration)
-                kept.append(op)
-        else:
-            for op in ops:
-                value = op.infos.get(self.plan.metric)
-                if value is None or isinstance(value, bool):
-                    continue
-                try:
-                    number = float(value)
-                except (TypeError, ValueError):
-                    continue
-                raw.append(number)
-                kept.append(op)
-        values = np.asarray(raw, dtype=np.float64)
-
-        top = self._local_top(
-            values, lambda order: [kept[i].path for i in order], job_id)
-
-        shares = None
-        if self._need_shares:
-            bases: List[str] = []
-            durations: List[float] = []
-            for op in ops:
-                if op is archive.root or op.duration is None:
-                    continue
-                bases.append(op.mission_base)
-                durations.append(op.duration)
-            shares = self._shares_of(
-                bases, np.arange(len(bases)),
-                np.asarray(durations, dtype=np.float64),
-                summary.get("makespan"),
-            )
-
-        timestamp = (
-            archive.root.start_time if self._need_timestamp else None
-        )
-        return JobScan(job_id, group, values, top, shares, timestamp)
-
     # -- iteration -----------------------------------------------------------
 
     def jobs(self) -> Iterator[JobScan]:
@@ -299,14 +227,11 @@ class FleetScanSession:
             summary = self.store.summary(job_id)
             try:
                 view = self.store.columnar_view(job_id)
-                if view is None:
-                    scan = self._scan_tree(job_id, summary)
-                else:
-                    self._active = view
-                    try:
-                        scan = self._scan_columnar(job_id, summary, view)
-                    finally:
-                        self._close_active()
+                degraded = view is None
+                if degraded:
+                    view = document_view(self.store.handle(job_id).document)
+                with view:
+                    scan = self._scan_columnar(job_id, summary, view)
             except (ArchiveError, OSError, UnicodeDecodeError) as exc:
                 self.jobs_failed += 1
                 logger.warning(
@@ -315,7 +240,7 @@ class FleetScanSession:
                 )
                 continue
             self.jobs_scanned += 1
-            if view is None:
+            if degraded:
                 self.degraded_jobs.append(job_id)
             yield scan
 
@@ -362,8 +287,8 @@ class _GroupAcc:
     an output, so a single store and N merged shards cannot disagree.
     Count/sum/min/max fold in arrival order (sorted job order within a
     store, shard order across stores), so the result is deterministic
-    and identical for the columnar and tree paths, which share this
-    code.  Raw values are retained only when a percentile aggregation
+    whichever column source each job was read from.  Raw values are
+    retained only when a percentile aggregation
     — or the router's sample request — needs them.
     """
 
@@ -725,9 +650,11 @@ def run_fleet_query(
     """Execute one fleet plan against a store; returns the JSON document.
 
     Jobs are scanned off their ``.gcol`` sidecars; a job whose sidecar
-    is missing or damaged falls back to its archive tree and is
+    is missing or damaged is read from its JSON document's columns and
     reported in ``degraded_jobs``.  Values are identical either way;
-    the sidecar is an accelerator, never an oracle.
+    the sidecar is an accelerator, never an oracle.  A job that cannot
+    be read at all (or whose columns cannot be encoded) is counted in
+    ``jobs_failed``.
     ``include_samples`` attaches each group's sorted value vector (the
     cluster router uses this to recompute percentiles across shards).
     """
@@ -781,7 +708,8 @@ def render_fleet_text(document: Dict[str, Any]) -> str:
     degraded = document.get("degraded_jobs") or []
     if degraded:
         lines.append(
-            f"  degraded (tree fallback): {', '.join(degraded)}"
+            f"  degraded (read from JSON, no sidecar): "
+            f"{', '.join(degraded)}"
         )
     shards = document.get("degraded_shards") or []
     if shards:

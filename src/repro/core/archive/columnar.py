@@ -1,20 +1,25 @@
-"""Binary columnar sidecars (``.gcol``) and zero-copy archive views.
+"""The archive query core: column tables, ``.gcol`` sidecars, views.
 
-A version-3 archive already stores its operation tree as parallel
-pre-order columns — but inside JSON, so answering a point query still
-costs a full text parse.  The ``.gcol`` sidecar is the same data as raw
-little-endian bytes: numeric columns land as aligned numpy blobs that
-``np.memmap``/``np.frombuffer`` can expose without copying, uids and
-info values become offset-indexed UTF-8 heaps, and the heavily
-repeated missions, actors and info keys become a per-archive dictionary
-plus one integer code per row.  :class:`ColumnarArchiveView` answers
-the archive-query surface (path/mission/actor/iteration selection;
-count, total, mean, top, values, durations, operations) straight off
-those columns — byte-identical to the tree-based
-:class:`~repro.core.archive.query.ArchiveQuery` path, with no
-:class:`~repro.core.archive.archive.ArchivedOperation` materialization.
-Selectors evaluate once per distinct string and index the result with
-the codes, so Python work scales with the dictionary, numpy with rows.
+Every archive query runs on :class:`_ColumnTable`, an archive's
+operations as parallel pre-order column arrays, built through one
+encoder (:func:`build_sidecar`) and one set of checks from either of two
+sources: the mmap'd ``.gcol`` sidecar (:func:`load_sidecar`), or a v3
+``operations`` mapping encoded in memory (:func:`table_of_columns`) — a
+JSON document's own columns (:func:`document_view`) or a tree's
+(:class:`~repro.core.archive.query.ArchiveQuery`).
+
+The sidecar holds the columns as raw little-endian bytes: numeric
+columns land as aligned numpy blobs that ``np.frombuffer`` exposes
+without copying, uids and info values become offset-indexed UTF-8
+heaps, and the heavily repeated missions, actors and info keys become a
+per-archive dictionary plus one integer code per row.
+:class:`ColumnarArchiveView` answers the archive-query surface straight
+off those columns, with no
+:class:`~repro.core.archive.archive.ArchivedOperation`
+materialization.  Selectors evaluate once per distinct string and index
+the result with the codes, so Python work scales with the dictionary,
+numpy with rows.  Path patterns are segment aware
+(:func:`translate_path_pattern`).
 
 File layout (all integers little-endian)::
 
@@ -46,16 +51,18 @@ decoder turns each heap into the same (dictionary, codes) pair at open.
 The sidecar is strictly an accelerator: the JSON archive remains the
 durable truth, and any damage (bad magic, checksum mismatch, a stale
 ``archive_checksum``, a row pointing outside its table) makes the
-loader raise :class:`SidecarError` so callers fall back to the tree
-path.
+loader raise :class:`SidecarError` so callers read the JSON document's
+own columns instead.
 """
 
 from __future__ import annotations
 
+import copy
 import functools
 import hashlib
 import json
 import mmap
+import re
 import struct
 from pathlib import Path
 from typing import (
@@ -66,6 +73,7 @@ from typing import (
     List,
     Mapping,
     Optional,
+    Pattern,
     Sequence,
     Tuple,
     Union,
@@ -73,8 +81,15 @@ from typing import (
 
 import numpy as np
 
-from repro.core.archive.query import _numeric, translate_path_pattern
-from repro.core.archive.serialize import SORTED_ENCODER, _decode_value
+from repro.core.archive.serialize import (
+    INFO_COLUMNS,
+    OPERATION_COLUMNS,
+    SORTED_ENCODER,
+    _decode_value,
+    document_to_archive,
+    is_columnar,
+    operations_to_columns,
+)
 from repro.core.model.operation import split_iteration
 from repro.errors import ArchiveError, QueryError
 from repro.platforms.vecops import fold_add
@@ -103,6 +118,65 @@ _split = functools.lru_cache(maxsize=1 << 14)(split_iteration)
 #: The JSON encoder's own string quoting (ASCII-escaped, as every
 #: rendering here is).
 _encode_string = json.encoder.encode_basestring_ascii
+
+# Placeholders for wildcard constructs, substituted after re.escape so
+# nothing in the pattern can smuggle raw regex syntax through.
+_GLOBSTAR = "\x00"
+_STAR = "\x01"
+_QMARK = "\x02"
+
+
+def translate_path_pattern(pattern: str) -> Pattern[str]:
+    """Compile a mission-path glob into an anchored regex.
+
+    ``*`` matches any run of characters within one path segment,
+    ``?`` one character within a segment, and ``**`` — which must span
+    a whole segment — any number of segments (including none), so
+    ``Job/**/Compute-*`` selects ``Compute-*`` operations at any depth
+    under ``Job``.
+    """
+    if not pattern:
+        raise QueryError("empty path pattern")
+    for segment in pattern.split("/"):
+        if "**" in segment and segment != "**":
+            raise QueryError(
+                f"bad path pattern {pattern!r}: ** must span a whole "
+                f"path segment (got {segment!r})"
+            )
+    escaped = (
+        re.escape(pattern)
+        .replace(re.escape("**"), _GLOBSTAR)
+        .replace(re.escape("*"), _STAR)
+        .replace(re.escape("?"), _QMARK)
+    )
+    # Substitution order matters: a globstar adjacent to a separator
+    # absorbs that separator, so `a/**/b` also matches `a/b` and
+    # `a/**` also matches `a`.
+    regex = (
+        escaped
+        .replace(_GLOBSTAR + "/", r"(?:[^/]+/)*")
+        .replace("/" + _GLOBSTAR, r"(?:/[^/]+)*")
+        .replace(_GLOBSTAR, r"[^/]*(?:/[^/]+)*")
+        .replace(_STAR, r"[^/]*")
+        .replace(_QMARK, r"[^/]")
+    )
+    return re.compile(regex + r"\Z")
+
+
+def _numeric(value: Any, info: str, path: str) -> float:
+    """Coerce one info value for aggregation, or raise a typed error
+    naming the operation's mission ``path``."""
+    if isinstance(value, bool):
+        raise QueryError(
+            f"info {info!r} of {path} is a boolean ({value!r}), "
+            f"not a number"
+        )
+    try:
+        return float(value)
+    except (TypeError, ValueError):
+        raise QueryError(
+            f"info {info!r} of {path} is not numeric: {value!r}"
+        ) from None
 
 
 class SidecarError(ArchiveError):
@@ -167,8 +241,8 @@ def _timestamp_column(values: Sequence[Any]) -> (np.ndarray, np.ndarray):
 
     Only ``None``, floats, and exactly-representable ints are
     encodable; anything else (a bool, a string, an out-of-range int)
-    raises :class:`SidecarError` so the writer skips the sidecar and
-    readers use the JSON truth.
+    raises :class:`SidecarError` naming the value, so the writer skips
+    the sidecar (and an in-memory table refuses the query).
     """
     if set(map(type, values)) <= {float}:
         return (np.array(values, dtype="<f8"),
@@ -184,7 +258,8 @@ def _timestamp_column(values: Sequence[Any]) -> (np.ndarray, np.ndarray):
             continue
         if isinstance(value, bool) or not isinstance(value, (int, float)):
             raise SidecarError(
-                f"timestamp {value!r} is not encodable in a sidecar"
+                f"timestamp {value!r} is not encodable: a timestamp is "
+                f"null, a float or a (non-bool) int"
             )
         if isinstance(value, int):
             if int(float(value)) != value:
@@ -205,8 +280,8 @@ def _encode_values(
     """(value-heap text, numeric shadow, shadow mask) of info values.
 
     One pass: the text is each value's compact sorted-key JSON, and the
-    shadow is the decoded value as a float where the tree path's
-    aggregation coercion would accept it (numbers and numeric strings,
+    shadow is the decoded value as a float where aggregation's coercion
+    (:func:`_numeric`) would accept it (numbers and numeric strings,
     never booleans), 0 with a clear mask elsewhere — it lets
     total/mean/top skip JSON decoding.  The exact type picks the
     encoder: a finite float is its ``repr``, a string goes through the C
@@ -252,7 +327,7 @@ def build_sidecar(
     :func:`repro.core.archive.serialize.operations_to_columns` or read
     from a v3 document); info values are the JSON-encoded
     representation, stored verbatim as compact JSON in the value heap so
-    they decode back to exactly the tree path's values.
+    they decode back to exactly the tree decoder's values.
 
     ``extra`` is an optional JSON-able mapping landed in the header
     under ``"index"`` — the store puts its index entry (and the
@@ -373,8 +448,8 @@ def load_sidecar(
     The file is opened once: the header is parsed off the same mapping
     the columns are served from.  ``expected_checksum`` is the JSON
     archive's payload checksum; a sidecar written for different archive
-    bytes is *stale* and raises :class:`SidecarError` — callers fall
-    back to the tree path.  With ``verify`` the data region's SHA-256 is
+    bytes is *stale* and raises :class:`SidecarError` — callers read
+    the JSON document instead.  With ``verify`` the data region's SHA-256 is
     recomputed, so bit rot is detected before a single query is
     answered.
     """
@@ -413,6 +488,58 @@ def load_sidecar(
         return ColumnarArchiveView(table)
     buffer.close()
     raise error
+
+
+def table_of_columns(
+    columns: Mapping[str, Any],
+    extra: Optional[Mapping[str, Any]] = None,
+) -> "_ColumnTable":
+    """A column table over a v3 ``operations`` mapping, built in memory.
+
+    :func:`build_sidecar` encodes it and the loader's header parse and
+    :class:`_ColumnTable` decode it, so it passes every check a sidecar
+    file passes (plus the tree decoder's list-column and unique-uid
+    checks); only the data SHA-256 is skipped, as the bytes never left
+    the process.  An un-encodable timestamp (a bool, an int beyond
+    2**53) raises :class:`QueryError` naming it; any other defect
+    raises :class:`ArchiveError`.
+    """
+    for name in OPERATION_COLUMNS + INFO_COLUMNS:
+        if not isinstance(columns.get(name), list):
+            raise ArchiveError(f"columnar operations: {name} is not a list")
+    try:
+        if len(set(columns["uid"])) != len(columns["uid"]):
+            raise ArchiveError("columnar operations: duplicate operation uid")
+        raw = build_sidecar(columns, "", extra)
+    except SidecarError as exc:  # The encoder's one refusal: a timestamp.
+        raise QueryError(f"archive columns: {exc}") from None
+    except (TypeError, ValueError, KeyError, OverflowError) as exc:
+        raise ArchiveError(
+            f"archive columns are not encodable: {exc!r}") from None
+    header = _parse_header(raw, "in memory")
+    try:
+        return _ColumnTable(header, raw, header["data_offset"])
+    except SidecarError as exc:
+        raise ArchiveError(f"archive columns: {exc}") from None
+
+
+def document_view(document: Mapping[str, Any]) -> "ColumnarArchiveView":
+    """A query view over an archive document's own columns.
+
+    What a job without a usable sidecar is read from.  A v3 document's
+    ``operations`` block already *is* the column mapping; a v1/v2
+    document's nested tree is columnised.  The document's metadata rides
+    along as :attr:`ColumnarArchiveView.index_extra`, as a sidecar
+    header carries it.
+    """
+    operations = document.get("operations")
+    if not is_columnar(operations):
+        operations = operations_to_columns(document_to_archive(document).root)
+    metadata = document.get("metadata")
+    return ColumnarArchiveView(table_of_columns(
+        operations,
+        {"metadata": metadata if isinstance(metadata, dict) else {}},
+    ))
 
 
 class _ColumnTable:
@@ -503,12 +630,13 @@ class _ColumnTable:
         self._info_rows: Dict[str, np.ndarray] = {}
 
     def _check(self, sizes: Dict[str, int]) -> None:
-        """Reject columns whose rows point outside their tables.
+        """Reject columns that are not one tree or point outside their
+        tables.
 
-        A checksum-consistent file can still be hand-built: pre-order
-        (``parent[i] < i``) is what guarantees every parent walk ends,
-        and in-range ``info_op`` and codes are what make every lookup a
-        plain index.
+        A checksum-consistent file can still be hand-built: one root at
+        row 0 and pre-order (``0 <= parent[i] < i`` below it) are what
+        make every parent walk end at the root, and in-range ``info_op``
+        and codes are what make every lookup a plain index.
         """
         n, k = self.count, self.info_count
         lengths = {
@@ -521,21 +649,23 @@ class _ColumnTable:
         }
         if any(len(array) != size
                for size, arrays in lengths.items() for array in arrays):
-            raise SidecarError("sidecar column lengths disagree with counts")
-        if n and (self.parent >= np.arange(n)).any():
+            raise SidecarError("column lengths disagree with counts")
+        parent = self.parent
+        if n and (parent[0] != -1 or (parent[1:] < 0).any()
+                  or (parent >= np.arange(n)).any()):
             raise SidecarError(
-                "sidecar parent column is not in pre-order "
-                "(a row's parent must precede it)"
+                "parent column is not one tree in pre-order (row 0 is "
+                "the root, parent -1; every other row's parent precedes it)"
             )
         # Viewed unsigned, a negative index is huge: one max() per column.
         if k and self.info_op.view("<u8").max() >= n:
             raise SidecarError(
-                "sidecar info_op column points outside the operation rows"
+                "info_op column points outside the operation rows"
             )
         for name, codes in self.codes.items():
             if len(codes) and codes.view("<u4").max() >= sizes[name]:
                 raise SidecarError(
-                    f"sidecar {name} codes point outside its dictionary"
+                    f"{name} codes point outside its dictionary"
                 )
 
     @functools.cached_property
@@ -673,7 +803,8 @@ class _ColumnTable:
         ``mmap.close()`` raises :class:`BufferError` while any export
         is alive — so the columns are dropped first, making the close
         deterministic instead of leaking the mapping until garbage
-        collection.  Idempotent; queries against a closed table fail.
+        collection.  An in-memory table's bytes are simply dropped.
+        Idempotent; queries against a closed table fail.
         """
         buffer, self._buffer = self._buffer, None
         if buffer is None:
@@ -688,43 +819,31 @@ class _ColumnTable:
         self._dictionaries = {}
         self._uids = None
         self._info_rows = {}
-        try:
-            buffer.close()
-        except (BufferError, OSError):  # pragma: no cover - exported refs
-            pass
-
-
-class _OpProxy:
-    """Shim giving :func:`repro.core.archive.query._numeric` an
-    ``op.path`` to name in its error messages."""
-
-    __slots__ = ("path",)
-
-    def __init__(self, path: str):
-        self.path = path
+        if isinstance(buffer, mmap.mmap):
+            try:
+                buffer.close()
+            except (BufferError, OSError):  # pragma: no cover - exported refs
+                pass
 
 
 class ColumnarArchiveView:
-    """Zero-copy archive query surface over mmap'd sidecar columns.
+    """The archive query surface over one column table.
 
-    Mirrors :class:`~repro.core.archive.query.ArchiveQuery`: selector
-    methods narrow the (pre-order) selection and return a new view
-    sharing the same column table; aggregations reproduce the tree
-    path's results — including its error messages and tie-breaking —
-    byte for byte, without building a single ``ArchivedOperation``.
+    Selector methods narrow the (pre-order) selection and return a new
+    view of the same type sharing the same column table; aggregations
+    are left folds in pre-order — the order a plain walk of the tree
+    visits operations — with typed :class:`QueryError`\\ s naming the
+    offending operation's path, and never build an ``ArchivedOperation``.
     """
 
-    def __init__(self, table: _ColumnTable,
-                 selection: Optional[np.ndarray] = None):
+    def __init__(self, table: _ColumnTable):
         self._table = table
-        self._selection = (
-            np.arange(table.count, dtype=np.int64)
-            if selection is None else selection
-        )
+        self._selection = np.arange(table.count, dtype=np.int64)
 
     @property
     def archive_checksum(self) -> str:
-        """Payload checksum of the archive this view accelerates."""
+        """Payload checksum of the archive a sidecar view accelerates
+        (empty for a table built in memory)."""
         return self._table.archive_checksum
 
     @property
@@ -759,7 +878,9 @@ class ColumnarArchiveView:
     # -- selection ---------------------------------------------------------
 
     def _narrow(self, keep: np.ndarray) -> "ColumnarArchiveView":
-        return ColumnarArchiveView(self._table, self._selection[keep])
+        view = copy.copy(self)
+        view._selection = self._selection[keep]
+        return view
 
     def _coded(self, name: str,
                accept: Callable[[str], Any]) -> "ColumnarArchiveView":
@@ -790,16 +911,6 @@ class ColumnarArchiveView:
         return self._coded("mission",
                            lambda word: _split(word)[1] == index)
 
-    def where(
-        self, predicate: Callable[[Dict[str, Any]], bool],
-    ) -> "ColumnarArchiveView":
-        """Narrow with a predicate over operation records."""
-        records = self._table.records(self._selection)
-        return self._narrow(np.fromiter(
-            (bool(predicate(record)) for record in records),
-            dtype=bool, count=len(records),
-        ))
-
     # -- aggregation -------------------------------------------------------
 
     def _carrying(self, info: str) -> Tuple[np.ndarray, np.ndarray]:
@@ -809,22 +920,21 @@ class ColumnarArchiveView:
         return self._selection[keep], rows[keep]
 
     def _numeric_at(self, info: str, row: int, op_row: int) -> float:
-        """One info value coerced exactly as the tree path coerces it."""
+        """One info value coerced for aggregation (see :func:`_numeric`)."""
         table = self._table
         if table.info_isnum[row]:
             return float(table.info_num[row])
-        # Non-numeric: decode for the identical typed error.
-        return _numeric(table.value(row), info,
-                        _OpProxy(table.paths_at([op_row])[0]))
+        # Non-numeric: decode for the typed error.
+        return _numeric(table.value(row), info, table.paths_at([op_row])[0])
 
     def total(self, info: str = "Duration") -> float:
         """Sum of a numeric info over the selection (missing counts 0).
 
         An all-numeric selection folds with one ``cumsum``
-        (:func:`~repro.platforms.vecops.fold_add`) — the exact left fold
-        of the tree path, never a pairwise ``np.sum``; anything else
-        takes the tree path's own loop, with its skipped nulls and typed
-        errors.
+        (:func:`~repro.platforms.vecops.fold_add`) — the exact pre-order
+        left fold, never a pairwise ``np.sum``; anything else takes a
+        Python loop that skips stored nulls and raises a typed
+        :class:`QueryError` naming the first non-numeric value.
         """
         table = self._table
         ops, rows = self._carrying(info)
@@ -840,9 +950,8 @@ class ColumnarArchiveView:
                 continue
             value = next(others)
             if value is None:
-                continue  # A stored null counts 0, as in the tree path.
-            total += _numeric(value, info,
-                              _OpProxy(table.paths_at([op_row])[0]))
+                continue  # A stored null counts 0.
+            total += _numeric(value, info, table.paths_at([op_row])[0])
         return total
 
     def mean(self, info: str = "Duration") -> float:
@@ -856,8 +965,8 @@ class ColumnarArchiveView:
         else:
             values = [self._numeric_at(info, row, op_row)
                       for op_row, row in zip(ops.tolist(), rows.tolist())]
-        # ``sum`` as the tree path sums, whatever the Python version's
-        # float summation.
+        # Python's ``sum``, whatever its float summation on this version
+        # (the reference walk sums the same way).
         return sum(values) / len(values)
 
     def values(self, info: str, default: Any = None) -> List[Any]:
@@ -885,12 +994,10 @@ class ColumnarArchiveView:
             for i in known
         ]
 
-    def top_records(self, info: str = "Duration",
-                    n: int = 5) -> List[Dict[str, Any]]:
-        """Service records of the ``n`` rows with the largest info.
+    def _ranked(self, info: str, n: int) -> Tuple[List[int], List[int]]:
+        """(operation rows, info rows) of the ``n`` largest ``info``.
 
-        Matches the tree path's ``sorted(..., reverse=True)`` ordering,
-        including stable tie-breaking by pre-order position.
+        ``sorted(..., reverse=True)`` ordering: ties keep pre-order.
         """
         if n <= 0:
             raise QueryError(f"n must be positive, got {n}")
@@ -901,14 +1008,16 @@ class ColumnarArchiveView:
             key=lambda j: self._numeric_at(info, rows[j], ops[j]),
             reverse=True,
         )[:n]
+        return [ops[j] for j in ranked], [rows[j] for j in ranked]
+
+    def top_records(self, info: str = "Duration",
+                    n: int = 5) -> List[Dict[str, Any]]:
+        """Service records of the ``n`` rows with the largest info."""
+        ops, rows = self._ranked(info, n)
         table = self._table
-        values = table.values_at(np.asarray([rows[j] for j in ranked],
-                                            dtype=np.int64))
-        return [
-            dict(record, value=value)
-            for record, value in zip(
-                table.records([ops[j] for j in ranked]), values)
-        ]
+        values = table.values_at(np.asarray(rows, dtype=np.int64))
+        return [dict(record, value=value)
+                for record, value in zip(table.records(ops), values)]
 
     def operation_records(self) -> List[Dict[str, Any]]:
         """Service records of every selected row, in pre-order."""
@@ -928,8 +1037,8 @@ class ColumnarArchiveView:
         """(rows, float64 durations) of selected rows with known spans.
 
         The subtraction runs vectorized in float64; integer timestamps
-        are exactly representable by the sidecar contract, so the
-        result equals the tree path's exact Python arithmetic.
+        are exactly representable by the column contract, so the result
+        equals ``op.duration``'s exact Python arithmetic.
         """
         table = self._table
         sel = self._selection
@@ -943,8 +1052,8 @@ class ColumnarArchiveView:
     def numeric_info_vector(self, info: str) -> (np.ndarray, np.ndarray):
         """(rows, float64 values) of selected rows carrying ``info``.
 
-        Only values the tree path's aggregation coercion would accept
-        (numbers and numeric strings, never booleans) appear; the rest
+        Only values the aggregation coercion would accept (numbers and
+        numeric strings, never booleans) appear; the rest
         are skipped — a fleet scan over heterogeneous archives must not
         die on one string-valued info.
         """
@@ -976,7 +1085,10 @@ __all__ = [
     "SidecarError",
     "SIDECAR_SUFFIX",
     "build_sidecar",
+    "document_view",
     "load_sidecar",
     "read_sidecar_header",
     "sidecar_path",
+    "table_of_columns",
+    "translate_path_pattern",
 ]

@@ -631,8 +631,8 @@ def validate_sidecar(
 
     The binary column sidecar is an optional accelerator: when absent
     there is nothing to report, and any damage merely downgrades
-    queries to the JSON tree path — no data is lost — so sidecar
-    findings are warnings, never errors.  The sidecar is cross-checked
+    queries to the JSON document's own columns — no data is lost — so
+    sidecar findings are warnings, never errors.  The sidecar is cross-checked
     against the JSON's payload checksum, so a *stale* sidecar (archive
     rewritten, sidecar left behind) is reported alongside byte-level
     corruption (data-region SHA-256 mismatch, truncated header).
@@ -665,13 +665,13 @@ def validate_sidecar(
     except SidecarError as exc:
         findings.append(ValidationFinding(
             "sidecar-unusable", "warning", side.name,
-            f"{exc} — queries fall back to the JSON tree path",
+            f"{exc} — queries fall back to the JSON's columns",
         ))
     except OSError as exc:  # pragma: no cover - racing deletion
         findings.append(ValidationFinding(
             "sidecar-unusable", "warning", side.name,
             f"cannot read sidecar: {exc} — queries fall back to the "
-            f"JSON tree path",
+            f"JSON's columns",
         ))
     return findings
 

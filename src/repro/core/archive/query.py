@@ -1,86 +1,38 @@
 """Systematic querying of performance archives.
 
 "(The) performance archive ... allows users to query the contents
-systematically."  :class:`ArchiveQuery` provides path-pattern selection
-(glob-ish over mission paths), filtering, and metric extraction /
-aggregation over the selected operations.
-
-Path patterns are segment aware: ``*`` and ``?`` never cross a ``/``,
-and ``**`` (alone in its segment) matches any depth, including zero
-segments.  ``fnmatch`` was the original implementation and silently
-matched ``GiraphJob/*`` against arbitrarily deep descendants — the
-translation here honors the documented semantics.
+systematically."  :class:`ArchiveQuery` is that query over an in-memory
+archive, run on the one query core in :mod:`repro.core.archive.columnar`
+(where :func:`translate_path_pattern` defines the path-glob semantics):
+the archive is encoded into a column table at construction.
 """
 
 from __future__ import annotations
 
-import re
-from typing import Any, Callable, Dict, List, Optional, Pattern
+from typing import Callable, Dict, List
+
+import numpy as np
 
 from repro.core.archive.archive import ArchivedOperation, PerformanceArchive
+from repro.core.archive.columnar import (
+    ColumnarArchiveView,
+    _numeric,
+    _split,
+    table_of_columns,
+    translate_path_pattern,
+)
+from repro.core.archive.serialize import operations_to_columns
 from repro.errors import QueryError
 
-# Placeholders for wildcard constructs, substituted after re.escape so
-# nothing in the pattern can smuggle raw regex syntax through.
-_GLOBSTAR = "\x00"
-_STAR = "\x01"
-_QMARK = "\x02"
 
-
-def translate_path_pattern(pattern: str) -> Pattern[str]:
-    """Compile a mission-path glob into an anchored regex.
-
-    ``*`` matches any run of characters within one path segment,
-    ``?`` one character within a segment, and ``**`` — which must span
-    a whole segment — any number of segments (including none), so
-    ``Job/**/Compute-*`` selects ``Compute-*`` operations at any depth
-    under ``Job``.
-    """
-    if not pattern:
-        raise QueryError("empty path pattern")
-    for segment in pattern.split("/"):
-        if "**" in segment and segment != "**":
-            raise QueryError(
-                f"bad path pattern {pattern!r}: ** must span a whole "
-                f"path segment (got {segment!r})"
-            )
-    escaped = (
-        re.escape(pattern)
-        .replace(re.escape("**"), _GLOBSTAR)
-        .replace(re.escape("*"), _STAR)
-        .replace(re.escape("?"), _QMARK)
-    )
-    # Substitution order matters: a globstar adjacent to a separator
-    # absorbs that separator, so `a/**/b` also matches `a/b` and
-    # `a/**` also matches `a`.
-    regex = (
-        escaped
-        .replace(_GLOBSTAR + "/", r"(?:[^/]+/)*")
-        .replace("/" + _GLOBSTAR, r"(?:/[^/]+)*")
-        .replace(_GLOBSTAR, r"[^/]*(?:/[^/]+)*")
-        .replace(_STAR, r"[^/]*")
-        .replace(_QMARK, r"[^/]")
-    )
-    return re.compile(regex + r"\Z")
-
-
-def _numeric(value: Any, info: str, op: ArchivedOperation) -> float:
-    """Coerce one info value for aggregation, or raise a typed error."""
-    if isinstance(value, bool):
-        raise QueryError(
-            f"info {info!r} of {op.path} is a boolean ({value!r}), "
-            f"not a number"
-        )
-    try:
-        return float(value)
-    except (TypeError, ValueError):
-        raise QueryError(
-            f"info {info!r} of {op.path} is not numeric: {value!r}"
-        ) from None
-
-
-class ArchiveQuery:
+class ArchiveQuery(ColumnarArchiveView):
     """A fluent query over one archive.
+
+    The query is a snapshot: it answers for the archive as it was when
+    the query was constructed.  Mutate the archive, then construct a new
+    query to see the change.  An archive whose columns cannot be encoded
+    (a bool timestamp, an int one beyond 2**53) raises
+    :class:`QueryError` naming the value.
 
     Example::
 
@@ -90,134 +42,73 @@ class ArchiveQuery:
         slowest = q.top("Duration", 3)
     """
 
-    def __init__(self, archive: PerformanceArchive,
-                 selection: Optional[List[ArchivedOperation]] = None):
+    def __init__(self, archive: PerformanceArchive):
+        super().__init__(table_of_columns(operations_to_columns(archive.root)))
         self.archive = archive
-        self._selection = (
-            list(archive.walk()) if selection is None else selection
-        )
+        # Shared by every narrowed copy; filled on first use.
+        self._walk: List[ArchivedOperation] = []
+
+    def _ops(self) -> List[ArchivedOperation]:
+        """The archive's operations, indexable by row."""
+        if not self._walk:
+            self._walk.extend(self.archive.walk())
+        return self._walk
 
     # -- selection ---------------------------------------------------------
 
-    def path(self, pattern: str) -> "ArchiveQuery":
-        """Narrow to operations whose mission path matches the glob.
-
-        ``*`` matches within one path segment, ``**`` any depth (see
-        :func:`translate_path_pattern`).
-        """
-        regex = translate_path_pattern(pattern)
-        selected = [
-            op for op in self._selection if regex.match(op.path)
-        ]
-        return ArchiveQuery(self.archive, selected)
-
-    def mission(self, base: str) -> "ArchiveQuery":
-        """Narrow to operations with this mission base name."""
-        return ArchiveQuery(
-            self.archive,
-            [op for op in self._selection if op.mission_base == base],
-        )
-
-    def actor(self, base: str) -> "ArchiveQuery":
-        """Narrow to operations with this actor base name."""
-        return ArchiveQuery(
-            self.archive,
-            [op for op in self._selection if op.actor_base == base],
-        )
-
-    def iteration(self, index: int) -> "ArchiveQuery":
-        """Narrow to operations of one iteration index."""
-        return ArchiveQuery(
-            self.archive,
-            [op for op in self._selection if op.iteration == index],
-        )
-
     def where(self, predicate: Callable[[ArchivedOperation], bool]) -> "ArchiveQuery":
-        """Narrow with an arbitrary predicate."""
-        return ArchiveQuery(
-            self.archive, [op for op in self._selection if predicate(op)]
-        )
+        """Narrow with an arbitrary predicate over operations."""
+        ops = self._ops()
+        return self._narrow(np.fromiter(
+            (bool(predicate(ops[row])) for row in self._selection.tolist()),
+            dtype=bool, count=len(self._selection),
+        ))
 
     # -- extraction --------------------------------------------------------
 
     def operations(self) -> List[ArchivedOperation]:
         """The selected operations, in pre-order."""
-        return list(self._selection)
+        ops = self._ops()
+        return [ops[row] for row in self._selection.tolist()]
 
     def one(self) -> ArchivedOperation:
         """Exactly one selected operation; raises otherwise."""
-        if len(self._selection) != 1:
+        if len(self) != 1:
             raise QueryError(
-                f"expected exactly one operation, selection has "
-                f"{len(self._selection)}"
+                f"expected exactly one operation, selection has {len(self)}"
             )
-        return self._selection[0]
+        return self.first()
 
     def first(self) -> ArchivedOperation:
         """The first selected operation; raises when empty."""
-        if not self._selection:
+        if not len(self):
             raise QueryError("selection is empty")
-        return self._selection[0]
-
-    def values(self, info: str, default: Any = None) -> List[Any]:
-        """The given info value of every selected operation."""
-        return [op.infos.get(info, default) for op in self._selection]
-
-    def durations(self) -> List[float]:
-        """Durations of selected operations (skipping unknown ones)."""
-        return [op.duration for op in self._selection if op.duration is not None]
-
-    # -- aggregation -------------------------------------------------------
-
-    def total(self, info: str = "Duration") -> float:
-        """Sum of a numeric info over the selection (missing counts 0).
-
-        A non-numeric value (a string, a boolean, a list) raises
-        :class:`QueryError` naming the offending operation.
-        """
-        total = 0.0
-        for op in self._selection:
-            value = op.infos.get(info)
-            if value is not None:
-                total += _numeric(value, info, op)
-        return total
-
-    def mean(self, info: str = "Duration") -> float:
-        """Mean of a numeric info over operations that carry it."""
-        values = [
-            _numeric(op.infos[info], info, op)
-            for op in self._selection
-            if info in op.infos
-        ]
-        if not values:
-            raise QueryError(f"no operation in selection carries {info!r}")
-        return sum(values) / len(values)
+        return self._ops()[int(self._selection[0])]
 
     def top(self, info: str = "Duration", n: int = 5) -> List[ArchivedOperation]:
         """The ``n`` operations with the largest value of ``info``."""
-        if n <= 0:
-            raise QueryError(f"n must be positive, got {n}")
-        carrying = [op for op in self._selection if info in op.infos]
-        return sorted(
-            carrying,
-            key=lambda op: _numeric(op.infos[info], info, op),
-            reverse=True,
-        )[:n]
+        ops = self._ops()
+        return [ops[row] for row in self._ranked(info, n)[0]]
 
     def group_by_actor(self) -> Dict[str, List[ArchivedOperation]]:
         """Selection grouped by full actor name."""
-        groups: Dict[str, List[ArchivedOperation]] = {}
-        for op in self._selection:
-            groups.setdefault(op.actor, []).append(op)
-        return groups
+        return self._grouped("actor", lambda actor: actor)
 
     def group_by_iteration(self) -> Dict[int, List[ArchivedOperation]]:
         """Selection grouped by iteration index (unindexed ops skipped)."""
-        groups: Dict[int, List[ArchivedOperation]] = {}
-        for op in self._selection:
-            if op.iteration is not None:
-                groups.setdefault(op.iteration, []).append(op)
+        return self._grouped("mission", lambda mission: _split(mission)[1])
+
+    def _grouped(self, name: str, key_of: Callable) -> Dict:
+        """Selected operations grouped by ``key_of`` of their ``name``
+        string (a ``None`` key is skipped), in pre-order."""
+        ops = self._ops()
+        keys = [key_of(word) for word in self._table.dictionary(name)]
+        codes = self._table.codes[name][self._selection]
+        groups: Dict = {}
+        for row, code in zip(self._selection.tolist(), codes.tolist()):
+            if keys[code] is not None:
+                groups.setdefault(keys[code], []).append(ops[row])
         return groups
 
-    def __len__(self) -> int:
-        return len(self._selection)
+
+__all__ = ["ArchiveQuery", "translate_path_pattern", "_numeric"]

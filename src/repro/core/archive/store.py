@@ -845,9 +845,10 @@ class ArchiveStore:
         Returns a checksum-verified :class:`ColumnarArchiveView` over
         the mmap'd ``.gcol`` sidecar when one exists and matches the
         JSON's payload checksum; any damage or staleness logs a warning
-        and returns ``None`` so callers transparently fall back to the
-        tree path.  Raises :class:`ArchiveError` only when the archive
-        itself is absent.
+        and returns ``None`` — callers then query the JSON document's
+        own columns (:func:`~repro.core.archive.columnar.document_view`).
+        Raises :class:`ArchiveError` only when the archive itself is
+        absent.
         """
         side = self.sidecar_path(job_id)
         checksum = self.checksum(job_id)  # Raises if the JSON is gone.

@@ -12,7 +12,6 @@ from dataclasses import dataclass
 from typing import Dict, List, Tuple
 
 from repro.core.archive.archive import PROVENANCE_MEASURED, PerformanceArchive
-from repro.core.archive.query import ArchiveQuery
 from repro.core.visualize.palette import COMPUTE_COLOR, OVERHEAD_COLOR
 from repro.core.visualize.render_svg import SvgCanvas
 from repro.core.visualize.render_text import format_seconds
@@ -173,8 +172,7 @@ def compute_gantt(
     The defaults follow the Giraph model; PowerGraph archives can be
     viewed the same way with ``compute_mission="Gather"`` etc.
     """
-    query = ArchiveQuery(archive)
-    containers = query.mission(container_mission).operations()
+    containers = archive.find(mission_base=container_mission)
     if not containers:
         raise VisualizationError(
             f"archive {archive.job_id} has no {container_mission!r} "

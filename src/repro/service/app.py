@@ -42,9 +42,8 @@ from typing import (
 
 from repro.core.analysis.fleet import run_fleet_query
 from repro.core.analysis.fleetplan import FleetPlan
-from repro.core.archive.archive import ArchivedOperation, PerformanceArchive
-from repro.core.archive.columnar import ColumnarArchiveView
-from repro.core.archive.query import ArchiveQuery
+from repro.core.archive.archive import PerformanceArchive
+from repro.core.archive.columnar import ColumnarArchiveView, document_view
 from repro.core.archive.serialize import archive_from_json
 from repro.core.archive.store import ArchiveStore, validate_job_id
 from repro.core.monitor.live import (
@@ -160,18 +159,6 @@ def _etag_matches(if_none_match: Optional[str], etag: str) -> bool:
         if candidate == etag:
             return True
     return False
-
-
-def _operation_record(op: ArchivedOperation) -> Dict[str, Any]:
-    return {
-        "uid": op.uid,
-        "path": op.path,
-        "mission": op.mission,
-        "actor": op.actor,
-        "start": op.start_time,
-        "end": op.end_time,
-        "duration": op.duration,
-    }
 
 
 _READ_METHODS = ("GET", "HEAD")
@@ -597,33 +584,31 @@ class ArchiveService(ServiceContract):
             "result": result,
         }, etag=etag)
 
-    def _query_surface(self, job_id: str, checksum: str):
-        """The fastest correct query surface for one archive.
+    def _query_surface(self, job_id: str,
+                       checksum: str) -> ColumnarArchiveView:
+        """The archive's column view, cached per payload checksum.
 
-        Prefers the zero-copy :class:`ColumnarArchiveView` over the
-        ``.gcol`` sidecar (cached per payload checksum, like
-        materialized archives); archives without a valid sidecar fall
-        back to the tree-based :class:`ArchiveQuery` transparently —
-        both answer every selector/aggregation byte-identically.
+        The zero-copy view over the ``.gcol`` sidecar when one is
+        usable, else a view over the JSON document's own columns — the
+        same query core either way, so every selector and aggregation
+        answers identically.
         """
         view_key = f"gcol:{checksum}"
         view = self.cache.get(view_key)
         if view is None:
             view = self.store.columnar_view(job_id)
-            if view is not None:
-                self.cache.put(view_key, view)
-        if view is not None:
-            return view
-        return ArchiveQuery(self._archive(job_id, checksum))
+            if view is None:
+                view = document_view(self.store.handle(job_id).document)
+            self.cache.put(view_key, view)
+        return view
 
     def _aggregate(
         self,
-        query: Any,
+        query: ColumnarArchiveView,
         agg: str,
         metric: str,
         params: Dict[str, str],
     ) -> Any:
-        columnar = isinstance(query, ColumnarArchiveView)
         if agg == "count":
             return len(query)
         if agg == "total":
@@ -636,15 +621,8 @@ class ArchiveService(ServiceContract):
             return query.values(metric)
         if agg == "top":
             n = int_param(params, "n", 5, minimum=1)
-            if columnar:
-                return query.top_records(metric, n)
-            return [
-                dict(_operation_record(op), value=op.infos.get(metric))
-                for op in query.top(metric, n)
-            ]
-        if columnar:
-            return query.operation_records()
-        return [_operation_record(op) for op in query.operations()]
+            return query.top_records(metric, n)
+        return query.operation_records()
 
     def _job_report(self, request: Request) -> Response:
         job_id = request.parts[1]

@@ -102,14 +102,15 @@ def assert_index_is_rebuild(directory, folded: Dict[str, Dict]) -> None:
     assert (directory / "index.json").read_bytes() == compacted
 
 
-def tree_fleet_query(store: ArchiveStore, plan: FleetPlan,
-                     include_samples: bool = False) -> Dict[str, Any]:
+def sidecarless_fleet_query(store: ArchiveStore, plan: FleetPlan,
+                            include_samples: bool = False) -> Dict[str, Any]:
     """``plan``'s document from a copy of ``store`` without sidecars.
 
-    Every ``.gcol`` is left out of the copy, so each job takes the
-    tree fallback a missing sidecar takes in production, and is
-    reported in ``degraded_jobs``.  Compare it with a sidecar scan of
-    ``store`` field by field, ignoring only ``degraded_jobs``.
+    Every ``.gcol`` is left out of the copy, so each job is read from
+    its JSON document's own columns, as a job with a missing sidecar is
+    in production, and is reported in ``degraded_jobs``.  Compare it
+    with a sidecar scan of ``store`` field by field, ignoring only
+    ``degraded_jobs``.
     """
     with tempfile.TemporaryDirectory(prefix="granula-tree-") as scratch:
         copy = Path(scratch) / "store"

@@ -300,9 +300,11 @@ class TestQuery:
             q.mean("Status")
         with pytest.raises(QueryError, match="not numeric"):
             q.top("Status")
+        # A query is a snapshot of the archive: see a mutation through
+        # a fresh one.
         archive.operation("u20").infos["Nested"] = [1, 2]
         with pytest.raises(QueryError, match="not numeric"):
-            q.total("Nested")
+            ArchiveQuery(archive).mission("LocalLoad").total("Nested")
 
     def test_aggregation_rejects_boolean(self, archive):
         archive.operation("u20").infos["Cached"] = True

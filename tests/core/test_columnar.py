@@ -15,22 +15,30 @@ import struct
 import numpy as np
 import pytest
 
+from repro.core.analysis.fleet import run_fleet_query
+from repro.core.analysis.fleetplan import FleetPlan
 from repro.core.archive.archive import ArchivedOperation, PerformanceArchive
 from repro.core.archive.columnar import (
     ColumnarArchiveView,
     SidecarError,
     build_sidecar,
+    document_view,
     load_sidecar,
     read_sidecar_header,
 )
 from repro.core.archive.integrity import validate_sidecar
 from repro.core.archive.query import ArchiveQuery
 from repro.core.archive.serialize import (
+    archive_from_json,
     archive_to_document,
+    archive_to_json,
     operations_from_columns,
+    parse_document,
+    payload_checksum,
 )
 from repro.core.archive.store import ArchiveStore
-from repro.errors import QueryError
+from repro.errors import ArchiveError, QueryError
+from repro.service.app import ArchiveService
 
 from tests.core.test_archive import make_archive
 
@@ -301,3 +309,80 @@ class TestMalformedColumns:
             columns, document["integrity"]["checksum"]))
         assert store.columnar_view(saved.job_id) is None
 
+
+
+def crafted_text(document, **columns):
+    """The document's JSON with some operation columns replaced and its
+    checksum re-bound: valid JSON, a valid checksum, bad columns."""
+    document = json.loads(json.dumps(document))
+    document["operations"].update(columns)
+    document["integrity"]["checksum"] = payload_checksum(document)
+    return json.dumps(document)
+
+
+def stored_without_sidecar(store, text):
+    """Replace the stored job-x with ``text`` and delete its sidecar."""
+    store.save(make_archive(), overwrite=True)
+    store.handle("job-x").path.write_text(text)
+    store.sidecar_path("job-x").unlink(missing_ok=True)
+    return store
+
+
+class TestDocumentColumns:
+    """A job without a sidecar is read from its JSON document's own
+    columns, under the checks the tree decoder applies: a crafted
+    document is a typed error on every read path, never a quiet
+    answer."""
+
+    @pytest.fixture()
+    def document(self):
+        return archive_to_document(make_archive())
+
+    CRAFTED = {
+        "bad-root-parent": lambda c: {"parent": [-5] + c["parent"][1:]},
+        "forest-row": lambda c: {
+            "parent": c["parent"][:4] + [-1] + c["parent"][5:]},
+        "count-mismatch": lambda c: {"count": c["count"] + 1},
+        "length-mismatch": lambda c: {"start": c["start"][:-1]},
+        "non-list-column": lambda c: {"uid": "".join(c["uid"])},
+        "duplicate-uid": lambda c: {"uid": [c["uid"][1]] + c["uid"][1:]},
+    }
+
+    @pytest.mark.parametrize("case", sorted(CRAFTED))
+    def test_crafted_document_is_a_typed_error_everywhere(
+        self, store, document, case,
+    ):
+        text = crafted_text(document,
+                            **self.CRAFTED[case](document["operations"]))
+        parsed = parse_document(text)  # The envelope is sound.
+        with pytest.raises(ArchiveError) as caught:
+            document_view(parsed)
+        assert not isinstance(caught.value, QueryError)
+        with pytest.raises(ArchiveError):
+            ArchiveQuery(archive_from_json(text))
+
+        stored_without_sidecar(store, text)
+        plan = FleetPlan.from_params({"group_by": "platform",
+                                      "agg": "count"})
+        result = run_fleet_query(store, plan)
+        assert (result["jobs_scanned"], result["jobs_failed"]) == (0, 1)
+        response = ArchiveService(store).handle("/jobs/job-x/query", {})
+        assert response.status == 404
+        assert response.json()["error"]
+
+    @pytest.mark.parametrize("stamp", [True, 2 ** 53 + 1])
+    def test_unencodable_timestamp_is_a_query_error(self, store, stamp):
+        archive = make_archive()
+        archive.root.children[0].start_time = stamp
+        with pytest.raises(QueryError, match=repr(stamp)):
+            ArchiveQuery(archive)
+        text = archive_to_json(archive)
+        with pytest.raises(QueryError, match=repr(stamp)):
+            document_view(parse_document(text))
+
+        stored_without_sidecar(store, text)
+        response = ArchiveService(store).handle("/jobs/job-x/query", {})
+        assert response.status == 400
+        assert repr(stamp) in response.json()["error"]
+        result = run_fleet_query(store, FleetPlan.from_params({}))
+        assert (result["jobs_scanned"], result["jobs_failed"]) == (0, 1)

@@ -23,7 +23,7 @@ from repro.errors import ArchiveError, QueryError
 from tests.conftest import (
     assert_index_is_rebuild,
     folded_index,
-    tree_fleet_query,
+    sidecarless_fleet_query,
 )
 from tests.service.conftest import make_archive
 
@@ -162,10 +162,10 @@ class TestFleetQueries:
         ]
         for plan in plans:
             columnar = run_fleet_query(fleet_store, plan)
-            tree = tree_fleet_query(fleet_store, plan)
+            sidecarless = sidecarless_fleet_query(fleet_store, plan)
             assert columnar["degraded_jobs"] == []
-            assert tree["degraded_jobs"] == fleet_store.list()
-            assert columnar == dict(tree, degraded_jobs=[])
+            assert sidecarless["degraded_jobs"] == fleet_store.list()
+            assert columnar == dict(sidecarless, degraded_jobs=[])
 
     def test_group_and_filter(self, fleet_store):
         plan = FleetPlan.from_params(
@@ -204,10 +204,10 @@ class TestFleetQueries:
         plan = FleetPlan.from_params(
             {"group_by": "platform", "agg": "count,sum,p50"})
         columnar = run_fleet_query(fleet_store, plan)
-        tree = tree_fleet_query(fleet_store, plan)
+        sidecarless = sidecarless_fleet_query(fleet_store, plan)
         assert columnar["degraded_jobs"] == ["beta", "gamma"]
         assert dict(columnar, degraded_jobs=[]) == \
-            dict(tree, degraded_jobs=[])
+            dict(sidecarless, degraded_jobs=[])
 
     def test_fleet_findings_round_trip(self, fleet_store):
         plan = FleetPlan.from_params({"k": "0.5"}, op="regressions")

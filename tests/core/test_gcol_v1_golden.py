@@ -5,9 +5,11 @@ commit f53a22d, when every string column of a sidecar was a per-row
 UTF-8 heap (layout version 1), and ``expected.json`` holds what that
 commit answered: the six-call point-query battery per job and one fleet
 plan of each op.  The v1 files must load and answer those literals, and
-so must a freshly written sidecar of the same archives and the tree
-path (a copy of the store without sidecars, for the fleet plans) — the
-dictionary-coded layout is a faster encoding, not a different answer.
+so must a freshly written sidecar of the same archives, the other
+column source (``ArchiveQuery`` over the tree and the JSON document's
+own columns; for the fleet plans, a copy of the store without
+sidecars), and the plain-walk reference — the dictionary-coded layout
+is a faster encoding, not a different answer.
 """
 
 import json
@@ -19,10 +21,15 @@ import pytest
 
 from repro.core.analysis.fleet import run_fleet_query
 from repro.core.analysis.fleetplan import FleetPlan
-from repro.core.archive.columnar import SIDECAR_VERSION, read_sidecar_header
+from repro.core.archive.columnar import (
+    SIDECAR_VERSION,
+    document_view,
+    read_sidecar_header,
+)
 from repro.core.archive.query import ArchiveQuery
 from repro.core.archive.store import ArchiveHandle, ArchiveStore
-from tests.conftest import tree_fleet_query
+from tests.conftest import sidecarless_fleet_query
+from tests.core.query_reference import ReferenceQuery, reference_fleet_query
 
 FIXTURE = Path(__file__).parent / "gcol_v1"
 EXPECTED = json.loads((FIXTURE / "expected.json").read_text("utf-8"))
@@ -79,12 +86,18 @@ class TestV1Fixture:
             assert sidecar_version(v2_store.sidecar_path(job_id)) == \
                 SIDECAR_VERSION != 1
 
-    @pytest.mark.parametrize("surface", ["v1", "v2", "tree"])
+    @pytest.mark.parametrize(
+        "surface", ["v1", "v2", "tree", "document", "reference"])
     @pytest.mark.parametrize("job_id", JOBS)
     def test_battery_answers_its_literals(self, v1_store, v2_store,
                                           surface, job_id):
         if surface == "tree":
             answer = battery(ArchiveQuery(v1_store.load(job_id)))
+        elif surface == "document":
+            with document_view(v1_store.handle(job_id).document) as view:
+                answer = battery(view)
+        elif surface == "reference":
+            answer = battery(ReferenceQuery(v1_store.load(job_id)))
         else:
             store = v1_store if surface == "v1" else v2_store
             view = store.columnar_view(job_id)
@@ -95,7 +108,7 @@ class TestV1Fixture:
                 view.close()
         assert canonical(answer) == canonical(EXPECTED["battery"][job_id])
 
-    @pytest.mark.parametrize("surface", ["v1", "v2", "tree"])
+    @pytest.mark.parametrize("surface", ["v1", "v2", "tree", "reference"])
     @pytest.mark.parametrize(
         "case", EXPECTED["fleet"],
         ids=[f"{c['op']}-{i}" for i, c in enumerate(EXPECTED["fleet"])],
@@ -104,9 +117,12 @@ class TestV1Fixture:
                                              surface, case):
         plan = FleetPlan.from_params(case["params"], op=case["op"])
         if surface == "tree":
-            document = tree_fleet_query(v1_store, plan)
+            # No sidecars: every job is read from its JSON columns.
+            document = sidecarless_fleet_query(v1_store, plan)
             assert document["degraded_jobs"] == JOBS
             document = dict(document, degraded_jobs=[])
+        elif surface == "reference":
+            document = reference_fleet_query(v1_store, plan)
         else:
             store = v2_store if surface == "v2" else v1_store
             document = run_fleet_query(store, plan)

@@ -13,7 +13,7 @@ from repro.graph.partition.vertexcut import greedy_vertex_cut
 from repro.graph.validate import compare_exact, compare_numeric
 from repro.platforms.base import JobRequest
 from repro.platforms.gas.algorithms import make_gas_program
-from repro.platforms.gas.async_engine import AsyncGasEngine
+from benchmarks.gas_async import AsyncGasEngine
 from repro.platforms.gas.engine import PowerGraphPlatform
 from repro.platforms.gas.sync_engine import SyncGasEngine
 

@@ -157,20 +157,45 @@ def columns_only(monkeypatch):
     monkeypatch.setattr("repro.core.archive.serialize.archive_from_json",
                         _no_tree)
     monkeypatch.setattr("repro.service.app.archive_from_json", _no_tree)
+    monkeypatch.setattr("repro.core.archive.columnar.document_to_archive",
+                        _no_tree)
+
+
+#: One request per fleet op and plan shape.
+FLEET_ROUTES = [
+    ("/fleet/query", QUERY_PARAMS),
+    ("/fleet/query", {"group_by": "meta:dataset", "agg": "mean,p50",
+                      "metric": "BytesRead", "samples": "1"}),
+    ("/fleet/series", {"agg": "max", "mission": "Superstep"}),
+    ("/fleet/regressions", {"k": "0.5", "samples": "1"}),
+    ("/fleet/regressions", {"path": "Job/**", "k": "1.0"}),
+]
+
+#: One ``/jobs/{id}/query`` per aggregation and selector.
+JOB_QUERIES = [
+    {},
+    {"agg": "count", "path": "Job/**/Superstep-*"},
+    {"agg": "mean", "mission": "LocalLoad", "metric": "BytesRead"},
+    {"agg": "top", "metric": "Duration", "n": "2"},
+    {"agg": "values", "actor": "Worker"},
+    {"agg": "durations", "mission": "Superstep"},
+    {"agg": "operations", "iteration": "1"},
+]
+
+
+def without_sidecars(store):
+    for job_id in store.list():
+        store.sidecar_path(job_id).unlink()
+    return store
 
 
 class TestColumnarHotPaths:
     """On a clean store, fleet scans and per-job queries answer from the
-    ``.gcol`` columns alone; no archive tree is ever built."""
+    ``.gcol`` columns alone; no archive tree is ever built.  Without
+    sidecars they answer from the JSON documents' own columns — still
+    without a tree — and report every job degraded."""
 
-    @pytest.mark.parametrize("route,params", [
-        ("/fleet/query", QUERY_PARAMS),
-        ("/fleet/query", {"group_by": "meta:dataset", "agg": "mean,p50",
-                          "metric": "BytesRead", "samples": "1"}),
-        ("/fleet/series", {"agg": "max", "mission": "Superstep"}),
-        ("/fleet/regressions", {"k": "0.5", "samples": "1"}),
-        ("/fleet/regressions", {"path": "Job/**", "k": "1.0"}),
-    ])
+    @pytest.mark.parametrize("route,params", FLEET_ROUTES)
     def test_fleet_ops_scan_columns_only(self, service, columns_only,
                                          route, params):
         response = service.handle(route, params)
@@ -179,20 +204,35 @@ class TestColumnarHotPaths:
         assert document["jobs_scanned"] == 3
         assert document["degraded_jobs"] == []
 
-    @pytest.mark.parametrize("params", [
-        {},
-        {"agg": "count", "path": "Job/**/Superstep-*"},
-        {"agg": "mean", "mission": "LocalLoad", "metric": "BytesRead"},
-        {"agg": "top", "metric": "Duration", "n": "2"},
-        {"agg": "values", "actor": "Worker"},
-        {"agg": "durations", "mission": "Superstep"},
-        {"agg": "operations", "iteration": "1"},
-    ])
+    @pytest.mark.parametrize("params", JOB_QUERIES)
     def test_job_query_reads_columns_only(self, service, columns_only,
                                           params):
         response = service.handle("/jobs/alpha/query", params)
         assert response.status == 200, response.text
         assert response.json()["job_id"] == "alpha"
+
+    @pytest.mark.parametrize("route,params", FLEET_ROUTES)
+    def test_fleet_ops_without_sidecars_build_no_tree(
+        self, store, columns_only, route, params,
+    ):
+        answer = ArchiveService(store).handle(route, params).json()
+        without_sidecars(store)
+        response = ArchiveService(store).handle(route, params)
+        assert response.status == 200, response.text
+        document = response.json()
+        assert document["jobs_scanned"] == 3
+        assert document["degraded_jobs"] == store.list()
+        assert dict(document, degraded_jobs=[]) == answer
+
+    @pytest.mark.parametrize("params", JOB_QUERIES)
+    def test_job_query_without_sidecars_builds_no_tree(
+        self, store, columns_only, params,
+    ):
+        answer = ArchiveService(store).handle("/jobs/alpha/query", params)
+        without_sidecars(store)
+        response = ArchiveService(store).handle("/jobs/alpha/query", params)
+        assert response.status == 200, response.text
+        assert response.body == answer.body
 
 
 class TestClosedEndpointLabelSet:

@@ -1,16 +1,19 @@
-"""Property-based tests (hypothesis): the ``.gcol`` view is the tree.
+"""Property-based tests (hypothesis): every column source is the walk.
 
 For random archives — random tree shapes, int/float/missing
 timestamps, heterogeneous info values including the literal string
 ``"Infinity"``, missions, actors and info keys drawn from arbitrary
 text (non-ASCII, empty, NUL, ``Step-007``, ``-3``, ``a--1``) and
-repeated heavily — the zero-copy :class:`ColumnarArchiveView` must
-answer every :class:`ArchiveQuery` selector and aggregation
-*byte-identically*: equal floats (no tolerance), equal record lists,
-and the same typed error with the same message where the tree path
-raises.
+repeated heavily — both sources of the one column core must answer
+every selector and aggregation exactly as the plain-walk reference in
+``tests/core/query_reference.py`` does: equal floats (bit for bit),
+equal record lists, and the same typed error with the same message
+where the reference raises.  The sources are the mmap'd ``.gcol``
+sidecar view, ``ArchiveQuery`` over the tree, and the view over a JSON
+document's own columns.
 """
 
+import json
 import math
 import struct
 import tempfile
@@ -22,12 +25,20 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.core.archive.archive import ArchivedOperation, PerformanceArchive
-from repro.core.archive.columnar import build_sidecar, load_sidecar
+from repro.core.archive.columnar import (
+    build_sidecar,
+    document_view,
+    load_sidecar,
+)
 from repro.core.archive.query import ArchiveQuery, translate_path_pattern
-from repro.core.archive.serialize import archive_to_document
+from repro.core.archive.serialize import (
+    archive_to_document,
+    archive_to_json,
+    operations_from_columns,
+)
 from repro.core.model.operation import split_iteration
 from repro.errors import QueryError
-from repro.service.app import _operation_record
+from tests.core.query_reference import ReferenceQuery
 
 # -- strategies -------------------------------------------------------------
 
@@ -102,10 +113,19 @@ def view_of(archive, directory):
         path, expected_checksum=document["integrity"]["checksum"])
 
 
-def assert_same_result(compute_view, compute_tree):
+def sources(archive, directory):
+    """(name, surface) of every column source over ``archive``."""
+    return [
+        ("sidecar", view_of(archive, directory)),
+        ("tree", ArchiveQuery(archive)),
+        ("document", document_view(json.loads(archive_to_json(archive)))),
+    ]
+
+
+def assert_same_result(compute_view, compute_reference):
     """Equal values, or the same QueryError with the same message."""
     try:
-        expected = compute_tree()
+        expected = compute_reference()
     except QueryError as exc:
         with pytest.raises(QueryError) as caught:
             compute_view()
@@ -121,25 +141,51 @@ def assert_same_result(compute_view, compute_tree):
         assert actual == expected
 
 
-def assert_surfaces_identical(view, tree, keys=INFO_KEYS):
-    assert len(view) == len(tree)
-    assert view.durations() == tree.durations()
-    assert view.operation_records() == \
-        [_operation_record(op) for op in tree.operations()]
+def ids(ops):
+    return [id(op) for op in ops]
+
+
+def assert_surfaces_identical(view, reference, keys=INFO_KEYS):
+    assert len(view) == len(reference)
+    assert view.durations() == reference.durations()
+    assert view.operation_records() == reference.operation_records()
     for key in keys:
-        assert view.values(key) == tree.values(key)
-        assert view.values(key, default=-1) == tree.values(key, default=-1)
+        assert view.values(key) == reference.values(key)
+        assert view.values(key, default=-1) == \
+            reference.values(key, default=-1)
         assert_same_result(lambda k=key: view.total(k),
-                           lambda k=key: tree.total(k))
+                           lambda k=key: reference.total(k))
         assert_same_result(lambda k=key: view.mean(k),
-                           lambda k=key: tree.mean(k))
-        assert_same_result(
-            lambda k=key: view.top_records(k, 3),
-            lambda k=key: [
-                dict(_operation_record(op), value=op.infos.get(k))
-                for op in tree.top(k, 3)
-            ],
-        )
+                           lambda k=key: reference.mean(k))
+        assert_same_result(lambda k=key: view.top_records(k, 3),
+                           lambda k=key: reference.top_records(k, 3))
+    if isinstance(view, ArchiveQuery):
+        # The tree's own operations, the reference walk's objects.
+        assert ids(view.operations()) == ids(reference.operations())
+        for key in keys:
+            assert_same_result(lambda k=key: ids(view.top(k, 3)),
+                               lambda k=key: ids(reference.top(k, 3)))
+        for grouped in ("group_by_actor", "group_by_iteration"):
+            assert {
+                key: ids(ops)
+                for key, ops in getattr(view, grouped)().items()
+            } == {
+                key: ids(ops)
+                for key, ops in getattr(reference, grouped)().items()
+            }
+
+
+def each_source(archive, check):
+    """Run ``check(surface, reference)`` against every column source."""
+    reference = ReferenceQuery(archive)
+    with tempfile.TemporaryDirectory() as directory:
+        surfaces = sources(archive, directory)
+        try:
+            for _name, surface in surfaces:
+                check(surface, reference)
+        finally:
+            for _name, surface in surfaces:
+                surface.close()
 
 
 # -- properties -------------------------------------------------------------
@@ -148,12 +194,7 @@ class TestColumnarIdentity:
     @given(archives())
     @settings(max_examples=40, deadline=None)
     def test_every_aggregation_matches_the_tree(self, archive):
-        with tempfile.TemporaryDirectory() as directory:
-            view = view_of(archive, directory)
-            try:
-                assert_surfaces_identical(view, ArchiveQuery(archive))
-            finally:
-                view.close()
+        each_source(archive, assert_surfaces_identical)
 
     @given(archives(), st.sampled_from(MISSIONS), st.sampled_from(ACTORS),
            st.integers(0, 12))
@@ -161,30 +202,49 @@ class TestColumnarIdentity:
     def test_every_selector_matches_the_tree(self, archive, mission,
                                              actor, iteration):
         mission_base = mission.rsplit("-", 1)[0]
-        tree = ArchiveQuery(archive)
-        with tempfile.TemporaryDirectory() as directory:
-            view = view_of(archive, directory)
-            try:
+
+        def check(view, reference):
+            assert_surfaces_identical(
+                view.mission(mission_base), reference.mission(mission_base))
+            assert_surfaces_identical(
+                view.actor(actor), reference.actor(actor))
+            assert_surfaces_identical(
+                view.iteration(iteration), reference.iteration(iteration))
+            pattern = f"{archive.root.mission}/*"
+            assert_surfaces_identical(
+                view.path(pattern), reference.path(pattern))
+            assert_surfaces_identical(view.path("*"), reference.path("*"))
+            assert_surfaces_identical(
+                view.mission(mission_base).actor(actor),
+                reference.mission(mission_base).actor(actor))
+            if isinstance(view, ArchiveQuery):
                 assert_surfaces_identical(
-                    view.mission(mission_base), tree.mission(mission_base))
-                assert_surfaces_identical(
-                    view.actor(actor), tree.actor(actor))
-                assert_surfaces_identical(
-                    view.iteration(iteration), tree.iteration(iteration))
-                pattern = f"{archive.root.mission}/*"
-                assert_surfaces_identical(
-                    view.path(pattern), tree.path(pattern))
-                assert_surfaces_identical(view.path("*"), tree.path("*"))
-                # The view's predicate sees service records, the
-                # tree's sees operations — same selection either way.
-                assert_surfaces_identical(
-                    view.where(lambda r: r["duration"] is not None),
-                    tree.where(lambda op: op.duration is not None))
-                assert_surfaces_identical(
-                    view.mission(mission_base).actor(actor),
-                    tree.mission(mission_base).actor(actor))
-            finally:
-                view.close()
+                    view.where(lambda op: op.duration is not None),
+                    reference.where(lambda op: op.duration is not None))
+
+        each_source(archive, check)
+
+
+class TestLongFolds:
+    @given(st.lists(floats, min_size=8, max_size=64))
+    @settings(max_examples=40, deadline=None)
+    def test_total_is_the_walk_order_left_fold(self, values):
+        """A long all-numeric selection takes the vectorized fold, and
+        it must still be the walk's left fold, bit for bit."""
+        root = ArchivedOperation("r", "Job", "Client", 0.0, 1.0,
+                                 infos={"Duration": values[0]})
+        for index, value in enumerate(values[1:]):
+            root.children.append(ArchivedOperation(
+                f"c{index}", f"Step-{index}", "Worker-1", 0.0, 1.0,
+                infos={"Duration": value}, parent=root))
+        archive = PerformanceArchive("fold-job", root, platform="Test")
+
+        def check(view, reference):
+            assert_same_result(view.total, reference.total)
+            assert_same_result(view.mission("Step").total,
+                               reference.mission("Step").total)
+
+        each_source(archive, check)
 
 
 def info_keys_of(archive):
@@ -205,33 +265,60 @@ class TestArbitraryNames:
         actor_bases = {op.actor_base for op in ops} | {name}
         iterations = {split_iteration(m)[1] for m in missions} | {-1}
         keys = info_keys_of(archive)
-        tree = ArchiveQuery(archive)
-        with tempfile.TemporaryDirectory() as directory:
-            view = view_of(archive, directory)
-            try:
-                assert_surfaces_identical(view, tree, keys)
-                for base in sorted(mission_bases):
-                    assert_surfaces_identical(
-                        view.mission(base), tree.mission(base), keys)
-                    for actor in sorted(actor_bases):
-                        assert len(view.mission(base).actor(actor)) == \
-                            len(tree.mission(base).actor(actor))
+
+        def check(view, reference):
+            assert_surfaces_identical(view, reference, keys)
+            for base in sorted(mission_bases):
+                assert_surfaces_identical(
+                    view.mission(base), reference.mission(base), keys)
                 for actor in sorted(actor_bases):
-                    assert_surfaces_identical(
-                        view.actor(actor), tree.actor(actor), keys)
-                for index in sorted(iterations, key=repr):
-                    assert_surfaces_identical(
-                        view.iteration(index), tree.iteration(index), keys)
-                for pattern in (f"{archive.root.mission}/*", "**",
-                                f"**/{missions[-1]}"):
-                    try:
-                        translate_path_pattern(pattern)
-                    except QueryError:
-                        continue  # Both paths reject it before selecting.
-                    assert_surfaces_identical(
-                        view.path(pattern), tree.path(pattern), keys)
-            finally:
-                view.close()
+                    assert len(view.mission(base).actor(actor)) == \
+                        len(reference.mission(base).actor(actor))
+            for actor in sorted(actor_bases):
+                assert_surfaces_identical(
+                    view.actor(actor), reference.actor(actor), keys)
+            for index in sorted(iterations, key=repr):
+                assert_surfaces_identical(
+                    view.iteration(index), reference.iteration(index), keys)
+            for pattern in (f"{archive.root.mission}/*", "**",
+                            f"**/{missions[-1]}"):
+                try:
+                    translate_path_pattern(pattern)
+                except QueryError:
+                    continue  # Both paths reject it before selecting.
+                assert_surfaces_identical(
+                    view.path(pattern), reference.path(pattern), keys)
+
+        each_source(archive, check)
+
+
+class TestRewrittenInfos:
+    @given(archives(), st.data())
+    @settings(max_examples=40, deadline=None)
+    def test_document_columns_with_repeated_keys_match_the_tree(
+        self, archive, data,
+    ):
+        """A hand-written document may write one operation's info key
+        twice; the tree decoder keeps the last write, and so must the
+        document's column view."""
+        document = json.loads(archive_to_json(archive))
+        columns = document["operations"]
+        rewrites = data.draw(st.lists(st.tuples(
+            st.integers(0, columns["count"] - 1),
+            st.sampled_from(INFO_KEYS),
+            st.one_of(floats, st.integers(-10**6, 10**6), st.none(),
+                      st.booleans(), st.sampled_from(("12.5", "FAILED"))),
+        ), min_size=1, max_size=8))
+        for op_row, key, value in rewrites:
+            columns["info_op"].append(op_row)
+            columns["info_key"].append(key)
+            columns["info_value"].append(value)
+        tree = PerformanceArchive(
+            document["job_id"], operations_from_columns(columns))
+        with document_view(document) as view:
+            assert_surfaces_identical(view, ReferenceQuery(tree))
+            assert_surfaces_identical(view.mission("Step"),
+                                      ReferenceQuery(tree).mission("Step"))
 
 
 class TestNonFiniteFold:
@@ -242,16 +329,16 @@ class TestNonFiniteFold:
                                   infos={"Dist": float("-inf")}, parent=root)
         root.children.append(child)
         archive = PerformanceArchive("inf-job", root, platform="Test")
+        expected = ReferenceQuery(archive).total("Dist")
         with tempfile.TemporaryDirectory() as directory:
-            view = view_of(archive, directory)
-            try:
-                with warnings.catch_warnings():
-                    warnings.simplefilter("error", RuntimeWarning)
-                    total = view.total("Dist")
-                    values = view.values("Dist")
-            finally:
-                view.close()
-        assert math.isnan(total)
-        assert struct.pack("<d", total) == \
-            struct.pack("<d", ArchiveQuery(archive).total("Dist"))
-        assert values == [float("inf"), float("-inf")]
+            for _name, view in sources(archive, directory):
+                try:
+                    with warnings.catch_warnings():
+                        warnings.simplefilter("error", RuntimeWarning)
+                        total = view.total("Dist")
+                        values = view.values("Dist")
+                finally:
+                    view.close()
+                assert math.isnan(total)
+                assert struct.pack("<d", total) == struct.pack("<d", expected)
+                assert values == [float("inf"), float("-inf")]

@@ -1,14 +1,16 @@
-"""Property-based tests (hypothesis): fleet scans are path-invariant.
+"""Property-based tests (hypothesis): fleet scans are source-invariant.
 
 For stores of random archives — random tree shapes, int/float/missing
 timestamps, heterogeneous info values, partially absent metadata — a
-fleet query must return the *same document* whether it runs the
-vectorized columnar scan or, on a copy of the store without sidecars,
-materializes every archive; only ``degraded_jobs`` may differ.  And
-when sidecars are corrupted or deleted, the columnar scan must degrade
-per job (reported in ``degraded_jobs``), never change a value.  And a fleet split across
-several stores, merged the way the cluster router merges its shards,
-must answer what one store holding every job answers.
+fleet query must return the document the plain-walk reference in
+``tests/core/query_reference.py`` returns (every job's tree walked)
+whether each job is read from its ``.gcol`` sidecar or, on a copy of
+the store without sidecars, from its JSON document's own columns; only
+``degraded_jobs`` may differ.  When sidecars are corrupted or deleted,
+the scan must degrade per job (reported in ``degraded_jobs``), never
+change a value.  And a fleet split across several stores, merged the
+way the cluster router merges its shards, must answer what one store
+holding every job answers.
 """
 
 from __future__ import annotations
@@ -26,7 +28,8 @@ from repro.core.analysis.fleet import (
 from repro.core.analysis.fleetplan import FleetPlan
 from repro.core.archive.archive import ArchivedOperation, PerformanceArchive
 from repro.core.archive.store import ArchiveStore
-from tests.conftest import tree_fleet_query
+from tests.conftest import sidecarless_fleet_query
+from tests.core.query_reference import reference_fleet_query
 
 MISSIONS = ("Load", "Compute", "Step-0", "Step-1", "Step-12", "IO-2",
             "Step-007", "a--1", "Step-1-2", "-3", "Wörk-1")
@@ -123,10 +126,14 @@ class TestFleetModeInvariance:
                 store.save(archive)
             columnar = run_fleet_query(store, plan,
                                        include_samples=samples)
-            tree = tree_fleet_query(store, plan, include_samples=samples)
-            assert columnar["degraded_jobs"] == []
-            assert tree["degraded_jobs"] == store.list()
-            assert columnar == dict(tree, degraded_jobs=[])
+            sidecarless = sidecarless_fleet_query(store, plan,
+                                                  include_samples=samples)
+            reference = reference_fleet_query(store, plan,
+                                              include_samples=samples)
+            assert reference["degraded_jobs"] == []
+            assert columnar == reference
+            assert sidecarless == dict(reference,
+                                       degraded_jobs=store.list())
 
     @given(stores_of_archives())
     @settings(max_examples=25, deadline=None)
@@ -137,8 +144,12 @@ class TestFleetModeInvariance:
             for archive in archives:
                 store.save(archive)
             columnar = run_fleet_query(store, plan, include_samples=True)
-            tree = tree_fleet_query(store, plan, include_samples=True)
-            assert columnar["shares"] == tree["shares"]
+            sidecarless = sidecarless_fleet_query(store, plan,
+                                                  include_samples=True)
+            reference = reference_fleet_query(store, plan,
+                                              include_samples=True)
+            assert columnar["shares"] == reference["shares"]
+            assert sidecarless["shares"] == reference["shares"]
             for row in columnar["shares"]:
                 assert list(row["shares"]) == sorted(row["shares"])
 
@@ -163,11 +174,10 @@ class TestFleetModeInvariance:
                     side.unlink()
                 else:
                     side.write_bytes(b"GCOL not a real sidecar")
-            tree = tree_fleet_query(store, plan)
+            reference = reference_fleet_query(store, plan)
             columnar = run_fleet_query(store, plan)
             assert columnar["degraded_jobs"] == victims
-            assert dict(columnar, degraded_jobs=[]) == \
-                dict(tree, degraded_jobs=[])
+            assert dict(columnar, degraded_jobs=[]) == reference
 
 
 class TestFleetMergeInvariance:
