@@ -2,18 +2,31 @@
 
 Table 1 lists CSR as the data format of PGX.D, OpenG and TOTEM; the GAS
 engine also finalizes its loaded edge lists into CSR before processing.
-Backed by numpy arrays for compactness.
+Backed by int64 numpy arrays; it is the one in-memory form of a
+:class:`~repro.graph.graph.Graph`.
 """
 
 from __future__ import annotations
 
-import itertools
 from typing import Iterator, Tuple
 
 import numpy as np
 
 from repro.errors import GraphError
-from repro.graph.graph import Graph
+
+
+def pair_columns(edges) -> Tuple[np.ndarray, np.ndarray]:
+    """(src, dst) int64 columns of edge pairs, in order: any iterable of
+    pairs or an ``(m, 2)`` array."""
+    pairs = np.asarray(
+        edges if isinstance(edges, np.ndarray) else list(edges),
+        dtype=np.int64,
+    )
+    if pairs.size == 0:
+        pairs = pairs.reshape(0, 2)
+    if pairs.ndim != 2 or pairs.shape[1] != 2:
+        raise GraphError("edges must be (src, dst) pairs")
+    return pairs[:, 0], pairs[:, 1]
 
 
 class CsrGraph:
@@ -43,44 +56,21 @@ class CsrGraph:
         self.indices = indices
 
     @classmethod
-    def from_graph(cls, graph: Graph) -> "CsrGraph":
-        """Convert an adjacency :class:`Graph` into CSR.
+    def from_edge_arrays(
+        cls, num_vertices: int, src: np.ndarray, dst: np.ndarray
+    ) -> "CsrGraph":
+        """CSR from parallel (src, dst) arrays: the one edge builder.
 
-        Vectorized: degree counting and prefix sums run as array ops and
-        the adjacency lists are copied with one bulk ``fromiter`` pass.
-        """
-        n = graph.num_vertices
-        adjacency = [graph.out_neighbors(v) for v in range(n)]
-        degrees = np.fromiter(map(len, adjacency), dtype=np.int64, count=n)
-        indptr = np.zeros(n + 1, dtype=np.int64)
-        np.cumsum(degrees, out=indptr[1:])
-        indices = np.fromiter(
-            itertools.chain.from_iterable(adjacency),
-            dtype=np.int64,
-            count=graph.num_edges,
-        )
-        return cls(indptr, indices)
-
-    @classmethod
-    def from_edges(cls, num_vertices: int, edges) -> "CsrGraph":
-        """CSR directly from (src, dst) pairs, without an adjacency Graph.
-
-        Accepts any iterable of pairs or an ``(m, 2)``/two-column array.
-        Parallel edges are collapsed and neighbors sorted ascending,
-        matching :class:`~repro.graph.graph.Graph` semantics.
+        Every edge is range-checked (the first bad one is named),
+        parallel edges are collapsed and each row is sorted ascending;
+        self-loops are kept.
         """
         if num_vertices < 0:
             raise GraphError(f"negative vertex count: {num_vertices}")
-        pairs = np.asarray(
-            edges if isinstance(edges, np.ndarray) else list(edges),
-            dtype=np.int64,
-        )
-        if pairs.size == 0:
-            return cls(np.zeros(num_vertices + 1, dtype=np.int64),
-                       np.empty(0, dtype=np.int64))
-        if pairs.ndim != 2 or pairs.shape[1] != 2:
-            raise GraphError("edges must be (src, dst) pairs")
-        src, dst = pairs[:, 0], pairs[:, 1]
+        src = np.asarray(src, dtype=np.int64)
+        dst = np.asarray(dst, dtype=np.int64)
+        if src.shape != dst.shape or src.ndim != 1:
+            raise GraphError("src and dst must be equal-length 1-d arrays")
         bad = (src < 0) | (src >= num_vertices) | (dst < 0) | (dst >= num_vertices)
         if bad.any():
             i = int(np.flatnonzero(bad)[0])
@@ -88,11 +78,19 @@ class CsrGraph:
                 f"edge ({int(src[i])}, {int(dst[i])}) out of range "
                 f"for {num_vertices} vertices"
             )
+        # Dedup + sort in one shot: pack (src, dst) into a single key.
         key = np.unique(src * np.int64(num_vertices) + dst)
-        u_src = key // num_vertices
         indptr = np.zeros(num_vertices + 1, dtype=np.int64)
-        np.cumsum(np.bincount(u_src, minlength=num_vertices), out=indptr[1:])
-        return cls(indptr, key % num_vertices)
+        if len(key):
+            np.cumsum(np.bincount(key // num_vertices, minlength=num_vertices),
+                      out=indptr[1:])
+            key %= num_vertices
+        return cls(indptr, key)
+
+    @classmethod
+    def from_edges(cls, num_vertices: int, edges) -> "CsrGraph":
+        """CSR from (src, dst) pairs (see :func:`pair_columns`)."""
+        return cls.from_edge_arrays(num_vertices, *pair_columns(edges))
 
     @property
     def num_vertices(self) -> int:
@@ -120,6 +118,11 @@ class CsrGraph:
         """Vector of all out-degrees."""
         return np.diff(self.indptr)
 
+    def sources(self) -> np.ndarray:
+        """The source vertex of every edge, aligned with ``indices``."""
+        return np.repeat(
+            np.arange(self.num_vertices, dtype=np.int64), self.out_degrees())
+
     def transposed(self) -> "CsrGraph":
         """The same edges keyed by destination (the in-adjacency).
 
@@ -129,21 +132,24 @@ class CsrGraph:
         is stable.
         """
         n = self.num_vertices
-        sources = np.repeat(np.arange(n, dtype=np.int64), self.out_degrees())
         order = np.argsort(self.indices, kind="stable")
         indptr = np.zeros(n + 1, dtype=np.int64)
         np.cumsum(np.bincount(self.indices, minlength=n), out=indptr[1:])
-        return CsrGraph(indptr, sources[order])
+        return CsrGraph(indptr, self.sources()[order])
+
+    def undirected(self) -> "CsrGraph":
+        """The undirected view: each row holds the distinct neighbours
+        of ``v`` in either direction, ascending, without ``v`` itself."""
+        src, dst = self.sources(), self.indices
+        keep = src != dst
+        src, dst = src[keep], dst[keep]
+        return CsrGraph.from_edge_arrays(
+            self.num_vertices,
+            np.concatenate((src, dst)), np.concatenate((dst, src)))
 
     def edges(self) -> Iterator[Tuple[int, int]]:
         """All (src, dst) pairs, sorted by src then dst."""
-        for v in range(self.num_vertices):
-            for dst in self.out_neighbors(v):
-                yield (v, int(dst))
-
-    def to_graph(self) -> Graph:
-        """Convert back into an adjacency :class:`Graph`."""
-        return Graph(self.num_vertices, self.edges())
+        return zip(self.sources().tolist(), self.indices.tolist())
 
     def nbytes(self) -> int:
         """Memory footprint of the two index arrays."""

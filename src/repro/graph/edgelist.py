@@ -13,6 +13,7 @@ from typing import Iterable, List, Optional, Tuple
 import numpy as np
 
 from repro.errors import GraphError
+from repro.graph.csr import pair_columns
 from repro.graph.graph import Edge, Graph
 
 
@@ -33,74 +34,62 @@ class EdgeList:
 
     Attributes:
         num_vertices: size of the id space (vertices may be isolated).
-        edges: (src, dst) tuples; order is meaningful (file order).
+        src, dst: parallel int64 arrays, one entry per edge in file
+            order.
 
-    :meth:`from_graph` keeps the list as parallel (src, dst) numpy
-    arrays: deploying a dataset only needs edge *counts* and byte
-    *sizes*, both of which come straight off the arrays, so the million
-    Python tuples behind ``edges`` are built lazily on first access.
+    Deploying a dataset only needs edge *counts* and byte *sizes*, both
+    of which come straight off the arrays, so the Python tuples behind
+    :attr:`edges` are built on first use.
     """
 
-    __slots__ = ("num_vertices", "_edges", "_arrays")
+    __slots__ = ("num_vertices", "src", "dst", "_edges")
 
     def __init__(self, num_vertices: int, edges: Iterable[Edge] = ()):
         self.num_vertices = num_vertices
-        self._edges: Optional[Tuple[Edge, ...]] = tuple(edges)
-        #: Parallel (src, dst) numpy arrays, stashed by ``from_graph`` so
-        #: size accounting can run vectorized; plain-constructed lists
-        #: lack them.
-        self._arrays: Optional[tuple] = None
+        self.src, self.dst = pair_columns(edges)
+        self._edges: Optional[Tuple[Edge, ...]] = None
+
+    @classmethod
+    def _of_arrays(cls, num_vertices: int, src: np.ndarray,
+                   dst: np.ndarray) -> "EdgeList":
+        edge_list = cls(num_vertices)
+        edge_list.src = src
+        edge_list.dst = dst
+        return edge_list
 
     @classmethod
     def from_graph(cls, graph: Graph) -> "EdgeList":
-        """Extract the edge list of a graph (array-backed, lazy tuples)."""
+        """Extract the edge list of a graph, sorted by src then dst."""
         csr = graph.csr()
-        src = np.repeat(
-            np.arange(graph.num_vertices, dtype=np.int64), csr.out_degrees()
-        )
-        dst = csr.indices
-        edge_list = cls(graph.num_vertices)
-        edge_list._edges = None
-        edge_list._arrays = (src, dst)
-        return edge_list
+        return cls._of_arrays(graph.num_vertices, csr.sources(), csr.indices)
 
     @property
     def edges(self) -> Tuple[Edge, ...]:
-        """The (src, dst) tuples (materialized on first use)."""
+        """The (src, dst) tuples (built on first use)."""
         if self._edges is None:
-            src, dst = self._arrays
-            self._edges = tuple(zip(src.tolist(), dst.tolist()))
+            self._edges = tuple(zip(self.src.tolist(), self.dst.tolist()))
         return self._edges
 
     def to_graph(self) -> Graph:
         """Materialize the edge list as a graph."""
-        return Graph(self.num_vertices, self.edges)
+        return Graph.from_edge_arrays(self.num_vertices, self.src, self.dst)
 
     @property
     def num_edges(self) -> int:
         """Number of edges in the list."""
-        if self._edges is None:
-            return len(self._arrays[0])
-        return len(self._edges)
+        return len(self.src)
 
     def text_size_bytes(self) -> int:
         """Exact size of the rendered text file in bytes."""
-        if self._arrays is not None:
-            src, dst = self._arrays
-            return int(
-                _digit_counts(src).sum() + _digit_counts(dst).sum()
-                + 2 * len(src)
-            )
-        total = 0
-        for src, dst in self.edges:
-            total += len(str(src)) + 1 + len(str(dst)) + 1
-        return total
+        return int(_digit_counts(self.src).sum()
+                   + _digit_counts(self.dst).sum() + 2 * len(self.src))
 
     def __eq__(self, other: object) -> bool:
         if not isinstance(other, EdgeList):
             return NotImplemented
         return (self.num_vertices == other.num_vertices
-                and self.edges == other.edges)
+                and np.array_equal(self.src, other.src)
+                and np.array_equal(self.dst, other.dst))
 
     def __hash__(self) -> int:
         return hash((self.num_vertices, self.edges))
@@ -121,7 +110,8 @@ def parse_edge_list(text: str, num_vertices: int) -> EdgeList:
     Blank lines and ``#`` comment lines are ignored, matching the common
     SNAP/Graphalytics conventions.
     """
-    edges: List[Edge] = []
+    src: List[int] = []
+    dst: List[int] = []
     for lineno, line in enumerate(text.splitlines(), start=1):
         stripped = line.strip()
         if not stripped or stripped.startswith("#"):
@@ -132,18 +122,20 @@ def parse_edge_list(text: str, num_vertices: int) -> EdgeList:
                 f"line {lineno}: expected 'src dst', got {line!r}"
             )
         try:
-            src, dst = int(parts[0]), int(parts[1])
+            u, w = int(parts[0]), int(parts[1])
         except ValueError:
             raise GraphError(
                 f"line {lineno}: non-integer vertex id in {line!r}"
             ) from None
-        if not (0 <= src < num_vertices and 0 <= dst < num_vertices):
+        if not (0 <= u < num_vertices and 0 <= w < num_vertices):
             raise GraphError(
-                f"line {lineno}: edge ({src}, {dst}) out of range "
+                f"line {lineno}: edge ({u}, {w}) out of range "
                 f"for {num_vertices} vertices"
             )
-        edges.append((src, dst))
-    return EdgeList(num_vertices, tuple(edges))
+        src.append(u)
+        dst.append(w)
+    return EdgeList._of_arrays(num_vertices, np.array(src, dtype=np.int64),
+                               np.array(dst, dtype=np.int64))
 
 
 def split_edges(edge_list: EdgeList, parts: int) -> List[EdgeList]:
@@ -156,8 +148,8 @@ def split_edges(edge_list: EdgeList, parts: int) -> List[EdgeList]:
     start = 0
     for i in range(parts):
         size = base + (1 if i < extra else 0)
-        chunks.append(
-            EdgeList(edge_list.num_vertices, edge_list.edges[start:start + size])
-        )
+        chunks.append(EdgeList._of_arrays(
+            edge_list.num_vertices, edge_list.src[start:start + size],
+            edge_list.dst[start:start + size]))
         start += size
     return chunks

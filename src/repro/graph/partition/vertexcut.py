@@ -10,180 +10,41 @@ The streaming heuristic is inherently sequential, so the fast path keeps
 the per-edge loop but represents each vertex's replica set as a bitmask
 of partitions (one machine word for realistic ``parts``) instead of a
 Python set; :func:`_greedy_vertex_cut_reference` retains the literal
-set-based formulation as the equivalence oracle.  Finalization — the
-replica/master tables — is vectorized with numpy, and the flat edge
-arrays are stashed on the cut for the vectorized GAS backend.
+set-based formulation as the equivalence oracle.  Both partitioners
+read the graph's CSR arrays, and a cut is its flat edge/part/replica
+columns (:class:`VertexCut`), which the vectorized GAS backend and the
+artifact cache use as they are.
 """
 
 from __future__ import annotations
 
 import random
-from dataclasses import dataclass, field
 from typing import Dict, Iterable, List, Optional, Set, Tuple
 
 import numpy as np
 
 from repro.errors import PartitionError
+from repro.graph.csr import pair_columns
 from repro.graph.graph import Edge, Graph
 
 _KNUTH = 2654435761  # Knuth's multiplicative constant (2^32 / phi).
 _GOLDEN = 0x9E3779B9
 
 
-@dataclass
 class VertexCut:
-    """Result of an edge partitioning.
+    """Result of an edge partitioning, held as flat int64 columns.
 
     Attributes:
         parts: number of partitions.
-        edge_assignment: partition id per edge, aligned with ``edges``.
-        edges: the partitioned edges (src, dst).
-        replicas: for each vertex, the set of partitions holding a replica.
-        masters: the master partition of each replicated vertex.
-    """
+        src, dst: the partitioned edges, in the graph's edge order.
+        part: partition id per edge, aligned with ``src``/``dst``.
+        pairs: the distinct replica incidences ``vertex * parts + part``,
+            sorted, so each vertex's first pair names its master (its
+            lowest partition).
 
-    parts: int
-    edges: List[Edge]
-    edge_assignment: List[int]
-    replicas: Dict[int, Set[int]] = field(default_factory=dict)
-    masters: Dict[int, int] = field(default_factory=dict)
-
-    def edges_of_part(self, part: int) -> List[Edge]:
-        """Edges assigned to ``part``."""
-        if not (0 <= part < self.parts):
-            raise PartitionError(f"partition {part} out of range [0, {self.parts})")
-        return [
-            e for e, p in zip(self.edges, self.edge_assignment) if p == part
-        ]
-
-    def replication_factor(self) -> float:
-        """Average number of replicas per (non-isolated) vertex."""
-        pairs = getattr(self, "_replica_pairs", None)
-        if pairs is not None:
-            if not len(pairs):
-                return 0.0
-            vertices = len(np.unique(pairs // np.int64(self.parts)))
-            return len(pairs) / vertices
-        if not self.replicas:
-            return 0.0
-        return sum(len(r) for r in self.replicas.values()) / len(self.replicas)
-
-    def edge_counts(self) -> List[int]:
-        """Number of edges per partition."""
-        arrays = getattr(self, "_edge_arrays", None)
-        if arrays is not None:
-            return np.bincount(arrays[2], minlength=self.parts).tolist()
-        counts = [0] * self.parts
-        for p in self.edge_assignment:
-            counts[p] += 1
-        return counts
-
-
-def _edge_columns(
-    edges: List[Edge], assignment: List[int]
-) -> Tuple[np.ndarray, np.ndarray, np.ndarray]:
-    m = len(edges)
-    src = np.fromiter((e[0] for e in edges), dtype=np.int64, count=m)
-    dst = np.fromiter((e[1] for e in edges), dtype=np.int64, count=m)
-    part = np.asarray(assignment, dtype=np.int64)
-    return src, dst, part
-
-
-def _finalize(parts: int, edges: List[Edge], assignment: List[int]) -> VertexCut:
-    src, dst, part = _edge_columns(edges, assignment)
-    replicas: Dict[int, Set[int]] = {}
-    masters: Dict[int, int] = {}
-    pair = np.empty(0, dtype=np.int64)
-    if len(edges):
-        # Distinct (vertex, part) incidences, sorted — so the first
-        # part seen per vertex is its minimum, i.e. the master.
-        pair = np.unique(
-            np.concatenate((src, dst)) * np.int64(parts)
-            + np.concatenate((part, part))
-        )
-        _fill_replica_tables(parts, pair, replicas, masters)
-    cut = VertexCut(parts, edges, assignment, replicas, masters)
-    # Flat columns for the vectorized GAS backend (not part of the
-    # dataclass value: derived, and absent on hand-built cuts).
-    cut._edge_arrays = (src, dst, part)
-    cut._replica_pairs = pair
-    return cut
-
-
-def _fill_replica_tables(
-    parts: int,
-    pair: np.ndarray,
-    replicas: Dict[int, Set[int]],
-    masters: Dict[int, int],
-) -> None:
-    """Expand sorted (vertex*parts + part) keys into the dict tables."""
-    for key in pair.tolist():
-        v, p = divmod(key, parts)
-        group = replicas.get(v)
-        if group is None:
-            replicas[v] = {p}
-            masters[v] = p
-        else:
-            group.add(p)
-
-
-def cut_to_arrays(cut: VertexCut) -> Dict[str, np.ndarray]:
-    """Flat numpy columns fully describing ``cut`` (for the artifact cache).
-
-    Returns ``src``/``dst``/``part`` per-edge columns plus the sorted
-    ``pairs`` replica incidences; :func:`cut_from_arrays` inverts this
-    into a cut indistinguishable from the original.
-    """
-    arrays = getattr(cut, "_edge_arrays", None)
-    if arrays is None:
-        arrays = _edge_columns(cut.edges, cut.edge_assignment)
-    src, dst, part = arrays
-    pairs = getattr(cut, "_replica_pairs", None)
-    if pairs is None:
-        if len(src):
-            pairs = np.unique(
-                np.concatenate((src, dst)) * np.int64(cut.parts)
-                + np.concatenate((part, part))
-            )
-        else:
-            pairs = np.empty(0, dtype=np.int64)
-    return {"src": src, "dst": dst, "part": part, "pairs": pairs}
-
-
-def cut_from_arrays(
-    parts: int,
-    src: np.ndarray,
-    dst: np.ndarray,
-    part: np.ndarray,
-    pairs: np.ndarray,
-) -> VertexCut:
-    """Rebuild a cut from :func:`cut_to_arrays` columns (e.g. a cache hit).
-
-    The result is a lazy view: the flat columns (possibly read-only
-    memory maps) feed the vectorized GAS backend directly, while the
-    Python-level ``edges``/``edge_assignment``/``replicas``/``masters``
-    tables materialize on first access with exactly the values
-    :func:`_finalize` would have produced.
-    """
-    if parts <= 0:
-        raise PartitionError(f"parts must be positive, got {parts}")
-    src = np.asarray(src, dtype=np.int64)
-    dst = np.asarray(dst, dtype=np.int64)
-    part = np.asarray(part, dtype=np.int64)
-    pairs = np.asarray(pairs, dtype=np.int64)
-    if not (src.shape == dst.shape == part.shape) or src.ndim != 1:
-        raise PartitionError("src/dst/part must be equal-length 1-d arrays")
-    return _LazyVertexCut(parts, src, dst, part, pairs)
-
-
-class _LazyVertexCut(VertexCut):
-    """A :class:`VertexCut` whose Python tables materialize on demand.
-
-    Cache hits hand the vectorized backend its flat columns without ever
-    paying for the per-edge tuple list or the replica dicts; scalar
-    consumers that do touch those attributes get values identical to an
-    eagerly finalized cut.  The properties are data descriptors, so they
-    shadow the dataclass fields of the parent.
+    The Python tables ``edges``, ``edge_assignment``, ``replicas`` and
+    ``masters`` are built from the columns on first use; the vectorized
+    GAS backend and the artifact cache read the columns directly.
     """
 
     def __init__(
@@ -195,60 +56,131 @@ class _LazyVertexCut(VertexCut):
         pairs: np.ndarray,
     ):
         self.parts = int(parts)
-        self._edge_arrays = (src, dst, part)
-        self._replica_pairs = pairs
+        self.src = src
+        self.dst = dst
+        self.part = part
+        self.pairs = pairs
         self._edges: Optional[List[Edge]] = None
         self._assignment: Optional[List[int]] = None
-        self._tables = None
+        self._tables: Optional[Tuple[Dict[int, Set[int]], Dict[int, int]]] = None
 
     @property
     def edges(self) -> List[Edge]:
+        """The partitioned edges (src, dst)."""
         if self._edges is None:
-            src, dst, _ = self._edge_arrays
-            self._edges = list(zip(src.tolist(), dst.tolist()))
+            self._edges = list(zip(self.src.tolist(), self.dst.tolist()))
         return self._edges
 
     @property
     def edge_assignment(self) -> List[int]:
+        """Partition id per edge, aligned with ``edges``."""
         if self._assignment is None:
-            self._assignment = self._edge_arrays[2].tolist()
+            self._assignment = self.part.tolist()
         return self._assignment
 
     @property
     def replicas(self) -> Dict[int, Set[int]]:
+        """For each vertex, the set of partitions holding a replica."""
         return self._replica_tables()[0]
 
     @property
     def masters(self) -> Dict[int, int]:
+        """The master partition of each replicated vertex."""
         return self._replica_tables()[1]
 
     def _replica_tables(self):
         if self._tables is None:
             replicas: Dict[int, Set[int]] = {}
             masters: Dict[int, int] = {}
-            _fill_replica_tables(
-                self.parts, self._replica_pairs, replicas, masters
-            )
+            for key in self.pairs.tolist():
+                v, p = divmod(key, self.parts)
+                group = replicas.get(v)
+                if group is None:
+                    replicas[v] = {p}
+                    masters[v] = p
+                else:
+                    group.add(p)
             self._tables = (replicas, masters)
         return self._tables
+
+    def edges_of_part(self, part: int) -> List[Edge]:
+        """Edges assigned to ``part``."""
+        if not (0 <= part < self.parts):
+            raise PartitionError(f"partition {part} out of range [0, {self.parts})")
+        mine = self.part == part
+        return list(zip(self.src[mine].tolist(), self.dst[mine].tolist()))
+
+    def replication_factor(self) -> float:
+        """Average number of replicas per (non-isolated) vertex."""
+        if not len(self.pairs):
+            return 0.0
+        vertices = len(np.unique(self.pairs // np.int64(self.parts)))
+        return len(self.pairs) / vertices
+
+    def edge_counts(self) -> List[int]:
+        """Number of edges per partition."""
+        return np.bincount(self.part, minlength=self.parts).tolist()
+
+
+def _finalize(parts: int, src: np.ndarray, dst: np.ndarray,
+              part: np.ndarray) -> VertexCut:
+    """The cut of an edge placement, with its replica incidences."""
+    part = np.asarray(part, dtype=np.int64)
+    pairs = np.unique(
+        np.concatenate((src, dst)) * np.int64(parts)
+        + np.concatenate((part, part))
+    )
+    return VertexCut(parts, src, dst, part, pairs)
+
+
+def cut_to_arrays(cut: VertexCut) -> Dict[str, np.ndarray]:
+    """Flat numpy columns fully describing ``cut`` (for the artifact cache).
+
+    Returns ``src``/``dst``/``part`` per-edge columns plus the sorted
+    ``pairs`` replica incidences; :func:`cut_from_arrays` inverts this
+    into a cut indistinguishable from the original.
+    """
+    return {"src": cut.src, "dst": cut.dst, "part": cut.part,
+            "pairs": cut.pairs}
+
+
+def cut_from_arrays(
+    parts: int,
+    src: np.ndarray,
+    dst: np.ndarray,
+    part: np.ndarray,
+    pairs: np.ndarray,
+) -> VertexCut:
+    """Rebuild a cut from :func:`cut_to_arrays` columns (e.g. a cache hit).
+
+    The columns may be read-only memory maps; they are used as they are.
+    """
+    if parts <= 0:
+        raise PartitionError(f"parts must be positive, got {parts}")
+    src = np.asarray(src, dtype=np.int64)
+    dst = np.asarray(dst, dtype=np.int64)
+    part = np.asarray(part, dtype=np.int64)
+    pairs = np.asarray(pairs, dtype=np.int64)
+    if not (src.shape == dst.shape == part.shape) or src.ndim != 1:
+        raise PartitionError("src/dst/part must be equal-length 1-d arrays")
+    return VertexCut(parts, src, dst, part, pairs)
 
 
 def random_vertex_cut(graph: Graph, parts: int) -> VertexCut:
     """Hash each edge to a partition (PowerGraph's ``random`` ingress)."""
     if parts <= 0:
         raise PartitionError(f"parts must be positive, got {parts}")
-    edges = list(graph.edges())
-    m = len(edges)
-    src = np.fromiter((e[0] for e in edges), dtype=np.uint64, count=m)
-    dst = np.fromiter((e[1] for e in edges), dtype=np.uint64, count=m)
+    csr = graph.csr()
+    src, dst = csr.sources(), csr.indices
     # vertex_hash over uint64 columns: wrap-around multiplication keeps
     # the low 32 bits exact, so this matches the scalar hash bit for bit.
-    h_src = ((src + np.uint64(1)) * np.uint64(_KNUTH)) & np.uint64(0xFFFFFFFF)
-    h_dst = (
-        (dst + np.uint64(_GOLDEN + 1)) * np.uint64(_KNUTH)
+    h_src = (
+        (src.astype(np.uint64) + np.uint64(1)) * np.uint64(_KNUTH)
     ) & np.uint64(0xFFFFFFFF)
-    assignment = ((h_src ^ h_dst) % np.uint64(parts)).astype(np.int64).tolist()
-    return _finalize(parts, edges, assignment)
+    h_dst = (
+        (dst.astype(np.uint64) + np.uint64(_GOLDEN + 1)) * np.uint64(_KNUTH)
+    ) & np.uint64(0xFFFFFFFF)
+    return _finalize(parts, src, dst, (h_src ^ h_dst) % np.uint64(parts))
 
 
 def _shuffled_order(m: int, seed: int) -> List[int]:
@@ -291,8 +223,10 @@ def greedy_vertex_cut(
         raise PartitionError(f"parts must be positive, got {parts}")
     if balance_slack < 0:
         raise PartitionError(f"negative balance slack: {balance_slack}")
-    edges = list(graph.edges())
-    m = len(edges)
+    csr = graph.csr()
+    src_col, dst_col = csr.sources(), csr.indices
+    sources, targets = src_col.tolist(), dst_col.tolist()
+    m = len(sources)
     capacity = (1.0 + balance_slack) * m / parts
     load = [0] * parts
     masks = [0] * graph.num_vertices
@@ -306,7 +240,8 @@ def greedy_vertex_cut(
     part_range = range(parts)
 
     for index in _shuffled_order(m, seed):
-        src, dst = edges[index]
+        src = sources[index]
+        dst = targets[index]
         mask_u = masks[src]
         mask_v = masks[dst]
         cand = mask_u & mask_v & allowed
@@ -335,7 +270,7 @@ def greedy_vertex_cut(
         masks[src] |= bit
         masks[dst] |= bit
 
-    return _finalize(parts, edges, assignment)
+    return _finalize(parts, src_col, dst_col, assignment)
 
 
 def _greedy_vertex_cut_reference(
@@ -378,4 +313,4 @@ def _greedy_vertex_cut_reference(
         replicas.setdefault(src, set()).add(chosen)
         replicas.setdefault(dst, set()).add(chosen)
 
-    return _finalize(parts, edges, assignment)
+    return _finalize(parts, *pair_columns(edges), assignment)

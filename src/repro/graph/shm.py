@@ -11,10 +11,10 @@ This module instead places the immutable CSR arrays (``indptr`` +
 ``indices``) of each dataset into one POSIX shared-memory segment.
 Workers attach read-only numpy views over the segment and rebuild
 their :class:`~repro.graph.graph.Graph` via
-:meth:`~repro.graph.graph.Graph.from_csr_arrays`, whose adjacency is a
-lazy facade over the arrays — no per-worker Python mirror of the edge
-data is ever materialized, so the kernel keeps one physical copy of
-every graph page no matter how many workers scan it.
+:meth:`~repro.graph.graph.Graph.from_csr_arrays`, which holds the views
+as its arrays — a graph is its CSR arrays and nothing else, so the
+kernel keeps one physical copy of every graph page no matter how many
+workers scan it.
 
 Lifecycle:
 
@@ -179,8 +179,7 @@ def attach_graph(handle: SharedCsrHandle) -> Graph:
     """Attach to a shared segment and rebuild its graph (worker side).
 
     The returned graph's CSR arrays are read-only views straight into
-    the shared pages; its adjacency facade slices rows out of them on
-    demand.  The segment stays mapped until interpreter exit.
+    the shared pages.  The segment stays mapped until interpreter exit.
     """
     from multiprocessing import shared_memory
 

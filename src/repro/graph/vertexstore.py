@@ -12,19 +12,8 @@ from typing import List, Sequence, Tuple
 import numpy as np
 
 from repro.errors import GraphError
+from repro.graph.edgelist import _digit_counts
 from repro.graph.graph import Graph
-
-
-def _digit_counts(arr: np.ndarray) -> np.ndarray:
-    """``len(str(x))`` per element for non-negative integer arrays."""
-    digits = np.ones(len(arr), dtype=np.int64)
-    limit = 10
-    while True:
-        over = arr >= limit
-        if not over.any():
-            return digits
-        digits[over] += 1
-        limit *= 10
 
 
 def render_vertex_store(graph: Graph) -> str:

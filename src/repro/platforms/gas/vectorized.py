@@ -62,22 +62,6 @@ class _RankMeta:
         self.edge_count = edge_count
 
 
-def _edge_arrays(cut: VertexCut) -> Tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """Flat (src, dst, part) arrays of the cut's edge placement.
-
-    The partitioners stash these on the cut; hand-built cuts fall back
-    to converting the Python lists.
-    """
-    stashed = getattr(cut, "_edge_arrays", None)
-    if stashed is not None:
-        return stashed
-    m = len(cut.edges)
-    src = np.fromiter((e[0] for e in cut.edges), dtype=np.int64, count=m)
-    dst = np.fromiter((e[1] for e in cut.edges), dtype=np.int64, count=m)
-    part = np.asarray(cut.edge_assignment, dtype=np.int64)
-    return src, dst, part
-
-
 def _orient(
     src: np.ndarray,
     dst: np.ndarray,
@@ -125,7 +109,7 @@ class VectorizedSyncGasEngine:
         self.program = program
         self.num_ranks = R = cut.parts
         self.n = n = graph.num_vertices
-        e_src, e_dst, e_part = _edge_arrays(cut)
+        e_src, e_dst, e_part = cut.src, cut.dst, cut.part
         self.e_src = e_src
         self.e_dst = e_dst
         self.e_part = e_part
@@ -138,23 +122,13 @@ class VectorizedSyncGasEngine:
         # hash to ``v % R`` with a single replica).
         masters = (np.arange(n, dtype=np.int64) % R)
         rep_minus1 = np.zeros(n, dtype=np.int64)
-        pairs = getattr(cut, "_replica_pairs", None)
-        if pairs is not None:
-            # Sorted (vertex*R + part) incidences: the first part per
-            # vertex is its minimum, i.e. the master — no dicts needed.
-            if len(pairs):
-                v_ids = pairs // np.int64(R)
-                p_ids = pairs % np.int64(R)
-                uniq, first, reps = np.unique(
-                    v_ids, return_index=True, return_counts=True
-                )
-                masters[uniq] = p_ids[first]
-                rep_minus1[uniq] = reps - 1
-        else:
-            for v, p in cut.masters.items():
-                masters[v] = p
-            for v, ps in cut.replicas.items():
-                rep_minus1[v] = max(1, len(ps)) - 1
+        # Sorted (vertex*R + part) incidences: the first part per
+        # vertex is its minimum, i.e. the master — no dicts needed.
+        uniq, first, reps = np.unique(
+            cut.pairs // np.int64(R), return_index=True, return_counts=True
+        )
+        masters[uniq] = cut.pairs[first] % np.int64(R)
+        rep_minus1[uniq] = reps - 1
         self.masters = masters
         self.rep_minus1 = rep_minus1
 

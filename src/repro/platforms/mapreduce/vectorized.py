@@ -204,9 +204,7 @@ class _KernelRounds:
 
     def _directed_routes(self) -> None:
         """Per-edge src/owner arrays in source-major (CSR) order."""
-        self.e_src = np.repeat(
-            np.arange(self.n, dtype=np.int64), self.deg
-        )
+        self.e_src = self.graph.csr().sources()
         self.e_dst = self.indices
         self.e_src_owner = self.owner[self.e_src]
         self.e_dst_owner = self.owner[self.e_dst]
@@ -287,18 +285,10 @@ class _WccRounds(_KernelRounds):
 
     def __init__(self, driver, graph, owner_of, num_workers):
         super().__init__(driver, graph, owner_of, num_workers)
-        # Undirected adjacency matching Graph.neighbors_undirected:
-        # distinct neighbors, self-loops dropped.
-        src, dst = np.repeat(
-            np.arange(self.n, dtype=np.int64), self.deg
-        ), self.indices
-        keep = src != dst
-        a = np.concatenate([src[keep], dst[keep]])
-        b = np.concatenate([dst[keep], src[keep]])
-        key = np.unique(a * np.int64(max(self.n, 1)) + b)
-        self.u_src = key // max(self.n, 1)
-        self.u_dst = key % max(self.n, 1)
-        und_deg = np.bincount(self.u_src, minlength=self.n)
+        undirected = graph.undirected_csr()
+        self.u_src = undirected.sources()
+        self.u_dst = undirected.indices
+        und_deg = undirected.out_degrees()
         # Every vertex floods every neighbor every round, so all three
         # counters are round-invariant.
         self._emissions = self._per_worker(self.owner, weights=und_deg)

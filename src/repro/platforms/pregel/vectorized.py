@@ -258,23 +258,11 @@ class _WccKernel(_FrontierKernel):
 
     def __init__(self, graph, program, num_workers, owner):
         super().__init__(graph, program, num_workers, owner)
-        n = self.n
-        e_src = np.repeat(np.arange(n, dtype=np.int64), self.deg)
-        e_dst = self.indices
-        und_src = np.concatenate([e_src, e_dst])
-        und_dst = np.concatenate([e_dst, e_src])
-        keep = und_src != und_dst
-        if keep.any() and n:
-            key = np.unique(und_src[keep] * np.int64(n) + und_dst[keep])
-            u_src = key // n
-            self.und_indices = key % n
-        else:
-            u_src = np.empty(0, dtype=np.int64)
-            self.und_indices = u_src
-        self.und_deg = np.bincount(u_src, minlength=n)
-        self.und_indptr = np.zeros(n + 1, dtype=np.int64)
-        np.cumsum(self.und_deg, out=self.und_indptr[1:])
-        self.values = np.arange(n, dtype=np.int64)
+        undirected = graph.undirected_csr()
+        self.und_indptr = undirected.indptr
+        self.und_indices = undirected.indices
+        self.und_deg = undirected.out_degrees()
+        self.values = np.arange(self.n, dtype=np.int64)
 
     def _adjacency(self):
         return self.und_indptr, self.und_indices, self.und_deg
@@ -337,7 +325,7 @@ class _PageRankKernel(_KernelBase):
     def __init__(self, graph, program, num_workers, owner):
         super().__init__(graph, program, num_workers, owner)
         n, W = self.n, self.W
-        e_src = np.repeat(np.arange(n, dtype=np.int64), self.deg)
+        e_src = graph.csr().sources()
         e_dst = self.indices
         # Sort edges by (dst, sender worker, src): level-1 fold segments
         # are (dst, worker) runs in sender-vertex order, level-2 fold
@@ -428,11 +416,10 @@ class _CdlpKernel(_KernelBase):
     def __init__(self, graph, program, num_workers, owner):
         super().__init__(graph, program, num_workers, owner)
         n, W = self.n, self.W
-        e_src = np.repeat(np.arange(n, dtype=np.int64), self.deg)
+        e_src = graph.csr().sources()
         e_dst = self.indices
         in_csr = graph.in_csr()
-        self.rev_dst = np.repeat(np.arange(n, dtype=np.int64),
-                                 in_csr.out_degrees())
+        self.rev_dst = in_csr.sources()
         self.rev_src = in_csr.indices
         # Without a combiner every raw message crosses the wire.
         self.static_messages_in = np.bincount(

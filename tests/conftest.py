@@ -63,12 +63,6 @@ def columns_run(lines, job_id="j", env_samples=()) -> MonitoredRun:
                         parse_report=report)
 
 
-def csr_twin(graph: Graph) -> Graph:
-    """The same graph as a lazy facade over its CSR arrays (cache-hit shape)."""
-    csr = graph.csr()
-    return Graph.from_csr_arrays(graph.num_vertices, csr.indptr, csr.indices)
-
-
 def folded_index(directory) -> Dict[str, Dict]:
     """A store's index as its files state it, read without the store.
 

@@ -11,17 +11,17 @@ from repro.graph.graph import Graph
 class TestCsrConstruction:
     def test_from_graph_roundtrip(self):
         g = Graph(4, [(0, 1), (0, 3), (2, 1)])
-        csr = CsrGraph.from_graph(g)
-        assert csr.to_graph() == g
+        csr = g.csr()
+        assert Graph.from_csr_arrays(4, csr.indptr, csr.indices) == g
 
     def test_counts(self):
         g = Graph(3, [(0, 1), (1, 2)])
-        csr = CsrGraph.from_graph(g)
+        csr = g.csr()
         assert csr.num_vertices == 3
         assert csr.num_edges == 2
 
     def test_empty_graph(self):
-        csr = CsrGraph.from_graph(Graph(0, []))
+        csr = Graph(0, []).csr()
         assert csr.num_vertices == 0
         assert csr.num_edges == 0
 
@@ -49,7 +49,7 @@ class TestCsrConstruction:
 class TestCsrAccess:
     @pytest.fixture()
     def csr(self):
-        return CsrGraph.from_graph(Graph(4, [(0, 1), (0, 2), (2, 3)]))
+        return Graph(4, [(0, 1), (0, 2), (2, 3)]).csr()
 
     def test_out_neighbors(self, csr):
         assert list(csr.out_neighbors(0)) == [1, 2]

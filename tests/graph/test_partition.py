@@ -1,5 +1,8 @@
 """Unit tests for partitioning strategies and quality metrics."""
 
+import hashlib
+
+import numpy as np
 import pytest
 
 from repro.errors import PartitionError
@@ -16,6 +19,28 @@ from repro.graph.partition import (
     vertex_balance,
 )
 from repro.graph.partition.metrics import partition_sizes
+from repro.graph.partition.vertexcut import cut_from_arrays, cut_to_arrays
+from repro.workloads.datasets import build_dataset
+
+#: SHA-256 of each ``cut_to_arrays`` column (little-endian int64 bytes)
+#: of dg-tiny cut 8 ways, computed at commit 8146030, when a cut still
+#: kept eager Python tables beside its columns.
+_CUT_GOLDEN = {
+    "greedy": {
+        "src": "dbc57b4f0aa257f36da7a3cbf60c882274e94b79ebe99983c7b9dee048b5b2ef",
+        "dst": "2b96eb69187295b982044633a859efe60a5a15b914d12abe2f405d823f6d960f",
+        "part": "a07c5b865a476507eb77fbae0ae16d9f4bf2bef004416bdadd84f6307179a037",
+        "pairs": "82f2f42f47789f72ac4eeb6b8c4b32fdf9f3981ae8f726b04a59fe206fe6141f",
+    },
+    "random": {
+        "src": "dbc57b4f0aa257f36da7a3cbf60c882274e94b79ebe99983c7b9dee048b5b2ef",
+        "dst": "2b96eb69187295b982044633a859efe60a5a15b914d12abe2f405d823f6d960f",
+        "part": "9893ca4112d583a718227590e5c0859e5a0528644ea9e154ccde81ef1d276a46",
+        "pairs": "1495be32d3b0355191566a0ab09086039e5268b803395a4509b294539f118494",
+    },
+}
+
+_PARTITIONERS = {"greedy": greedy_vertex_cut, "random": random_vertex_cut}
 
 
 class TestHashPartition:
@@ -116,6 +141,70 @@ class TestVertexCut:
     def test_empty_graph_rf_zero(self):
         cut = greedy_vertex_cut(Graph(3, []), 2)
         assert cut.replication_factor() == 0.0
+
+
+@pytest.fixture(scope="module")
+def dg_tiny():
+    return build_dataset("dg-tiny")
+
+
+def _digest(column: np.ndarray) -> str:
+    return hashlib.sha256(
+        np.ascontiguousarray(column, dtype="<i8").tobytes()).hexdigest()
+
+
+def _assert_tables_are_the_columns(cut):
+    """Every Python table of ``cut`` equals one computed here from its
+    edge columns with plain loops."""
+    src, dst, part = (cut.src.tolist(), cut.dst.tolist(), cut.part.tolist())
+    replicas = {}
+    for u, v, p in zip(src, dst, part):
+        replicas.setdefault(u, set()).add(p)
+        replicas.setdefault(v, set()).add(p)
+    assert cut.edges == list(zip(src, dst))
+    assert cut.edge_assignment == part
+    assert cut.replicas == replicas
+    assert cut.masters == {v: min(ps) for v, ps in replicas.items()}
+    assert cut.pairs.tolist() == sorted(
+        v * cut.parts + p for v, ps in replicas.items() for p in ps)
+    assert cut.edge_counts() == [part.count(p) for p in range(cut.parts)]
+    assert cut.replication_factor() == pytest.approx(
+        sum(map(len, replicas.values())) / len(replicas) if replicas else 0.0)
+    for p in range(cut.parts):
+        assert cut.edges_of_part(p) == [
+            (u, v) for u, v, q in zip(src, dst, part) if q == p]
+
+
+class TestCutColumns:
+    @pytest.mark.parametrize("ingress", sorted(_PARTITIONERS))
+    def test_columns_match_parent_commit(self, dg_tiny, ingress):
+        arrays = cut_to_arrays(_PARTITIONERS[ingress](dg_tiny, 8))
+        assert {name: _digest(column) for name, column in arrays.items()} \
+            == _CUT_GOLDEN[ingress]
+        assert all(column.dtype == np.int64 for column in arrays.values())
+
+    @pytest.mark.parametrize("ingress", sorted(_PARTITIONERS))
+    def test_tables_are_the_columns(self, dg_tiny, ingress):
+        cut = _PARTITIONERS[ingress](dg_tiny, 8)
+        _assert_tables_are_the_columns(cut)
+        rebuilt = cut_from_arrays(8, **cut_to_arrays(cut))
+        _assert_tables_are_the_columns(rebuilt)
+        assert rebuilt.edges == cut.edges
+        assert rebuilt.replicas == cut.replicas
+
+    @pytest.mark.parametrize("ingress", sorted(_PARTITIONERS))
+    def test_empty_graph_cut(self, ingress):
+        cut = _PARTITIONERS[ingress](Graph(3, []), 2)
+        _assert_tables_are_the_columns(cut)
+        _assert_tables_are_the_columns(
+            cut_from_arrays(2, **cut_to_arrays(cut)))
+
+    def test_cut_from_arrays_checks_shapes(self):
+        one = np.zeros(1, dtype=np.int64)
+        with pytest.raises(PartitionError):
+            cut_from_arrays(0, one, one, one, one)
+        with pytest.raises(PartitionError):
+            cut_from_arrays(2, one, np.zeros(2, dtype=np.int64), one, one)
 
 
 class TestMetrics:

@@ -10,7 +10,7 @@ import pytest
 
 from repro.graph import shm
 from repro.graph.generators.datagen import datagen_graph
-from repro.graph.graph import Graph, _CsrRows
+from repro.graph.graph import Graph
 from repro.graph.shm import SharedCsrHandle, SharedGraphPages, attach_graph
 from repro.workloads import parallel
 
@@ -74,11 +74,14 @@ class TestShareAttach:
                 attached.csr().indices[0] = 99
 
     def test_adjacency_stays_lazy(self, graph):
-        # The attached graph must not mirror the edge data into Python
-        # lists — that per-process copy is exactly what sharing avoids.
+        # The attached graph's arrays are the segment's pages, not a
+        # per-process copy of the edge data — that copy is exactly what
+        # sharing avoids.
         with SharedGraphPages() as pages:
             attached = attach_graph(pages.share(graph))
-            assert isinstance(attached._out, _CsrRows)
+            segment = np.frombuffer(shm._ATTACHED[-1].buf, dtype=np.uint8)
+            assert np.shares_memory(attached.csr().indptr, segment)
+            assert np.shares_memory(attached.csr().indices, segment)
             assert attached.out_neighbors(0) == graph.out_neighbors(0)
 
     def test_empty_graph_round_trips(self):

@@ -20,8 +20,6 @@ from repro.platforms.base import JobRequest
 from repro.platforms.pgxd.engine import PgxdPlatform
 from repro.workloads.runner import build_cluster
 
-from tests.conftest import csr_twin
-
 #: 12 vertices: 5 is dangling (in-edges only), 3 has a self-loop, 11 is
 #: isolated, 0 is a small hub; 4 workers own 3 vertices each.
 _EDGES = [
@@ -58,17 +56,11 @@ _PARAMS = {"pagerank": {"iterations": 5, "damping": 0.8},
            "bfs": {"source": 0}}
 
 
-def _graph(backing: str) -> Graph:
-    graph = Graph(12, _EDGES)
-    return csr_twin(graph) if backing == "csr" else graph
-
-
-@pytest.mark.parametrize("backing", ["list", "csr"])
 @pytest.mark.parametrize("mode", ["scalar", "auto"])
 @pytest.mark.parametrize("algo", sorted(_GOLDEN))
-def test_stored_checksum_matches_parent_commit(tmp_path, algo, mode, backing):
+def test_stored_checksum_matches_parent_commit(tmp_path, algo, mode):
     platform = PgxdPlatform(build_cluster("PGX.D"), engine_mode=mode)
-    platform.deploy_dataset("golden", _graph(backing))
+    platform.deploy_dataset("golden", Graph(12, _EDGES))
     store = ArchiveStore(tmp_path)
     process = EvaluationProcess(
         platform, default_library().get("PGX.D"), store=store)

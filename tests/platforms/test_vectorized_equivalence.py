@@ -61,7 +61,6 @@ from repro.workloads.runner import WorkloadRunner, build_cluster
 from repro.workloads.spec import WorkloadSpec
 
 from tests.conftest import (
-    csr_twin,
     make_giraph_cluster,
     make_powergraph_cluster,
 )
@@ -187,19 +186,14 @@ class TestEngineEquivalence:
     @settings(max_examples=20, deadline=None)
     def test_pgxd_runs_identically(self, graph, case, workers):
         algo, params = case
-        reference = _fingerprint("PGX.D", "scalar", graph, algo, params,
-                                 workers)
-        twin = csr_twin(graph)
-        assert reference == _fingerprint(
-            "PGX.D", "vectorized", graph, algo, params, workers)
-        assert reference == _fingerprint(
-            "PGX.D", "scalar", twin, algo, params, workers)
-        assert reference == _fingerprint(
-            "PGX.D", "vectorized", twin, algo, params, workers)
+        assert (
+            _fingerprint("PGX.D", "scalar", graph, algo, params, workers)
+            == _fingerprint("PGX.D", "vectorized", graph, algo, params,
+                            workers)
+        )
 
-    @pytest.mark.parametrize("backing", ["list", "csr"])
     @pytest.mark.parametrize("case", _PGXD_CASES, ids=repr)
-    def test_pgxd_cases_identical_on_hubs(self, case, backing):
+    def test_pgxd_cases_identical_on_hubs(self, case):
         # Vertex 0 pulls from more than FOLD_CHUNK in-neighbors (the
         # per-hub fold), 1 is dangling, 2 has a self-loop, the last
         # vertex is isolated.
@@ -207,8 +201,6 @@ class TestEngineEquivalence:
         edges = [(v, 0) for v in range(2, n - 1)]
         edges += [(0, 1), (0, 3), (2, 2), (3, 4), (4, 1), (5, 3)]
         graph = Graph(n, edges)
-        if backing == "csr":
-            graph = csr_twin(graph)
         algo, params = case
         assert (
             _fingerprint("PGX.D", "scalar", graph, algo, params)

@@ -10,6 +10,7 @@ harness deliberately clamps to serial.
 
 from __future__ import annotations
 
+import numpy as np
 import pytest
 
 from repro.core.archive.serialize import archive_to_json
@@ -96,16 +97,27 @@ class TestParallelDeterminism:
 
     def test_warm_cache_matches_cold_byte_for_byte(self, cache_dir,
                                                    monkeypatch):
+        # Cold ≡ warm: the generated graph and the one reloaded from the
+        # artifact cache are the same arrays, and every platform stores
+        # the same archive from either.
         requests = _requests() + [
             RunRequest(WorkloadSpec("PowerGraph", algorithm, "dg-tiny",
                                     workers=4))
             for algorithm in ("bfs", "pagerank")
+        ] + [
+            RunRequest(WorkloadSpec(platform, "bfs", "dg-tiny", workers=4))
+            for platform in ("Hadoop", "PGX.D")
         ]
+        cold_csr = datasets.build_dataset("dg-tiny").csr()
         cold = _archives(WorkloadRunner(), requests=requests)
         assert cache_dir.is_dir()  # the cold run populated the cache
         clear_cache()  # drop the in-process memo; disk cache stays warm
         monkeypatch.setattr(datasets, "datagen_graph", _no_rebuild)
         monkeypatch.setattr(gas_engine, "greedy_vertex_cut", _no_rebuild)
+        warm_csr = datasets.build_dataset("dg-tiny").csr()
+        assert warm_csr is not cold_csr
+        assert np.array_equal(warm_csr.indptr, cold_csr.indptr)
+        assert np.array_equal(warm_csr.indices, cold_csr.indices)
         warm = _archives(WorkloadRunner(), requests=requests)
         assert cold == warm
 
