@@ -43,6 +43,18 @@ class ArchiveCache:
             self._hits += 1
             return value
 
+    def get_current(self, key: str, version: str) -> Optional[Any]:
+        """The value of an entry put as ``(version, value)``, or None —
+        a miss — when it is absent or was stored for another version."""
+        with self._lock:
+            entry = self._entries.get(key)
+            if entry is None or entry[0] != version:
+                self._misses += 1
+                return None
+            self._entries.move_to_end(key)
+            self._hits += 1
+            return entry[1]
+
     def put(self, key: str, value: Any) -> None:
         """Insert (or refresh) an entry, evicting the least recent."""
         if self.capacity == 0:

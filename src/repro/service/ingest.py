@@ -273,6 +273,14 @@ class IngestPipeline:
         self.wal.close()
         return drained
 
+    def wait_applied(self, timeout: float) -> bool:
+        """Wait until every write accepted before the call is applied
+        (stored or dead-lettered).  Returns False at once while the
+        pipeline is degraded or draining, and after ``timeout``."""
+        if self.health()["state"] != "ok":
+            return False
+        return self.wal.wait_acked(timeout)
+
     # -- write entry point -------------------------------------------------
 
     def submit(

@@ -16,7 +16,19 @@ Request hygiene (the "no hung threads" rules):
   the response line is still writable and drops the connection;
 - a ``POST``/``PUT`` must declare ``Content-Length`` (411 otherwise)
   and stay under the configured body cap — an oversized declaration is
-  refused with 413 *before* any body byte is read.
+  refused with 413 *before* any body byte is read;
+- a body whose end is unknowable — transfer-coded (411) or under
+  conflicting ``Content-Length`` headers (400) — is refused and the
+  connection closed, so its bytes are never parsed as a request.
+
+Transport rule: a response leaves the handler as **one send** — status
+line, headers, blank line and body joined into one buffer — on a
+socket with ``TCP_NODELAY`` set.  Written as two sends (headers, then
+body), the body waits under Nagle's algorithm for the ACK of the
+headers, which a keep-alive client delays by ~40 ms: every request on
+a persistent connection paid that stall.  Protocol-level rejections
+(``send_error``) take the same path; an SSE stream writes its head and
+then each chunk once.
 """
 
 from __future__ import annotations
@@ -62,6 +74,9 @@ class ArchiveRequestHandler(BaseHTTPRequestHandler):
     #: clients (half-sent request line or body) get disconnected instead
     #: of holding a thread and its resources indefinitely.
     timeout = DEFAULT_REQUEST_TIMEOUT
+    #: ``TCP_NODELAY`` on every accepted connection (applied by
+    #: StreamRequestHandler.setup); see the module's transport rule.
+    disable_nagle_algorithm = True
 
     def setup(self) -> None:
         self.timeout = self.server.request_timeout
@@ -71,9 +86,9 @@ class ArchiveRequestHandler(BaseHTTPRequestHandler):
         """The request body, or None after a rejection was sent.
 
         Enforced before any body byte is read: a missing length is 411
-        (for methods that require a body), a malformed one 400, an
-        oversized one 413.  A timeout while the client dribbles the
-        body answers 408.
+        (for methods that require a body), a transfer-coded body 411, a
+        malformed or conflicting one 400, an oversized one 413.  A
+        timeout while the client dribbles the body answers 408.
 
         A declared body is consumed on **every** method: a bodied
         DELETE/GET on a keep-alive connection would otherwise leave its
@@ -83,6 +98,16 @@ class ArchiveRequestHandler(BaseHTTPRequestHandler):
         it — but the connection stays framed correctly.
         """
         expects_body = method in ("POST", "PUT")
+        # Where the body ends is unknowable for a transfer-coded body
+        # (no chunked decoder here) or under conflicting lengths: refuse
+        # and close, so the unread bytes are never parsed as a request.
+        if self.headers.get("Transfer-Encoding") is not None:
+            return self._refuse(
+                411, "Transfer-Encoding request bodies are not "
+                     "supported; send Content-Length"
+            )
+        if len(set(self.headers.get_all("Content-Length", ()))) > 1:
+            return self._refuse(400, "conflicting Content-Length headers")
         raw = self.headers.get("Content-Length")
         if raw is None:
             if expects_body:
@@ -96,32 +121,27 @@ class ArchiveRequestHandler(BaseHTTPRequestHandler):
             if length < 0:
                 raise ValueError
         except ValueError:
-            # The next request boundary is unknowable: close.
-            self._write(error_response(
-                400, f"malformed Content-Length {raw!r}"
-            ), include_body=True)
-            self.close_connection = True
-            return None
+            return self._refuse(400, f"malformed Content-Length {raw!r}")
         if length > self.server.max_body_bytes:
-            self._write(error_response(
+            return self._refuse(
                 413,
                 f"request body of {length} bytes exceeds the "
                 f"{self.server.max_body_bytes}-byte limit",
-            ), include_body=True)
-            self.close_connection = True
-            return None
+            )
         try:
             data = self.rfile.read(length)
         except (TimeoutError, socket.timeout):
-            self._write(error_response(
-                408, "timed out reading the request body"
-            ), include_body=True)
-            self.close_connection = True
-            return None
+            return self._refuse(408, "timed out reading the request body")
         if len(data) < length:
             # Short read (client hung up mid-body): never reuse.
             self.close_connection = True
         return data if expects_body else b""
+
+    def _refuse(self, status: int, message: str) -> None:
+        """Answer a request whose body was not (fully) read, and close:
+        the next request boundary is unknowable."""
+        self._write(error_response(status, message), include_body=True)
+        self.close_connection = True
 
     def _respond(self, method: str) -> None:
         body = self._read_body(method)
@@ -156,15 +176,43 @@ class ArchiveRequestHandler(BaseHTTPRequestHandler):
             self.send_header("Content-Length", str(len(response.body)))
             for name, value in response.headers.items():
                 self.send_header(name, value)
-            self.end_headers()
-            if include_body and response.body:
-                self.wfile.write(response.body)
+            self._send_once(response.body if include_body else b"")
         except (BrokenPipeError, ConnectionResetError,
                 TimeoutError, socket.timeout):
             # Client went away mid-response.  The socket may hold a
             # half-written response; reusing it would let those bytes
             # prefix the next response, so this connection is done.
             self.close_connection = True
+
+    def _send_once(self, body: bytes) -> None:
+        """End the buffered head and write it together with ``body`` in
+        a single send (see the module docstring's transport rule)."""
+        buffered = getattr(self, "_headers_buffer", [])
+        if self.request_version != "HTTP/0.9":
+            buffered.append(b"\r\n")
+        buffered.append(body)
+        self._headers_buffer = []
+        self.wfile.write(b"".join(buffered))
+
+    def send_error(self, code, message=None, explain=None) -> None:
+        """A protocol-level rejection (oversized request or header line,
+        malformed request line, unsupported method): the service's JSON
+        error body, one send, then the connection closes.
+
+        The reply always carries a status line — a request line too
+        broken to name its version must not be answered with the bare
+        body of an HTTP/0.9 response.
+        """
+        code = int(code)
+        if self.request_version == "HTTP/0.9":
+            self.request_version = self.protocol_version
+        if message is None:
+            message = self.responses.get(code, ("error",))[0]
+        self.log_error("code %d, message %s", code, message)
+        response = error_response(code, message)
+        response.headers["Connection"] = "close"
+        self.close_connection = True
+        self._write(response, include_body=self.command != "HEAD")
 
     def _write_stream(
         self, response: StreamingResponse, include_body: bool,

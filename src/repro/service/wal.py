@@ -32,8 +32,12 @@ Rotation is atomic: the active segment is fsync'd and closed, the next
 ``segment-{n+1}.wal`` is created, and the directory entry is fsync'd so
 the new segment survives a crash.  A segment whose every record is
 acked (and that is no longer active) is deleted together with its ack
-journal — the WAL's steady-state size is its unacked backlog, not its
-history.
+journal, and the active segment is retired — rotated, then deleted —
+as soon as it is fully acked, so after a drain no acked frame remains:
+the WAL's steady-state size is its unacked backlog, not its history.
+A crash between a rotation and its deletes leaves a fully acked
+retired segment, which the next open deletes.  Acking a record of a
+retired segment again is a no-op.
 
 Acks are appended to the sidecar journal with a flush but **no fsync**:
 a lost ack merely re-queues the record on replay, and ingestion is
@@ -135,6 +139,8 @@ class WriteAheadLog:
         self.fsync = fsync
         self.append_hook = append_hook
         self._lock = threading.Lock()
+        #: Notified on every ack and on close (see :meth:`wait_acked`).
+        self._acked_changed = threading.Condition(self._lock)
         #: records per segment (from the initial scan plus appends).
         self._counts: Dict[int, int] = {}
         #: acked record indices per segment.
@@ -178,6 +184,8 @@ class WriteAheadLog:
         self._acked.setdefault(self._active, set())
         if created:
             _fsync_directory(self.directory)
+        for segment in segments[:-1]:
+            self._cleanup_locked(segment)
 
     def _load_acks(self, segment: int) -> Set[int]:
         path = self._ack_path(segment)
@@ -301,13 +309,16 @@ class WriteAheadLog:
         self._cleanup_locked(old)
 
     def ack(self, entry: Union[WalEntry, str]) -> None:
-        """Mark one record consumed; fully-acked segments are deleted."""
+        """Mark one record consumed; fully-acked segments are deleted,
+        the active one by retiring it (rotate, then delete)."""
         if isinstance(entry, WalEntry):
             segment, index = entry.segment, entry.index
         else:
             segment, index = _parse_entry_id(entry)
         with self._lock:
             count = self._counts.get(segment)
+            if count is None and segment < self._active:
+                return  # Its segment was retired: acked already.
             if count is None or index >= count:
                 raise WalError(
                     f"cannot ack unknown WAL record "
@@ -325,6 +336,25 @@ class WriteAheadLog:
                 fh.flush()
             if segment != self._active:
                 self._cleanup_locked(segment)
+            elif len(acked) == count and self._fh is not None:
+                self._rotate_locked()
+            self._acked_changed.notify_all()
+
+    def wait_acked(self, timeout: float) -> bool:
+        """Block until every record appended before the call is acked.
+
+        Records appended after the call are not waited for, so a steady
+        stream of writes cannot starve the caller (the drain acks in
+        append order).  False when ``timeout`` runs out, or the log
+        closes, first.
+        """
+        with self._acked_changed:
+            target = self._acked_total + self._lag_locked()
+            self._acked_changed.wait_for(
+                lambda: self._acked_total >= target or self._fh is None,
+                timeout,
+            )
+            return self._acked_total >= target
 
     def _cleanup_locked(self, segment: int) -> None:
         count = self._counts.get(segment, 0)
@@ -360,12 +390,15 @@ class WriteAheadLog:
                         entries.append(entry)
             return entries
 
+    def _lag_locked(self) -> int:
+        return sum(self._counts.values()) - sum(
+            len(acked) for acked in self._acked.values()
+        )
+
     def lag(self) -> int:
         """Appended-but-unacked record count (the replay backlog)."""
         with self._lock:
-            return sum(self._counts.values()) - sum(
-                len(acked) for acked in self._acked.values()
-            )
+            return self._lag_locked()
 
     def stats(self) -> Dict[str, int]:
         with self._lock:
@@ -378,9 +411,7 @@ class WriteAheadLog:
                 "appended_total": self._appended_total,
                 "acked_total": self._acked_total,
                 "corrupt_total": self._corrupt_total,
-                "lag": sum(self._counts.values()) - sum(
-                    len(acked) for acked in self._acked.values()
-                ),
+                "lag": self._lag_locked(),
             }
 
     def close(self) -> None:
@@ -394,6 +425,7 @@ class WriteAheadLog:
                         pass
                 self._fh.close()
                 self._fh = None
+            self._acked_changed.notify_all()
 
     def __enter__(self) -> "WriteAheadLog":
         return self

@@ -1,12 +1,16 @@
-"""Service test fixtures: a populated store and a service over it."""
+"""Service test fixtures: a populated store, a service over it, and a
+strictly limited HTTP server over it."""
 
 from __future__ import annotations
+
+import threading
 
 import pytest
 
 from repro.core.archive.archive import ArchivedOperation, PerformanceArchive
 from repro.core.archive.store import ArchiveStore
 from repro.service.app import ArchiveService
+from repro.service.server import create_server
 
 
 def make_archive(job_id: str, platform: str = "Test",
@@ -54,3 +58,22 @@ def store(tmp_path) -> ArchiveStore:
 @pytest.fixture()
 def service(store) -> ArchiveService:
     return ArchiveService(store, cache_size=8)
+
+
+@pytest.fixture()
+def strict_server(store):
+    """A served store with a tight body cap and request timeout."""
+    server = create_server(
+        store, port=0, cache_size=8,
+        request_timeout=1.0, max_body_bytes=2048,
+    )
+    thread = threading.Thread(
+        target=lambda: server.serve_forever(poll_interval=0.05),
+        daemon=True,
+    )
+    thread.start()
+    yield server
+    server.shutdown()
+    server.server_close()
+    server.service.ingest.drain_and_stop(timeout=10.0)
+    thread.join(timeout=10)

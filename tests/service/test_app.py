@@ -1,7 +1,14 @@
 """Unit tests for the transport-independent service layer."""
 
+import json
+import math
+
+import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
 from repro.core.archive.store import ArchiveHandle, ArchiveStore
-from repro.service.app import ArchiveService
+from repro.service.app import ArchiveService, encode_json
 
 from tests.service.conftest import make_archive
 
@@ -262,3 +269,63 @@ class TestMetricsEndpoint:
         assert document["not_modified_total"] == 1
         assert "p50_ms" in document["latency_ms"]["/jobs/{id}"]
         assert document["cache"]["capacity"] == 8
+
+
+def _stdlib(document):
+    return json.dumps(document, indent=2, sort_keys=True)
+
+
+_SCALARS = (st.none() | st.booleans() | st.integers() | st.floats()
+            | st.text())
+_KEYS = st.text() | st.integers() | st.booleans() | st.none()
+_DOCUMENTS = st.recursive(
+    _SCALARS,
+    lambda inner: (st.lists(inner) | st.lists(st.floats())
+                   | st.lists(inner).map(tuple)
+                   | st.dictionaries(st.text(), inner)
+                   | st.dictionaries(_KEYS, inner, max_size=3)),
+    max_leaves=30,
+)
+
+
+class TestEncodeJson:
+    """``encode_json`` is ``json.dumps(indent=2, sort_keys=True)``."""
+
+    @settings(max_examples=150, deadline=None, derandomize=True)
+    @given(_DOCUMENTS)
+    def test_matches_the_stdlib(self, document):
+        try:
+            expected = _stdlib(document)
+        except TypeError:  # Mixed key types do not sort.
+            with pytest.raises(TypeError):
+                encode_json(document)
+            return
+        assert encode_json(document) == expected
+
+    @pytest.mark.parametrize("samples", [
+        [],
+        [0.5],
+        [1e-07, 2.5, 1e16, -0.0, 123456789.123456789],
+        [1.0, math.nan, math.inf, -math.inf],
+        [1.0, 2, True, None, "x"],
+    ])
+    def test_sample_vectors(self, samples):
+        document = {"groups": [{"key": {"platform": "Giraph"},
+                                "samples": samples}]}
+        assert encode_json(document) == _stdlib(document)
+
+    def test_unserializable_values_and_keys_raise(self):
+        for document in ({"x": object()}, [1, {2, 3}], {(1, 2): 1}):
+            with pytest.raises(TypeError):
+                _stdlib(document)
+            with pytest.raises(TypeError):
+                encode_json(document)
+
+    def test_fleet_response_bytes(self, service):
+        """A sample-bearing fleet answer is the stdlib's encoding."""
+        response = service.handle(
+            "/fleet/query",
+            {"group_by": "platform", "agg": "count,p95", "samples": "1"},
+        )
+        assert response.status == 200
+        assert response.body == _stdlib(response.json()).encode("utf-8")

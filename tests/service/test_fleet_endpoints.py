@@ -16,11 +16,15 @@ from collections import Counter
 
 import pytest
 
+from repro.core.analysis.fleet import run_fleet_query
+from repro.core.archive.serialize import archive_to_json
 from repro.core.archive.store import ArchiveStore
 from repro.service.app import ArchiveService, resolve_route
+from repro.service.ingest import IngestPipeline
 from repro.service.metrics import KNOWN_ENDPOINTS, ServiceMetrics
 from repro.service.router import ClusterService, ConsistentHashRing
 from tests.service.conftest import make_archive
+from tests.service.test_ingest import wait_state
 from tests.service.test_router import FakeSupervisor
 
 QUERY_PARAMS = {
@@ -143,6 +147,102 @@ class TestFleetEndpoints:
         assert counts["/fleet/regressions"] == 1
         assert counts["POST /fleet/query"] == 1
         assert "other" not in counts
+
+
+#: The plan the router sends a shard for a percentile merge.
+SAMPLED_PLAN = {"group_by": "platform", "agg": "p50", "samples": "1"}
+
+
+def fleet_entries(service) -> list:
+    return [key for key in service.cache._entries if key.startswith("fleet:")]
+
+
+@pytest.fixture()
+def counted_scans(monkeypatch):
+    """How many times the service scanned the store for a fleet plan."""
+    calls = []
+
+    def counting(*args, **kwargs):
+        calls.append(args)
+        return run_fleet_query(*args, **kwargs)
+
+    monkeypatch.setattr("repro.service.app.run_fleet_query", counting)
+    return calls
+
+
+class TestFleetResultCache:
+    """Results are cached per plan and checked against the listing: a
+    store change replaces a plan's entry instead of stranding it."""
+
+    def test_store_changes_replace_the_plans_entry(self, store):
+        pipeline = IngestPipeline(store.directory)
+        pipeline.start()
+        try:
+            service = ArchiveService(store, cache_size=64, ingest=pipeline)
+            for round_ in range(20):
+                posted = service.handle(
+                    "/jobs", method="POST",
+                    body=archive_to_json(
+                        make_archive(f"posted-{round_}")
+                    ).encode("utf-8"),
+                )
+                assert posted.status == 202
+                tracking_id = posted.json()["tracking_id"]
+                assert wait_state(pipeline, tracking_id)["state"] == \
+                    "ingested"
+                response = service.handle("/fleet/query", SAMPLED_PLAN)
+                assert response.json()["jobs_scanned"] == 4 + round_
+        finally:
+            pipeline.drain_and_stop(timeout=10.0)
+        assert len(fleet_entries(service)) == 1
+
+    def test_acked_uploads_are_applied_before_the_answer(self, store):
+        """A fleet answer covers every upload acked before it, so what
+        it scans does not depend on how far the drain has got."""
+        pipeline = IngestPipeline(store.directory)
+        pipeline.start()
+        try:
+            service = ArchiveService(store, cache_size=64, ingest=pipeline)
+            for round_ in range(5):
+                posted = service.handle(
+                    "/jobs", method="POST",
+                    body=archive_to_json(
+                        make_archive(f"read-own-{round_}")
+                    ).encode("utf-8"),
+                )
+                assert posted.status == 202
+                response = service.handle("/fleet/query", SAMPLED_PLAN)
+                assert response.json()["jobs_scanned"] == 4 + round_
+        finally:
+            pipeline.drain_and_stop(timeout=10.0)
+
+    def test_unchanged_store_repeat_skips_the_scan(
+        self, service, counted_scans,
+    ):
+        first = service.handle("/fleet/query", SAMPLED_PLAN)
+        assert len(counted_scans) == 1
+        repeat = service.handle("/fleet/query", SAMPLED_PLAN)
+        assert len(counted_scans) == 1
+        assert repeat.body == first.body
+        assert repeat.headers["ETag"] == first.headers["ETag"]
+
+    def test_store_change_rescans_and_serves_the_new_result(
+        self, service, counted_scans,
+    ):
+        before = service.handle("/fleet/query", SAMPLED_PLAN).json()
+        service.store.save(make_archive("delta", platform="Giraph"))
+        after = service.handle("/fleet/query", SAMPLED_PLAN).json()
+        assert len(counted_scans) == 2
+        assert after["jobs_scanned"] == before["jobs_scanned"] + 1
+        assert len(fleet_entries(service)) == 1
+
+    def test_each_plan_gets_its_own_entry(self, service, counted_scans):
+        service.handle("/fleet/query", SAMPLED_PLAN)
+        service.handle("/fleet/query", dict(SAMPLED_PLAN, samples="0"))
+        service.handle("/fleet/query", {"group_by": "platform",
+                                        "agg": "count"})
+        assert len(counted_scans) == 3
+        assert len(fleet_entries(service)) == 3
 
 
 def _no_tree(*_args, **_kwargs):

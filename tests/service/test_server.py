@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import http.client
 import json
 import socket
 import threading
@@ -13,7 +14,7 @@ import pytest
 
 from repro.core.archive.serialize import archive_to_json
 from repro.errors import ServiceError
-from repro.service.server import create_server
+from repro.service.server import ArchiveRequestHandler, create_server
 
 from tests.service.conftest import make_archive
 
@@ -170,23 +171,96 @@ def raw_request(server, data: bytes, timeout: float = 10.0) -> bytes:
     return b"".join(chunks)
 
 
+class CountingSocket:
+    """A connection proxy recording every write the handler makes."""
+
+    def __init__(self, sock):
+        self._sock = sock
+        self.writes: list = []
+
+    def sendall(self, data, *args):
+        self.writes.append(bytes(data))
+        return self._sock.sendall(data, *args)
+
+    def send(self, data, *args):
+        self.writes.append(bytes(data))
+        return self._sock.send(data, *args)
+
+    def __getattr__(self, name):
+        return getattr(self._sock, name)
+
+
 @pytest.fixture()
-def strict_server(store):
-    """A server with a tight body cap and request timeout."""
-    server = create_server(
-        store, port=0, cache_size=8,
-        request_timeout=1.0, max_body_bytes=2048,
-    )
-    thread = threading.Thread(
-        target=lambda: server.serve_forever(poll_interval=0.05),
-        daemon=True,
-    )
-    thread.start()
-    yield server
-    server.shutdown()
-    server.server_close()
-    server.service.ingest.drain_and_stop(timeout=10.0)
-    thread.join(timeout=10)
+def counted_connections(monkeypatch):
+    """Every accepted connection, wrapped before the handler's setup."""
+    connections: list = []
+    original = ArchiveRequestHandler.setup
+
+    def setup(handler):
+        handler.request = CountingSocket(handler.request)
+        connections.append(handler.request)
+        original(handler)
+
+    monkeypatch.setattr(ArchiveRequestHandler, "setup", setup)
+    return connections
+
+
+class TestTransport:
+    """One send per response on a ``TCP_NODELAY`` socket: a response
+    split into headers and body waits ~40 ms per request for the
+    client's delayed ACK (Nagle's algorithm)."""
+
+    def test_each_response_is_one_write(self, server, counted_connections):
+        etag = fetch(server, "/jobs/alpha")[1]["ETag"]
+        archive = archive_to_json(make_archive("posted")).encode("utf-8")
+        requests = {
+            200: b"GET /jobs/alpha HTTP/1.1\r\nHost: t\r\n",
+            304: (b"GET /jobs/alpha HTTP/1.1\r\nHost: t\r\n"
+                  b"If-None-Match: " + etag.encode() + b"\r\n"),
+            404: b"GET /jobs/ghost HTTP/1.1\r\nHost: t\r\n",
+            202: (b"POST /jobs HTTP/1.1\r\nHost: t\r\n"
+                  b"Content-Length: %d\r\n" % len(archive)),
+        }
+        for status, head in requests.items():
+            body = archive if status == 202 else b""
+            response = raw_request(
+                server, head + b"Connection: close\r\n\r\n" + body
+            )
+            assert response.startswith(b"HTTP/1.1 %d " % status)
+            assert counted_connections[-1].writes == [response]
+
+    def test_accepted_socket_sets_nodelay(self, server, counted_connections):
+        host, port = server.server_address[:2]
+        client = http.client.HTTPConnection(host, port, timeout=10)
+        try:
+            client.request("GET", "/healthz")
+            assert client.getresponse().read()
+            # The connection is still open: the handler awaits the next
+            # request on it.
+            accepted = counted_connections[-1]
+            assert accepted.getsockopt(
+                socket.IPPROTO_TCP, socket.TCP_NODELAY
+            ) != 0
+        finally:
+            client.close()
+
+    def test_keepalive_requests_do_not_stall(self, server):
+        host, port = server.server_address[:2]
+        client = http.client.HTTPConnection(host, port, timeout=10)
+        try:
+            client.request("GET", "/jobs/alpha")  # Warm the cache.
+            client.getresponse().read()
+            started = time.monotonic()
+            for _ in range(40):
+                client.request("GET", "/jobs/alpha")
+                response = client.getresponse()
+                assert response.status == 200
+                response.read()
+            elapsed = time.monotonic() - started
+        finally:
+            client.close()
+        # Two sends per response cost ~44 ms each here (~1.8 s).
+        assert elapsed < 0.8
 
 
 class TestWritePath:

@@ -4,6 +4,8 @@ from __future__ import annotations
 
 import hashlib
 import struct
+import threading
+import time
 
 import pytest
 
@@ -94,6 +96,127 @@ class TestRotation:
         remaining = list((tmp_path / "wal").glob("segment-*.wal"))
         assert len(remaining) == 1
         wal.close()
+
+
+class TestRetirement:
+    """Once fully acked, the active segment is retired: after a drain
+    the WAL holds no acked frame."""
+
+    def test_drained_wal_holds_no_frame(self, tmp_path):
+        wal = WriteAheadLog(tmp_path / "wal", max_segment_bytes=64)
+        entries = [wal.append(f"record-{i}".encode() * 4)
+                   for i in range(6)]
+        entries.append(wal.append(b"tail"))
+        for entry in entries:
+            wal.ack(entry)
+        directory = tmp_path / "wal"
+        segments = list(directory.glob("segment-*.wal"))
+        assert [path.stat().st_size for path in segments] == [0]
+        assert list(directory.glob("segment-*.ack")) == []
+        assert payloads(wal) == []
+        wal.close()
+
+    def test_partial_ack_keeps_the_active_segment(self, tmp_path):
+        wal = WriteAheadLog(tmp_path / "wal")
+        first = wal.append(b"one")
+        wal.append(b"two")
+        wal.ack(first)
+        assert wal.stats()["active_segment"] == 1
+        assert payloads(wal) == [b"two"]
+        wal.close()
+
+    def test_appends_resume_in_the_next_segment(self, tmp_path):
+        wal = WriteAheadLog(tmp_path / "wal")
+        wal.ack(wal.append(b"one"))
+        entry = wal.append(b"two")
+        assert (entry.segment, entry.index) == (2, 0)
+        assert payloads(wal) == [b"two"]
+        wal.close()
+
+    def test_double_ack_of_retired_record_is_a_noop(self, tmp_path):
+        wal = WriteAheadLog(tmp_path / "wal")
+        entry = wal.append(b"one")
+        wal.ack(entry)
+        wal.ack(entry)
+        wal.ack(entry.entry_id)
+        assert wal.stats()["acked_total"] == 1
+        assert wal.lag() == 0
+        with pytest.raises(WalError):
+            wal.ack("00000002:000000")  # Never appended.
+        wal.close()
+
+    def test_crash_before_the_unlinks_is_finished_on_open(
+        self, tmp_path, monkeypatch,
+    ):
+        # A crash after the rotation's directory fsync, before its
+        # unlinks: the retired segment is fully acked but still there.
+        with WriteAheadLog(tmp_path / "wal") as wal:
+            monkeypatch.setattr(wal, "_cleanup_locked", lambda _seg: None)
+            wal.ack(wal.append(b"one"))
+        directory = tmp_path / "wal"
+        assert sorted(p.name for p in directory.iterdir()) == [
+            "segment-00000001.ack", "segment-00000001.wal",
+            "segment-00000002.wal",
+        ]
+        reopened = WriteAheadLog(directory)
+        assert sorted(p.name for p in directory.iterdir()) == [
+            "segment-00000002.wal",
+        ]
+        assert reopened.replay() == []
+        assert reopened.lag() == 0
+        reopened.close()
+
+
+class TestWaitAcked:
+    """``wait_acked`` waits for the records appended before the call."""
+
+    def test_nothing_pending_returns_at_once(self, tmp_path):
+        wal = WriteAheadLog(tmp_path / "wal")
+        wal.ack(wal.append(b"done"))
+        started = time.monotonic()
+        assert wal.wait_acked(timeout=5.0)
+        assert time.monotonic() - started < 1.0
+
+    def test_waits_for_an_ack_from_another_thread(self, tmp_path):
+        wal = WriteAheadLog(tmp_path / "wal")
+        entry = wal.append(b"pending")
+        acker = threading.Timer(0.1, wal.ack, args=(entry,))
+        acker.start()
+        try:
+            assert wal.wait_acked(timeout=5.0)
+            assert wal.lag() == 0
+        finally:
+            acker.join()
+
+    def test_later_appends_are_not_waited_for(self, tmp_path):
+        wal = WriteAheadLog(tmp_path / "wal")
+        first = wal.append(b"first")
+
+        def ack_first_then_append() -> None:
+            time.sleep(0.1)
+            wal.append(b"later")  # Stays unacked.
+            wal.ack(first)
+
+        writer = threading.Thread(target=ack_first_then_append)
+        writer.start()
+        try:
+            assert wal.wait_acked(timeout=5.0)
+            assert wal.lag() == 1
+        finally:
+            writer.join()
+
+    def test_times_out_and_close_wakes_the_waiter(self, tmp_path):
+        wal = WriteAheadLog(tmp_path / "wal")
+        wal.append(b"never acked")
+        assert not wal.wait_acked(timeout=0.05)
+        closer = threading.Timer(0.1, wal.close)
+        closer.start()
+        started = time.monotonic()
+        try:
+            assert not wal.wait_acked(timeout=30.0)
+            assert time.monotonic() - started < 10.0
+        finally:
+            closer.join()
 
 
 class TestCrashRepair:
