@@ -29,10 +29,13 @@ is its group-by key, flagging per-operation makespan shares beyond
 
 from __future__ import annotations
 
+import base64
 import json
 import logging
 import math
-from typing import Any, Callable, Dict, Iterator, List, Optional, Tuple
+from typing import (
+    Any, Callable, Dict, Iterator, List, Optional, Tuple, Union,
+)
 
 import numpy as np
 
@@ -54,6 +57,16 @@ logger = logging.getLogger(__name__)
 #: Deviations beyond this multiple of the plan's threshold escalate a
 #: regression finding from warning to critical.
 CRITICAL_FACTOR = 1.5
+
+#: ``include_samples`` value asking for each group's sorted vector as
+#: base64 of little-endian float64 instead of a JSON float list.  The
+#: cluster router asks its shards for this: the merge reads the same
+#: values, and rendering and parsing ~70 000 float reprs per shard was
+#: most of a routed fleet request.
+PACKED = "packed"
+
+#: ``False``, ``True`` (JSON float lists) or :data:`PACKED`.
+Samples = Union[bool, str]
 
 
 def _group_value(value: Any) -> str:
@@ -278,6 +291,20 @@ def _top_depth(plan: FleetPlan) -> Tuple[Optional[str], int]:
     return (None, 0) if deepest is None else (deepest.label, deepest.k)
 
 
+def pack_samples(sorted_values: np.ndarray) -> str:
+    """A sample vector in its :data:`PACKED` wire form."""
+    return base64.b64encode(
+        np.ascontiguousarray(sorted_values, dtype="<f8").tobytes()
+    ).decode("ascii")
+
+
+def unpack_samples(samples: Union[str, List[float]]) -> np.ndarray:
+    """A group's ``samples`` entry, packed or a JSON list, as float64."""
+    if isinstance(samples, str):
+        return np.frombuffer(base64.b64decode(samples), dtype="<f8")
+    return np.asarray(samples, dtype=np.float64)
+
+
 class _GroupAcc:
     """Streaming accumulator for one group's metric values.
 
@@ -336,17 +363,15 @@ class _GroupAcc:
         """Fold one group entry of another store's query document.
 
         Sums of shard sums, means recomputed from the merged sums,
-        percentiles from the concatenated ``samples`` vectors, top-k
-        from the shards' deepest top rows.
+        percentiles from the concatenated ``samples`` vectors (packed
+        or JSON lists), top-k from the shards' deepest top rows.
         """
         self.jobs += group.get("jobs", 0)
         stats = group.get("stats", {})
         self.count += stats.get("count", 0)
         self.total += stats.get("sum", 0.0)
         self._widen(stats.get("min"), stats.get("max"))
-        self.parts.append(
-            np.asarray(group.get("samples", []), dtype=np.float64)
-        )
+        self.parts.append(unpack_samples(group.get("samples", [])))
         if top_label is not None:
             self._keep_top(
                 [(row.get("value"), row.get("job_id", ""),
@@ -361,7 +386,7 @@ class _GroupAcc:
         return np.sort(np.concatenate(self.parts))
 
     def aggregate(self, aggs: Tuple[AggSpec, ...],
-                  include_samples: bool) -> Dict[str, Any]:
+                  include_samples: Samples) -> Dict[str, Any]:
         out: Dict[str, Any] = {}
         sorted_values: Optional[np.ndarray] = None
         for agg in aggs:
@@ -400,7 +425,10 @@ class _GroupAcc:
         if include_samples:
             if sorted_values is None:
                 sorted_values = self.sorted_values()
-            result["samples"] = sorted_values.tolist()
+            result["samples"] = (
+                pack_samples(sorted_values) if include_samples == PACKED
+                else sorted_values.tolist()
+            )
         return result
 
 
@@ -417,7 +445,7 @@ def _acc_for(groups: Dict[Tuple[str, ...], _GroupAcc], plan: FleetPlan,
 
 def _group_documents(groups: Dict[Tuple[str, ...], _GroupAcc],
                      plan: FleetPlan,
-                     include_samples: bool) -> List[Dict[str, Any]]:
+                     include_samples: Samples) -> List[Dict[str, Any]]:
     return [groups[key].aggregate(plan.aggs, include_samples)
             for key in sorted(groups)]
 
@@ -445,7 +473,7 @@ def reduce_single(values: np.ndarray, agg: AggSpec) -> Optional[float]:
 
 
 def _run_query(session: FleetScanSession, plan: FleetPlan,
-               include_samples: bool) -> Dict[str, Any]:
+               include_samples: Samples) -> Dict[str, Any]:
     top_k = _top_depth(plan)[1]
     keep_values = plan.needs_values or include_samples
     groups: Dict[Tuple[str, ...], _GroupAcc] = {}
@@ -597,17 +625,17 @@ def _run_regressions(session: FleetScanSession, plan: FleetPlan,
 def merge_fleet_documents(
     plan: FleetPlan,
     documents: List[Dict[str, Any]],
-    include_samples: bool,
+    include_samples: Samples,
 ) -> Dict[str, Any]:
     """Merge per-store fleet documents into the single-store answer.
 
     The cluster router's half of a fan-out: each document is one
     shard's answer to ``plan``, asked with ``samples`` whenever the
-    merge needs raw material (sample vectors for percentiles, per-job
-    shares for regressions).  Groups fold through the same
-    :class:`_GroupAcc` a store scan uses, series points re-sort by the
-    one series order, and regressions re-run the detector over the
-    pooled shares.
+    merge needs raw material (sample vectors for percentiles, packed or
+    JSON lists alike, and per-job shares for regressions).  Groups fold
+    through the same :class:`_GroupAcc` a store scan uses, series
+    points re-sort by the one series order, and regressions re-run the
+    detector over the pooled shares.
     """
     merged: Dict[str, Any] = {
         "op": plan.op,
@@ -645,7 +673,7 @@ def merge_fleet_documents(
 def run_fleet_query(
     store: ArchiveStore,
     plan: FleetPlan,
-    include_samples: bool = False,
+    include_samples: Samples = False,
 ) -> Dict[str, Any]:
     """Execute one fleet plan against a store; returns the JSON document.
 
@@ -656,7 +684,8 @@ def run_fleet_query(
     be read at all (or whose columns cannot be encoded) is counted in
     ``jobs_failed``.
     ``include_samples`` attaches each group's sorted value vector (the
-    cluster router uses this to recompute percentiles across shards).
+    cluster router uses this to recompute percentiles across shards),
+    as a JSON float list or, for :data:`PACKED`, as packed float64.
     """
     with FleetScanSession(store, plan) as session:
         if plan.op == "series":
@@ -763,6 +792,7 @@ __all__ = [
     "CRITICAL_FACTOR",
     "FleetScanSession",
     "JobScan",
+    "PACKED",
     "detect_regressions",
     "fleet_findings",
     "merge_fleet_documents",

@@ -42,7 +42,7 @@ from typing import (
     Any, Dict, Iterator, List, Mapping, NamedTuple, Optional, Tuple, Union,
 )
 
-from repro.core.analysis.fleet import run_fleet_query
+from repro.core.analysis.fleet import PACKED, Samples, run_fleet_query
 from repro.core.analysis.fleetplan import FleetPlan
 from repro.core.archive.archive import PerformanceArchive
 from repro.core.archive.columnar import ColumnarArchiveView, document_view
@@ -443,14 +443,16 @@ def submission_kind(
 
 def fleet_request(
     op: str, params: Mapping[str, str], method: str, body: bytes,
-) -> Tuple[FleetPlan, bool]:
+) -> Tuple[FleetPlan, Samples]:
     """Parse one fleet request into (plan, include_samples).
 
     ``GET /fleet/{op}`` carries the plan as flat parameters, ``POST
     /fleet/query`` as a JSON document naming its own op.  ``samples``
     is the cluster router's internal knob: groups additionally carry
     their sorted value vectors (regressions their per-job shares) so
-    the answer can be recomputed exactly across shards.
+    the answer can be recomputed exactly across shards.  The router
+    itself sends ``"samples": "packed"`` (:data:`PACKED`): the vectors
+    then travel as packed float64 rather than JSON float lists.
     """
     if method == "POST":
         try:
@@ -462,7 +464,10 @@ def fleet_request(
         include_samples = False
         if isinstance(document, dict):
             document = dict(document)
-            include_samples = bool(document.pop("samples", False))
+            samples = document.pop("samples", False)
+            include_samples = (
+                PACKED if samples == PACKED else bool(samples)
+            )
         return FleetPlan.from_json(document), include_samples
     params = dict(params)
     include_samples = params.pop("samples", "").lower() in ("1", "true")
@@ -627,7 +632,8 @@ class ArchiveService(ServiceContract):
         if self.ingest is not None:
             self.ingest.wait_applied(FLEET_WRITE_WAIT_S)
         self.store.refresh()
-        plan_key = f"{plan.canonical()}|samples={int(include_samples)}"
+        flag = PACKED if include_samples == PACKED else int(include_samples)
+        plan_key = f"{plan.canonical()}|samples={flag}"
         identity = hashlib.sha256(
             f"{self.store.listing_checksum()}|{plan_key}".encode("utf-8")
         ).hexdigest()

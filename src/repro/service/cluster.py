@@ -78,8 +78,10 @@ class ClusterServer(ArchiveServer):
         """The front listener has stopped taking requests; the
         supervisor SIGTERMs every worker so each drains its own
         ingestion queue (anything slower stays in that shard's WAL for
-        the next start)."""
+        the next start); then the router's fan-out threads stop and its
+        pooled shard connections close."""
         self.supervisor.stop()
+        self.service.close()
 
 
 def create_cluster(

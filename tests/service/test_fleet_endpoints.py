@@ -11,12 +11,18 @@ never leak into metrics (see :mod:`repro.service.metrics`).
 
 from __future__ import annotations
 
+import hashlib
 import json
 from collections import Counter
 
 import pytest
 
-from repro.core.analysis.fleet import run_fleet_query
+from repro.core.analysis.fleet import (
+    PACKED,
+    run_fleet_query,
+    unpack_samples,
+)
+from repro.core.analysis.fleetplan import FleetPlan
 from repro.core.archive.serialize import archive_to_json
 from repro.core.archive.store import ArchiveStore
 from repro.service.app import ArchiveService, resolve_route
@@ -113,6 +119,49 @@ class TestFleetEndpoints:
             g["samples"] == sorted(g["samples"]) and g["samples"]
             for g in sampled["groups"]
         )
+
+    def test_public_samples_stay_a_json_list_under_the_same_etag(
+        self, service,
+    ):
+        """``samples=1`` answers as it always has: JSON float lists,
+        under the ETag ``sha256(listing | plan | samples=1)``.  Only
+        the router's ``"packed"`` gets base64 vectors, and an ETag of
+        its own."""
+        params = {"group_by": "platform", "agg": "count,p95"}
+        plan = FleetPlan.from_params(params)
+        sampled = service.handle("/fleet/query",
+                                 dict(params, samples="1"))
+        identity = hashlib.sha256(
+            f"{service.store.listing_checksum()}|{plan.canonical()}"
+            f"|samples=1".encode("utf-8")
+        ).hexdigest()
+        assert sampled.headers["ETag"] == f'"{identity}"'
+        assert sampled.body.decode("utf-8") == json.dumps(
+            sampled.json(), indent=2, sort_keys=True
+        )
+        groups = sampled.json()["groups"]
+        assert groups and all(
+            isinstance(g["samples"], list) and g["samples"]
+            for g in groups
+        )
+        posted = service.handle(
+            "/fleet/query", method="POST",
+            body=json.dumps(dict(plan.to_document(), samples=True),
+                            sort_keys=True).encode("utf-8"),
+        )
+        assert posted.headers["ETag"] == sampled.headers["ETag"]
+        assert posted.body == sampled.body
+
+        packed = service.handle(
+            "/fleet/query", method="POST",
+            body=json.dumps(dict(plan.to_document(), samples=PACKED),
+                            sort_keys=True).encode("utf-8"),
+        )
+        assert packed.headers["ETag"] != sampled.headers["ETag"]
+        for vector, group in zip(
+            (g["samples"] for g in packed.json()["groups"]), groups,
+        ):
+            assert unpack_samples(vector).tolist() == group["samples"]
 
     def test_client_errors_are_400(self, service):
         assert service.handle(
@@ -502,6 +551,29 @@ class TestRoutedFleet:
             if ring.shard_for(job_id) != 1
         )
         assert document["jobs_scanned"] == surviving
+
+    def test_shards_send_packed_samples(self, fleet_cluster):
+        """Percentiles make the router ask every shard for packed
+        vectors; a client's ``samples=1`` still gets the union store's
+        answer, JSON float lists and all."""
+        bodies = []
+        transport = fleet_cluster._transport
+
+        def recording(base, path, params, headers, method, body, timeout):
+            bodies.append(json.loads(body))
+            return transport(base, path, params, headers, method, body,
+                             timeout)
+
+        fleet_cluster._transport = recording
+        params = {"group_by": "platform", "agg": "count,p95",
+                  "samples": "1"}
+        routed = fleet_cluster.handle("/fleet/query", params).json()
+        local = fleet_cluster.test_union.handle("/fleet/query", params)
+        assert [body["samples"] for body in bodies] == [PACKED] * 3
+        assert routed.pop("degraded_shards") == []
+        assert routed == local.json()
+        assert all(isinstance(g["samples"], list)
+                   for g in routed["groups"])
 
     def test_bad_plan_rejected_before_fanout(self, fleet_cluster):
         del fleet_cluster.test_calls[:]

@@ -19,7 +19,7 @@ from repro.core.monitor.live import (
 )
 from repro.core.monitor.salvage import salvage_archive
 from repro.service.app import ArchiveService, StreamingResponse
-from repro.service.router import ClusterService, http_transport
+from repro.service.router import ClusterService, ShardPool
 from repro.service.server import create_server
 
 from tests.service.test_router import FakeSupervisor
@@ -287,7 +287,8 @@ class TestRouterStreaming:
 
         finisher = threading.Thread(target=finish)
         finisher.start()
-        response = http_transport(
+        pool = ShardPool()
+        response = pool(
             base, "/jobs/run6/live", {}, {}, "GET", b"", 10.0,
         )
         assert isinstance(response, StreamingResponse)
@@ -296,6 +297,8 @@ class TestRouterStreaming:
         snapshots = [e for e in events if e.event == "snapshot"]
         assert snapshots[-1].data == archive_to_json(archive).encode("utf-8")
         assert events[-1].event == "complete"
+        # A relayed stream's connection is never handed back for reuse.
+        assert pool.idle(base) == 0
 
     def test_http_transport_forwards_last_event_id(self, live_server):
         server, registry = live_server
@@ -307,7 +310,7 @@ class TestRouterStreaming:
 
         host, port = server.server_address[:2]
         base = f"http://{host}:{port}"
-        response = http_transport(
+        response = ShardPool()(
             base, "/jobs/run7/live", {},
             {"Last-Event-ID": str(final.seq)}, "GET", b"", 10.0,
         )

@@ -8,6 +8,10 @@ a sequence of well-formed HTTP/1.1 responses, each body exactly its
 ``Content-Length`` long and each starting right where the previous one
 ended (no leftover bytes), answering the requests in order up to the
 first one that closes the connection; then the connection closes.
+
+Both fronts are fuzzed: a single-store server (``strict_server``) and
+the cluster router over two forked workers (``strict_cluster``), whose
+routes answer through the pooled, concurrent shard hop.
 """
 
 from __future__ import annotations
@@ -173,27 +177,21 @@ def expected_statuses(requests: List[Sent]) -> List[int]:
     return statuses
 
 
-@settings(max_examples=60, deadline=None, derandomize=True,
-          suppress_health_check=[HealthCheck.function_scoped_fixture])
-@given(
-    requests=st.lists(sent_requests(), min_size=1, max_size=5),
-    dribble=st.sampled_from([0, 1, 7, 64]),
-    pause=st.sampled_from([0.0, 0.001]),
-)
-def test_responses_stay_framed(strict_server, requests, dribble, pause):
+def assert_framed(server, requests: List[Sent], dribble: int,
+                  pause: float) -> None:
     data = b"".join(request.data for request in requests)
     if len(data) > 8192:
         dribble = 0  # Oversized lines go whole.
-    received = exchange(strict_server, data, dribble, pause)
+    received = exchange(server, data, dribble, pause)
     statuses = [status for status, _ in parse_responses(received)]
     assert statuses == expected_statuses(requests)
 
 
-def test_stalled_header_closes_after_answered_requests(strict_server):
+def assert_stall_dropped(server) -> None:
     # Slow-loris: one whole request, then a header that never ends.
     # The answered request's response arrives intact; the stall is
     # dropped at the 1 s request timeout without a partial response.
-    host, port = strict_server.server_address[:2]
+    host, port = server.server_address[:2]
     started = time.monotonic()
     with socket.create_connection((host, port), timeout=10) as sock:
         sock.sendall(head("GET /healthz HTTP/1.1"))
@@ -209,3 +207,37 @@ def test_stalled_header_closes_after_answered_requests(strict_server):
     elapsed = time.monotonic() - started
     assert [s for s, _ in parse_responses(b"".join(received))] == [200]
     assert elapsed < 5.0
+
+
+FUZZ = dict(
+    requests=st.lists(sent_requests(), min_size=1, max_size=5),
+    dribble=st.sampled_from([0, 1, 7, 64]),
+    pause=st.sampled_from([0.0, 0.001]),
+)
+FUZZ_SETTINGS = settings(
+    max_examples=60, deadline=None, derandomize=True,
+    suppress_health_check=[HealthCheck.function_scoped_fixture],
+)
+
+
+@FUZZ_SETTINGS
+@given(**FUZZ)
+def test_responses_stay_framed(strict_server, requests, dribble, pause):
+    assert_framed(strict_server, requests, dribble, pause)
+
+
+def test_stalled_header_closes_after_answered_requests(strict_server):
+    assert_stall_dropped(strict_server)
+
+
+@FUZZ_SETTINGS
+@given(**FUZZ)
+def test_router_responses_stay_framed(strict_cluster, requests, dribble,
+                                      pause):
+    assert_framed(strict_cluster, requests, dribble, pause)
+
+
+def test_router_stalled_header_closes_after_answered_requests(
+    strict_cluster,
+):
+    assert_stall_dropped(strict_cluster)

@@ -10,7 +10,8 @@ the store without sidecars, from its JSON document's own columns; only
 the scan must degrade per job (reported in ``degraded_jobs``), never
 change a value.  And a fleet split across several stores, merged the
 way the cluster router merges its shards, must answer what one store
-holding every job answers.
+holding every job answers — whether the shards send their sample
+vectors as JSON float lists or packed.
 """
 
 from __future__ import annotations
@@ -18,12 +19,16 @@ from __future__ import annotations
 import tempfile
 from pathlib import Path
 
+import numpy as np
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.core.analysis.fleet import (
+    PACKED,
     merge_fleet_documents,
+    pack_samples,
     run_fleet_query,
+    unpack_samples,
 )
 from repro.core.analysis.fleetplan import FleetPlan
 from repro.core.archive.archive import ArchivedOperation, PerformanceArchive
@@ -69,18 +74,28 @@ PLANS = (
 )
 
 
+#: Float64 edge values, NaN-free: signed zeros, the smallest subnormal
+#: and normal, and the largest finite value (a sum may overflow to
+#: +inf, never meet -inf).
+EXTREMES = (0.0, -0.0, 5e-324, 2.2250738585072014e-308, 0.1, -1.5,
+            1e16, 1.7976931348623157e308)
+
+
 @st.composite
-def stores_of_archives(draw, integral=False):
+def stores_of_archives(draw, integral=False, extreme=False):
     """2–5 random archives, keyed for one ArchiveStore.
 
     ``integral`` keeps every timestamp and info value a small whole
     number: float sums are then exact whatever the fold order, and
-    equal values (top-k ties) are common.
+    equal values (top-k ties) are common.  ``extreme`` keeps the
+    timestamps whole and draws info values from :data:`EXTREMES`.
     """
     stamps, values = timestamps, info_values
-    if integral:
+    if integral or extreme:
         stamps = st.one_of(st.none(), st.integers(0, 20))
         values = st.one_of(st.none(), st.integers(-5, 5))
+    if extreme:
+        values = st.one_of(st.none(), st.sampled_from(EXTREMES))
     jobs = draw(st.integers(min_value=2, max_value=5))
     archives = []
     for j in range(jobs):
@@ -207,3 +222,87 @@ class TestFleetMergeInvariance:
                 False,
             )
             assert merged == run_fleet_query(union, plan)
+
+    @staticmethod
+    def deal(directory, archives, partials, data):
+        """A union store plus the archives dealt over ``partials``
+        stores (some possibly left empty)."""
+        union = ArchiveStore(Path(directory) / "union")
+        stores = [ArchiveStore(Path(directory) / f"part-{index}")
+                  for index in range(partials)]
+        for archive in archives:
+            union.save(archive)
+            stores[data.draw(st.integers(0, partials - 1))].save(archive)
+        return union, stores
+
+    @given(stores_of_archives(integral=True), st.sampled_from(PLANS),
+           st.integers(min_value=1, max_value=4), st.data())
+    @settings(max_examples=25, deadline=None)
+    def test_packed_partials_merge_like_json_partials(
+        self, archives, plan, partials, data,
+    ):
+        """The router's wire form: shards answering with packed sample
+        vectors merge to the single-store answer, and to exactly what
+        JSON-sample shards merge to — with the client's own
+        ``samples=1`` vectors too, still a JSON float list."""
+        with tempfile.TemporaryDirectory() as directory:
+            union, stores = self.deal(directory, archives, partials, data)
+            packed = [run_fleet_query(store, plan, include_samples=PACKED)
+                      for store in stores]
+            listed = [run_fleet_query(store, plan, include_samples=True)
+                      for store in stores]
+            for document in packed:
+                for group in document.get("groups", []):
+                    assert isinstance(group["samples"], str)
+            merged = merge_fleet_documents(plan, packed, False)
+            assert merged == run_fleet_query(union, plan)
+            assert merged == merge_fleet_documents(plan, listed, False)
+            if plan.op == "query":
+                with_samples = merge_fleet_documents(plan, packed, True)
+                assert with_samples == run_fleet_query(
+                    union, plan, include_samples=True
+                )
+                for group in with_samples["groups"]:
+                    assert isinstance(group["samples"], list)
+
+    @given(stores_of_archives(extreme=True),
+           st.sampled_from(PLANS[:2]),
+           st.integers(min_value=1, max_value=4), st.data())
+    @settings(max_examples=25, deadline=None)
+    def test_packed_partials_keep_extreme_values(
+        self, archives, plan, partials, data,
+    ):
+        """Subnormals, signed zeros and the largest finite float cross
+        the packed hop bit for bit (the packed merge's repr is the JSON
+        merge's); groups with no values at all pack to an empty
+        vector."""
+        with tempfile.TemporaryDirectory() as directory:
+            union, stores = self.deal(directory, archives, partials, data)
+            packed = merge_fleet_documents(plan, [
+                run_fleet_query(store, plan, include_samples=PACKED)
+                for store in stores
+            ], True)
+            listed = merge_fleet_documents(plan, [
+                run_fleet_query(store, plan, include_samples=True)
+                for store in stores
+            ], True)
+            single = run_fleet_query(union, plan, include_samples=True)
+            assert repr(packed) == repr(listed)
+            assert [g["key"] for g in packed["groups"]] == \
+                [g["key"] for g in single["groups"]]
+            for merged, alone in zip(packed["groups"], single["groups"]):
+                # Sums fold in another order across stores, and so may
+                # the sign of a zero; every value must still be equal.
+                assert merged["samples"] == alone["samples"]
+                for label, value in alone["aggs"].items():
+                    if label not in ("sum", "mean"):
+                        assert merged["aggs"][label] == value
+
+
+def test_pack_round_trips_every_bit():
+    values = np.array(sorted(EXTREMES), dtype=np.float64)
+    for vector in (values, values[:0], values[-1:]):
+        packed = pack_samples(vector)
+        assert isinstance(packed, str) and packed.isascii()
+        assert unpack_samples(packed).tobytes() == vector.tobytes()
+    assert unpack_samples([0.5, -0.0]).tolist() == [0.5, -0.0]
