@@ -477,8 +477,11 @@ def _run_query(session: FleetScanSession, plan: FleetPlan,
     top_k = _top_depth(plan)[1]
     keep_values = plan.needs_values or include_samples
     groups: Dict[Tuple[str, ...], _GroupAcc] = {}
-    for scan in session.jobs():
-        _acc_for(groups, plan, scan.group).add(scan, keep_values, top_k)
+    # A group sum past the largest float reads inf, as the merge of
+    # shard sums (Python floats, ``add_partial``) does, unwarned.
+    with np.errstate(over="ignore"):
+        for scan in session.jobs():
+            _acc_for(groups, plan, scan.group).add(scan, keep_values, top_k)
     document = session.base_document(plan)
     document["groups"] = _group_documents(groups, plan, include_samples)
     return document

@@ -76,7 +76,10 @@ class EvaluationProcess:
         self.model = model
         self.store = store
         self.session = MonitoringSession(platform, env_step=env_step)
-        self.iterations: List[EvaluationIteration] = []
+        #: Iterations run so far.  The process keeps no iteration: each
+        #: holds a whole run's logs and archive, and the caller decides
+        #: which to keep (``WorkloadRunner`` keeps one per memo key).
+        self.iteration_count = 0
 
     def iterate(
         self,
@@ -123,8 +126,9 @@ class EvaluationProcess:
         except VisualizationError:
             gantt = None  # Model not yet refined to implementation level.
 
+        self.iteration_count += 1
         iteration = EvaluationIteration(
-            index=len(self.iterations) + 1,
+            index=self.iteration_count,
             model=model,
             run=run,
             archive=archive,
@@ -133,7 +137,6 @@ class EvaluationProcess:
             utilization=utilization,
             gantt=gantt,
         )
-        self.iterations.append(iteration)
         return iteration
 
     def refine(self, model: JobModel) -> None:

@@ -15,6 +15,31 @@ import numpy as np
 from repro.errors import GraphError
 
 
+def group_starts(keys: np.ndarray) -> np.ndarray:
+    """Start offsets of each run of equal values in a sorted array."""
+    if len(keys) == 0:
+        return np.empty(0, dtype=np.int64)
+    return np.concatenate(
+        ([0], np.flatnonzero(keys[1:] != keys[:-1]) + 1)
+    )
+
+
+def group_sizes(starts: np.ndarray, total: int) -> np.ndarray:
+    """Length of each group given its start offsets."""
+    return np.diff(np.append(starts, total))
+
+
+def sorted_distinct(keys: np.ndarray) -> np.ndarray:
+    """``np.unique(keys)`` of a 1-d array: one sort, then each run's first.
+
+    numpy's ``unique`` hashes integer input and sorts the distinct values
+    afterwards; on arrays of a million keys that is tens of times slower
+    than sorting the input once.
+    """
+    keys = np.sort(keys)
+    return keys[group_starts(keys)]
+
+
 def pair_columns(edges) -> Tuple[np.ndarray, np.ndarray]:
     """(src, dst) int64 columns of edge pairs, in order: any iterable of
     pairs or an ``(m, 2)`` array."""
@@ -79,7 +104,7 @@ class CsrGraph:
                 f"for {num_vertices} vertices"
             )
         # Dedup + sort in one shot: pack (src, dst) into a single key.
-        key = np.unique(src * np.int64(num_vertices) + dst)
+        key = sorted_distinct(src * np.int64(num_vertices) + dst)
         indptr = np.zeros(num_vertices + 1, dtype=np.int64)
         if len(key):
             np.cumsum(np.bincount(key // num_vertices, minlength=num_vertices),

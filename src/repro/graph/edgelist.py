@@ -8,7 +8,7 @@ realistic I/O time while the engines really consume the edges.
 
 from __future__ import annotations
 
-from typing import Iterable, List, Optional, Tuple
+from typing import Iterable, Iterator, List, Optional, Tuple
 
 import numpy as np
 
@@ -17,16 +17,45 @@ from repro.graph.csr import pair_columns
 from repro.graph.graph import Edge, Graph
 
 
-def _digit_counts(arr: np.ndarray) -> np.ndarray:
-    """``len(str(x))`` per element for non-negative integer arrays."""
-    digits = np.ones(len(arr), dtype=np.int64)
-    limit = 10
-    while True:
-        over = arr >= limit
-        if not over.any():
-            return digits
-        digits[over] += 1
-        limit *= 10
+def _digit_masks(values: np.ndarray) -> Iterator[np.ndarray]:
+    """Boolean masks whose per-element sum is ``len(str(x)) - 1``.
+
+    One mask for the sign, then one per power of ten ``p`` with
+    ``|x| >= p``, up to the largest magnitude present, so small values
+    (BFS levels, partition ids) cost two or three array compares.
+    Comparing ``x <= -p`` rather than taking ``|x|`` keeps ``-2**63``
+    exact.
+    """
+    low, high = int(values.min()), int(values.max())
+    if low < 0:
+        yield values < 0
+    power = 10
+    while power <= high:
+        yield values >= power
+        power *= 10
+    power = 10
+    while -power >= low:
+        yield values <= -power
+        power *= 10
+
+
+def int_text_lengths(values: np.ndarray) -> np.ndarray:
+    """``len(str(x))`` per element of an integer array."""
+    values = np.asarray(values, dtype=np.int64)
+    lengths = np.ones(len(values), dtype=np.int64)
+    if len(values):
+        for mask in _digit_masks(values):
+            lengths += mask
+    return lengths
+
+
+def int_text_size(values: np.ndarray) -> int:
+    """``sum(len(str(x)) for x in values)`` without per-element lengths."""
+    values = np.asarray(values, dtype=np.int64)
+    if not len(values):
+        return 0
+    return len(values) + sum(
+        int(np.count_nonzero(mask)) for mask in _digit_masks(values))
 
 
 class EdgeList:
@@ -81,8 +110,8 @@ class EdgeList:
 
     def text_size_bytes(self) -> int:
         """Exact size of the rendered text file in bytes."""
-        return int(_digit_counts(self.src).sum()
-                   + _digit_counts(self.dst).sum() + 2 * len(self.src))
+        return (int_text_size(self.src) + int_text_size(self.dst)
+                + 2 * len(self.src))
 
     def __eq__(self, other: object) -> bool:
         if not isinstance(other, EdgeList):

@@ -24,7 +24,7 @@ from typing import Dict, Iterable, List, Optional, Set, Tuple
 import numpy as np
 
 from repro.errors import PartitionError
-from repro.graph.csr import pair_columns
+from repro.graph.csr import group_starts, pair_columns, sorted_distinct
 from repro.graph.graph import Edge, Graph
 
 _KNUTH = 2654435761  # Knuth's multiplicative constant (2^32 / phi).
@@ -114,7 +114,8 @@ class VertexCut:
         """Average number of replicas per (non-isolated) vertex."""
         if not len(self.pairs):
             return 0.0
-        vertices = len(np.unique(self.pairs // np.int64(self.parts)))
+        # ``pairs`` is sorted, so each vertex is one run of its column.
+        vertices = len(group_starts(self.pairs // np.int64(self.parts)))
         return len(self.pairs) / vertices
 
     def edge_counts(self) -> List[int]:
@@ -126,7 +127,7 @@ def _finalize(parts: int, src: np.ndarray, dst: np.ndarray,
               part: np.ndarray) -> VertexCut:
     """The cut of an edge placement, with its replica incidences."""
     part = np.asarray(part, dtype=np.int64)
-    pairs = np.unique(
+    pairs = sorted_distinct(
         np.concatenate((src, dst)) * np.int64(parts)
         + np.concatenate((part, part))
     )

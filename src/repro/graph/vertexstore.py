@@ -12,7 +12,7 @@ from typing import List, Sequence, Tuple
 import numpy as np
 
 from repro.errors import GraphError
-from repro.graph.edgelist import _digit_counts
+from repro.graph.edgelist import int_text_size
 from repro.graph.graph import Graph
 
 
@@ -73,11 +73,11 @@ def vertex_store_size_bytes(graph: Graph) -> int:
         return 0
     csr = graph.csr()
     ids = np.arange(n, dtype=np.int64)
-    return int(
-        _digit_counts(ids).sum()               # vertex ids
-        + _digit_counts(csr.indices).sum()     # neighbor ids
-        + len(csr.indices)                     # one space per neighbor
-        + n                                    # newlines
+    return (
+        int_text_size(ids)             # vertex ids
+        + int_text_size(csr.indices)   # neighbor ids
+        + len(csr.indices)             # one space per neighbor
+        + n                            # newlines
     )
 
 

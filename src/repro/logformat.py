@@ -21,6 +21,7 @@ operation tree.  ``mission`` carries the iteration index when relevant
 
 from __future__ import annotations
 
+import re
 from typing import Dict
 from urllib.parse import quote, unquote
 
@@ -36,6 +37,17 @@ EVENTS = (EVENT_START, EVENT_END, EVENT_INFO)
 #: Placeholder parent for root operations.
 NO_PARENT = "-"
 
+#: Text that ``quote(text, safe='')`` returns unchanged: RFC 3986's
+#: unreserved characters only.
+_UNRESERVED = re.compile(r"[A-Za-z0-9_.~-]*").fullmatch
+
+
+def quote_value(value: object) -> str:
+    """``quote(str(value), safe='')``, skipping the quoting of text made
+    only of unreserved characters (ids, numbers, names)."""
+    text = str(value)
+    return text if _UNRESERVED(text) else quote(text, safe="")
+
 
 def format_line(fields: Dict[str, str]) -> str:
     """Render a field mapping as one GRANULA log line.
@@ -47,7 +59,7 @@ def format_line(fields: Dict[str, str]) -> str:
     tail_keys = sorted(k for k in fields if k not in head_keys)
     parts = [PREFIX]
     for key in head_keys + tail_keys:
-        parts.append(f"{key}={quote(str(fields[key]), safe='')}")
+        parts.append(f"{key}={quote_value(fields[key])}")
     return " ".join(parts)
 
 

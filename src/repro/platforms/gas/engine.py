@@ -497,13 +497,10 @@ class PowerGraphPlatform(Platform):
 
         offload = writer.start("OffloadGraph", "MpiClient", root)
         results = writer.start("WriteResults", "Rank-0", offload)
-        output = engine.output()
-        nbytes = sum(
-            len(str(v)) + 1 + len(str(val)) + 1 for v, val in output.items()
-        )
+        nbytes = engine.output_text_bytes()
         duration = (
             self.cluster.shared_fs.write_time(nbytes)
-            + len(output) * cost.offload_vertex_s
+            + engine.graph.num_vertices * cost.offload_vertex_s
         )
         rank_nodes[0].work(clock.now(), duration, 2.0, "powergraph:offload")
         clock.advance(duration)

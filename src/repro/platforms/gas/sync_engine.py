@@ -16,6 +16,7 @@ from repro.errors import PlatformError
 from repro.graph.graph import Graph
 from repro.graph.partition.vertexcut import VertexCut
 from repro.platforms.gas.api import GasContext, GasProgram
+from repro.platforms.vecops import output_text_bytes
 
 
 @dataclass
@@ -223,3 +224,7 @@ class SyncGasEngine:
             v: self.program.output_value(v, self.values[v])
             for v in self.graph.vertices()
         }
+
+    def output_text_bytes(self) -> int:
+        """Size of the ``"<vertex> <value>"`` lines the job writes."""
+        return output_text_bytes(self.output())

@@ -31,7 +31,9 @@ from typing import Any, Dict, List, Optional, Tuple, Type
 import numpy as np
 
 from repro.errors import PlatformError
+from repro.graph.algorithms.bfs import UNREACHED
 from repro.graph.algorithms.sssp import INFINITY, default_weight
+from repro.graph.edgelist import int_text_size
 from repro.graph.graph import Graph
 from repro.graph.partition.vertexcut import VertexCut
 from repro.platforms.gas.algorithms import (
@@ -48,7 +50,10 @@ from repro.platforms.vecops import (
     fold_add,
     group_sizes,
     group_starts,
+    output_text_bytes,
     segmented_fold_add,
+    stable_key_order,
+    vertex_set,
 )
 
 
@@ -73,7 +78,7 @@ def _orient(
 
     ``"both"`` concatenates the blocks in the scalar engine's visiting
     order (gather: in then out; scatter: out then in); downstream stable
-    sorts keep that relative order within each vertex.
+    orders keep that relative order within each vertex.
     """
     in_rows = (dst, src, part)
     out_rows = (src, dst, part)
@@ -122,23 +127,25 @@ class VectorizedSyncGasEngine:
         # hash to ``v % R`` with a single replica).
         masters = (np.arange(n, dtype=np.int64) % R)
         rep_minus1 = np.zeros(n, dtype=np.int64)
-        # Sorted (vertex*R + part) incidences: the first part per
-        # vertex is its minimum, i.e. the master — no dicts needed.
-        uniq, first, reps = np.unique(
-            cut.pairs // np.int64(R), return_index=True, return_counts=True
-        )
+        # Sorted (vertex*R + part) incidences: each vertex is one run,
+        # whose first part is its minimum, i.e. the master.
+        pair_v = cut.pairs // np.int64(R)
+        first = group_starts(pair_v)
+        uniq = pair_v[first]
         masters[uniq] = cut.pairs[first] % np.int64(R)
-        rep_minus1[uniq] = reps - 1
+        rep_minus1[uniq] = group_sizes(first, len(pair_v)) - 1
         self.masters = masters
         self.rep_minus1 = rep_minus1
 
-        # Gather arrangement: rows sorted by (vertex, part); the lexsort
-        # is stable, so ties keep the scalar per-rank neighbor-list
-        # order (edge-list order within each vertex).
+        # Gather arrangement: rows in stable (vertex, part) order, so
+        # ties keep the scalar per-rank neighbor-list order (edge-list
+        # order within each vertex).
         g_v, g_u, g_p = _orient(
             e_src, e_dst, e_part, program.gather_direction, "gather"
         )
-        order = np.lexsort((g_p, g_v))
+        g_key = g_v * R + g_p
+        order = stable_key_order(g_key, n * R)
+        g_key = g_key[order]
         self.g_v = g_v = g_v[order]
         self.g_u = g_u[order]
         self.g_p = g_p[order]
@@ -148,7 +155,7 @@ class VectorizedSyncGasEngine:
         np.cumsum(g_deg, out=self.g_indptr[1:])
         # Cross-rank gather merges: one replica sync per additional rank
         # holding gather neighbors of a vertex.
-        pair_starts = group_starts(g_v * R + self.g_p)
+        self.g_pair_starts = pair_starts = group_starts(g_key)
         pairs_per_v = np.bincount(g_v[pair_starts], minlength=n)
         self.gather_sync_w = np.maximum(pairs_per_v - 1, 0)
 
@@ -156,7 +163,7 @@ class VectorizedSyncGasEngine:
         s_v, s_u, s_p = _orient(
             e_src, e_dst, e_part, program.scatter_direction, "scatter"
         )
-        order = np.argsort(s_v, kind="stable")
+        order = stable_key_order(s_v, n)
         self.s_u = s_u[order]
         self.s_p = s_p[order]
         s_deg = np.bincount(s_v[order], minlength=n)
@@ -166,7 +173,7 @@ class VectorizedSyncGasEngine:
 
         self.values = self._initial_values()
         init = np.fromiter(program.initial_active(graph), dtype=np.int64)
-        self.active = np.unique(init)
+        self.active = vertex_set(init, n)
         self._all = np.arange(n, dtype=np.int64)
         self.iteration = 0
         self.finished = False
@@ -240,7 +247,7 @@ class VectorizedSyncGasEngine:
         # Scatter minor-step: changed vertices signal their neighbors.
         pos2, _, _ = expand_positions(self.s_indptr, self.s_deg, changed)
         scatter_edges = np.bincount(self.s_p[pos2], minlength=R)
-        next_active = np.unique(self.s_u[pos2])
+        next_active = vertex_set(self.s_u[pos2], self.n)
 
         work = IterationWork(
             gather_edges=gather_edges.tolist(),
@@ -296,15 +303,22 @@ class VectorizedSyncGasEngine:
             history.append(self.step())
         return history
 
+    def _output_values(self) -> np.ndarray:
+        """Per-vertex ``program.output_value`` (subclass hook)."""
+        return self.values
+
     def output(self) -> Dict[int, Any]:
         """Final per-vertex output (native Python values, cached)."""
         if self._output is None:
-            vals = self.values.tolist()
-            out_value = self.program.output_value
-            self._output = {
-                v: out_value(v, vals[v]) for v in self.graph.vertices()
-            }
+            self._output = dict(enumerate(self._output_values().tolist()))
         return self._output
+
+    def output_text_bytes(self) -> int:
+        """Size of the ``"<vertex> <value>"`` lines the job writes."""
+        values = self._output_values()
+        if values.dtype.kind != "i":
+            return output_text_bytes(self.output())
+        return int_text_size(self._all) + int_text_size(values) + 2 * self.n
 
 
 class _MinFoldEngine(VectorizedSyncGasEngine):
@@ -329,6 +343,13 @@ class _BfsEngine(_MinFoldEngine):
 
     def _contributions(self, pos):
         return self.values[self.g_u[pos]] + 1.0
+
+    def _output_values(self):
+        # BfsGas.output_value: UNREACHED for inf, else int(level).
+        out = np.full(self.n, UNREACHED, dtype=np.int64)
+        reached = ~np.isinf(self.values)
+        out[reached] = self.values[reached].astype(np.int64)
+        return out
 
 
 class _SsspEngine(_MinFoldEngine):
@@ -366,8 +387,7 @@ class _PageRankEngine(VectorizedSyncGasEngine):
 
     def _post_init(self) -> None:
         program = self.program
-        key = self.g_v * self.num_ranks + self.g_p
-        self._lvl1_starts = group_starts(key)
+        self._lvl1_starts = self.g_pair_starts
         lvl1_v = self.g_v[self._lvl1_starts]
         self._lvl2_starts = group_starts(lvl1_v)
         self._recv = lvl1_v[self._lvl2_starts]
@@ -414,10 +434,11 @@ class _CdlpEngine(VectorizedSyncGasEngine):
         if m == 0:
             return new
         labels = self.values[self.e_src]
-        order = np.lexsort((labels, self.e_dst))
+        key = self.e_dst * np.int64(self.n) + labels
+        order = stable_key_order(key, self.n * self.n)
         by_dst = self.e_dst[order]
         by_lab = labels[order]
-        run_starts = group_starts(by_dst * np.int64(self.n + 1) + by_lab)
+        run_starts = group_starts(key[order])
         run_dst = by_dst[run_starts]
         run_lab = by_lab[run_starts]
         run_cnt = group_sizes(run_starts, m)

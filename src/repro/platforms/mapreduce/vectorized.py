@@ -35,6 +35,7 @@ from typing import Any, Dict, List, Optional, Sequence, Type
 import numpy as np
 
 from repro.graph.algorithms.bfs import UNREACHED
+from repro.graph.edgelist import int_text_lengths
 from repro.graph.graph import Graph
 from repro.platforms.mapreduce.algorithms import (
     BfsMapReduce,
@@ -42,7 +43,11 @@ from repro.platforms.mapreduce.algorithms import (
     WccMapReduce,
 )
 from repro.platforms.mapreduce.api import MapReduceRound, Record
-from repro.platforms.vecops import csr_rows_fold_add, fold_add
+from repro.platforms.vecops import (
+    csr_rows_fold_add,
+    fold_add,
+    stable_key_order,
+)
 
 #: Sentinel larger than any BFS level or WCC label.
 _BIG = np.int64(2 ** 62)
@@ -65,20 +70,6 @@ class RoundStats:
     message_counts: List[int]
     state_bytes: List[int]
     converged: bool
-
-
-def _int_str_lengths(arr: np.ndarray) -> np.ndarray:
-    """``len(str(x))`` per element for an integer array (sign-aware)."""
-    mag = np.abs(arr)
-    digits = np.ones(len(arr), dtype=np.int64)
-    limit = 10
-    while True:
-        over = mag >= limit
-        if not over.any():
-            break
-        digits[over] += 1
-        limit *= 10
-    return digits + (arr < 0)
 
 
 class ScalarRounds:
@@ -185,7 +176,7 @@ class _KernelRounds:
         self.part_sizes = np.bincount(self.owner, minlength=num_workers)
         #: Vertices in (worker, vertex) order — the scalar path's state
         #: insertion order, needed for ordered float folds.
-        self.part_order = np.argsort(self.owner, kind="stable")
+        self.part_order = stable_key_order(self.owner, num_workers)
         self._init_bytes: Optional[np.ndarray] = None
         self.states = self._initial_states()
 
@@ -234,11 +225,8 @@ class _KernelRounds:
         return int(self._record_bytes(self.states).sum())
 
     def output(self) -> Dict[int, Any]:
-        output_value = self.driver.output_value
-        return {
-            v: output_value(v, state)
-            for v, state in enumerate(self.states.tolist())
-        }
+        # The built-in drivers output their final state as it is.
+        return dict(enumerate(self.states.tolist()))
 
 
 class _BfsRounds(_KernelRounds):
@@ -254,7 +242,7 @@ class _BfsRounds(_KernelRounds):
         return states
 
     def _state_str_lengths(self, states: np.ndarray) -> np.ndarray:
-        return _int_str_lengths(states)
+        return int_text_lengths(states)
 
     def run_round(self, round_index: int) -> RoundStats:
         states = self.states
@@ -300,7 +288,7 @@ class _WccRounds(_KernelRounds):
         return np.arange(self.n, dtype=np.int64)
 
     def _state_str_lengths(self, states: np.ndarray) -> np.ndarray:
-        return _int_str_lengths(states)
+        return int_text_lengths(states)
 
     def run_round(self, round_index: int) -> RoundStats:
         states = self.states
@@ -318,18 +306,18 @@ class _PageRankRounds(_KernelRounds):
     """PageRank with dangling mass redistributed via a global counter.
 
     The scalar reducer left-folds each mailbox in (sender worker, sender
-    vertex) arrival order; the kernel sorts the edge list stably by
-    sender worker and then by destination, so a segmented fold replays
-    the exact same addition sequence per destination.
+    vertex) arrival order; the kernel orders the CSR (sender-ascending)
+    edge list stably by (destination, sender worker), so a segmented
+    fold replays the exact same addition sequence per destination.
     """
 
     def __init__(self, driver, graph, owner_of, num_workers):
         super().__init__(driver, graph, owner_of, num_workers)
         self._directed_routes()
-        by_sender = np.argsort(self.e_src_owner, kind="stable")
-        dst1 = self.e_dst[by_sender]
-        by_dst = np.argsort(dst1, kind="stable")
-        self.pr_src = self.e_src[by_sender][by_dst]
+        W = self.W
+        order = stable_key_order(self.e_dst * W + self.e_src_owner,
+                                 self.n * W)
+        self.pr_src = self.e_src[order]
         #: Mailbox boundaries: one row per destination, as in the in-CSR.
         self.pr_indptr = graph.in_csr().indptr
         self.dangling_idx = np.flatnonzero(self.deg == 0)

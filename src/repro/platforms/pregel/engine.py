@@ -594,10 +594,7 @@ class GiraphPlatform(Platform):
         total_bytes = 0
         for worker, node in zip(workers, worker_nodes):
             wname = f"Worker-{worker.worker_id + 1}"
-            nbytes = sum(
-                len(str(v)) + 1 + len(str(val)) + 1
-                for v, val in worker.output().items()
-            )
+            nbytes = worker.output_text_bytes()
             duration = hdfs.write_time(nbytes) + nbytes * cost.offload_byte_s
             node.work(t0, duration, 2.0, "giraph:offload")
             local = writer.span(

@@ -33,6 +33,7 @@ import numpy as np
 
 from repro.graph.algorithms.bfs import UNREACHED
 from repro.graph.algorithms.sssp import default_weight
+from repro.graph.edgelist import int_text_size
 from repro.graph.graph import Graph
 from repro.platforms.pregel.aggregators import AggregatorRegistry
 from repro.platforms.pregel.algorithms import (
@@ -50,7 +51,9 @@ from repro.platforms.vecops import (
     fold_add as _fold_add,
     group_sizes as _group_sizes,
     group_starts as _group_starts,
+    output_text_bytes,
     segmented_fold_add as _segmented_fold_add,
+    stable_key_order,
 )
 
 
@@ -143,7 +146,7 @@ class _KernelBase:
         """
         W = self.W
         key = dsts * W + sender_owner
-        order = np.argsort(key, kind="stable")
+        order = stable_key_order(key, self.n * W)
         sorted_key = key[order]
         pair_starts = _group_starts(sorted_key)
         pair_key = sorted_key[pair_starts]
@@ -165,9 +168,6 @@ class _KernelBase:
         return msg_dst, msg_cnt, msg_min, wire
 
     def advance(self, superstep: int, aggregated: Dict[str, Any]) -> None:
-        raise NotImplementedError
-
-    def values_list(self) -> list:
         raise NotImplementedError
 
 
@@ -249,9 +249,6 @@ class _BfsKernel(_FrontierKernel):
     def _message_values(self, superstep, rep_src, dsts):
         return None  # all messages carry superstep + 1; counts suffice
 
-    def values_list(self):
-        return self.values.tolist()
-
 
 class _WccKernel(_FrontierKernel):
     """Min-label propagation over the undirected view (:class:`WccProgram`)."""
@@ -279,9 +276,6 @@ class _WccKernel(_FrontierKernel):
     def _message_values(self, superstep, rep_src, dsts):
         return self.values[rep_src]
 
-    def values_list(self):
-        return self.values.tolist()
-
 
 class _SsspKernel(_FrontierKernel):
     """Bellman-Ford SSSP with the default weights (:class:`SsspProgram`)."""
@@ -308,9 +302,6 @@ class _SsspKernel(_FrontierKernel):
         h = ((rep_src * 2654435761) ^ (dsts * 40503)) & 0xFFFF
         return self.values[rep_src] + (1.0 + h.astype(np.float64) / 65536.0)
 
-    def values_list(self):
-        return self.values.tolist()
-
 
 class _PageRankKernel(_KernelBase):
     """Aggregator-based PageRank (:class:`PageRankProgram`).
@@ -327,12 +318,15 @@ class _PageRankKernel(_KernelBase):
         n, W = self.n, self.W
         e_src = graph.csr().sources()
         e_dst = self.indices
-        # Sort edges by (dst, sender worker, src): level-1 fold segments
+        # Order edges by (dst, sender worker, src): level-1 fold segments
         # are (dst, worker) runs in sender-vertex order, level-2 fold
-        # segments group those runs per dst in worker order.
-        order = np.lexsort((e_src, owner[e_src], e_dst))
+        # segments group those runs per dst in worker order.  CSR edges
+        # come src-ascending, so a stable (dst, worker) order keeps src
+        # ascending within each run.
+        key1 = e_dst * W + owner[e_src]
+        order = stable_key_order(key1, n * W)
         self.g_src = e_src[order]
-        key1 = e_dst[order] * W + owner[self.g_src]
+        key1 = key1[order]
         self.starts1 = _group_starts(key1)
         pair_key = key1[self.starts1]
         pair_dst = pair_key // W
@@ -348,9 +342,9 @@ class _PageRankKernel(_KernelBase):
         ).astype(np.int64)
         # Aggregator folds run in the scalar engine's contribution order:
         # workers ascending, vertices ascending within a worker.
-        self.ord_all = np.lexsort((np.arange(n, dtype=np.int64), owner))
+        self.ord_all = stable_key_order(owner, W)
         deg0 = np.flatnonzero(self.deg == 0)
-        self.ord_deg0 = deg0[np.lexsort((deg0, owner[deg0]))]
+        self.ord_deg0 = deg0[stable_key_order(owner[deg0], W)]
         self.values = (
             np.full(n, 1.0 / n, dtype=np.float64)
             if n
@@ -406,9 +400,6 @@ class _PageRankKernel(_KernelBase):
             self.halted = True
         self.work = _StepWork(computed, messages_in, messages_sent, wire)
 
-    def values_list(self):
-        return self.values.tolist()
-
 
 class _CdlpKernel(_KernelBase):
     """Synchronous label propagation (:class:`CdlpProgram`), no combiner."""
@@ -437,13 +428,11 @@ class _CdlpKernel(_KernelBase):
         """One round of mode relabeling: per recipient, the most frequent
         incoming label, ties broken toward the smallest label."""
         labels = self.values[self.rev_src]
-        order = np.lexsort((labels, self.rev_dst))
+        key = self.rev_dst * np.int64(self.n) + labels
+        order = stable_key_order(key, self.n * self.n)
         sorted_dst = self.rev_dst[order]
         sorted_lab = labels[order]
-        change = (sorted_dst[1:] != sorted_dst[:-1]) | (
-            sorted_lab[1:] != sorted_lab[:-1]
-        )
-        run_starts = np.concatenate(([0], np.flatnonzero(change) + 1))
+        run_starts = _group_starts(key[order])
         run_dst = sorted_dst[run_starts]
         run_lab = sorted_lab[run_starts]
         run_cnt = _group_sizes(run_starts, len(sorted_dst))
@@ -476,8 +465,6 @@ class _CdlpKernel(_KernelBase):
             self.halted = True
         self.work = _StepWork(computed, messages_in, messages_sent, wire)
 
-    def values_list(self):
-        return self.values.tolist()
 
 
 # -- dispatch --------------------------------------------------------------
@@ -539,9 +526,9 @@ class VectorizedWorkerSet:
                 f"no vectorized kernel for {type(program).__name__}"
             )
         self.program = program
-        self.owner_list = owner.tolist()
         self.kernel = kernel_class(graph, program, num_workers, owner)
-        order = np.argsort(owner, kind="stable").tolist()
+        self.owner = owner
+        order = stable_key_order(owner, num_workers)
         bounds = np.concatenate(
             ([0], np.cumsum(self.kernel.part_sizes))
         ).tolist()
@@ -551,7 +538,6 @@ class VectorizedWorkerSet:
         self._partition_bytes = (
             48 * self.kernel.part_sizes + 16 * edge_bytes
         ).tolist()
-        self._values_list: Optional[list] = None
         self._next_superstep = 0
         self._next_aggregated: Dict[str, Any] = {}
         self.workers = [
@@ -575,11 +561,6 @@ class VectorizedWorkerSet:
                 aggregators.contribute(name, value)
         return kernel.work.superstep_work(worker_id)
 
-    def values_list(self) -> list:
-        if self._values_list is None:
-            self._values_list = self.kernel.values_list()
-        return self._values_list
-
 
 class VectorizedWorker:
     """Duck-typed stand-in for one scalar ``WorkerState``."""
@@ -589,13 +570,14 @@ class VectorizedWorker:
         worker_set: VectorizedWorkerSet,
         worker_id: int,
         node_name: str,
-        vertices: List[int],
+        vertex_ids: np.ndarray,
     ):
         self._set = worker_set
         self.worker_id = worker_id
         self.node_name = node_name
-        self.vertices = vertices
-        self.owner_of = worker_set.owner_list
+        self._vertex_ids = vertex_ids
+        # The engine hands this to an OutgoingStore that stays empty.
+        self.owner_of = worker_set.owner
         self.program = worker_set.program
         self.incoming = IncomingStore()
         self._output: Optional[Dict[int, Any]] = None
@@ -627,6 +609,15 @@ class VectorizedWorker:
 
     def output(self) -> Dict[int, Any]:
         if self._output is None:
-            values = self._set.values_list()
-            self._output = {v: values[v] for v in self.vertices}
+            values = self._set.kernel.values[self._vertex_ids].tolist()
+            self._output = dict(zip(self._vertex_ids.tolist(), values))
         return self._output
+
+    def output_text_bytes(self) -> int:
+        """Size of the ``"<vertex> <value>"`` lines this worker writes."""
+        values = self._set.kernel.values
+        if values.dtype.kind != "i":
+            return output_text_bytes(self.output())
+        ids = self._vertex_ids
+        return (int_text_size(ids) + int_text_size(values[ids])
+                + 2 * len(ids))

@@ -17,6 +17,7 @@ from repro.graph.graph import Graph
 from repro.platforms.pregel.aggregators import AggregatorRegistry
 from repro.platforms.pregel.api import VertexContext, VertexProgram
 from repro.platforms.pregel.messages import IncomingStore, OutgoingStore
+from repro.platforms.vecops import output_text_bytes
 
 
 @dataclass
@@ -173,3 +174,7 @@ class WorkerState:
             v: self.program.output_value(v, self.values[v])
             for v in self.vertices
         }
+
+    def output_text_bytes(self) -> int:
+        """Size of the ``"<vertex> <value>"`` lines this worker writes."""
+        return output_text_bytes(self.output())

@@ -15,18 +15,74 @@ be vectorized:
 * The folds run under ``np.errstate(invalid="ignore", over="ignore")``:
   ``inf + -inf`` is nan and ``1e308 + 1e308`` is inf in the scalar fold
   too, which Python computes silently where numpy would warn.
+* Orders that decide fold sequences are *stable* orders: rows with
+  equal keys keep their input order.  :func:`stable_key_order` computes
+  exactly that permutation by sorting (key, row) packed into one int64.
+* Output text sizes of integer values are counted off the arrays
+  (:func:`repro.graph.edgelist.int_text_size`); :func:`output_text_bytes`
+  is the per-element Python oracle, kept for float values.
 """
 
 from __future__ import annotations
 
-from typing import Tuple
+from typing import Any, Mapping, Tuple
 
 import numpy as np
+
+# The run primitives live with the sorted graph arrays; the kernels
+# import them from here.
+from repro.graph.csr import group_sizes, group_starts  # noqa: F401
 
 #: Segment length up to which :func:`segmented_fold_add` folds segments
 #: in lockstep (one element per round); longer segments (hubs) fold
 #: individually.
 FOLD_CHUNK = 32
+
+
+def stable_key_order(key: np.ndarray, bound: int) -> np.ndarray:
+    """``np.argsort(key, kind="stable")`` for integer keys in ``[0, bound)``.
+
+    Each key is packed above its row index into one int64,
+    ``key << b | row``, and the packed values are sorted.  They are
+    distinct, so every sort algorithm returns them in the same order: by
+    key, and rows with equal keys by row, i.e. in input order.  That is
+    the one stable permutation, and the low ``b`` bits read it back.  It
+    is also ``np.lexsort((p, v))`` for a composite key ``v * R + p`` with
+    ``0 <= p < R``.  numpy sorts int64 with a vectorised quicksort,
+    several times faster than its stable sort of the same keys; keys too
+    wide to share 63 bits with the row index take the stable sort.
+    """
+    key = np.asarray(key, dtype=np.int64)
+    n = len(key)
+    if n < 2 or bound <= 1:
+        return np.arange(n, dtype=np.int64)
+    row_bits = (n - 1).bit_length()
+    if (int(bound) - 1).bit_length() + row_bits > 63:
+        return np.argsort(key, kind="stable")
+    packed = key << row_bits
+    packed |= np.arange(n, dtype=np.int64)
+    packed.sort()
+    packed &= (1 << row_bits) - 1
+    return packed
+
+
+def vertex_set(ids: np.ndarray, n: int) -> np.ndarray:
+    """``np.unique(ids)`` for vertex ids in ``[0, n)``: a vertex mask
+    read back with ``flatnonzero``, sorted and distinct by construction."""
+    mask = np.zeros(n, dtype=bool)
+    mask[ids] = True
+    return np.flatnonzero(mask)
+
+
+def output_text_bytes(output: Mapping[int, Any]) -> int:
+    """Size of the ``"<vertex> <value>\\n"`` text of an output mapping.
+
+    The per-element reference: it works for any value type, and the
+    integer counts off the arrays (:func:`int_text_size`) must agree
+    with it.
+    """
+    return sum(len(str(v)) + 1 + len(str(val)) + 1
+               for v, val in output.items())
 
 
 def fold_add(values: np.ndarray) -> float:
@@ -67,7 +123,8 @@ def segmented_fold_add(values: np.ndarray, starts: np.ndarray) -> np.ndarray:
         for i in long_idx:
             out[i] = np.cumsum(values[starts[i]:ends[i]])[-1] + 0.0
         if len(short):
-            order = np.argsort(-lens[short], kind="stable")
+            # Longest first; ties keep segment order.
+            order = stable_key_order(FOLD_CHUNK - lens[short], FOLD_CHUNK + 1)
             s_starts = starts[short][order]
             neg_lens = -lens[short][order]
             acc = np.zeros(len(short), dtype=np.float64)
@@ -91,20 +148,6 @@ def csr_rows_fold_add(values: np.ndarray, indptr: np.ndarray) -> np.ndarray:
     rows = np.flatnonzero(indptr[1:] > indptr[:-1])
     out[rows] = segmented_fold_add(values, indptr[rows])
     return out
-
-
-def group_starts(keys: np.ndarray) -> np.ndarray:
-    """Start offsets of each run of equal values in a sorted array."""
-    if len(keys) == 0:
-        return np.empty(0, dtype=np.int64)
-    return np.concatenate(
-        ([0], np.flatnonzero(keys[1:] != keys[:-1]) + 1)
-    )
-
-
-def group_sizes(starts: np.ndarray, total: int) -> np.ndarray:
-    """Length of each group given its start offsets."""
-    return np.diff(np.append(starts, total))
 
 
 def expand_edges(

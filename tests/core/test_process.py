@@ -58,9 +58,9 @@ class TestEvaluationProcess:
         assert "LocalSuperstep" in missions
 
     def test_iterations_accumulate(self, process):
-        process.iterate(REQUEST, model_level=1)
-        process.iterate(REQUEST)
-        assert [it.index for it in process.iterations] == [1, 2]
+        first = process.iterate(REQUEST, model_level=1)
+        second = process.iterate(REQUEST)
+        assert [first.index, second.index] == [1, 2]
 
     def test_refine_adopts_new_model(self, process):
         original_version = process.model.version

@@ -17,6 +17,7 @@ vectors as JSON float lists or packed.
 from __future__ import annotations
 
 import tempfile
+import warnings
 from pathlib import Path
 
 import numpy as np
@@ -306,3 +307,24 @@ def test_pack_round_trips_every_bit():
         assert isinstance(packed, str) and packed.isascii()
         assert unpack_samples(packed).tobytes() == vector.tobytes()
     assert unpack_samples([0.5, -0.0]).tolist() == [0.5, -0.0]
+
+
+def test_group_sum_past_the_largest_float_reads_inf():
+    """Two largest-float values in one job sum to inf without a numpy
+    overflow warning, as the Python-float merge of shard sums does."""
+    largest = 1.7976931348623157e308
+    root = ArchivedOperation(uid="r", mission="Load", actor="Master",
+                             infos={"Bytes": largest})
+    child = ArchivedOperation(uid="c", mission="Step-1", actor="Master",
+                              infos={"Bytes": largest})
+    child.parent = root
+    root.children.append(child)
+    with tempfile.TemporaryDirectory() as directory:
+        store = ArchiveStore(Path(directory) / "s")
+        store.save(PerformanceArchive("job-00", root, platform="Giraph"))
+        plan = FleetPlan.from_params(
+            {"group_by": "platform", "agg": "sum", "metric": "Bytes"})
+        with warnings.catch_warnings():
+            warnings.simplefilter("error", RuntimeWarning)
+            document = run_fleet_query(store, plan)
+    assert document["groups"][0]["aggs"]["sum"] == float("inf")

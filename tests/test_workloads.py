@@ -1,5 +1,8 @@
 """Tests for datasets, workload specs, runner, and sweeps."""
 
+import gc
+import weakref
+
 import pytest
 
 from repro.errors import GraphError, ReproError
@@ -112,6 +115,16 @@ class TestWorkloadRunner:
         b = runner.run(spec, fresh=True)
         assert a is not b
         assert a.run.result.makespan == b.run.result.makespan
+
+    def test_fresh_rerun_releases_the_replaced_run(self):
+        # The memo is the only holder of a run: once a fresh re-run
+        # replaces its entry, the old archive is garbage.
+        runner = WorkloadRunner()
+        spec = WorkloadSpec("Giraph", "bfs", "dg-tiny", workers=4)
+        first = weakref.ref(runner.run(spec).archive)
+        runner.run(spec, fresh=True)
+        gc.collect()
+        assert first() is None
 
     def test_platform_reused(self, runner):
         assert runner.platform("Giraph") is runner.platform("Giraph")
