@@ -2,11 +2,16 @@
 
 from __future__ import annotations
 
+import threading
 from dataclasses import dataclass, field
 from typing import Any, Dict, Iterator, List, Optional, Tuple
 
 from repro.core.model.operation import split_iteration
 from repro.errors import ArchiveError
+
+#: Serialises building a table-born archive's tree (see
+#: ``PerformanceArchive._materialize``).
+_TREE_LOCK = threading.Lock()
 
 #: Reserved info key carrying an operation's provenance.
 PROVENANCE_KEY = "Provenance"
@@ -130,7 +135,17 @@ class ArchivedOperation:
 
 
 class PerformanceArchive:
-    """The standardized archive of one job's performance results."""
+    """The standardized archive of one job's performance results.
+
+    An archive is born either as an operation tree (hand-built, salvaged,
+    live, or a v1/v2 document) or as its v3 operations block — the
+    parallel pre-order columns :func:`~repro.core.archive.builder.build_archive`
+    and :func:`~repro.core.archive.serialize.archive_from_json` produce.
+    A table-born archive answers :meth:`size`, :attr:`makespan` and
+    rendering from the block; :attr:`root` (and :meth:`walk`,
+    :meth:`operation`, :meth:`find`) builds the tree on first access and
+    drops the block, so a tree that is written to is what renders next.
+    """
 
     #: Archive format version (serialization compatibility).  Version 2
     #: added the ``integrity`` block (payload checksum) and provenance
@@ -148,27 +163,101 @@ class PerformanceArchive:
         metadata: Optional[Dict[str, Any]] = None,
         env_samples: Optional[List[Tuple[float, str, float]]] = None,
     ):
+        self._describe(job_id, platform, metadata, env_samples)
+        self._table: Optional[Dict[str, Any]] = None
+        self._set_root(root)
+
+    @classmethod
+    def from_table(
+        cls,
+        job_id: str,
+        table: Dict[str, Any],
+        platform: str = "",
+        metadata: Optional[Dict[str, Any]] = None,
+        env_samples: Optional[List[Tuple[float, str, float]]] = None,
+    ) -> "PerformanceArchive":
+        """An archive held as its v3 operations block.
+
+        ``table`` must be what
+        :func:`~repro.core.archive.serialize.operations_to_columns`
+        renders for some tree: ``parent`` in pre-order, info rows grouped
+        by operation with one row per key, values encoded, uids unique.
+        Its callers (the builder, the v3 loader) check that; the archive
+        does not.
+        """
+        archive = cls.__new__(cls)
+        archive._describe(job_id, platform, metadata, env_samples)
+        archive._table = table
+        archive._root = None
+        archive._by_uid = {}
+        return archive
+
+    def _describe(
+        self,
+        job_id: str,
+        platform: str,
+        metadata: Optional[Dict[str, Any]],
+        env_samples: Optional[List[Tuple[float, str, float]]],
+    ) -> None:
         if not job_id:
             raise ArchiveError("archive needs a job id")
         self.job_id = job_id
-        self.root = root
         self.platform = platform
         self.metadata: Dict[str, Any] = dict(metadata or {})
         #: (timestamp, node, cpu) environment samples over the job window.
         self.env_samples: List[Tuple[float, str, float]] = list(env_samples or [])
-        self._by_uid: Dict[str, ArchivedOperation] = {}
+
+    def _set_root(self, root: ArchivedOperation) -> None:
+        by_uid: Dict[str, ArchivedOperation] = {}
         for op in root.walk():
-            if op.uid in self._by_uid:
+            if op.uid in by_uid:
                 raise ArchiveError(f"duplicate operation uid {op.uid!r}")
-            self._by_uid[op.uid] = op
+            by_uid[op.uid] = op
+        self._by_uid = by_uid
+        self._root: Optional[ArchivedOperation] = root
+
+    def _materialize(self) -> ArchivedOperation:
+        """The tree, built from the held table on first call.
+
+        Served archives are shared between request threads, so the
+        build happens once, under a lock, and the table goes only after
+        the tree is in place.
+        """
+        root = self._root
+        if root is None:
+            # serialize imports this module; the decoder is reached lazily.
+            from repro.core.archive.serialize import tree_of_table
+
+            with _TREE_LOCK:
+                if self._root is None:
+                    self._set_root(tree_of_table(self._table))
+                    self._table = None
+                root = self._root
+        return root
+
+    @property
+    def table(self) -> Optional[Dict[str, Any]]:
+        """The v3 operations block this archive holds, or None once the
+        tree exists (then the tree is the archive)."""
+        return self._table
+
+    @property
+    def root(self) -> ArchivedOperation:
+        """The root (job) operation; builds the tree on first access."""
+        return self._materialize()
 
     @property
     def makespan(self) -> Optional[float]:
         """Duration of the root (job) operation."""
+        table = self._table
+        if table is not None:
+            start, end = table["start"][0], table["end"][0]
+            return None if start is None or end is None else end - start
         return self.root.duration
 
     def operation(self, uid: str) -> ArchivedOperation:
         """Look up an operation instance by uid."""
+        self._materialize()
         try:
             return self._by_uid[uid]
         except KeyError:
@@ -180,7 +269,8 @@ class PerformanceArchive:
 
     def size(self) -> int:
         """Number of operation instances archived."""
-        return len(self._by_uid)
+        table = self._table
+        return len(self._by_uid) if table is None else table["count"]
 
     def find(
         self,

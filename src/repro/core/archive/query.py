@@ -4,7 +4,9 @@
 systematically."  :class:`ArchiveQuery` is that query over an in-memory
 archive, run on the one query core in :mod:`repro.core.archive.columnar`
 (where :func:`translate_path_pattern` defines the path-glob semantics):
-the archive is encoded into a column table at construction.
+the archive's operations block — the one a built or loaded archive
+holds, else its tree's columns — is encoded into a column table at
+construction.
 """
 
 from __future__ import annotations
@@ -21,7 +23,7 @@ from repro.core.archive.columnar import (
     table_of_columns,
     translate_path_pattern,
 )
-from repro.core.archive.serialize import operations_to_columns
+from repro.core.archive.serialize import archive_columns
 from repro.errors import QueryError
 
 
@@ -43,7 +45,7 @@ class ArchiveQuery(ColumnarArchiveView):
     """
 
     def __init__(self, archive: PerformanceArchive):
-        super().__init__(table_of_columns(operations_to_columns(archive.root)))
+        super().__init__(table_of_columns(archive_columns(archive)))
         self.archive = archive
         # Shared by every narrowed copy; filled on first use.
         self._walk: List[ArchivedOperation] = []

@@ -21,8 +21,10 @@ from __future__ import annotations
 import hashlib
 import json
 import math
+import operator
 from itertools import repeat
-from typing import Any, Dict, Iterable, List, Tuple
+from json.encoder import encode_basestring_ascii
+from typing import Any, Dict, Iterable, List, Optional, Tuple
 
 from repro.core.archive.archive import ArchivedOperation, PerformanceArchive
 from repro.errors import ArchiveError, ArchiveIntegrityError
@@ -144,8 +146,14 @@ def operations_to_columns(root: ArchivedOperation) -> Dict[str, Any]:
     }
 
 
-def operations_from_columns(data: Dict[str, Any]) -> ArchivedOperation:
-    """Rebuild the operation tree from its columnar encoding (strict)."""
+def validate_columns(data: Dict[str, Any]) -> None:
+    """The strict load-time checks of a columnar operations block.
+
+    Every column is a list, ``count`` matches their lengths and is not
+    zero, the root's parent is ``-1`` and every other parent an int in
+    ``0 <= parent < i``, and every ``info_op`` an int naming an
+    operation.  The first violation raises :class:`ArchiveError`.
+    """
     count = data.get("count")
     columns = {name: data.get(name) for name in OPERATION_COLUMNS}
     infos = {name: data.get(name) for name in INFO_COLUMNS}
@@ -167,24 +175,16 @@ def operations_from_columns(data: Dict[str, Any]) -> ArchivedOperation:
         raise ArchiveError(
             "columnar operations: info columns have unequal lengths"
         )
-
-    ops: List[ArchivedOperation] = []
-    for i in range(count):
-        op = ArchivedOperation(
-            uid=columns["uid"][i],
-            mission=columns["mission"][i],
-            actor=columns["actor"][i],
-            start_time=columns["start"][i],
-            end_time=columns["end"][i],
+    parents = columns["parent"]
+    if parents[0] != -1:
+        raise ArchiveError(
+            f"columnar operations: root parent is "
+            f"{parents[0]!r}, expected -1"
         )
-        parent_index = columns["parent"][i]
-        if i == 0:
-            if parent_index != -1:
-                raise ArchiveError(
-                    f"columnar operations: root parent is "
-                    f"{parent_index!r}, expected -1"
-                )
-        else:
+    rest = parents[1:]
+    if not (_ints(rest) and all(map(operator.lt, rest, range(1, count)))
+            and min(rest, default=0) >= 0):
+        for i, parent_index in enumerate(rest, 1):
             if not isinstance(parent_index, int) or not (
                 0 <= parent_index < i
             ):
@@ -192,19 +192,87 @@ def operations_from_columns(data: Dict[str, Any]) -> ArchivedOperation:
                     f"columnar operations: operation {i} has parent "
                     f"{parent_index!r}; pre-order requires 0 <= parent < {i}"
                 )
-            op.parent = ops[parent_index]
-            ops[parent_index].children.append(op)
-        ops.append(op)
+    info_op = infos["info_op"]
+    if info_op and not (_ints(info_op) and min(info_op) >= 0
+                        and max(info_op) < count):
+        for op_index, key in zip(info_op, infos["info_key"]):
+            if not isinstance(op_index, int) or not (0 <= op_index < count):
+                raise ArchiveError(
+                    f"columnar operations: info row references operation "
+                    f"{op_index!r} of {count}"
+                )
+            hash(key)  # The tree decoder fails on an unhashable key first.
+
+
+def _ints(values: List[Any]) -> bool:
+    """Whether every value is exactly an ``int`` (not a bool)."""
+    return set(map(type, values)) <= {int}
+
+
+def tree_of_table(data: Dict[str, Any]) -> ArchivedOperation:
+    """The operation tree of a columnar block :func:`validate_columns`
+    accepted."""
+    ops = list(map(ArchivedOperation, data["uid"], data["mission"],
+                   data["actor"], data["start"], data["end"]))
+    for op, parent_index in zip(ops[1:], data["parent"][1:]):
+        parent = ops[parent_index]
+        op.parent = parent
+        parent.children.append(op)
     for op_index, key, value in zip(
-        infos["info_op"], infos["info_key"], infos["info_value"]
+        data["info_op"], data["info_key"], data["info_value"]
     ):
-        if not isinstance(op_index, int) or not (0 <= op_index < count):
-            raise ArchiveError(
-                f"columnar operations: info row references operation "
-                f"{op_index!r} of {count}"
-            )
         ops[op_index].infos[key] = _decode_value(value)
     return ops[0]
+
+
+def operations_from_columns(data: Dict[str, Any]) -> ArchivedOperation:
+    """Rebuild the operation tree from its columnar encoding (strict)."""
+    validate_columns(data)
+    return tree_of_table(data)
+
+
+def canonical_table(data: Dict[str, Any]) -> Optional[Dict[str, Any]]:
+    """A validated columnar block as :func:`operations_to_columns` would
+    re-render it, or None when the re-rendering would differ.
+
+    It differs unless ``parent`` is in pre-order (the tree walk's row
+    order), info rows are grouped by operation with one row per key
+    (the tree keeps one value per key), and no value is a float
+    infinity (the tree re-encodes it as the string ``"Infinity"``).
+    Raises :class:`ArchiveError` on a duplicate uid, as the tree does.
+    """
+    parents, info_op, values = data["parent"], data["info_op"], data["info_value"]
+    if not (_ints(parents) and _is_preorder(parents) and _ints(info_op)
+            and all(map(operator.le, info_op, info_op[1:]))
+            and len(set(zip(info_op, data["info_key"]))) == len(info_op)
+            and math.inf not in values and -math.inf not in values):
+        return None
+    uids = data["uid"]
+    if len(set(uids)) != len(uids):
+        seen = set()
+        for uid in uids:
+            if uid in seen:
+                raise ArchiveError(f"duplicate operation uid {uid!r}")
+            seen.add(uid)
+    table = {"layout": COLUMNAR_LAYOUT, "count": len(uids)}
+    for name in OPERATION_COLUMNS + INFO_COLUMNS:
+        table[name] = data[name]
+    return table
+
+
+def _is_preorder(parents: List[int]) -> bool:
+    """Whether a ``parent < i`` array lists its tree in pre-order: each
+    operation's parent is on the path from the root to its predecessor."""
+    path = [0]
+    try:
+        for i in range(1, len(parents)):
+            parent = parents[i]
+            while path[-1] != parent:
+                path.pop()
+            path.append(i)
+    except IndexError:
+        return False
+    return True
 
 
 def is_columnar(operations: Any) -> bool:
@@ -253,6 +321,53 @@ def _object(members: Iterable[Tuple[str, str]]) -> str:
     return "{" + ",".join(f'"{key}":{text}' for key, text in members) + "}"
 
 
+_SAMPLE_CANONICAL = '{{"cpu":{},"node":{},"ts":{}}}'.format
+_SAMPLE_DOCUMENT = '{{"ts":{},"node":{},"cpu":{}}}'.format
+#: ``repr`` of the floats JSON has no number for.
+_NON_FINITE = frozenset(("nan", "inf", "-inf"))
+
+
+def _environment_renderings(
+    samples: List[Tuple[Any, Any, Any]],
+) -> Optional[Tuple[str, str]]:
+    """(canonical, document) text of the environment, by column.
+
+    Byte-identical to rendering the ``{ts, node, cpu}`` sample objects:
+    numbers print as the encoder prints them (``float.__repr__``,
+    ``int.__repr__``) and each distinct node is encoded once.  None when
+    some sample needs the general encoder — a non-finite or non-number
+    value, a node that is not a ``str``, a sample that is not a 3-tuple.
+    """
+    if not samples:
+        return "[]", "[]"
+    if set(map(type, samples)) != {tuple} or set(map(len, samples)) != {3}:
+        return None
+    ts, nodes, cpu = zip(*samples)
+    if (not set(map(type, ts + cpu)) <= {int, float}
+            or set(map(type, nodes)) != {str}):
+        return None
+    ts_text = list(map(repr, ts))
+    cpu_text = list(map(repr, cpu))
+    if not (_NON_FINITE.isdisjoint(ts_text)
+            and _NON_FINITE.isdisjoint(cpu_text)):
+        return None
+    names = {node: encode_basestring_ascii(node) for node in set(nodes)}
+    node_text = list(map(names.__getitem__, nodes))
+    return (
+        "[" + ",".join(map(_SAMPLE_CANONICAL, cpu_text, node_text, ts_text))
+        + "]",
+        "[" + ",".join(map(_SAMPLE_DOCUMENT, ts_text, node_text, cpu_text))
+        + "]",
+    )
+
+
+def archive_columns(archive: PerformanceArchive) -> Dict[str, Any]:
+    """The archive's v3 operations block: the one it holds, else its
+    tree's columns."""
+    table = archive.table
+    return operations_to_columns(archive.root) if table is None else table
+
+
 def render_archive(archive: PerformanceArchive) -> Tuple[Dict[str, Any], str]:
     """The archive's document mapping (with checksum) and its JSON text.
 
@@ -260,13 +375,15 @@ def render_archive(archive: PerformanceArchive) -> Tuple[Dict[str, Any], str]:
     rendered once; the canonical payload that is hashed and the document
     text are both spliced from those pieces, byte-identical to
     :func:`payload_checksum` over the document and to ``json.dumps`` of
-    it.  Only pieces holding a mapping (metadata, environment samples,
-    dict-valued infos) are rendered a second time, in insertion order.
+    it.  Only pieces holding a mapping (metadata, dict-valued infos) are
+    rendered a second time, in insertion order; the environment samples
+    are rendered by column.  The operations are the archive's own
+    table when it holds one (:func:`archive_columns`).
 
     ``operations`` comes before ``environment`` so the payload most
     valuable to salvage sits earliest in a crash-truncated file.
     """
-    operations = operations_to_columns(archive.root)
+    operations = archive_columns(archive)
     document = {
         "format": "granula-archive",
         "format_version": PerformanceArchive.FORMAT_VERSION,
@@ -280,7 +397,11 @@ def render_archive(archive: PerformanceArchive) -> Tuple[Dict[str, Any], str]:
         ],
     }
     pieces = {key: _renderings(document[key])
-              for key in ("job_id", "platform", "metadata", "environment")}
+              for key in ("job_id", "platform", "metadata")}
+    pieces["environment"] = (
+        _environment_renderings(archive.env_samples)
+        or _renderings(document["environment"])
+    )
     columns = {name: _renderings(value)
                for name, value in operations.items()}
     pieces["operations"] = (
@@ -301,8 +422,17 @@ def render_archive(archive: PerformanceArchive) -> Tuple[Dict[str, Any], str]:
 
 
 def archive_to_document(archive: PerformanceArchive) -> Dict[str, Any]:
-    """The archive as its standardized document mapping (with checksum)."""
-    return render_archive(archive)[0]
+    """The archive as its standardized document mapping (with checksum).
+
+    Its column lists are copies: editing them leaves a table-born
+    archive as it was.
+    """
+    document = render_archive(archive)[0]
+    document["operations"] = {
+        name: list(value) if isinstance(value, list) else value
+        for name, value in document["operations"].items()
+    }
+    return document
 
 
 def archive_to_json(archive: PerformanceArchive) -> str:
@@ -315,23 +445,34 @@ def archive_to_json(archive: PerformanceArchive) -> str:
 
 
 def document_to_archive(document: Dict[str, Any]) -> PerformanceArchive:
-    """Build the archive from an already-parsed document (no checksum)."""
+    """Build the archive from an already-parsed document (no checksum).
+
+    A v3 document whose columns re-render as they stand yields a
+    table-born archive holding them (its tree is built on first use);
+    anything else is decoded into a tree now.
+    """
     operations = document["operations"]
+    table = root = None
     if is_columnar(operations):
-        root = operations_from_columns(operations)
+        validate_columns(operations)
+        table = canonical_table(operations)
+        if table is None:
+            root = tree_of_table(operations)
     else:
         root = _operation_from_dict(operations)
     env = [
         (sample["ts"], sample["node"], sample["cpu"])
         for sample in document.get("environment", [])
     ]
-    return PerformanceArchive(
+    fields = dict(
         job_id=document["job_id"],
-        root=root,
         platform=document.get("platform", ""),
         metadata=document.get("metadata", {}),
         env_samples=env,
     )
+    if table is not None:
+        return PerformanceArchive.from_table(table=table, **fields)
+    return PerformanceArchive(root=root, **fields)
 
 
 def parse_document(text: str, verify: bool = True) -> Dict[str, Any]:

@@ -132,6 +132,11 @@ class ChildDurationStatsRule(DerivationRule):
             for c in operation.children
             if c.mission_base == self.child_mission and c.duration is not None
         ]
+        return self.of(durations)
+
+    def of(self, durations: List[float]) -> Optional[float]:
+        """The statistic over child durations in child order (None when
+        there are none)."""
         if not durations:
             return None
         if self.statistic == "max":

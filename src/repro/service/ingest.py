@@ -48,12 +48,7 @@ from dataclasses import dataclass, field
 from pathlib import Path
 from typing import Any, Dict, Optional, Union
 
-from repro.core.archive.serialize import (
-    archive_from_json,
-    archive_to_json,
-    parse_document,
-    payload_checksum,
-)
+from repro.core.archive.serialize import archive_from_json, render_archive
 from repro.core.archive.store import ArchiveStore, atomic_write_text
 from repro.core.monitor.salvage import salvage_archive
 from repro.errors import (
@@ -620,9 +615,7 @@ class IngestPipeline:
         """
         try:
             stored = self.store.checksum(archive.job_id)
-            incoming = payload_checksum(
-                parse_document(archive_to_json(archive), verify=False)
-            )
+            incoming = render_archive(archive)[0]["integrity"]["checksum"]
         except ArchiveError:
             return None
         if stored == incoming:

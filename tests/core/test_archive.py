@@ -1,15 +1,28 @@
 """Unit tests for archives: structure, builder, query, serialize, store."""
 
+import json
 import math
+import re
+import sys
+import threading
 
 import pytest
 
 from repro.core.archive.archive import ArchivedOperation, PerformanceArchive
 from repro.core.archive.builder import build_archive
 from repro.core.archive.query import ArchiveQuery
-from repro.core.archive.serialize import archive_from_json, archive_to_json
+from repro.core.archive import serialize
+from repro.core.archive.integrity import repair_archive
+from repro.core.archive.serialize import (
+    archive_from_json,
+    archive_to_document,
+    archive_to_json,
+    document_to_archive,
+    payload_checksum,
+)
 from repro.core.archive.store import ArchiveStore
 from repro.core.model.giraph_model import giraph_model
+from repro.core.monitor.live import LiveMonitor
 from repro.errors import ArchiveBuildError, ArchiveError, QueryError
 from tests.conftest import columns_run
 
@@ -546,3 +559,156 @@ class TestHandle:
         path = tmp_path / "b.json"
         path.write_text(json.dumps(document))
         assert ArchiveHandle(path).checksum == payload_checksum(document)
+
+
+def bound_text(archive, **columns):
+    """The archive's JSON with some operation columns replaced and its
+    checksum re-bound: a valid document around damaged columns."""
+    document = json.loads(archive_to_json(archive))
+    document["operations"].update(columns)
+    document["integrity"]["checksum"] = payload_checksum(document)
+    return json.dumps(document)
+
+
+class TestTableBornArchive:
+    """Built and v3-loaded archives hold their operations table; the
+    tree is built on first use, and what it then says is what renders."""
+
+    @pytest.fixture()
+    def trees(self, monkeypatch):
+        """Count the trees built from tables."""
+        built = []
+        build = serialize.tree_of_table
+
+        def counting(table):
+            built.append(table["count"])
+            return build(table)
+
+        monkeypatch.setattr(serialize, "tree_of_table", counting)
+        return built
+
+    def test_headline_fields_query_and_save_build_no_tree(
+            self, trees, tmp_path, giraph_run):
+        built, _report = build_archive(giraph_run, giraph_model())
+        loaded = archive_from_json(archive_to_json(make_archive()))
+        for archive in (built, loaded):
+            assert archive.table is not None
+            assert archive.size() == archive.table["count"]
+            assert archive.makespan == (archive.table["end"][0]
+                                        - archive.table["start"][0])
+            ArchiveStore(tmp_path).save(archive, overwrite=True)
+            ArchiveQuery(archive).mission("Superstep").total()
+        assert trees == []
+        assert loaded.operation("u1").mission == "LoadGraph"
+        assert loaded.table is None and trees == [8]
+        loaded.walk()
+        assert trees == [8]  # Built once.
+
+    def test_threads_share_one_tree(self, trees, giraph_run):
+        """A served archive is shared by request threads: the first
+        ``.root`` builds the tree once and every thread gets that tree."""
+        archive, _report = build_archive(giraph_run, giraph_model())
+        barrier = threading.Barrier(8)
+        roots = []
+
+        def reader():
+            barrier.wait(timeout=10)
+            roots.append((archive.root, archive.size(), archive.makespan))
+
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            threads = [threading.Thread(target=reader) for _ in range(8)]
+            for thread in threads:
+                thread.start()
+            for thread in threads:
+                thread.join(timeout=30)
+        finally:
+            sys.setswitchinterval(interval)
+        assert not any(thread.is_alive() for thread in threads)
+        assert len(trees) == 1 and len(roots) == 8
+        assert {id(root) for root, _size, _span in roots} == {id(archive.root)}
+        assert {(size, span) for _root, size, span in roots} == \
+            {(archive.size(), archive.makespan)}
+
+    def test_query_on_the_table_matches_the_tree(self):
+        loaded = archive_from_json(archive_to_json(make_archive()))
+        table_query = ArchiveQuery(loaded)
+        tree_query = ArchiveQuery(make_archive())
+        for query in (table_query, tree_query):
+            assert query.mission("Superstep").values("Duration") == \
+                [2.0, 2.0, 2.0]
+        assert [op.uid for op in table_query.actor("Worker").operations()] \
+            == [op.uid for op in tree_query.actor("Worker").operations()]
+
+    def test_a_repaired_table_born_archive_stores_the_repair(self, tmp_path):
+        def damaged():
+            archive = make_archive()
+            step = archive.operation("u41")
+            step.start_time, step.end_time = step.end_time, step.start_time
+            archive.operation("u20").end_time = 99.0
+            return archive
+
+        stores = [ArchiveStore(tmp_path / name) for name in ("a", "b", "c")]
+        loaded = archive_from_json(archive_to_json(damaged()))
+        assert loaded.table is not None
+        for store, archive in zip(stores, (loaded, damaged())):
+            repaired, fixes = repair_archive(archive)
+            assert len(fixes) == 2
+            store.save(repaired)
+        stores[2].save(damaged())
+        checksums = [store.checksum("job-x") for store in stores]
+        assert checksums[0] == checksums[1] != checksums[2]
+
+    @pytest.mark.parametrize("columns, message", [
+        (lambda c: {"uid": ["u0"] + c["uid"][:-1]},
+         "duplicate operation uid 'u0'"),
+        (lambda c: {"parent": c["parent"][:3] + [3] + c["parent"][4:]},
+         "operation 3 has parent 3"),
+        (lambda c: {"info_op": c["info_op"][:-1] + [c["count"]]},
+         "info row references operation 8 of 8"),
+        (lambda c: {"count": c["count"] + 1},
+         "count does not match column lengths"),
+    ])
+    def test_damaged_columns_fail_at_load(self, columns, message):
+        archive = make_archive()
+        table = archive_to_document(archive)["operations"]
+        text = bound_text(archive, **columns(table))
+        with pytest.raises(ArchiveError, match=re.escape(message)):
+            archive_from_json(text)
+
+    def test_non_canonical_columns_load_as_a_tree(self):
+        """Columns the tree would re-render differently (not pre-order,
+        a repeated info key, a raw float infinity) load as the tree, so
+        saving them writes what it wrote before."""
+        archive = make_archive()
+        table = archive_to_document(archive)["operations"]
+        for columns in (
+            {"parent": [-1, 0, 0, 1, 1, 0, 5, 5],
+             "uid": [f"v{i}" for i in range(8)]},
+            {"info_op": table["info_op"] + [0],
+             "info_key": table["info_key"] + ["Duration"],
+             "info_value": table["info_value"] + [1.0]},
+        ):
+            text = bound_text(archive, **columns)
+            loaded = archive_from_json(text)
+            assert loaded.table is None
+            assert archive_to_json(loaded) != text  # Re-rendered from the tree.
+        document = json.loads(archive_to_json(archive))
+        document["operations"]["info_value"][0] = math.inf
+        assert document_to_archive(document).table is None
+
+    def test_document_columns_are_copies(self):
+        loaded = archive_from_json(archive_to_json(make_archive()))
+        document = archive_to_document(loaded)
+        document["operations"]["uid"][0] = "edited"
+        assert loaded.table["uid"][0] == "u0"
+
+    def test_live_completion_is_the_stored_file(self, tmp_path, giraph_run):
+        archive, _report = build_archive(giraph_run, giraph_model())
+        store = ArchiveStore(tmp_path)
+        path = store.save(archive)
+        snapshot = LiveMonitor(archive.job_id, platform="Giraph").complete(
+            archive)
+        assert archive.table is not None
+        assert snapshot.body == path.read_bytes()

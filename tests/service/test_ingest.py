@@ -7,7 +7,7 @@ import time
 
 import pytest
 
-from repro.core.archive.serialize import archive_to_json
+from repro.core.archive.serialize import archive_from_json, archive_to_json
 from repro.errors import IngestError, StoreBusyError
 from repro.logformat import format_line
 from repro.service.app import ArchiveService
@@ -154,6 +154,24 @@ class TestPoisonAndConflicts:
         assert first["state"] == "ingested"
         assert second["state"] == "ingested"
         assert pipeline.stats()["counters"]["dead_letters"] == 0
+
+    def test_replay_resolves_by_the_rendered_checksum(self, store):
+        """A replayed save of stored content resolves ``ingested`` from
+        the checksum its one rendering carries; changed content does
+        not resolve."""
+        store.save(make_archive("replay"))
+        pipeline = make_pipeline(store)
+        try:
+            replayed = archive_from_json(
+                archive_to_json(make_archive("replay")))
+            assert replayed.table is not None  # Table-born, as replayed.
+            status = pipeline._resolve_duplicate(replayed, attempts=2)
+            assert (status.state, status.job_id, status.attempts) == \
+                ("ingested", "replay", 2)
+            changed = make_archive("replay", supersteps=5)
+            assert pipeline._resolve_duplicate(changed, attempts=1) is None
+        finally:
+            pipeline.drain_and_stop(timeout=1.0)
 
     def test_conflicting_content_without_overwrite_fails(
         self, wservice, pipeline,

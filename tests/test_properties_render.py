@@ -21,6 +21,7 @@ from hypothesis import strategies as st
 from repro.core.archive.archive import ArchivedOperation, PerformanceArchive
 from repro.core.archive.columnar import build_sidecar
 from repro.core.archive.serialize import (
+    _environment_renderings,
     archive_to_json,
     parse_document,
     payload_checksum,
@@ -143,3 +144,46 @@ def test_edge_values_render_identically():
         checksum = document["integrity"]["checksum"]
         assert build_sidecar(document["operations"], checksum) == \
             reference.build_sidecar(document["operations"], checksum)
+
+
+env_numbers = st.one_of(
+    st.integers(min_value=-(2 ** 70), max_value=2 ** 70),
+    st.floats(),  # nan, ±inf and -0.0 included.
+    st.floats(allow_nan=False, allow_infinity=False),
+    st.booleans(),
+)
+env_nodes = st.one_of(
+    st.sampled_from(("node340", "nöde", 'no"de', "n\\1", "ü\n", "")),
+    st.text(max_size=5),
+    st.integers(0, 3),
+)
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.lists(st.tuples(env_numbers, env_nodes, env_numbers), max_size=6))
+def test_environment_renders_by_column_like_the_reference(env):
+    """The environment is rendered from its (ts, node, cpu) samples,
+    not from sample objects: same bytes, same checksum, whatever the
+    values — ints, floats, nan and ±inf, bools, non-ASCII and
+    quote-bearing nodes, a non-str node, no samples at all."""
+    root = ArchivedOperation("u", "Job", "C", 0.0, 1.0)
+    archive = PerformanceArchive("j", root, platform="P", env_samples=env)
+    document, text = render_archive(archive)
+    assert text == reference.archive_json(archive)
+    assert document["integrity"]["checksum"] == \
+        reference.archive_document(archive)["integrity"]["checksum"]
+
+
+def test_plain_samples_take_the_column_rendering():
+    """Finite numbers and str nodes render by column; anything else is
+    left to the encoder."""
+    assert _environment_renderings([]) == ("[]", "[]")
+    canonical, document = _environment_renderings(
+        [(1, "nöde", 0.5), (2.5, 'a"b', -0.0)])
+    assert canonical == ('[{"cpu":0.5,"node":"n\\u00f6de","ts":1},'
+                         '{"cpu":-0.0,"node":"a\\"b","ts":2.5}]')
+    assert document == ('[{"ts":1,"node":"n\\u00f6de","cpu":0.5},'
+                        '{"ts":2.5,"node":"a\\"b","cpu":-0.0}]')
+    for sample in ((math.nan, "n", 1.0), (1.0, "n", math.inf),
+                   (True, "n", 1.0), (1.0, 7, 1.0), [1.0, "n", 1.0]):
+        assert _environment_renderings([(0.0, "n", 0.0), sample]) is None
