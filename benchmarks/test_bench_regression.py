@@ -12,7 +12,7 @@ from repro.core.archive.builder import build_archive
 from repro.core.model.giraph_model import giraph_model
 from repro.core.monitor.session import MonitoringSession
 from repro.platforms.base import JobRequest
-from repro.platforms.faults import FaultPlan
+from repro.platforms.faults import FaultPlan, SlowNode, WorkerCrash
 from repro.platforms.pregel.engine import GiraphPlatform
 from repro.workloads.datasets import build_dataset
 from repro.workloads.runner import build_cluster
@@ -30,8 +30,9 @@ def test_bench_regression_gate(benchmark, output_dir):
 
     baseline, _ = build_archive(session.run(request), model)
     slow_node = platform.cluster.node_names[3]
-    platform.inject_faults(FaultPlan(slow_nodes={slow_node: 2.5},
-                                     crash_worker=0, crash_superstep=2))
+    platform.inject_faults(FaultPlan(events=(
+        SlowNode(slow_node, 2.5), WorkerCrash(worker=0, superstep=2),
+    )))
     candidate, _ = build_archive(
         session.run(JobRequest("bfs", DATASET, 8, params={"source": 0},
                                job_id="candidate")),

@@ -32,6 +32,7 @@ from repro.platforms.faults import (
     FaultPlan,
     HdfsReadError,
     SlowDisk,
+    SlowNode,
     WorkerCrash,
 )
 from repro.workloads.datasets import build_dataset
@@ -55,11 +56,10 @@ def main() -> None:
 
     # --- Faulty run ----------------------------------------------------------
     slow_node = platform.cluster.node_names[2]
-    platform.inject_faults(FaultPlan(
-        slow_nodes={slow_node: 2.2},
-        crash_worker=4,
-        crash_superstep=3,
-    ))
+    platform.inject_faults(FaultPlan(events=(
+        SlowNode(slow_node, 2.2),
+        WorkerCrash(worker=4, superstep=3),
+    )))
     faulty_run = session.run(JobRequest(
         "bfs", dataset, 8, params={"source": 0}, job_id="faulty"))
     platform.inject_faults(None)

@@ -163,13 +163,7 @@ def _cmd_run(args: argparse.Namespace) -> int:
                 "--faults applies to a single run; drop the "
                 "comma-separated matrix or the fault plan"
             )
-        try:
-            plan_text = Path(args.faults).read_text()
-        except OSError as exc:
-            raise ReproError(
-                f"cannot read fault plan {args.faults}: {exc}"
-            ) from None
-        faults = FaultPlan.from_json(plan_text)
+        faults = FaultPlan.load(args.faults)
         print(f"fault plan {faults.signature()} armed "
               f"({len(faults.events)} scheduled event(s), "
               f"seed {faults.seed})\n")
@@ -492,10 +486,10 @@ def _cmd_report(args: argparse.Namespace) -> int:
 
 
 def _cmd_serve(args: argparse.Namespace) -> int:
-    from repro.service.chaos import load_chaos_plan
+    from repro.service.chaos import ChaosPlan
     from repro.service.server import create_server, serve
 
-    chaos = load_chaos_plan(args.chaos) if args.chaos else None
+    chaos = ChaosPlan.load(args.chaos) if args.chaos else None
     if args.workers > 1 or args.shards:
         from repro.service.cluster import create_cluster
 

@@ -368,6 +368,12 @@ def archive_columns(archive: PerformanceArchive) -> Dict[str, Any]:
     return operations_to_columns(archive.root) if table is None else table
 
 
+def _environment_samples(archive: PerformanceArchive) -> List[Dict[str, Any]]:
+    """The archive's environment as ``{ts, node, cpu}`` sample objects."""
+    return [{"ts": ts, "node": node, "cpu": cpu}
+            for ts, node, cpu in archive.env_samples]
+
+
 def render_archive(archive: PerformanceArchive) -> Tuple[Dict[str, Any], str]:
     """The archive's document mapping (with checksum) and its JSON text.
 
@@ -377,7 +383,9 @@ def render_archive(archive: PerformanceArchive) -> Tuple[Dict[str, Any], str]:
     :func:`payload_checksum` over the document and to ``json.dumps`` of
     it.  Only pieces holding a mapping (metadata, dict-valued infos) are
     rendered a second time, in insertion order; the environment samples
-    are rendered by column.  The operations are the archive's own
+    are rendered by column, so the mapping's ``environment`` stays None
+    unless a sample needed the general encoder (its readers go through
+    :func:`archive_to_document`).  The operations are the archive's own
     table when it holds one (:func:`archive_columns`).
 
     ``operations`` comes before ``environment`` so the payload most
@@ -391,17 +399,14 @@ def render_archive(archive: PerformanceArchive) -> Tuple[Dict[str, Any], str]:
         "platform": archive.platform,
         "metadata": archive.metadata,
         "operations": operations,
-        "environment": [
-            {"ts": ts, "node": node, "cpu": cpu}
-            for ts, node, cpu in archive.env_samples
-        ],
+        "environment": None,
     }
     pieces = {key: _renderings(document[key])
               for key in ("job_id", "platform", "metadata")}
-    pieces["environment"] = (
-        _environment_renderings(archive.env_samples)
-        or _renderings(document["environment"])
-    )
+    pieces["environment"] = _environment_renderings(archive.env_samples)
+    if pieces["environment"] is None:
+        document["environment"] = _environment_samples(archive)
+        pieces["environment"] = _renderings(document["environment"])
     columns = {name: _renderings(value)
                for name, value in operations.items()}
     pieces["operations"] = (
@@ -428,6 +433,8 @@ def archive_to_document(archive: PerformanceArchive) -> Dict[str, Any]:
     archive as it was.
     """
     document = render_archive(archive)[0]
+    if document["environment"] is None:
+        document["environment"] = _environment_samples(archive)
     document["operations"] = {
         name: list(value) if isinstance(value, list) else value
         for name, value in document["operations"].items()

@@ -345,10 +345,11 @@ def render_report_html(
             f"<h2>{_esc(archive.platform)} — {_esc(archive.job_id)}</h2>"
         ]
         meta = archive.metadata
+        breakdown = compute_breakdown(archive)
         parts.append(
             f"<p class='meta'>algorithm={_esc(meta.get('algorithm', '?'))} "
             f"dataset={_esc(meta.get('dataset', '?'))} "
-            f"makespan={archive.makespan:.2f}s "
+            f"makespan={breakdown.total:.2f}s "
             f"operations={archive.size()}</p>"
         )
         if live_url is not None and index == 0:
@@ -356,7 +357,6 @@ def render_report_html(
                 f"<p class='live-status' id='live-status-{index}'>"
                 f"connecting to live stream…</p>"
             )
-        breakdown = compute_breakdown(archive)
         parts.append(breakdown.render_svg())
         try:
             utilization = compute_utilization(archive)

@@ -4,6 +4,7 @@ from __future__ import annotations
 
 from typing import List, Optional
 
+from repro.core.analysis.completeness import effective_makespan
 from repro.core.archive.archive import ArchivedOperation, PerformanceArchive
 from repro.core.visualize.render_text import format_seconds
 
@@ -27,7 +28,7 @@ def render_timeline(
         max_children: elide further siblings beyond this many per parent.
         width: bar width in characters.
     """
-    total = archive.makespan or 1e-9
+    total = effective_makespan(archive)
     t0 = archive.root.start_time or 0.0
     lines: List[str] = [
         f"{archive.platform} job {archive.job_id} "
@@ -39,8 +40,11 @@ def render_timeline(
             span = "?" * width
             duration = "?"
         else:
-            lead = int((op.start_time - t0) / total * width)
-            body = max(int((op.end_time - op.start_time) / total * width), 1)
+            lead = min(int((op.start_time - t0) / total * width), width)
+            body = min(
+                max(int((op.end_time - op.start_time) / total * width), 1),
+                width,
+            )
             span = (" " * lead + "#" * body)[:width].ljust(width)
             duration = format_seconds(op.duration or 0.0)
         label = f"{'  ' * depth}{op.mission} @ {op.actor}"

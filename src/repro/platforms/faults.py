@@ -20,11 +20,12 @@ from __future__ import annotations
 
 import hashlib
 import json
-from dataclasses import dataclass, field, fields
-from typing import Any, Dict, Optional, Tuple, Union
+from dataclasses import dataclass
+from typing import Any, Optional, Tuple, Union
 
 from repro.cluster.retry import CONTAINER_RETRY, RetryPolicy
 from repro.errors import PlatformError
+from repro.plancodec import EventPlan
 
 
 # ---------------------------------------------------------------------------
@@ -32,48 +33,30 @@ from repro.errors import PlatformError
 # ---------------------------------------------------------------------------
 
 @dataclass(frozen=True)
-class SlowNode:
+class _Slowdown:
+    """One node's time of some kind stretched by ``factor`` (> 1.0)."""
+
+    node: str
+    factor: float
+
+    def __post_init__(self) -> None:
+        if self.factor <= 1.0:
+            raise PlatformError(
+                f"{type(self).__name__} factor for {self.node!r} must "
+                f"exceed 1.0, got {self.factor}"
+            )
+
+
+class SlowNode(_Slowdown):
     """A persistently slow node: compute time stretched every iteration."""
 
-    node: str
-    factor: float
 
-    def __post_init__(self) -> None:
-        if self.factor <= 1.0:
-            raise PlatformError(
-                f"slow-node factor for {self.node!r} must exceed 1.0, "
-                f"got {self.factor}"
-            )
-
-
-@dataclass(frozen=True)
-class SlowDisk:
+class SlowDisk(_Slowdown):
     """A flaky/slow disk: storage read time stretched on one node."""
 
-    node: str
-    factor: float
 
-    def __post_init__(self) -> None:
-        if self.factor <= 1.0:
-            raise PlatformError(
-                f"slow-disk factor for {self.node!r} must exceed 1.0, "
-                f"got {self.factor}"
-            )
-
-
-@dataclass(frozen=True)
-class DegradedLink:
+class DegradedLink(_Slowdown):
     """A degraded network link: transfer time stretched on one node."""
-
-    node: str
-    factor: float
-
-    def __post_init__(self) -> None:
-        if self.factor <= 1.0:
-            raise PlatformError(
-                f"degraded-link factor for {self.node!r} must exceed 1.0, "
-                f"got {self.factor}"
-            )
 
 
 @dataclass(frozen=True)
@@ -195,82 +178,33 @@ FaultEvent = Union[
     ContainerLaunchFailure, NodeFailure, HdfsReadError, LoaderCrash,
 ]
 
-#: Event-type registry for (de)serialization.
-_EVENT_TYPES = {
-    "slow_node": SlowNode,
-    "slow_disk": SlowDisk,
-    "degraded_link": DegradedLink,
-    "worker_crash": WorkerCrash,
-    "container_launch_failure": ContainerLaunchFailure,
-    "node_failure": NodeFailure,
-    "hdfs_read_error": HdfsReadError,
-    "loader_crash": LoaderCrash,
-}
-_EVENT_NAMES = {cls: name for name, cls in _EVENT_TYPES.items()}
-
-
-def _event_to_dict(event: FaultEvent) -> Dict[str, Any]:
-    cls = type(event)
-    if cls not in _EVENT_NAMES:
-        raise PlatformError(f"unknown fault event type {cls.__name__}")
-    data: Dict[str, Any] = {"type": _EVENT_NAMES[cls]}
-    for f in fields(event):
-        data[f.name] = getattr(event, f.name)
-    return data
-
-
-def _event_from_dict(data: Dict[str, Any]) -> FaultEvent:
-    kind = data.get("type")
-    cls = _EVENT_TYPES.get(kind)
-    if cls is None:
-        raise PlatformError(
-            f"unknown fault event type {kind!r}; "
-            f"known: {sorted(_EVENT_TYPES)}"
-        )
-    kwargs = {k: v for k, v in data.items() if k != "type"}
-    try:
-        return cls(**kwargs)
-    except TypeError as exc:
-        raise PlatformError(f"bad {kind} event: {exc}") from None
-
 
 # ---------------------------------------------------------------------------
 # The plan
 # ---------------------------------------------------------------------------
 
 @dataclass(frozen=True)
-class FaultPlan:
+class FaultPlan(EventPlan):
     """Faults to inject into one job execution, plus recovery config.
 
-    The v1 attributes (``slow_nodes``, ``crash_worker``,
-    ``crash_superstep``, ``recovery_s``) are kept as conveniences and
-    fold into the event schedule; new failure modes are expressed as
-    typed events.
+    Reads and writes ``granula run --faults`` JSON through the plan
+    codec shared with the service's chaos plans
+    (:mod:`repro.plancodec`).
 
     Attributes:
-        slow_nodes: node name -> slowdown factor (> 1.0) applied to that
-            node's compute time every superstep (a straggler).
-        crash_worker: 0-based worker index that crashes (None = no crash).
-        crash_superstep: superstep during which the crash happens.
-        recovery_s: container relaunch + checkpoint restore latency paid
-            before the crashed worker's work is redone.
         events: scheduled typed fault events.
         seed: determinism seed — all plan-derived jitter (e.g. how far a
             failed block read got) is a pure function of it.
         retry: the retry policy the substrate reacts with.
         checkpoint_interval: checkpoint every k supersteps/iterations
-            (None = the engine's implicit per-superstep checkpoint, the
-            v1 behaviour; k >= 1 also emits ``Checkpoint`` operations
-            and charges their write cost).
+            (None = the engine's implicit per-superstep checkpoint;
+            k >= 1 also emits ``Checkpoint`` operations and charges
+            their write cost).
         checkpoint_write_s: cost of writing one checkpoint.
         redistribute_s: base cost of redistributing a dead node's
             partitions across the survivors.
     """
 
-    slow_nodes: Dict[str, float] = field(default_factory=dict)
-    crash_worker: Optional[int] = None
-    crash_superstep: Optional[int] = None
-    recovery_s: float = 7.5
     events: Tuple[FaultEvent, ...] = ()
     seed: int = 0
     retry: RetryPolicy = CONTAINER_RETRY
@@ -278,36 +212,21 @@ class FaultPlan:
     checkpoint_write_s: float = 0.6
     redistribute_s: float = 1.5
 
+    EVENT_TYPES = {
+        "slow_node": SlowNode,
+        "slow_disk": SlowDisk,
+        "degraded_link": DegradedLink,
+        "worker_crash": WorkerCrash,
+        "container_launch_failure": ContainerLaunchFailure,
+        "node_failure": NodeFailure,
+        "hdfs_read_error": HdfsReadError,
+        "loader_crash": LoaderCrash,
+    }
+    ERROR = PlatformError
+    KIND = "fault plan"
+
     def __post_init__(self) -> None:
-        for node, factor in self.slow_nodes.items():
-            if factor <= 1.0:
-                raise PlatformError(
-                    f"slow-node factor for {node!r} must exceed 1.0, "
-                    f"got {factor}"
-                )
-        if (self.crash_worker is None) != (self.crash_superstep is None):
-            raise PlatformError(
-                "crash_worker and crash_superstep must be set together"
-            )
-        if self.crash_worker is not None and self.crash_worker < 0:
-            raise PlatformError(
-                f"crash_worker must be >= 0, got {self.crash_worker}"
-            )
-        if self.crash_superstep is not None and self.crash_superstep < 0:
-            raise PlatformError(
-                f"crash_superstep must be >= 0, got {self.crash_superstep}"
-            )
-        if self.recovery_s <= 0:
-            raise PlatformError(
-                f"recovery_s must be positive, got {self.recovery_s}"
-            )
-        if not isinstance(self.events, tuple):
-            object.__setattr__(self, "events", tuple(self.events))
-        for event in self.events:
-            if type(event) not in _EVENT_NAMES:
-                raise PlatformError(
-                    f"not a fault event: {event!r}"
-                )
+        self._check_events()
         if self.checkpoint_interval is not None and self.checkpoint_interval < 1:
             raise PlatformError(
                 f"checkpoint_interval must be >= 1, "
@@ -334,8 +253,8 @@ class FaultPlan:
 
     # -- per-node factors --------------------------------------------------
 
-    def _factor(self, node_name: str, cls, legacy: float = 1.0) -> float:
-        factor = legacy
+    def _factor(self, node_name: str, cls) -> float:
+        factor = 1.0
         for event in self.events:
             if isinstance(event, cls) and event.node == node_name:
                 factor *= event.factor
@@ -343,8 +262,7 @@ class FaultPlan:
 
     def slow_factor(self, node_name: str) -> float:
         """Compute-slowdown factor of a node (1.0 when healthy)."""
-        return self._factor(node_name, SlowNode,
-                            self.slow_nodes.get(node_name, 1.0))
+        return self._factor(node_name, SlowNode)
 
     def disk_factor(self, node_name: str) -> float:
         """Storage-read slowdown factor of a node (1.0 when healthy)."""
@@ -363,11 +281,6 @@ class FaultPlan:
     def worker_crash(self, worker: int,
                      superstep: int) -> Optional[WorkerCrash]:
         """The crash event of one (worker, superstep), if scheduled."""
-        if (
-            self.crash_worker == worker
-            and self.crash_superstep == superstep
-        ):
-            return WorkerCrash(worker, superstep, self.recovery_s)
         for event in self.events:
             if (
                 isinstance(event, WorkerCrash)
@@ -422,22 +335,18 @@ class FaultPlan:
         return None
 
     def interval(self) -> int:
-        """Effective checkpoint interval (v1 implicit default: 1)."""
+        """Effective checkpoint interval (implicit default: 1)."""
         return 1 if self.checkpoint_interval is None else self.checkpoint_interval
 
     def has_faults(self) -> bool:
         """Whether the plan schedules any fault at all."""
-        return bool(
-            self.slow_nodes or self.events or self.crash_worker is not None
-        )
+        return bool(self.events)
 
     def node_names(self) -> Tuple[str, ...]:
         """Every node name the plan targets (for cluster validation)."""
-        names = list(self.slow_nodes)
-        names.extend(
+        return tuple(dict.fromkeys(
             event.node for event in self.events if hasattr(event, "node")
-        )
-        return tuple(dict.fromkeys(names))
+        ))
 
     # -- determinism -------------------------------------------------------
 
@@ -451,73 +360,3 @@ class FaultPlan:
             json.dumps([self.seed, *map(str, key)]).encode()
         ).digest()
         return int.from_bytes(digest[:8], "big") / float(1 << 64)
-
-    # -- serialization -----------------------------------------------------
-
-    def to_dict(self) -> Dict[str, Any]:
-        """JSON-ready representation (``granula run --faults`` format)."""
-        data: Dict[str, Any] = {
-            "seed": self.seed,
-            "events": [_event_to_dict(e) for e in self.events],
-        }
-        if self.slow_nodes:
-            data["slow_nodes"] = dict(self.slow_nodes)
-        if self.crash_worker is not None:
-            data["crash_worker"] = self.crash_worker
-            data["crash_superstep"] = self.crash_superstep
-            data["recovery_s"] = self.recovery_s
-        if self.checkpoint_interval is not None:
-            data["checkpoint_interval"] = self.checkpoint_interval
-        data["checkpoint_write_s"] = self.checkpoint_write_s
-        data["redistribute_s"] = self.redistribute_s
-        data["retry"] = {
-            "max_attempts": self.retry.max_attempts,
-            "base_backoff_s": self.retry.base_backoff_s,
-            "backoff_factor": self.retry.backoff_factor,
-            "max_backoff_s": self.retry.max_backoff_s,
-            "attempt_timeout_s": self.retry.attempt_timeout_s,
-        }
-        return data
-
-    @classmethod
-    def from_dict(cls, data: Dict[str, Any]) -> "FaultPlan":
-        """Parse a plan from its :meth:`to_dict` representation."""
-        if not isinstance(data, dict):
-            raise PlatformError(
-                f"fault plan must be a JSON object, got {type(data).__name__}"
-            )
-        known = {f.name for f in fields(cls)}
-        unknown = set(data) - known
-        if unknown:
-            raise PlatformError(
-                f"unknown fault-plan fields: {sorted(unknown)}"
-            )
-        kwargs = dict(data)
-        kwargs["events"] = tuple(
-            _event_from_dict(e) for e in data.get("events", [])
-        )
-        if "retry" in data:
-            retry = data["retry"]
-            if not isinstance(retry, dict):
-                raise PlatformError("fault-plan retry must be an object")
-            kwargs["retry"] = RetryPolicy(**retry)
-        return cls(**kwargs)
-
-    def to_json(self, indent: int = 2) -> str:
-        """Serialize the plan as JSON."""
-        return json.dumps(self.to_dict(), indent=indent, sort_keys=True)
-
-    @classmethod
-    def from_json(cls, text: str) -> "FaultPlan":
-        """Parse a plan from JSON text."""
-        try:
-            data = json.loads(text)
-        except json.JSONDecodeError as exc:
-            raise PlatformError(f"invalid fault-plan JSON: {exc}") from None
-        return cls.from_dict(data)
-
-    def signature(self) -> str:
-        """Stable short hash identifying the plan (for memo keys)."""
-        return hashlib.sha256(
-            self.to_json(indent=0).encode()
-        ).hexdigest()[:12]

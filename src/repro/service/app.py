@@ -65,6 +65,7 @@ from repro.errors import (
     IngestUnavailableError,
     QueryError,
     ShardUnavailableError,
+    VisualizationError,
 )
 from repro.service.cache import ArchiveCache
 from repro.service.ingest import IngestPipeline
@@ -354,6 +355,8 @@ class ServiceContract:
                 response = _shard_rejection(exc)
             except ArchiveError as exc:
                 response = error_response(404, str(exc))
+            except VisualizationError as exc:
+                response = error_response(422, str(exc))
         self.metrics.observe(
             endpoint, response.status, time.perf_counter() - started
         )

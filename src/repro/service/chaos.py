@@ -47,23 +47,23 @@ Router-level event types (cluster mode):
 - :class:`SlowShard` — add latency to every request the router proxies
   to one shard (a slow disk under one shard, not the whole tier).
 
-Router ops carry a ``shard`` argument: occurrence counters are kept
-per ``(op, shard)`` so "the third probe of shard 1 times out" is
-independent of how often shard 0 is probed.
+Every event names the operation it intercepts as ``op``: a field of
+:class:`InjectLatency`, a class constant of the others.  Router ops
+carry a ``shard`` argument: occurrence counters are kept per ``(op,
+shard)`` so "the third probe of shard 1 times out" is independent of
+how often shard 0 is probed.
 """
 
 from __future__ import annotations
 
 import errno
-import hashlib
-import json
 import threading
 import time
-from dataclasses import dataclass, fields
-from pathlib import Path
-from typing import Any, Callable, Dict, Optional, Tuple, Union
+from dataclasses import dataclass
+from typing import Any, Callable, ClassVar, Dict, Optional, Tuple, Union
 
 from repro.errors import ChaosError, StoreBusyError
+from repro.plancodec import EventPlan
 
 #: Operations a shard worker's write path performs.
 WORKER_OPS = ("request", "wal_append", "store_save", "ack")
@@ -84,20 +84,31 @@ class WorkerCrashed(BaseException):
     """
 
 
-def _check_window(event: Any) -> None:
-    if event.after < 0:
-        raise ChaosError(
-            f"{type(event).__name__}.after must be >= 0, got {event.after}"
-        )
-    count = getattr(event, "count", 1)
-    if count < 1:
-        raise ChaosError(
-            f"{type(event).__name__}.count must be >= 1, got {count}"
-        )
+class _Event:
+    """The field checks every chaos event shares."""
+
+    def __post_init__(self) -> None:
+        name = type(self).__name__
+        if self.op not in CHAOS_OPS:
+            raise ChaosError(
+                f"{name}.op must be one of {', '.join(CHAOS_OPS)}; "
+                f"got {self.op!r}"
+            )
+        if getattr(self, "delay_s", 1) <= 0:
+            raise ChaosError(
+                f"{name}.delay_s must be positive, got {self.delay_s}")
+        shard = getattr(self, "shard", 0)
+        if not isinstance(shard, int) or shard < 0:
+            raise ChaosError(
+                f"{name}.shard must be an int >= 0, got {shard!r}")
+        if self.after < 0:
+            raise ChaosError(f"{name}.after must be >= 0, got {self.after}")
+        if getattr(self, "count", 1) < 1:
+            raise ChaosError(f"{name}.count must be >= 1, got {self.count}")
 
 
 @dataclass(frozen=True)
-class InjectLatency:
+class InjectLatency(_Event):
     """Sleep ``delay_s`` before occurrences [after, after+count) of op."""
 
     op: str
@@ -105,63 +116,37 @@ class InjectLatency:
     after: int = 0
     count: int = 1
 
-    def __post_init__(self) -> None:
-        if self.op not in CHAOS_OPS:
-            raise ChaosError(
-                f"latency op must be one of {', '.join(CHAOS_OPS)}; "
-                f"got {self.op!r}"
-            )
-        if self.delay_s <= 0:
-            raise ChaosError(
-                f"latency delay_s must be positive, got {self.delay_s}"
-            )
-        _check_window(self)
-
 
 @dataclass(frozen=True)
-class DiskFull:
+class DiskFull(_Event):
     """``OSError(ENOSPC)`` on occurrences [after, after+count) of
     ``wal_append`` — the WAL disk filling up under the service."""
 
+    op: ClassVar[str] = "wal_append"
     after: int = 0
     count: int = 1
 
-    def __post_init__(self) -> None:
-        _check_window(self)
-
 
 @dataclass(frozen=True)
-class LockTimeout:
+class LockTimeout(_Event):
     """:class:`StoreBusyError` on occurrences [after, after+count) of
     ``store_save`` — simulated index-lock contention."""
 
+    op: ClassVar[str] = "store_save"
     after: int = 0
     count: int = 1
 
-    def __post_init__(self) -> None:
-        _check_window(self)
-
 
 @dataclass(frozen=True)
-class WorkerCrash:
+class WorkerCrash(_Event):
     """Kill the ingestion worker before its ``after``-th ack."""
 
+    op: ClassVar[str] = "ack"
     after: int = 0
-
-    def __post_init__(self) -> None:
-        _check_window(self)
-
-
-def _check_shard(event: Any) -> None:
-    if not isinstance(event.shard, int) or event.shard < 0:
-        raise ChaosError(
-            f"{type(event).__name__}.shard must be an int >= 0, "
-            f"got {event.shard!r}"
-        )
 
 
 @dataclass(frozen=True)
-class WorkerKill:
+class WorkerKill(_Event):
     """SIGKILL one shard's worker on its ``after``-th supervisor probe.
 
     The kill itself is a registered action (the supervisor plugs in
@@ -169,80 +154,37 @@ class WorkerKill:
     counts the occurrence and does nothing.
     """
 
+    op: ClassVar[str] = "probe"
     shard: int
     after: int = 0
 
-    def __post_init__(self) -> None:
-        _check_shard(self)
-        _check_window(self)
-
 
 @dataclass(frozen=True)
-class ProbeTimeout:
+class ProbeTimeout(_Event):
     """``TimeoutError`` on probes [after, after+count) of one shard."""
 
+    op: ClassVar[str] = "probe"
     shard: int
     after: int = 0
     count: int = 1
 
-    def __post_init__(self) -> None:
-        _check_shard(self)
-        _check_window(self)
-
 
 @dataclass(frozen=True)
-class SlowShard:
+class SlowShard(_Event):
     """Sleep ``delay_s`` before routed requests [after, after+count)
     aimed at one shard — a slow shard, not a slow tier."""
 
+    op: ClassVar[str] = "route"
     shard: int
     delay_s: float
     after: int = 0
     count: int = 1
-
-    def __post_init__(self) -> None:
-        _check_shard(self)
-        if self.delay_s <= 0:
-            raise ChaosError(
-                f"slow_shard delay_s must be positive, got {self.delay_s}"
-            )
-        _check_window(self)
 
 
 ChaosEvent = Union[
     InjectLatency, DiskFull, LockTimeout, WorkerCrash,
     WorkerKill, ProbeTimeout, SlowShard,
 ]
-
-_EVENT_TYPES = {
-    "latency": InjectLatency,
-    "disk_full": DiskFull,
-    "lock_timeout": LockTimeout,
-    "worker_crash": WorkerCrash,
-    "worker_kill": WorkerKill,
-    "probe_timeout": ProbeTimeout,
-    "slow_shard": SlowShard,
-}
-_EVENT_NAMES = {cls: name for name, cls in _EVENT_TYPES.items()}
-
-#: Which operation each non-latency event intercepts.
-_EVENT_OPS = {
-    DiskFull: "wal_append",
-    LockTimeout: "store_save",
-    WorkerCrash: "ack",
-    WorkerKill: "probe",
-    ProbeTimeout: "probe",
-    SlowShard: "route",
-}
-
-#: Event classes the router/supervisor (not the shard workers) handle.
-_ROUTER_EVENT_TYPES = (WorkerKill, ProbeTimeout, SlowShard)
-
-
-def _is_router_event(event: ChaosEvent) -> bool:
-    if isinstance(event, _ROUTER_EVENT_TYPES):
-        return True
-    return isinstance(event, InjectLatency) and event.op in ROUTER_OPS
 
 
 def split_chaos_plan(plan: ChaosPlan) -> Tuple["ChaosPlan", "ChaosPlan"]:
@@ -253,97 +195,34 @@ def split_chaos_plan(plan: ChaosPlan) -> Tuple["ChaosPlan", "ChaosPlan"]:
     router-op events; splitting here keeps one plan file the single
     source of truth for both tiers.
     """
-    worker = tuple(e for e in plan.events if not _is_router_event(e))
-    router = tuple(e for e in plan.events if _is_router_event(e))
+    worker = tuple(e for e in plan.events if e.op not in ROUTER_OPS)
+    router = tuple(e for e in plan.events if e.op in ROUTER_OPS)
     return (ChaosPlan(events=worker, seed=plan.seed),
             ChaosPlan(events=router, seed=plan.seed))
 
 
-def _event_to_dict(event: ChaosEvent) -> Dict[str, Any]:
-    data: Dict[str, Any] = {"type": _EVENT_NAMES[type(event)]}
-    for field_ in fields(event):
-        data[field_.name] = getattr(event, field_.name)
-    return data
-
-
-def _event_from_dict(data: Dict[str, Any]) -> ChaosEvent:
-    if not isinstance(data, dict):
-        raise ChaosError(f"chaos event must be a mapping, got {data!r}")
-    kind = data.get("type")
-    cls = _EVENT_TYPES.get(kind)
-    if cls is None:
-        raise ChaosError(
-            f"unknown chaos event type {kind!r}; expected one of "
-            f"{', '.join(sorted(_EVENT_TYPES))}"
-        )
-    kwargs = {k: v for k, v in data.items() if k != "type"}
-    allowed = {field_.name for field_ in fields(cls)}
-    unknown = set(kwargs) - allowed
-    if unknown:
-        raise ChaosError(
-            f"chaos event {kind!r} has unknown field(s) "
-            f"{', '.join(sorted(unknown))}"
-        )
-    try:
-        return cls(**kwargs)
-    except TypeError as exc:
-        raise ChaosError(f"invalid chaos event {data!r}: {exc}") from None
-
-
 @dataclass(frozen=True)
-class ChaosPlan:
-    """A seeded schedule of service faults (same idiom as FaultPlan)."""
+class ChaosPlan(EventPlan):
+    """A seeded schedule of service faults, in the plan format and codec
+    of :class:`repro.platforms.faults.FaultPlan`."""
 
     events: Tuple[ChaosEvent, ...] = ()
     seed: int = 0
 
+    EVENT_TYPES = {
+        "latency": InjectLatency,
+        "disk_full": DiskFull,
+        "lock_timeout": LockTimeout,
+        "worker_crash": WorkerCrash,
+        "worker_kill": WorkerKill,
+        "probe_timeout": ProbeTimeout,
+        "slow_shard": SlowShard,
+    }
+    ERROR = ChaosError
+    KIND = "chaos plan"
+
     def __post_init__(self) -> None:
-        if not isinstance(self.events, tuple):
-            object.__setattr__(self, "events", tuple(self.events))
-        for event in self.events:
-            if type(event) not in _EVENT_NAMES:
-                raise ChaosError(f"not a chaos event: {event!r}")
-
-    def to_dict(self) -> Dict[str, Any]:
-        return {
-            "events": [_event_to_dict(event) for event in self.events],
-            "seed": self.seed,
-        }
-
-    @classmethod
-    def from_dict(cls, data: Dict[str, Any]) -> "ChaosPlan":
-        if not isinstance(data, dict):
-            raise ChaosError(f"chaos plan must be a mapping, got {data!r}")
-        unknown = set(data) - {"events", "seed"}
-        if unknown:
-            raise ChaosError(
-                f"chaos plan has unknown field(s) "
-                f"{', '.join(sorted(unknown))}"
-            )
-        events = data.get("events", [])
-        if not isinstance(events, list):
-            raise ChaosError("chaos plan 'events' must be a list")
-        return cls(
-            events=tuple(_event_from_dict(event) for event in events),
-            seed=int(data.get("seed", 0)),
-        )
-
-    def to_json(self, indent: int = 2) -> str:
-        return json.dumps(self.to_dict(), indent=indent, sort_keys=True)
-
-    @classmethod
-    def from_json(cls, text: str) -> "ChaosPlan":
-        try:
-            data = json.loads(text)
-        except json.JSONDecodeError as exc:
-            raise ChaosError(f"chaos plan is not valid JSON: {exc}") from None
-        return cls.from_dict(data)
-
-    def signature(self) -> str:
-        """Stable short digest identifying the plan (for banners/logs)."""
-        canonical = json.dumps(self.to_dict(), sort_keys=True,
-                               separators=(",", ":"))
-        return hashlib.sha256(canonical.encode("utf-8")).hexdigest()[:12]
+        self._check_events()
 
 
 class ChaosController:
@@ -399,50 +278,35 @@ class ChaosController:
             delay = 0.0
             failure: Optional[BaseException] = None
             for event in self.plan.events:
-                event_shard = getattr(event, "shard", None)
-                if event_shard is not None and event_shard != shard:
-                    continue
-                if isinstance(event, InjectLatency):
-                    if event.op == op and (
-                        event.after <= occurrence < event.after + event.count
-                    ):
-                        delay += event.delay_s
-                        self._count("latency")
-                    continue
-                if _EVENT_OPS[type(event)] != op:
+                if event.op != op or getattr(event, "shard", shard) != shard:
                     continue
                 count = getattr(event, "count", 1)
                 if not event.after <= occurrence < event.after + count:
                     continue
-                if isinstance(event, SlowShard):
+                self._count(ChaosPlan.type_name(event))
+                if isinstance(event, (InjectLatency, SlowShard)):
                     # Latency-shaped: accumulates, never terminal.
                     delay += event.delay_s
-                    self._count("slow_shard")
                     continue
                 if isinstance(event, WorkerKill):
                     # Action-shaped: fires the registered callback and
                     # lets the probe itself proceed (death is observed
                     # on the next tick, like a real kill -9).
-                    self._count("worker_kill")
                     actions.append(("worker_kill", event.shard))
                     continue
                 if isinstance(event, DiskFull):
-                    self._count("disk_full")
                     failure = OSError(
                         errno.ENOSPC, "injected: no space left on device"
                     )
                 elif isinstance(event, LockTimeout):
-                    self._count("lock_timeout")
                     failure = StoreBusyError(
                         "injected: store index lock timed out"
                     )
                 elif isinstance(event, WorkerCrash):
-                    self._count("worker_crash")
                     failure = WorkerCrashed(
                         f"injected worker crash before ack {occurrence}"
                     )
-                elif isinstance(event, ProbeTimeout):
-                    self._count("probe_timeout")
+                else:
                     failure = TimeoutError(
                         f"injected probe timeout for shard {shard}"
                     )
@@ -470,15 +334,6 @@ class ChaosController:
             }
 
 
-def load_chaos_plan(path: Union[str, Path]) -> ChaosPlan:
-    """Read a chaos plan JSON file into a :class:`ChaosPlan`."""
-    try:
-        text = Path(path).read_text()
-    except OSError as exc:
-        raise ChaosError(f"cannot read chaos plan {path}: {exc}") from None
-    return ChaosPlan.from_json(text)
-
-
 __all__ = [
     "CHAOS_OPS",
     "ROUTER_OPS",
@@ -494,6 +349,5 @@ __all__ = [
     "WorkerCrash",
     "WorkerCrashed",
     "WorkerKill",
-    "load_chaos_plan",
     "split_chaos_plan",
 ]

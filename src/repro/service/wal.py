@@ -36,8 +36,8 @@ journal, and the active segment is retired — rotated, then deleted —
 as soon as it is fully acked, so after a drain no acked frame remains:
 the WAL's steady-state size is its unacked backlog, not its history.
 A crash between a rotation and its deletes leaves a fully acked
-retired segment, which the next open deletes.  Acking a record of a
-retired segment again is a no-op.
+retired segment (or the ack journal of a deleted one), which the next
+open deletes.  Acking a record of a retired segment again is a no-op.
 
 Acks are appended to the sidecar journal with a flush but **no fsync**:
 a lost ack merely re-queues the record on replay, and ingestion is
@@ -170,6 +170,12 @@ class WriteAheadLog:
         return sorted(out)
 
     def _open_active(self) -> None:
+        for ack in self.directory.glob("segment-*.ack"):
+            # A crash between a retired segment's two unlinks leaves
+            # its ack journal behind; a drained log holds only its
+            # empty active segment.
+            if not ack.with_suffix(".wal").exists():
+                ack.unlink()
         segments = self._segments()
         for segment in segments:
             entries = self._scan_segment(segment, repair=segment == segments[-1])
@@ -191,12 +197,14 @@ class WriteAheadLog:
         path = self._ack_path(segment)
         if not path.exists():
             return set()
-        acked: Set[int] = set()
-        for line in path.read_text().splitlines():
-            line = line.strip()
-            if line.isdigit():
-                acked.add(int(line))
-        return acked
+        text = path.read_text()
+        whole = text[:text.rfind("\n") + 1]
+        if whole != text:
+            # A crash mid-ack tore the last line ("12" landing as "1"):
+            # that ack never returned, and the next one must not run on
+            # from it ("1" + "5\n" reading as 15).
+            os.truncate(path, len(whole))
+        return {int(line) for line in whole.split() if line.isdigit()}
 
     def _scan_segment(
         self, segment: int, repair: bool, count_corrupt: bool = True,

@@ -249,17 +249,17 @@ class TestEndToEndFaultDiagnosis:
         from repro.core.model.giraph_model import giraph_model
         from repro.core.monitor.session import MonitoringSession
         from repro.platforms.base import JobRequest
-        from repro.platforms.faults import FaultPlan
+        from repro.platforms.faults import FaultPlan, SlowNode, WorkerCrash
         from repro.platforms.pregel.engine import GiraphPlatform
         from tests.conftest import make_giraph_cluster
 
         platform = GiraphPlatform(make_giraph_cluster())
         platform.deploy_dataset("tiny", tiny_graph)
         slow_node = platform.cluster.node_names[4]  # Worker-5
-        platform.inject_faults(FaultPlan(
-            slow_nodes={slow_node: 3.0},
-            crash_worker=1, crash_superstep=2,
-        ))
+        platform.inject_faults(FaultPlan(events=(
+            SlowNode(slow_node, 3.0),
+            WorkerCrash(worker=1, superstep=2),
+        )))
         run = MonitoringSession(platform).run(JobRequest(
             "bfs", "tiny", 8, params={"source": 0}))
         archive, _ = build_archive(run, giraph_model())

