@@ -50,11 +50,13 @@ class EnvironmentMonitor:
         nodes: Optional[List[str]] = None,
     ) -> List[EnvSample]:
         """Flat, timestamp-ordered sample records over ``[t0, t1)``."""
-        series = self.sample_window(t0, t1, nodes)
-        out: List[EnvSample] = []
-        for name in sorted(series):
-            for ts, value in series[name]:
-                out.append(EnvSample(ts, name, value))
+        return self.flatten(self.sample_window(t0, t1, nodes))
+
+    @staticmethod
+    def flatten(series: Dict[str, UsageSeries]) -> List[EnvSample]:
+        """:meth:`samples` of a window already taken by :meth:`sample_window`."""
+        out = [EnvSample(ts, name, value)
+               for name in sorted(series) for ts, value in series[name]]
         out.sort(key=lambda s: (s.timestamp, s.node))
         return out
 

@@ -98,9 +98,7 @@ class MonitoringSession:
         env_series = self.env_monitor.sample_window(
             result.started_at, result.finished_at, nodes
         )
-        env_samples = self.env_monitor.samples(
-            result.started_at, result.finished_at, nodes
-        )
+        env_samples = self.env_monitor.flatten(env_series)
         return MonitoredRun(
             result=result,
             columns=columns,

@@ -58,6 +58,143 @@ def int_text_size(values: np.ndarray) -> int:
         int(np.count_nonzero(mask)) for mask in _digit_masks(values))
 
 
+#: Largest decimal scaling ``10**q`` the float kernel applies: with
+#: ``5**26`` the 128-bit product needs a right shift of at most 63.
+_MAX_Q = 26
+_POW5 = np.array([5 ** q for q in range(_MAX_Q + 1)], dtype=np.uint64)
+_POW10 = np.array([10 ** k for k in range(19)], dtype=np.int64)
+_LOW32 = np.uint64(0xFFFFFFFF)
+_U32 = np.uint64(32)
+
+
+def _scaled_floor(v: np.ndarray, q: np.ndarray,
+                  s: np.ndarray) -> Tuple[np.ndarray, np.ndarray]:
+    """``floor(v * 5**q * 2**s)`` and whether it is exact, per element.
+
+    ``v < 2**55`` and the result stays below ``2**57`` (the caller
+    scales to 17 digits), so ``s > 0`` may shift ``v`` up first; the
+    128-bit product is built from 32-bit limbs and shifted right by
+    ``r = -s <= 63``, keeping the bits shifted out as the exactness flag.
+    """
+    up = np.maximum(s, 0).astype(np.uint64)
+    r = np.maximum(-s, 0).astype(np.uint64)
+    v = v << up
+    f = _POW5[q]
+    v_lo, v_hi = v & _LOW32, v >> _U32
+    f_lo, f_hi = f & _LOW32, f >> _U32
+    low = v_lo * f_lo
+    mid = v_lo * f_hi + v_hi * f_lo
+    lo64 = low + (mid << _U32)
+    hi64 = v_hi * f_hi + (mid >> _U32) + (lo64 < low)
+    # r == 0 only when nothing reaches the high word, so the masked
+    # shift count (0 for r == 0) adds nothing there.
+    floor = (lo64 >> r) | (hi64 << ((np.uint64(64) - r) & np.uint64(63)))
+    exact = (lo64 & ((np.uint64(1) << r) - np.uint64(1))) == 0
+    return floor.astype(np.int64), exact
+
+
+def _shortest_digits(biased: np.ndarray, frac: np.ndarray,
+                     q: np.ndarray) -> Tuple[np.ndarray, np.ndarray]:
+    """Digit count and decimal exponent of ``repr``'s shortest round trip.
+
+    For a positive normal float ``M * 2**E`` the values that read back
+    as it (round-half-even) lie in ``(4M - 2, 4M + 2) * 2**(E - 2)``,
+    whose lower gap is half as wide when ``M`` is a power of two above
+    the smallest exponent; both ends are inclusive iff ``M`` is even.
+    Both ends are scaled once to units of ``10**-q`` (17 digits, so the
+    interval is more than one unit wide and holds an integer), then one
+    decimal digit is dropped at a time while the interval still holds an
+    integer.  Every integer it holds at the last such level has the same
+    digit count (none is a multiple of ten), so the largest one gives it.
+    """
+    m = frac | np.uint64(1 << 52)
+    s = biased - 1077 + q
+    lower_gap = np.where((frac == 0) & (biased > 1), 1, 2).astype(np.uint64)
+    hi_f, hi_x = _scaled_floor((m << np.uint64(2)) + np.uint64(2), q, s)
+    lo_f, lo_x = _scaled_floor((m << np.uint64(2)) - lower_gap, q, s)
+    inclusive = (m & np.uint64(1)) == 0
+    best = hi_f - (hi_x & ~inclusive)
+    level = np.zeros(len(m), dtype=np.int64)
+    active = np.arange(len(m))
+    while len(active):
+        hi_f, hi_r = np.divmod(hi_f, 10)
+        lo_f, lo_r = np.divmod(lo_f, 10)
+        hi_x &= hi_r == 0
+        lo_x &= lo_r == 0
+        hi = hi_f - (hi_x & ~inclusive)
+        holds = lo_f + 1 - (lo_x & inclusive) <= hi
+        active = active[holds]
+        best[active] = hi[holds]
+        level[active] += 1
+        hi_f, hi_x, lo_f, lo_x, inclusive = (
+            a[holds] for a in (hi_f, hi_x, lo_f, lo_x, inclusive))
+    digits = np.searchsorted(_POW10, best, side="right")
+    return digits, level - q + digits - 1
+
+
+def float_text_lengths(values: np.ndarray) -> np.ndarray:
+    """``len(str(x))`` per element of a float array.
+
+    ``str`` of a float is ``repr``: the shortest digits that round-trip,
+    fixed notation for decimal exponents in ``[-4, 16)`` and
+    ``d[.ddd]e±XX`` outside.  Normal values of magnitude about
+    ``[1e-10, 1e17)`` are counted off their bits
+    (:func:`_shortest_digits`); zeros, subnormals, non-finite values and
+    the rest take ``str`` one at a time.
+    """
+    x = np.asarray(values, dtype=np.float64)
+    bits = x.view(np.uint64)
+    biased = ((bits >> np.uint64(52)) & np.uint64(0x7FF)).astype(np.int64)
+    with np.errstate(divide="ignore", invalid="ignore"):
+        q = 16 - np.floor(np.log10(np.abs(x)))
+    fast = (biased > 0) & (biased < 0x7FF) & (q >= 0) & (q <= _MAX_Q)
+    lengths = np.empty(len(x), dtype=np.int64)
+    slow = np.flatnonzero(~fast)
+    if len(slow):
+        lengths[slow] = [len(str(v)) for v in x[slow].tolist()]
+    idx = np.flatnonzero(fast)
+    if len(idx):
+        digits, exp = _shortest_digits(
+            biased[idx], bits[idx] & np.uint64((1 << 52) - 1),
+            q[idx].astype(np.int64))
+        # Fixed notation: "0." and -exp - 1 zeros before the digits below
+        # one, zero padding and ".0" when every digit is integral, else
+        # one dot.  Exponent notation: "d", ".ddd" if more digits, "e",
+        # the sign and two exponent digits (every exponent here is
+        # below 100).
+        lengths[idx] = np.where(
+            (exp >= -4) & (exp < 16),
+            np.where(exp < 0, digits + 1 - exp,
+                     np.where(digits <= exp + 1, exp + 3, digits + 1)),
+            digits + (digits > 1) + 4,
+        ) + (x[idx] < 0)
+    return lengths
+
+
+def text_lengths(values: np.ndarray) -> np.ndarray:
+    """``len(str(v))`` per element of ``values.tolist()``.
+
+    Integer and float arrays are counted off the array; any other dtype
+    takes ``str`` one element at a time.
+    """
+    values = np.asarray(values)
+    kind = values.dtype.kind
+    if kind == "i":
+        return int_text_lengths(values)
+    if kind == "f" and values.dtype.itemsize <= 8:
+        return float_text_lengths(values)
+    return np.fromiter((len(str(v)) for v in values.tolist()),
+                       dtype=np.int64, count=len(values))
+
+
+def text_size(values: np.ndarray) -> int:
+    """``sum(len(str(v)) for v in values.tolist())``."""
+    values = np.asarray(values)
+    if values.dtype.kind == "i":
+        return int_text_size(values)
+    return int(text_lengths(values).sum())
+
+
 class EdgeList:
     """An edge list plus its declared vertex-id space.
 

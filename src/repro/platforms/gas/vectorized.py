@@ -33,7 +33,7 @@ import numpy as np
 from repro.errors import PlatformError
 from repro.graph.algorithms.bfs import UNREACHED
 from repro.graph.algorithms.sssp import INFINITY, default_weight
-from repro.graph.edgelist import int_text_size
+from repro.graph.edgelist import int_text_size, text_size
 from repro.graph.graph import Graph
 from repro.graph.partition.vertexcut import VertexCut
 from repro.platforms.gas.algorithms import (
@@ -46,12 +46,11 @@ from repro.platforms.gas.algorithms import (
 from repro.platforms.gas.api import GasProgram
 from repro.platforms.gas.sync_engine import IterationWork
 from repro.platforms.vecops import (
+    FoldPlan,
     expand_positions,
     fold_add,
     group_sizes,
     group_starts,
-    output_text_bytes,
-    segmented_fold_add,
     stable_key_order,
     vertex_set,
 )
@@ -315,10 +314,8 @@ class VectorizedSyncGasEngine:
 
     def output_text_bytes(self) -> int:
         """Size of the ``"<vertex> <value>"`` lines the job writes."""
-        values = self._output_values()
-        if values.dtype.kind != "i":
-            return output_text_bytes(self.output())
-        return int_text_size(self._all) + int_text_size(values) + 2 * self.n
+        return (int_text_size(self._all) + text_size(self._output_values())
+                + 2 * self.n)
 
 
 class _MinFoldEngine(VectorizedSyncGasEngine):
@@ -387,10 +384,14 @@ class _PageRankEngine(VectorizedSyncGasEngine):
 
     def _post_init(self) -> None:
         program = self.program
-        self._lvl1_starts = self.g_pair_starts
-        lvl1_v = self.g_v[self._lvl1_starts]
-        self._lvl2_starts = group_starts(lvl1_v)
-        self._recv = lvl1_v[self._lvl2_starts]
+        # Contributions fold per (vertex, rank) run, then the rank
+        # partials per vertex, into the receiving vertex's slot.
+        lvl1_starts = self.g_pair_starts
+        self._lvl1_fold = FoldPlan(lvl1_starts, len(self.g_u))
+        lvl1_v = self.g_v[lvl1_starts]
+        lvl2_starts = group_starts(lvl1_v)
+        self._lvl2_fold = FoldPlan(lvl2_starts, len(lvl1_starts),
+                                   rows=lvl1_v[lvl2_starts], size=self.n)
         out_deg = np.asarray(self.graph.csr().out_degrees())
         self._gdeg_u = out_deg[self.g_u].astype(np.float64)
         self._deg0 = np.flatnonzero(out_deg == 0)
@@ -404,13 +405,8 @@ class _PageRankEngine(VectorizedSyncGasEngine):
     def _apply(self, act, old, pos, seg_starts, nz):
         n = self.n
         dangling = fold_add(self.values[self._deg0])
-        incoming = np.zeros(n, dtype=np.float64)
-        if len(self._lvl1_starts):
-            contrib = self.values[self.g_u] / self._gdeg_u
-            lvl1 = segmented_fold_add(contrib, self._lvl1_starts)
-            incoming[self._recv] = segmented_fold_add(
-                lvl1, self._lvl2_starts
-            )
+        contrib = self.values[self.g_u] / self._gdeg_u
+        incoming = self._lvl2_fold(self._lvl1_fold(contrib))
         return self._t1 + self._damping * (incoming + dangling / n)
 
     def _converged(self, old, new):

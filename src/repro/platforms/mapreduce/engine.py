@@ -27,7 +27,7 @@ from repro.cluster.node import Node
 from repro.cluster.provisioning import YarnManager
 from repro.errors import JobFailedError, PlatformError
 from repro.graph.graph import Graph
-from repro.graph.partition.hash_partition import hash_partition
+from repro.graph.partition.hash_partition import hash_partition_array
 from repro.graph.vertexstore import vertex_store_size_bytes
 from repro.platforms.base import (
     JobRequest,
@@ -97,7 +97,7 @@ class HadoopPlatform(Platform):
             request.algorithm,
         )
         self.last_engine_path = "vectorized" if use_vectorized else "scalar"
-        owner_of = hash_partition(graph.num_vertices, request.workers)
+        owner_of = hash_partition_array(graph.num_vertices, request.workers)
         executor_cls = (
             mapreduce_kernel_class(driver) if use_vectorized else ScalarRounds
         )

@@ -10,16 +10,20 @@ path *exactly*:
 * identical per-worker work counts (``emissions``, ``remote_emissions``,
   ``message_count``, materialized ``state_bytes``), derived by
   ``np.bincount`` arithmetic over owner/destination arrays instead of
-  per-message bookkeeping;
+  per-message bookkeeping.  BFS keeps them as running totals: a vertex
+  re-emits the same level every round once reached, so each round adds
+  only the newly reached vertices' out-edges, and only those edges can
+  reach a new vertex;
 * bit-identical states and convergence decisions.  BFS and WCC reduce
   with ``min`` (order-insensitive, ``np.minimum.at`` is safe); PageRank
   sums each mailbox as a *sequential left fold* in (sender worker,
   sender vertex) order, which the kernel reproduces with
-  :func:`repro.platforms.vecops.csr_rows_fold_add` over a
+  a :class:`repro.platforms.vecops.FoldPlan` over a
   destination-grouped, sender-ordered edge permutation;
 * identical record byte accounting: ``Record.encoded_size`` is
-  ``12 + len(str(state))``, replayed with vectorized digit counting for
-  integer states and per-element ``str`` for float states.
+  ``12 + len(str(state))``, counted off the state arrays by
+  :func:`repro.graph.edgelist.text_lengths` (decimal digits of integer
+  states, the shortest round-trip repr of float states).
 
 Because counts and values match exactly, the cost model sees identical
 inputs and the simulated timelines, logs and archives are byte-identical
@@ -35,7 +39,7 @@ from typing import Any, Dict, List, Optional, Sequence, Type
 import numpy as np
 
 from repro.graph.algorithms.bfs import UNREACHED
-from repro.graph.edgelist import int_text_lengths
+from repro.graph.edgelist import text_lengths
 from repro.graph.graph import Graph
 from repro.platforms.mapreduce.algorithms import (
     BfsMapReduce,
@@ -44,12 +48,13 @@ from repro.platforms.mapreduce.algorithms import (
 )
 from repro.platforms.mapreduce.api import MapReduceRound, Record
 from repro.platforms.vecops import (
-    csr_rows_fold_add,
+    FoldPlan,
+    expand_positions,
     fold_add,
     stable_key_order,
 )
 
-#: Sentinel larger than any BFS level or WCC label.
+#: Sentinel larger than any WCC label.
 _BIG = np.int64(2 ** 62)
 
 
@@ -86,14 +91,14 @@ class ScalarRounds:
                  owner_of: Sequence[int], num_workers: int):
         self.driver = driver
         self.graph = graph
-        self.owner_of = owner_of
+        self.owner_of = np.asarray(owner_of).tolist()
         self.num_workers = num_workers
         self.states: Dict[int, Any] = {
             v: driver.initial_state(v, graph) for v in graph.vertices()
         }
         self.partitions: List[List[int]] = [[] for _ in range(num_workers)]
         for v in graph.vertices():
-            self.partitions[owner_of[v]].append(v)
+            self.partitions[self.owner_of[v]].append(v)
 
     def partition_size(self, wid: int) -> int:
         return len(self.partitions[wid])
@@ -177,29 +182,21 @@ class _KernelRounds:
         #: Vertices in (worker, vertex) order — the scalar path's state
         #: insertion order, needed for ordered float folds.
         self.part_order = stable_key_order(self.owner, num_workers)
-        self._init_bytes: Optional[np.ndarray] = None
         self.states = self._initial_states()
+        #: Per-worker record bytes of ``_bytes_of`` (the last states
+        #: measured): the final offload re-reads the last round's.
+        self._bytes_of: Optional[np.ndarray] = None
+        self._bytes = np.zeros(num_workers, dtype=np.int64)
 
     # -- per-algorithm hooks ----------------------------------------------
 
     def _initial_states(self) -> np.ndarray:
         raise NotImplementedError
 
-    def _state_str_lengths(self, states: np.ndarray) -> np.ndarray:
-        raise NotImplementedError
-
     def run_round(self, round_index: int) -> RoundStats:
         raise NotImplementedError
 
     # -- shared accounting -------------------------------------------------
-
-    def _directed_routes(self) -> None:
-        """Per-edge src/owner arrays in source-major (CSR) order."""
-        self.e_src = self.graph.csr().sources()
-        self.e_dst = self.indices
-        self.e_src_owner = self.owner[self.e_src]
-        self.e_dst_owner = self.owner[self.e_dst]
-        self.e_remote = self.e_src_owner != self.e_dst_owner
 
     def _per_worker(self, owners: np.ndarray,
                     weights: Optional[np.ndarray] = None) -> List[int]:
@@ -208,18 +205,19 @@ class _KernelRounds:
 
     def _record_bytes(self, states: np.ndarray) -> np.ndarray:
         """Per-worker materialized bytes: ``sum(12 + len(str(state)))``."""
-        per_vertex = 12 + self._state_str_lengths(states)
-        return np.bincount(
-            self.owner, weights=per_vertex, minlength=self.W
-        ).astype(np.int64)
+        if states is not self._bytes_of:
+            self._bytes = np.bincount(
+                self.owner, weights=12 + text_lengths(states),
+                minlength=self.W,
+            ).astype(np.int64)
+            self._bytes_of = states
+        return self._bytes
 
     def partition_size(self, wid: int) -> int:
         return int(self.part_sizes[wid])
 
     def initial_state_bytes(self, wid: int) -> int:
-        if self._init_bytes is None:
-            self._init_bytes = self._record_bytes(self.states)
-        return int(self._init_bytes[wid])
+        return int(self._record_bytes(self.states)[wid])
 
     def final_state_bytes(self) -> int:
         return int(self._record_bytes(self.states).sum())
@@ -230,42 +228,58 @@ class _KernelRounds:
 
 
 class _BfsRounds(_KernelRounds):
-    """BFS: every reached vertex re-emits its level every round."""
+    """BFS: every reached vertex re-emits its level every round.
+
+    A vertex first reached in round ``r`` is ``r`` hops from the source
+    and keeps level ``r``, so its emissions repeat unchanged in every
+    later round and can only reach an unreached vertex in round
+    ``r + 1``.  Each round therefore walks only the out-edges of last
+    round's newly reached vertices (at first, the source), which all
+    hold the same level.  The counters still charge the full re-emission
+    the MapReduce cost model pays: a running (sender worker, receiver
+    worker) count grows by those same edges.
+    """
 
     def __init__(self, driver, graph, owner_of, num_workers):
         super().__init__(driver, graph, owner_of, num_workers)
-        self._directed_routes()
+        self._routes = np.zeros((self.W, self.W), dtype=np.int64)
+        self._frontier = np.flatnonzero(self.states != UNREACHED)
 
     def _initial_states(self) -> np.ndarray:
         states = np.full(self.n, UNREACHED, dtype=np.int64)
         states[self.driver.source] = 0
         return states
 
-    def _state_str_lengths(self, states: np.ndarray) -> np.ndarray:
-        return int_text_lengths(states)
-
     def run_round(self, round_index: int) -> RoundStats:
-        states = self.states
-        reached = states != UNREACHED
-        rv = np.flatnonzero(reached)
-        live = reached[self.e_src]
+        states, W, frontier = self.states, self.W, self._frontier
+        pos, _, _ = expand_positions(self.indptr, self.deg, frontier)
+        dst = self.indices[pos]
+        src_owner = np.repeat(self.owner[frontier], self.deg[frontier])
+        self._routes += np.bincount(
+            src_owner * W + self.owner[dst], minlength=W * W
+        ).reshape(W, W)
 
-        emissions = self._per_worker(self.owner[rv], weights=self.deg[rv])
-        remote = self._per_worker(self.e_src_owner[live & self.e_remote])
-        messages = self._per_worker(self.e_dst_owner[live])
-
-        sel = np.flatnonzero(live)
-        proposal = np.full(self.n, _BIG, dtype=np.int64)
-        np.minimum.at(proposal, self.e_dst[sel], states[self.e_src[sel]] + 1)
-        new = np.where(
-            reached,
-            np.minimum(states, proposal),
-            np.where(proposal != _BIG, proposal, np.int64(UNREACHED)),
-        )
-        converged = bool(np.array_equal(new, states))
-        self.states = new
-        state_bytes = [int(b) for b in self._record_bytes(new)]
-        return RoundStats(emissions, remote, messages, state_bytes, converged)
+        hit = np.zeros(self.n, dtype=bool)
+        hit[dst] = True
+        reached = np.flatnonzero(hit & (states == UNREACHED))
+        state_bytes = self._record_bytes(states)
+        if len(reached):
+            new = states.copy()
+            new[reached] = states[frontier[0]] + 1
+            grown = text_lengths(new[reached]) - len(str(UNREACHED))
+            state_bytes = state_bytes + np.bincount(
+                self.owner[reached], weights=grown, minlength=W
+            ).astype(np.int64)
+            self.states = self._bytes_of = new
+            self._bytes = state_bytes
+        self._frontier = reached
+        emissions = self._routes.sum(axis=1)
+        return RoundStats(
+            emissions.tolist(),
+            (emissions - np.diagonal(self._routes)).tolist(),
+            self._routes.sum(axis=0).tolist(),
+            state_bytes.tolist(),
+            not len(reached))
 
 
 class _WccRounds(_KernelRounds):
@@ -286,9 +300,6 @@ class _WccRounds(_KernelRounds):
 
     def _initial_states(self) -> np.ndarray:
         return np.arange(self.n, dtype=np.int64)
-
-    def _state_str_lengths(self, states: np.ndarray) -> np.ndarray:
-        return int_text_lengths(states)
 
     def run_round(self, round_index: int) -> RoundStats:
         states = self.states
@@ -313,28 +324,25 @@ class _PageRankRounds(_KernelRounds):
 
     def __init__(self, driver, graph, owner_of, num_workers):
         super().__init__(driver, graph, owner_of, num_workers)
-        self._directed_routes()
         W = self.W
-        order = stable_key_order(self.e_dst * W + self.e_src_owner,
-                                 self.n * W)
-        self.pr_src = self.e_src[order]
-        #: Mailbox boundaries: one row per destination, as in the in-CSR.
-        self.pr_indptr = graph.in_csr().indptr
+        # Per-edge arrays in source-major (CSR) order.
+        e_src = graph.csr().sources()
+        e_src_owner = self.owner[e_src]
+        e_dst_owner = self.owner[self.indices]
+        order = stable_key_order(self.indices * W + e_src_owner, self.n * W)
+        self.pr_src = e_src[order]
+        #: Mailbox folds: one row per destination, as in the in-CSR.
+        self.mailboxes = FoldPlan.of_csr(graph.in_csr().indptr)
         self.dangling_idx = np.flatnonzero(self.deg == 0)
         self.safe_deg = np.where(self.deg > 0, self.deg, 1)
         self._emissions = self._per_worker(self.owner, weights=self.deg)
-        self._remote = self._per_worker(self.e_src_owner[self.e_remote])
-        self._messages = self._per_worker(self.e_dst_owner)
+        self._remote = self._per_worker(
+            e_src_owner[e_src_owner != e_dst_owner])
+        self._messages = self._per_worker(e_dst_owner)
 
     def _initial_states(self) -> np.ndarray:
         return np.full(self.n, 1.0 / self.n if self.n else 0.0,
                        dtype=np.float64)
-
-    def _state_str_lengths(self, states: np.ndarray) -> np.ndarray:
-        return np.fromiter(
-            (len(s) for s in map(str, states.tolist())),
-            dtype=np.int64, count=self.n,
-        )
 
     def run_round(self, round_index: int) -> RoundStats:
         driver, n, states = self.driver, self.n, self.states
@@ -346,7 +354,7 @@ class _PageRankRounds(_KernelRounds):
         # order exactly like the scalar generator expression.
         dangling = fold_add(states[self.dangling_idx])
         shares = states / self.safe_deg
-        incoming = csr_rows_fold_add(shares[self.pr_src], self.pr_indptr)
+        incoming = self.mailboxes(shares[self.pr_src])
         damping = driver.damping
         new = (1.0 - damping) / n + damping * (incoming + dangling / n)
 

@@ -52,7 +52,7 @@ from repro.platforms.pgxd.algorithms import (
     PhaseResult,
     PushPullProgram,
 )
-from repro.platforms.vecops import csr_rows_fold_add, fold_add
+from repro.platforms.vecops import FoldPlan, fold_add
 
 
 class BfsPushPullKernel(BfsPushPull):
@@ -166,7 +166,7 @@ class PageRankPushPullKernel(PageRankPushPull):
         n = graph.num_vertices
         deg = graph.csr().out_degrees()
         in_csr = graph.in_csr()
-        self.in_indptr = in_csr.indptr
+        self.in_folds = FoldPlan.of_csr(in_csr.indptr)
         self.in_src = in_csr.indices
         self.in_src_deg = deg[self.in_src]
         self.dangling_idx = np.flatnonzero(deg == 0)
@@ -194,8 +194,7 @@ class PageRankPushPullKernel(PageRankPushPull):
         ranks = self.ranks_arr
         if n:
             dangling = fold_add(ranks[self.dangling_idx])
-            incoming = csr_rows_fold_add(
-                ranks[self.in_src] / self.in_src_deg, self.in_indptr)
+            incoming = self.in_folds(ranks[self.in_src] / self.in_src_deg)
             self.ranks_arr = (1.0 - self.damping) / n + self.damping * (
                 incoming + dangling / n
             )

@@ -15,8 +15,9 @@ while reproducing the scalar path *exactly*:
   (combiner folds per sender worker in vertex order, mailbox sums in
   worker order, aggregator folds in (worker, vertex) order), and IEEE
   addition is not associative — so the kernels reproduce those exact
-  fold orders with :func:`_fold_add` / :func:`_segmented_fold_add`
-  instead of ``np.sum`` (which reduces pairwise).
+  fold orders with :func:`_fold_add` and planned segmented folds
+  (:class:`repro.platforms.vecops.FoldPlan`) instead of ``np.sum``
+  (which reduces pairwise).
 
 Because counts and values match exactly, the cost model sees identical
 inputs and the simulated timelines, logs and archives are byte-identical
@@ -33,7 +34,7 @@ import numpy as np
 
 from repro.graph.algorithms.bfs import UNREACHED
 from repro.graph.algorithms.sssp import default_weight
-from repro.graph.edgelist import int_text_size
+from repro.graph.edgelist import int_text_size, text_size
 from repro.graph.graph import Graph
 from repro.platforms.pregel.aggregators import AggregatorRegistry
 from repro.platforms.pregel.algorithms import (
@@ -47,12 +48,11 @@ from repro.platforms.pregel.api import VertexProgram
 from repro.platforms.pregel.messages import IncomingStore, OutgoingStore
 from repro.platforms.pregel.worker import SuperstepWork
 from repro.platforms.vecops import (
+    FoldPlan,
     expand_edges as _expand_edges,
     fold_add as _fold_add,
     group_sizes as _group_sizes,
     group_starts as _group_starts,
-    output_text_bytes,
-    segmented_fold_add as _segmented_fold_add,
     stable_key_order,
 )
 
@@ -327,13 +327,16 @@ class _PageRankKernel(_KernelBase):
         order = stable_key_order(key1, n * W)
         self.g_src = e_src[order]
         key1 = key1[order]
-        self.starts1 = _group_starts(key1)
-        pair_key = key1[self.starts1]
+        starts1 = _group_starts(key1)
+        pair_key = key1[starts1]
         pair_dst = pair_key // W
-        self.starts2 = _group_starts(pair_dst)
-        self.recv_dst = pair_dst[self.starts2]
-        pair_cnt = _group_sizes(self.starts2, len(pair_dst))
-        self.static_messages_in = self._weighted_count(self.recv_dst, pair_cnt)
+        starts2 = _group_starts(pair_dst)
+        recv_dst = pair_dst[starts2]
+        self.combine = FoldPlan(starts1, len(key1))
+        self.mailboxes = FoldPlan(starts2, len(starts1), rows=recv_dst,
+                                  size=n)
+        pair_cnt = _group_sizes(starts2, len(pair_dst))
+        self.static_messages_in = self._weighted_count(recv_dst, pair_cnt)
         self.static_wire = np.bincount(
             (pair_key % W) * W + owner[pair_dst], minlength=W * W
         ).reshape(W, W)
@@ -373,10 +376,7 @@ class _PageRankKernel(_KernelBase):
             return
         if superstep > 0:
             contrib = self.values[self.g_src] / self.deg[self.g_src]
-            level1 = _segmented_fold_add(contrib, self.starts1)
-            level2 = _segmented_fold_add(level1, self.starts2)
-            incoming = np.zeros(n, dtype=np.float64)
-            incoming[self.recv_dst] = level2
+            incoming = self.mailboxes(self.combine(contrib))
             dangling = aggregated.get("dangling", 0.0)
             new_values = (1.0 - program.damping) / n + program.damping * (
                 incoming + dangling / n
@@ -615,9 +615,6 @@ class VectorizedWorker:
 
     def output_text_bytes(self) -> int:
         """Size of the ``"<vertex> <value>"`` lines this worker writes."""
-        values = self._set.kernel.values
-        if values.dtype.kind != "i":
-            return output_text_bytes(self.output())
         ids = self._vertex_ids
-        return (int_text_size(ids) + int_text_size(values[ids])
+        return (int_text_size(ids) + text_size(self._set.kernel.values[ids])
                 + 2 * len(ids))

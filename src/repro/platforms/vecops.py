@@ -8,7 +8,7 @@ be vectorized:
 * IEEE float addition is not associative, and the scalar engines reduce
   with sequential left folds in fixed orders.  ``np.sum`` and
   ``np.add.reduceat`` reduce pairwise and therefore do NOT reproduce
-  those folds; :func:`fold_add` and :func:`segmented_fold_add` do.
+  those folds; :func:`fold_add` and :class:`FoldPlan` do.
 * min-folds are order-insensitive, so ``np.minimum.reduceat`` is safe.
 * Work counters are derived with ``np.bincount`` over owner/destination
   arrays; counts are exact integers regardless of evaluation order.
@@ -18,14 +18,15 @@ be vectorized:
 * Orders that decide fold sequences are *stable* orders: rows with
   equal keys keep their input order.  :func:`stable_key_order` computes
   exactly that permutation by sorting (key, row) packed into one int64.
-* Output text sizes of integer values are counted off the arrays
-  (:func:`repro.graph.edgelist.int_text_size`); :func:`output_text_bytes`
-  is the per-element Python oracle, kept for float values.
+* Output text sizes of integer and float values are counted off the
+  arrays (:func:`repro.graph.edgelist.text_size`: decimal digits, and
+  the shortest round-trip repr of floats); :func:`output_text_bytes` is
+  the per-element Python oracle the scalar engines write with.
 """
 
 from __future__ import annotations
 
-from typing import Any, Mapping, Tuple
+from typing import Any, Mapping, Optional, Tuple
 
 import numpy as np
 
@@ -33,8 +34,8 @@ import numpy as np
 # import them from here.
 from repro.graph.csr import group_sizes, group_starts  # noqa: F401
 
-#: Segment length up to which :func:`segmented_fold_add` folds segments
-#: in lockstep (one element per round); longer segments (hubs) fold
+#: Segment length up to which a :class:`FoldPlan` folds segments in
+#: lockstep (one element per round); longer segments (hubs) fold
 #: individually.
 FOLD_CHUNK = 32
 
@@ -78,8 +79,8 @@ def output_text_bytes(output: Mapping[int, Any]) -> int:
     """Size of the ``"<vertex> <value>\\n"`` text of an output mapping.
 
     The per-element reference: it works for any value type, and the
-    integer counts off the arrays (:func:`int_text_size`) must agree
-    with it.
+    counts off the arrays (:func:`repro.graph.edgelist.text_size`) must
+    agree with it.
     """
     return sum(len(str(v)) + 1 + len(str(val)) + 1
                for v, val in output.items())
@@ -101,53 +102,82 @@ def fold_add(values: np.ndarray) -> float:
         return float(np.cumsum(values)[-1]) + 0.0
 
 
-def segmented_fold_add(values: np.ndarray, starts: np.ndarray) -> np.ndarray:
-    """Sequential left fold of each segment ``values[starts[i]:starts[i+1]]``.
+class FoldPlan:
+    """Sequential left folds of fixed segments, planned once.
 
-    Short segments advance in lockstep, one element per round, over a
-    length-descending ordering so round ``k`` touches only a prefix;
-    long segments (hubs) fold individually via ``cumsum``.  Both paths
-    perform the exact left-to-right addition sequence of the scalar code.
+    Segment ``i`` is ``values[starts[i]:starts[i + 1]]`` (the last ends
+    at ``total``) and lands in ``out[rows[i]]`` of a zero-filled output
+    of ``size`` entries (by default ``rows[i] = i``).  The float kernels
+    fold the same segments (mailboxes, in-CSR rows) every iteration, so
+    the plan computes their order once:
+
+    * short segments advance in lockstep, one element per round, longest
+      first so round ``k`` touches only a prefix; one precomputed gather
+      index lays every round's elements out contiguously;
+    * long segments (hubs) fold individually via ``cumsum``.
+
+    Both paths perform the exact left-to-right addition sequence of the
+    scalar code, starting from ``+0.0``.
     """
-    nseg = len(starts)
-    out = np.empty(nseg, dtype=np.float64)
-    if nseg == 0:
+
+    def __init__(self, starts: np.ndarray, total: int,
+                 rows: Optional[np.ndarray] = None,
+                 size: Optional[int] = None):
+        starts = np.asarray(starts, dtype=np.int64)
+        nseg = len(starts)
+        self.size = nseg if size is None else size
+        if rows is None:
+            rows = np.arange(nseg, dtype=np.int64)
+        ends = np.empty(nseg, dtype=np.int64)
+        ends[:-1] = starts[1:]
+        ends[-1:] = total
+        lens = ends - starts
+        hubs = np.flatnonzero(lens > FOLD_CHUNK)
+        #: (output row, start, end) of each hub.
+        self.hubs = list(zip(rows[hubs].tolist(), starts[hubs].tolist(),
+                             ends[hubs].tolist()))
+        short = np.flatnonzero(lens <= FOLD_CHUNK)
+        # Longest first; ties keep segment order.
+        short = short[stable_key_order(FOLD_CHUNK - lens[short],
+                                       FOLD_CHUNK + 1)]
+        short_lens = lens[short]
+        maxlen = int(short_lens[0]) if len(short) else 0
+        #: Round ``k`` adds element ``k`` of the first ``counts[k]``
+        #: short segments: those longer than ``k``.
+        self.counts = np.searchsorted(
+            -short_lens, -np.arange(maxlen), side="left").tolist()
+        self.rows = rows[short[:self.counts[0]]] if maxlen else rows[:0]
+        short_starts = starts[short]
+        self.gather = np.concatenate(
+            [short_starts[:c] + k for k, c in enumerate(self.counts)]
+        ) if maxlen else np.empty(0, dtype=np.int64)
+
+    @classmethod
+    def of_csr(cls, indptr: np.ndarray) -> "FoldPlan":
+        """Folds of each CSR row ``values[indptr[i]:indptr[i+1]]``.
+
+        Empty rows fold to ``+0.0`` (the scalar accumulators' start
+        value).  Only the non-empty rows are segments: the start of the
+        next non-empty row is the end of this one, so their starts alone
+        delimit them.
+        """
+        rows = np.flatnonzero(indptr[1:] > indptr[:-1])
+        return cls(indptr[rows], int(indptr[-1]), rows, len(indptr) - 1)
+
+    def __call__(self, values: np.ndarray) -> np.ndarray:
+        out = np.zeros(self.size, dtype=np.float64)
+        with np.errstate(invalid="ignore", over="ignore"):
+            for row, start, end in self.hubs:
+                out[row] = np.cumsum(values[start:end])[-1] + 0.0
+            if self.counts:
+                picked = values[self.gather]
+                acc = np.zeros(self.counts[0], dtype=np.float64)
+                offset = 0
+                for count in self.counts:
+                    acc[:count] += picked[offset:offset + count]
+                    offset += count
+                out[self.rows] = acc
         return out
-    ends = np.empty(nseg, dtype=np.int64)
-    ends[:-1] = starts[1:]
-    ends[-1] = len(values)
-    lens = ends - starts
-    long_idx = np.flatnonzero(lens > FOLD_CHUNK)
-    short = np.flatnonzero(lens <= FOLD_CHUNK)
-    with np.errstate(invalid="ignore", over="ignore"):
-        for i in long_idx:
-            out[i] = np.cumsum(values[starts[i]:ends[i]])[-1] + 0.0
-        if len(short):
-            # Longest first; ties keep segment order.
-            order = stable_key_order(FOLD_CHUNK - lens[short], FOLD_CHUNK + 1)
-            s_starts = starts[short][order]
-            neg_lens = -lens[short][order]
-            acc = np.zeros(len(short), dtype=np.float64)
-            maxlen = int(-neg_lens[0])
-            for k in range(maxlen):
-                cnt = int(np.searchsorted(neg_lens, -k, side="left"))
-                acc[:cnt] += values[s_starts[:cnt] + k]
-            out[short[order]] = acc
-    return out
-
-
-def csr_rows_fold_add(values: np.ndarray, indptr: np.ndarray) -> np.ndarray:
-    """Sequential left fold of each CSR row ``values[indptr[i]:indptr[i+1]]``.
-
-    Empty rows fold to ``+0.0`` (the scalar accumulators' start value).
-    Only the non-empty rows reach :func:`segmented_fold_add`: the start
-    of the next non-empty row is the end of this one, so their starts
-    alone delimit the segments.
-    """
-    out = np.zeros(len(indptr) - 1, dtype=np.float64)
-    rows = np.flatnonzero(indptr[1:] > indptr[:-1])
-    out[rows] = segmented_fold_add(values, indptr[rows])
-    return out
 
 
 def expand_edges(
@@ -157,16 +187,8 @@ def expand_edges(
     deg: np.ndarray,
 ) -> Tuple[np.ndarray, np.ndarray]:
     """All (src, dst) edge endpoints out of the ``srcs`` frontier."""
-    d = deg[srcs]
-    total = int(d.sum())
-    if total == 0:
-        empty = np.empty(0, dtype=np.int64)
-        return empty, empty
-    rep_src = np.repeat(srcs, d)
-    cum = np.cumsum(d)
-    offs = np.arange(total, dtype=np.int64) - np.repeat(cum - d, d)
-    dsts = indices[np.repeat(indptr[srcs], d) + offs]
-    return rep_src, dsts
+    pos, _, _ = expand_positions(indptr, deg, srcs)
+    return np.repeat(srcs, deg[srcs]), indices[pos]
 
 
 def expand_positions(
@@ -188,8 +210,9 @@ def expand_positions(
     if total == 0:
         empty = np.empty(0, dtype=np.int64)
         return empty, empty, nz
-    cum = np.cumsum(d)
-    seg_starts = (cum - d)[nz]
-    offs = np.arange(total, dtype=np.int64) - np.repeat(cum - d, d)
-    pos = np.repeat(indptr[sel], d) + offs
-    return pos, seg_starts, nz
+    # Slot j of vertex i's run (which starts at starts[i]) is
+    # indptr[sel[i]] + (j - starts[i]): one repeat of the per-run shift.
+    starts = np.cumsum(d) - d
+    pos = (np.arange(total, dtype=np.int64)
+           + np.repeat(indptr[sel] - starts, d))
+    return pos, starts[nz], nz

@@ -293,6 +293,18 @@ class TestEnvironmentMonitor:
         timestamps = [s.timestamp for s in samples]
         assert timestamps == sorted(timestamps)
 
+    def test_flatten_of_a_window_equals_samples(self):
+        # The session flattens the series it already took instead of
+        # sampling the same window twice.
+        cluster = das5_cluster(3)
+        cluster.nodes[2].work(0.0, 1.5, 3.0)
+        cluster.nodes[0].work(0.5, 2.0, 1.0)
+        monitor = EnvironmentMonitor(cluster, step=0.5)
+        nodes = [cluster.node_names[2], cluster.node_names[0]]
+        series = monitor.sample_window(0.0, 2.5, nodes)
+        assert (EnvironmentMonitor.flatten(series)
+                == monitor.samples(0.0, 2.5, nodes))
+
     def test_node_filter(self):
         cluster = das5_cluster(3)
         monitor = EnvironmentMonitor(cluster)

@@ -9,11 +9,15 @@ returns exactly what the code it replaced returned:
 - :func:`vertex_set` and :func:`sorted_distinct` ≡ ``np.unique``;
 - :func:`int_text_lengths` ≡ ``len(str(x))`` over the whole int64 range,
   and :func:`int_text_size` ≡ their sum;
+- :func:`float_text_lengths` ≡ ``len(str(x))`` over every float64 (its
+  shortest round-trip repr), and :func:`text_size` ≡ their sum;
 - :func:`quote_value` ≡ ``quote(str(v), safe='')`` over arbitrary text.
 """
 
 from __future__ import annotations
 
+import math
+import sys
 from urllib.parse import quote
 
 import numpy as np
@@ -22,7 +26,13 @@ from hypothesis import strategies as st
 
 from repro.graph.algorithms.bfs import UNREACHED
 from repro.graph.csr import sorted_distinct
-from repro.graph.edgelist import int_text_lengths, int_text_size
+from repro.graph.edgelist import (
+    float_text_lengths,
+    int_text_lengths,
+    int_text_size,
+    text_lengths,
+    text_size,
+)
 from repro.logformat import format_line, quote_value
 from repro.platforms.vecops import stable_key_order, vertex_set
 
@@ -138,6 +148,81 @@ class TestIntTextLengths:
     def test_empty(self):
         assert int_text_lengths(np.empty(0, dtype=np.int64)).tolist() == []
         assert int_text_size(np.empty(0, dtype=np.int64)) == 0
+
+
+def _boundary_floats():
+    """Floats where the digit count or the notation flips."""
+    values = []
+    for k in range(-1074, 1024):
+        v = math.ldexp(1.0, k)
+        values += [v, math.nextafter(v, 0.0), math.nextafter(v, math.inf)]
+    for v in (1e16, 9999999999999998.0, 1e-4, 1e-5):
+        values += [v, math.nextafter(v, 0.0), math.nextafter(v, math.inf)]
+    for k in range(-12, 19):
+        v = 10.0 ** k
+        values += [v, math.nextafter(v, 0.0), math.nextafter(v, math.inf)]
+    values += [5e-324, sys.float_info.max, sys.float_info.min,
+               1e100, 1e-100, 1.5e300, 2.5e-300, 1e23, 0.1, 0.3, 123.456,
+               0.0, math.inf, math.nan]
+    return values + [-v for v in values]
+
+
+def _assert_float_lengths(values):
+    arr = np.array(values, dtype=np.float64)
+    expected = [len(str(x)) for x in arr.tolist()]
+    assert float_text_lengths(arr).tolist() == expected
+    assert text_lengths(arr).tolist() == expected
+    assert text_size(arr) == sum(expected)
+
+
+class TestFloatTextLengths:
+    @settings(max_examples=300, deadline=None)
+    @given(st.lists(st.floats(allow_nan=True, allow_infinity=True,
+                              allow_subnormal=True, width=64),
+                    max_size=60))
+    def test_equals_len_str(self, values):
+        _assert_float_lengths(values)
+
+    @settings(max_examples=200, deadline=None)
+    @given(st.lists(st.integers(0, 2 ** 64 - 1), min_size=1, max_size=80))
+    def test_bit_patterns(self, patterns):
+        _assert_float_lengths(
+            np.array(patterns, dtype=np.uint64).view(np.float64))
+
+    def test_boundary_table(self):
+        _assert_float_lengths(_boundary_floats())
+
+    def test_random_bits_and_rank_like_values(self):
+        # Random bit patterns cover every exponent; PageRank states sit
+        # in a narrow band with 16-17 digits; short decimals stop early.
+        rng = np.random.default_rng(11)
+        _assert_float_lengths(
+            rng.integers(0, 2 ** 64, 20_000, dtype=np.uint64)
+            .view(np.float64))
+        _assert_float_lengths(rng.random(20_000) * 2e-4)
+        _assert_float_lengths(10.0 ** rng.uniform(-11, 18, 20_000))
+        _assert_float_lengths(np.arange(-5000, 5000) / 8)
+        _assert_float_lengths(np.arange(1, 10_000) * 0.001)
+
+    def test_narrow_dtypes_read_as_their_float64_value(self):
+        for dtype in (np.float16, np.float32):
+            arr = np.array([0.1, 1 / 3, 65504.0, -2.5e-5], dtype=dtype)
+            expected = [len(str(x)) for x in arr.tolist()]
+            assert text_lengths(arr).tolist() == expected
+
+    def test_empty(self):
+        assert float_text_lengths(np.empty(0)).tolist() == []
+        assert text_size(np.empty(0)) == 0
+
+
+class TestTextLengthsDispatch:
+    def test_other_dtypes_take_str(self):
+        mixed = np.empty(3, dtype=object)
+        mixed[:] = [None, (1, 2), 0.5]
+        for arr in (np.array([True, False]), np.array(["a", "bcd"]), mixed):
+            expected = [len(str(x)) for x in arr.tolist()]
+            assert text_lengths(arr).tolist() == expected
+            assert text_size(arr) == sum(expected)
 
 
 class TestQuoteValue:

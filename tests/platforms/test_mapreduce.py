@@ -1,6 +1,8 @@
 """Tests for the Hadoop-like MapReduce engine."""
 
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from repro.errors import PlatformError
 from repro.graph.algorithms import bfs_levels, pagerank, weakly_connected_components
@@ -11,6 +13,10 @@ from repro.platforms.base import JobRequest
 from repro.platforms.mapreduce.algorithms import make_mapreduce_round
 from repro.platforms.mapreduce.api import Record
 from repro.platforms.mapreduce.engine import HadoopPlatform
+from repro.platforms.mapreduce.vectorized import (
+    ScalarRounds,
+    mapreduce_kernel_class,
+)
 from repro.platforms.pregel.engine import GiraphPlatform
 
 from tests.conftest import make_giraph_cluster
@@ -154,3 +160,72 @@ class TestPenalty:
         )
         rounds = result.stats["rounds"]
         assert scanned == rounds * tiny_graph.num_vertices
+
+
+@st.composite
+def round_cases(draw):
+    """(graph, owner map, workers, source): self-loops, duplicate edges,
+    isolated vertices and sources without out-edges all occur."""
+    n = draw(st.integers(1, 20))
+    edges = draw(st.lists(st.tuples(st.integers(0, n - 1),
+                                    st.integers(0, n - 1)),
+                          max_size=3 * n))
+    workers = draw(st.integers(1, 5))
+    owner_of = draw(st.lists(st.integers(0, workers - 1),
+                             min_size=n, max_size=n))
+    source = draw(st.integers(0, n - 1))
+    return Graph(n, edges), owner_of, workers, source
+
+
+def _assert_same_rounds(driver_args, graph, owner_of, workers, rounds=None):
+    """Scalar and kernel executors agree on every round's ``RoundStats``."""
+    scalar = ScalarRounds(make_mapreduce_round(*driver_args, graph), graph,
+                          owner_of, workers)
+    driver = make_mapreduce_round(*driver_args, graph)
+    kernel = mapreduce_kernel_class(driver)(driver, graph, owner_of, workers)
+    for wid in range(workers):
+        assert kernel.partition_size(wid) == scalar.partition_size(wid)
+        assert (kernel.initial_state_bytes(wid)
+                == scalar.initial_state_bytes(wid))
+    limit = rounds if rounds is not None else graph.num_vertices + 2
+    for round_index in range(limit):
+        expected = scalar.run_round(round_index)
+        assert kernel.run_round(round_index) == expected, round_index
+        if expected.converged and rounds is None:
+            break
+    assert kernel.final_state_bytes() == scalar.final_state_bytes()
+    assert kernel.output() == scalar.output()
+
+
+class TestRoundOracle:
+    """The kernel executors replay the scalar rounds one by one."""
+
+    @settings(max_examples=150, deadline=None)
+    @given(round_cases())
+    @example((Graph(6, [(1, 2), (2, 3), (4, 5)]), [0, 1, 0, 1, 0, 1], 2, 0))
+    @example((Graph(5, [(0, 0), (0, 1), (1, 1), (3, 4)]), [0] * 5, 1, 0))
+    @example((Graph(7, [(0, 1), (1, 2), (2, 0), (0, 3), (5, 6), (6, 5)]),
+              [0, 1, 2, 0, 1, 2, 0], 3, 5))
+    def test_bfs_rounds(self, case):
+        graph, owner_of, workers, source = case
+        _assert_same_rounds(("bfs", {"source": source}), graph, owner_of,
+                            workers)
+
+    def test_bfs_keeps_running_past_convergence(self):
+        # Extra rounds after the frontier empties change nothing.
+        graph = Graph(8, [(i, i + 1) for i in range(5)] + [(2, 0), (7, 7)])
+        _assert_same_rounds(("bfs", {"source": 0}), graph,
+                            [v % 3 for v in range(8)], 3, rounds=12)
+
+    @settings(max_examples=60, deadline=None)
+    @given(round_cases())
+    def test_pagerank_rounds(self, case):
+        graph, owner_of, workers, _ = case
+        _assert_same_rounds(("pagerank", {"iterations": 5}), graph,
+                            owner_of, workers, rounds=5)
+
+    @settings(max_examples=60, deadline=None)
+    @given(round_cases())
+    def test_wcc_rounds(self, case):
+        graph, owner_of, workers, _ = case
+        _assert_same_rounds(("wcc", {}), graph, owner_of, workers)

@@ -13,6 +13,7 @@ primitives and the partitioner fast paths.
 from __future__ import annotations
 
 import math
+import sys
 import warnings
 
 import numpy as np
@@ -34,6 +35,8 @@ from repro.platforms.faults import FaultPlan, SlowNode, WorkerCrash
 from repro.platforms.gas.algorithms import BfsGas, make_gas_program
 from repro.platforms.gas.engine import PowerGraphPlatform
 from repro.platforms.gas.vectorized import gas_kernel_class
+from repro.platforms import vecops
+from repro.platforms.mapreduce.api import Record
 from repro.platforms.mapreduce.engine import HadoopPlatform
 from repro.platforms.pgxd.algorithms import (
     PageRankPushPull,
@@ -50,12 +53,11 @@ from repro.platforms.pregel.engine import GiraphPlatform
 from repro.platforms.pregel.vectorized import pregel_kernel_class
 from repro.platforms.vecops import (
     FOLD_CHUNK,
-    csr_rows_fold_add,
+    FoldPlan,
     expand_positions,
     fold_add,
     group_sizes,
     group_starts,
-    segmented_fold_add,
 )
 from repro.workloads.runner import WorkloadRunner, build_cluster
 from repro.workloads.spec import WorkloadSpec
@@ -364,6 +366,24 @@ class TestDispatch:
                 path = runner.platform(platform_name).last_engine_path
                 assert path == "vectorized", (platform_name, algo)
 
+    def test_job_life_matrix_stays_on_arrays(self, monkeypatch):
+        # The matrix's output and record bytes are counted off arrays: a
+        # state dtype that falls back to per-element ``str`` fails here.
+        def per_element(*args, **kwargs):
+            raise AssertionError("per-element text accounting")
+
+        oracle = vecops.output_text_bytes
+        for module in list(sys.modules.values()):
+            if getattr(module, "output_text_bytes", None) is oracle:
+                monkeypatch.setattr(module, "output_text_bytes", per_element)
+        monkeypatch.setattr(Record, "encoded_size", per_element)
+        runner = WorkloadRunner()
+        for platform_name in _PLATFORMS:
+            for algo in ("bfs", "pagerank"):
+                runner.run(WorkloadSpec(platform_name, algo, "dg-tiny"))
+                path = runner.platform(platform_name).last_engine_path
+                assert path == "vectorized", (platform_name, algo)
+
     def test_resolve_rejects_unknown_mode(self):
         with pytest.raises(PlatformError):
             resolve_engine_mode("turbo", True, "Giraph", "bfs")
@@ -399,7 +419,7 @@ class TestVecops:
         arr = np.asarray(values, dtype=np.float64)
         starts = np.concatenate(
             ([0], np.cumsum(lens)[:-1])).astype(np.int64)
-        out = segmented_fold_add(arr, starts)
+        out = FoldPlan(starts, len(arr))(arr)
         offset = 0
         for i, length in enumerate(lens):
             acc = 0.0
@@ -407,6 +427,38 @@ class TestVecops:
                 acc += x
             assert out[i] == acc
             offset += length
+
+    @given(st.data())
+    @settings(max_examples=40, deadline=None)
+    def test_fold_plan_reused_over_values_and_placed_in_rows(self, data):
+        # One plan folds several value arrays; segment i lands in
+        # out[rows[i]] and every other row stays +0.0.  Signed zeros
+        # are compared by repr: the folds start from +0.0.
+        lens = data.draw(st.lists(
+            st.integers(0, FOLD_CHUNK + 8), max_size=10))
+        size = len(lens) + data.draw(st.integers(0, 3))
+        rows = data.draw(st.permutations(range(size)))[:len(lens)]
+        starts = np.concatenate(
+            ([0], np.cumsum(lens)[:-1])).astype(np.int64)[:len(lens)]
+        plan = FoldPlan(starts, sum(lens), np.asarray(rows, dtype=np.int64),
+                        size)
+        element = st.one_of(
+            st.floats(min_value=-1e6, max_value=1e6, width=64),
+            st.sampled_from([0.0, -0.0]))
+        for _ in range(2):
+            values = data.draw(st.lists(element, min_size=sum(lens),
+                                        max_size=sum(lens)))
+            expected = [0.0] * size
+            offset = 0
+            for row, length in zip(rows, lens):
+                acc = 0.0
+                for x in values[offset:offset + length]:
+                    acc += x
+                expected[row] = acc
+                offset += length
+            out = plan(np.asarray(values, dtype=np.float64))
+            assert [repr(v) for v in out.tolist()] == [
+                repr(v) for v in expected]
 
     def test_non_finite_folds_match_python_silently(self):
         # inf + -inf is nan and 1e308 + 1e308 is inf in a Python fold;
@@ -418,24 +470,23 @@ class TestVecops:
             warnings.simplefilter("error", RuntimeWarning)
             assert math.isnan(fold_add(np.asarray(short)))
             assert fold_add(np.asarray([1e308, 1e308])) == inf
-            out = segmented_fold_add(np.asarray(short + hub),
-                                     np.asarray([0, len(short)]))
-            rows = csr_rows_fold_add(
-                np.asarray([1e308, 1e308, inf, -inf]),
-                np.asarray([0, 2, 2, 4]))
+            out = FoldPlan(np.asarray([0, len(short)]),
+                           len(short + hub))(np.asarray(short + hub))
+            rows = FoldPlan.of_csr(np.asarray([0, 2, 2, 4]))(
+                np.asarray([1e308, 1e308, inf, -inf]))
         assert math.isnan(out[0]) and math.isnan(out[1])
         assert rows[0] == inf and rows[1] == 0.0 and math.isnan(rows[2])
 
-    def test_csr_rows_fold_add_scatters_empty_rows(self):
+    def test_csr_fold_plan_scatters_empty_rows(self):
         # Rows: [], [1, 2], [], [], [3], [] — empty first, middle, last.
         indptr = np.array([0, 0, 2, 2, 2, 3, 3], dtype=np.int64)
         values = np.array([0.1, 0.2, 0.3], dtype=np.float64)
-        out = csr_rows_fold_add(values, indptr)
+        out = FoldPlan.of_csr(indptr)(values)
         assert out.tolist() == [0.0, 0.1 + 0.2, 0.0, 0.0, 0.3, 0.0]
-        assert csr_rows_fold_add(
-            np.empty(0), np.zeros(4, dtype=np.int64)).tolist() == [0.0] * 3
-        assert len(csr_rows_fold_add(
-            np.empty(0), np.zeros(1, dtype=np.int64))) == 0
+        assert FoldPlan.of_csr(np.zeros(4, dtype=np.int64))(
+            np.empty(0)).tolist() == [0.0] * 3
+        assert len(FoldPlan.of_csr(np.zeros(1, dtype=np.int64))(
+            np.empty(0))) == 0
 
     def test_group_starts_and_sizes(self):
         keys = np.array([3, 3, 5, 9, 9, 9], dtype=np.int64)
