@@ -15,6 +15,7 @@ from typing import Iterable, Iterator, List, Optional, Sequence, Tuple
 import numpy as np
 
 from repro.errors import ClusterError
+from repro.graph.csr import group_starts
 
 
 @dataclass(frozen=True)
@@ -125,20 +126,54 @@ class CpuAccount:
         if t1 < t0:
             raise ClusterError(f"invalid sample window [{t0}, {t1})")
         n = int(math.ceil((t1 - t0) / step)) if t1 > t0 else 0
-        # All windows at once; the fold over intervals stays sequential
-        # so each window accumulates in insertion order (bit-identical
-        # to summing overlap() per window).
         lo = t0 + np.arange(n, dtype=np.float64) * step
         hi = np.minimum(lo + step, t1)
         width = hi - lo
-        cpu = np.zeros(n, dtype=np.float64)
-        for iv in self._intervals:
-            span = np.minimum(iv.end, hi) - np.maximum(iv.start, lo)
-            cpu += np.where(span > 0.0, iv.cores * span, 0.0)
+        cpu = self._fold_windows(lo, hi)
         values = np.divide(cpu, width, out=np.zeros(n, dtype=np.float64),
                            where=width > 0)
         return UsageSeries(times=lo.tolist(), values=values.tolist(),
                            step=step)
+
+    def _fold_windows(self, lo: np.ndarray, hi: np.ndarray) -> np.ndarray:
+        """CPU seconds per window ``[lo[w], hi[w])``.
+
+        Each window sums ``cores * overlap`` of the intervals overlapping
+        it, as a left fold from ``+0.0`` in insertion order: exactly
+        what adding every interval's overlap to every window, one
+        interval at a time, computes (non-overlapping intervals add
+        ``0.0``, which changes no non-negative sum).  The bounds are
+        non-decreasing, so each interval's windows are one range found
+        by ``searchsorted``, and the folds run as one planned segmented
+        fold.
+        """
+        # Imported here: repro.platforms imports the cluster package.
+        from repro.platforms.vecops import FoldPlan, stable_key_sort
+
+        n = len(lo)
+        ivs = self._intervals
+        if not n or not ivs:
+            return np.zeros(n, dtype=np.float64)
+        start = np.array([iv.start for iv in ivs], dtype=np.float64)
+        end = np.array([iv.end for iv in ivs], dtype=np.float64)
+        cores = np.array([iv.cores for iv in ivs], dtype=np.float64)
+        first = np.searchsorted(hi, start, side="right")
+        count = np.maximum(np.searchsorted(lo, end, side="left") - first, 0)
+        iv = np.repeat(np.arange(len(ivs), dtype=np.int64), count)
+        win = (np.arange(len(iv), dtype=np.int64)
+               + np.repeat(first - (np.cumsum(count) - count), count))
+        span = np.minimum(end[iv], hi[win]) - np.maximum(start[iv], lo[win])
+        keep = span > 0.0
+        win = win[keep]
+        if not len(win):
+            return np.zeros(n, dtype=np.float64)
+        contrib = cores[iv[keep]] * span[keep]
+        # Pairs come interval-major; a stable order by window keeps each
+        # window's intervals in insertion order.
+        order, win = stable_key_sort(win, n)
+        starts = group_starts(win)
+        return FoldPlan(starts, len(win), rows=win[starts],
+                        size=n)(contrib[order])
 
     def by_tag(self) -> dict:
         """CPU seconds aggregated per tag."""

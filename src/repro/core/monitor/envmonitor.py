@@ -10,6 +10,8 @@ from __future__ import annotations
 
 from typing import Dict, List, Optional
 
+import numpy as np
+
 from repro.cluster.cluster import Cluster
 from repro.cluster.cpu import UsageSeries, merge_series
 from repro.core.monitor.records import EnvSample
@@ -54,11 +56,23 @@ class EnvironmentMonitor:
 
     @staticmethod
     def flatten(series: Dict[str, UsageSeries]) -> List[EnvSample]:
-        """:meth:`samples` of a window already taken by :meth:`sample_window`."""
-        out = [EnvSample(ts, name, value)
-               for name in sorted(series) for ts, value in series[name]]
-        out.sort(key=lambda s: (s.timestamp, s.node))
-        return out
+        """:meth:`samples` of a window already taken by :meth:`sample_window`.
+
+        Ordered by (timestamp, node): a stable sort of the timestamps
+        over the series concatenated in node-name order.
+        """
+        names = sorted(series)
+        times: List[float] = []
+        values: List[float] = []
+        nodes: List[str] = []
+        for name in names:
+            one = series[name]
+            times += one.times
+            values += one.values
+            nodes += [name] * len(one.times)
+        order = np.argsort(np.array(times, dtype=np.float64), kind="stable")
+        return [EnvSample(times[i], nodes[i], values[i])
+                for i in order.tolist()]
 
     def cluster_series(
         self,

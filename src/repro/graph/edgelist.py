@@ -265,6 +265,22 @@ class EdgeList:
                 f"num_edges={self.num_edges})")
 
 
+def edge_list_size_bytes(graph: Graph) -> int:
+    """``EdgeList.from_graph(graph).text_size_bytes()`` in O(n) for the
+    sources: the edge-list counterpart of
+    :func:`repro.graph.vertexstore.vertex_store_size_bytes`.
+
+    Vertex ``v`` starts ``out_degree(v)`` lines, so the source column's
+    digits are each vertex id's digit count weighted by its out-degree;
+    the destination column is counted off the CSR indices.
+    """
+    csr = graph.csr()
+    ids = np.arange(graph.num_vertices, dtype=np.int64)
+    source_digits = int(np.dot(int_text_lengths(ids), csr.out_degrees()))
+    return (source_digits + int_text_size(csr.indices)
+            + 2 * len(csr.indices))
+
+
 def render_edge_list(edge_list: EdgeList) -> str:
     """Render as one ``"src dst\\n"`` line per edge."""
     return "".join(f"{src} {dst}\n" for src, dst in edge_list.edges)

@@ -9,7 +9,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
-from typing import Dict, List, Union
+from typing import List, Mapping, Union
 
 Number = Union[int, float]
 
@@ -43,8 +43,8 @@ class ValidationReport:
 
 
 def compare_exact(
-    expected: Dict[int, Number],
-    actual: Dict[int, Number],
+    expected: Mapping[int, Number],
+    actual: Mapping[int, Number],
     max_reported: int = 10,
 ) -> ValidationReport:
     """Exact per-vertex equality (BFS levels, WCC/CDLP labels)."""
@@ -62,8 +62,8 @@ def compare_exact(
 
 
 def compare_numeric(
-    expected: Dict[int, float],
-    actual: Dict[int, float],
+    expected: Mapping[int, float],
+    actual: Mapping[int, float],
     rel_tol: float = 1e-6,
     abs_tol: float = 1e-9,
     max_reported: int = 10,

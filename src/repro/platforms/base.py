@@ -4,7 +4,11 @@ from __future__ import annotations
 
 import abc
 from dataclasses import dataclass, field
-from typing import TYPE_CHECKING, Any, Dict, List, Optional
+from typing import (
+    TYPE_CHECKING, Any, Dict, Iterator, List, Mapping, Optional,
+)
+
+import numpy as np
 
 from repro.cluster.cluster import Cluster
 from repro.errors import PlatformError
@@ -68,6 +72,61 @@ class JobRequest:
     job_id: str = ""
 
 
+class VertexValues(Mapping[int, Any]):
+    """A job's per-vertex output ``{v: values[v]}`` over a value array.
+
+    Equal to ``dict(enumerate(values.tolist()))`` in every mapping
+    operation (lookup, ``get``, ``in``, ``len``, iteration order,
+    equality) but built from the array only when a value is first read:
+    the pipeline counts, logs and archives a job without reading its
+    output, so a job pays nothing for it.  The array is a private
+    read-only copy.
+    """
+
+    __slots__ = ("_array", "_values")
+
+    def __init__(self, values: np.ndarray):
+        array = np.array(values)
+        array.flags.writeable = False
+        self._array = array
+        self._values: Optional[List[Any]] = None
+
+    def _vertex(self, key: Any) -> Optional[int]:
+        """The vertex id a dict would find ``key`` under, or None.
+
+        A dict finds ``key`` under the id ``v`` iff ``hash(key) ==
+        hash(v)`` and ``key == v``; ``hash(v) == v`` for every id, so
+        the one candidate is ``hash(key)`` itself.  That gives ``1.0``,
+        ``True`` and numpy integers their dict behaviour, and raises
+        TypeError for unhashable keys.
+        """
+        v = hash(key)
+        return v if 0 <= v < len(self._array) and key == v else None
+
+    def __getitem__(self, key: Any) -> Any:
+        v = self._vertex(key)
+        if v is None:
+            raise KeyError(key)
+        if self._values is None:
+            self._values = self._array.tolist()
+        return self._values[v]
+
+    def __contains__(self, key: Any) -> bool:
+        return self._vertex(key) is not None
+
+    def __len__(self) -> int:
+        return len(self._array)
+
+    def __iter__(self) -> Iterator[int]:
+        return iter(range(len(self._array)))
+
+    def __repr__(self) -> str:
+        return f"VertexValues({dict(self)!r})"
+
+    def __reduce__(self):
+        return (VertexValues, (self._array,))
+
+
 @dataclass
 class JobResult:
     """Outcome of a platform job.
@@ -76,7 +135,8 @@ class JobResult:
         job_id: the id the platform assigned.
         algorithm: echo of the request.
         dataset: echo of the request.
-        output: per-vertex results (levels, ranks, labels, ...).
+        output: per-vertex results (levels, ranks, labels, ...); the
+            vectorized engines return a :class:`VertexValues`.
         started_at: simulated job start time.
         finished_at: simulated job end time.
         log_lines: GRANULA-format platform log of the run.
@@ -86,7 +146,7 @@ class JobResult:
     job_id: str
     algorithm: str
     dataset: str
-    output: Dict[int, Any]
+    output: Mapping[int, Any]
     started_at: float
     finished_at: float
     log_lines: List[str] = field(default_factory=list)

@@ -21,17 +21,18 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Any, Dict, List, Optional, Tuple
 
+import numpy as np
+
 from repro.cache import content_key, default_cache
 from repro.cluster.cluster import Cluster
 from repro.cluster.node import Node
 from repro.cluster.provisioning import MpiLauncher
 from repro.errors import JobFailedError, PartitionError, PlatformError
-from repro.graph.edgelist import EdgeList
+from repro.graph.edgelist import EdgeList, edge_list_size_bytes
 from repro.graph.graph import Graph
 from repro.graph.partition.vertexcut import (
     VertexCut,
     cut_from_arrays,
-    cut_to_arrays,
     greedy_vertex_cut,
     random_vertex_cut,
 )
@@ -104,7 +105,7 @@ class PowerGraphPlatform(Platform):
             raise PlatformError("dataset name must be non-empty")
         edge_list = EdgeList.from_graph(graph)
         path = f"/data/{name}.el"
-        size = edge_list.text_size_bytes()
+        size = edge_list_size_bytes(graph)
         self.cluster.shared_fs.put(path, size, payload=edge_list)
         self._datasets[name] = _Deployed(path, graph, edge_list, size)
         self._cut_cache = {
@@ -121,8 +122,11 @@ class PowerGraphPlatform(Platform):
         carry a ``content_key``; the derived cut is then itself
         content-addressed (graph key + partition count + ingress) in the
         artifact cache, so the ~seconds-long greedy streaming pass runs
-        once per machine.  Cache hits come back as lazy array-backed cuts
-        that behave identically to freshly computed ones.
+        once per machine.  A cut's edges are the graph's CSR edges, so
+        the entry holds only what the partitioner decided: ``part`` in
+        the narrowest unsigned dtype that holds ``parts - 1``, and the
+        replica ``pairs``.  An entry whose ``part`` does not cover the
+        graph's edges is a miss.
         """
         graph_key = getattr(graph, "content_key", None)
         key = None
@@ -132,28 +136,32 @@ class PowerGraphPlatform(Platform):
                 "graph": graph_key,
                 "parts": num_ranks,
                 "ingress": self.ingress,
-                # Bump when the partitioning heuristic changes.
-                "impl": 1,
+                # Bump when the partitioning heuristic or the entry's
+                # layout changes.
+                "impl": 2,
             })
             cache = default_cache()
             arrays = cache.get(key)
-            if arrays is not None and \
-                    {"src", "dst", "part", "pairs"} <= set(arrays):
+            if arrays is not None and {"part", "pairs"} <= set(arrays):
+                csr = graph.csr()
                 try:
                     return cut_from_arrays(
-                        num_ranks, arrays["src"], arrays["dst"],
+                        num_ranks, csr.sources(), csr.indices,
                         arrays["part"], arrays["pairs"],
                     )
                 except PartitionError:
-                    pass  # Stale/foreign entry: recompute below.
+                    pass  # Stale/foreign entry (e.g. a part column
+                    # that does not cover the edges): recompute below.
         if self.ingress == "greedy":
             cut = greedy_vertex_cut(graph, num_ranks)
         else:
             cut = random_vertex_cut(graph, num_ranks)
         if key is not None:
+            part_dtype = np.min_scalar_type(num_ranks - 1)
             try:
                 cache.put(
-                    key, cut_to_arrays(cut),
+                    key, {"part": cut.part.astype(part_dtype),
+                          "pairs": cut.pairs},
                     kind="vertex-cut",
                     params={"graph": graph_key, "parts": num_ranks,
                             "ingress": self.ingress},

@@ -36,6 +36,7 @@ from repro.graph.algorithms.sssp import INFINITY, default_weight
 from repro.graph.edgelist import int_text_size, text_size
 from repro.graph.graph import Graph
 from repro.graph.partition.vertexcut import VertexCut
+from repro.platforms.base import VertexValues
 from repro.platforms.gas.algorithms import (
     BfsGas,
     CdlpGas,
@@ -52,6 +53,7 @@ from repro.platforms.vecops import (
     group_sizes,
     group_starts,
     stable_key_order,
+    stable_key_sort,
     vertex_set,
 )
 
@@ -136,18 +138,28 @@ class VectorizedSyncGasEngine:
         self.masters = masters
         self.rep_minus1 = rep_minus1
 
+        # A cut's edges come in the graph's source-ascending order.
+        by_src = bool(np.all(e_src[1:] >= e_src[:-1]))
+
         # Gather arrangement: rows in stable (vertex, part) order, so
         # ties keep the scalar per-rank neighbor-list order (edge-list
-        # order within each vertex).
+        # order within each vertex).  The key packs the part into the
+        # low ``b`` bits (``2**b >= R``), so the sorted keys hold each
+        # row's vertex and part; ``"in"`` rows' neighbors (the sources)
+        # never decrease, so sorted beside the key they need no gather.
         g_v, g_u, g_p = _orient(
             e_src, e_dst, e_part, program.gather_direction, "gather"
         )
-        g_key = g_v * R + g_p
-        order = stable_key_order(g_key, n * R)
-        g_key = g_key[order]
-        self.g_v = g_v = g_v[order]
-        self.g_u = g_u[order]
-        self.g_p = g_p[order]
+        b = (R - 1).bit_length()
+        g_key = (g_v << b) | g_p
+        if program.gather_direction == "in" and by_src:
+            g_u, g_key = stable_key_sort(g_key, n << b, rows=g_u)
+        else:
+            order, g_key = stable_key_sort(g_key, n << b)
+            g_u = g_u[order]
+        self.g_v = g_v = g_key >> b
+        self.g_u = g_u
+        self.g_p = g_key & ((1 << b) - 1)
         g_deg = np.bincount(g_v, minlength=n)
         self.g_deg = g_deg
         self.g_indptr = np.zeros(n + 1, dtype=np.int64)
@@ -158,14 +170,17 @@ class VectorizedSyncGasEngine:
         pairs_per_v = np.bincount(g_v[pair_starts], minlength=n)
         self.gather_sync_w = np.maximum(pairs_per_v - 1, 0)
 
-        # Scatter arrangement, grouped by vertex.
+        # Scatter arrangement, grouped by vertex: ``"out"`` rows already
+        # are; ``"in"`` and ``"both"`` need the sort.
         s_v, s_u, s_p = _orient(
             e_src, e_dst, e_part, program.scatter_direction, "scatter"
         )
-        order = stable_key_order(s_v, n)
-        self.s_u = s_u[order]
-        self.s_p = s_p[order]
-        s_deg = np.bincount(s_v[order], minlength=n)
+        if program.scatter_direction != "out" or not by_src:
+            order = stable_key_order(s_v, n)
+            s_v, s_u, s_p = s_v[order], s_u[order], s_p[order]
+        self.s_u = s_u
+        self.s_p = s_p
+        s_deg = np.bincount(s_v, minlength=n)
         self.s_deg = s_deg
         self.s_indptr = np.zeros(n + 1, dtype=np.int64)
         np.cumsum(s_deg, out=self.s_indptr[1:])
@@ -176,7 +191,7 @@ class VectorizedSyncGasEngine:
         self._all = np.arange(n, dtype=np.int64)
         self.iteration = 0
         self.finished = False
-        self._output: Optional[Dict[int, Any]] = None
+        self._output: Optional[VertexValues] = None
         self._post_init()
 
     # -- program-specific hooks -------------------------------------------
@@ -306,10 +321,10 @@ class VectorizedSyncGasEngine:
         """Per-vertex ``program.output_value`` (subclass hook)."""
         return self.values
 
-    def output(self) -> Dict[int, Any]:
-        """Final per-vertex output (native Python values, cached)."""
+    def output(self) -> VertexValues:
+        """Final per-vertex output (cached)."""
         if self._output is None:
-            self._output = dict(enumerate(self._output_values().tolist()))
+            self._output = VertexValues(self._output_values())
         return self._output
 
     def output_text_bytes(self) -> int:
@@ -430,13 +445,10 @@ class _CdlpEngine(VectorizedSyncGasEngine):
         if m == 0:
             return new
         labels = self.values[self.e_src]
-        key = self.e_dst * np.int64(self.n) + labels
-        order = stable_key_order(key, self.n * self.n)
-        by_dst = self.e_dst[order]
-        by_lab = labels[order]
-        run_starts = group_starts(key[order])
-        run_dst = by_dst[run_starts]
-        run_lab = by_lab[run_starts]
+        n = np.int64(self.n)
+        _, key = stable_key_sort(self.e_dst * n + labels, self.n * self.n)
+        run_starts = group_starts(key)
+        run_dst, run_lab = np.divmod(key[run_starts], n)
         run_cnt = group_sizes(run_starts, m)
         dst_starts = group_starts(run_dst)
         best = np.maximum.reduceat(run_cnt, dst_starts)

@@ -10,7 +10,7 @@ the whole region.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Any, List, Optional
+from typing import Any, Dict, List, Optional
 
 from repro import logformat
 from repro.cluster.clock import SimClock
@@ -39,7 +39,17 @@ class OpenOperation:
 
 
 class GranulaLogWriter:
-    """Builds a job's GRANULA platform log line by line."""
+    """Builds a job's GRANULA platform log line by line.
+
+    Each event kind is written by one f-string in the canonical field
+    order of :func:`repro.logformat.format_line` (``ts job event uid``,
+    then the rest sorted), which stays the grammar's definition: every
+    line equals ``format_line`` of its fields.  Timestamps are rendered
+    ``%.6f`` (digits, ``.``, ``-``, ``inf``, ``nan``), which never needs
+    quoting; uids are the writer's own ``opNNNNN``; the job id is quoted
+    once, and missions, actors, names and values are quoted once per
+    distinct text.
+    """
 
     def __init__(self, job_id: str, clock: SimClock):
         if not job_id:
@@ -49,10 +59,17 @@ class GranulaLogWriter:
         self.lines: List[str] = []
         self._counter = 0
         self._open: dict = {}
+        self._job = logformat.quote_value(job_id)
+        #: Quoted form of each text seen.  Keyed by the text, never by
+        #: the value: ``1``, ``1.0`` and ``True`` are equal dict keys.
+        self._quoted: Dict[str, str] = {}
 
-    def _emit(self, **fields: Any) -> None:
-        fields["job"] = self.job_id
-        self.lines.append(logformat.format_line(fields))
+    def _quote(self, value: Any) -> str:
+        text = str(value)
+        quoted = self._quoted.get(text)
+        if quoted is None:
+            quoted = self._quoted[text] = logformat.quote_value(text)
+        return quoted
 
     def start(
         self,
@@ -68,9 +85,10 @@ class GranulaLogWriter:
         parent_uid = parent.uid if parent is not None else logformat.NO_PARENT
         op = OpenOperation(uid, mission, actor, parent_uid, started)
         self._open[uid] = op
-        self._emit(
-            ts=f"{started:.6f}", event=logformat.EVENT_START, uid=uid,
-            parent=parent_uid, mission=mission, actor=actor,
+        self.lines.append(
+            f"GRANULA ts={started:.6f} job={self._job} event=start "
+            f"uid={uid} actor={self._quote(actor)} "
+            f"mission={self._quote(mission)} parent={parent_uid}"
         )
         return op
 
@@ -84,7 +102,9 @@ class GranulaLogWriter:
                 f"operation {op.uid} ends at {ended} before start {op.started_at}"
             )
         op.closed = True
-        self._emit(ts=f"{ended:.6f}", event=logformat.EVENT_END, uid=op.uid)
+        self.lines.append(
+            f"GRANULA ts={ended:.6f} job={self._job} event=end uid={op.uid}"
+        )
 
     def info(
         self,
@@ -95,9 +115,10 @@ class GranulaLogWriter:
     ) -> None:
         """Emit an ``info`` line attached to an operation."""
         stamp = self.clock.now() if ts is None else ts
-        self._emit(
-            ts=f"{stamp:.6f}", event=logformat.EVENT_INFO, uid=op.uid,
-            name=name, value=value,
+        self.lines.append(
+            f"GRANULA ts={stamp:.6f} job={self._job} event=info "
+            f"uid={op.uid} name={self._quote(name)} "
+            f"value={self._quote(value)}"
         )
 
     def span(

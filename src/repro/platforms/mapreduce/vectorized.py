@@ -41,6 +41,7 @@ import numpy as np
 from repro.graph.algorithms.bfs import UNREACHED
 from repro.graph.edgelist import text_lengths
 from repro.graph.graph import Graph
+from repro.platforms.base import VertexValues
 from repro.platforms.mapreduce.algorithms import (
     BfsMapReduce,
     PageRankMapReduce,
@@ -52,6 +53,7 @@ from repro.platforms.vecops import (
     expand_positions,
     fold_add,
     stable_key_order,
+    stable_key_sort,
 )
 
 #: Sentinel larger than any WCC label.
@@ -222,9 +224,9 @@ class _KernelRounds:
     def final_state_bytes(self) -> int:
         return int(self._record_bytes(self.states).sum())
 
-    def output(self) -> Dict[int, Any]:
+    def output(self) -> VertexValues:
         # The built-in drivers output their final state as it is.
-        return dict(enumerate(self.states.tolist()))
+        return VertexValues(self.states)
 
 
 class _BfsRounds(_KernelRounds):
@@ -329,8 +331,8 @@ class _PageRankRounds(_KernelRounds):
         e_src = graph.csr().sources()
         e_src_owner = self.owner[e_src]
         e_dst_owner = self.owner[self.indices]
-        order = stable_key_order(self.indices * W + e_src_owner, self.n * W)
-        self.pr_src = e_src[order]
+        self.pr_src, _ = stable_key_sort(
+            self.indices * W + e_src_owner, self.n * W, rows=e_src)
         #: Mailbox folds: one row per destination, as in the in-CSR.
         self.mailboxes = FoldPlan.of_csr(graph.in_csr().indptr)
         self.dangling_idx = np.flatnonzero(self.deg == 0)

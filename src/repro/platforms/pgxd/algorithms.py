@@ -14,7 +14,7 @@ from __future__ import annotations
 
 import abc
 from dataclasses import dataclass
-from typing import Any, Dict, List, Sequence, Set
+from typing import Any, Dict, List, Optional, Sequence, Set, Type
 
 from repro.errors import PlatformError
 from repro.graph.algorithms.bfs import UNREACHED
@@ -198,16 +198,21 @@ class WccPushPull(PushPullProgram):
         return dict(self.labels)
 
 
+def check_pagerank_params(iterations: int, damping: float) -> None:
+    """Reject PageRank parameters no driver can run."""
+    if iterations < 0:
+        raise PlatformError(f"negative iteration count: {iterations}")
+    if not (0.0 < damping < 1.0):
+        raise PlatformError(f"damping must lie in (0, 1): {damping}")
+
+
 class PageRankPushPull(PushPullProgram):
     """Pull-based PageRank (every iteration pulls over all in-edges)."""
 
     def __init__(self, graph: Graph, owner_of: Sequence[int],
                  iterations: int = 20, damping: float = 0.85):
         super().__init__(graph, owner_of)
-        if iterations < 0:
-            raise PlatformError(f"negative iteration count: {iterations}")
-        if not (0.0 < damping < 1.0):
-            raise PlatformError(f"damping must lie in (0, 1): {damping}")
+        check_pagerank_params(iterations, damping)
         self.iterations = iterations
         self.damping = damping
         n = graph.num_vertices
@@ -248,34 +253,48 @@ class PageRankPushPull(PushPullProgram):
 PGXD_ALGORITHMS = ("bfs", "pagerank", "wcc", "sssp")
 
 
+def pushpull_algorithm(algorithm: str) -> str:
+    """The PGX.D name of ``algorithm``; raises for one it does not run."""
+    name = algorithm.lower()
+    if name not in PGXD_ALGORITHMS:
+        raise PlatformError(
+            f"unknown algorithm {algorithm!r}; the PGX.D engine supports "
+            f"{PGXD_ALGORITHMS}"
+        )
+    return name
+
+
 def make_pushpull_program(
     algorithm: str,
     params: Dict[str, Any],
     graph: Graph,
     owner_of: Sequence[int],
+    kernel: Optional[Type[PushPullProgram]] = None,
 ) -> PushPullProgram:
-    """Instantiate the push-pull driver for ``algorithm``."""
-    name = algorithm.lower()
+    """Instantiate the push-pull driver for ``algorithm``.
+
+    ``kernel`` is the algorithm's vectorized driver class
+    (:func:`repro.platforms.pgxd.vectorized.pushpull_kernel_class`);
+    when given it is built in place of the scalar driver, from the same
+    checked parameters, so the scalar driver's per-vertex state is never
+    built.
+    """
+    name = pushpull_algorithm(algorithm)
     if name == "bfs":
         source = params.get("source", 0)
         if not (0 <= source < graph.num_vertices):
             raise PlatformError(f"BFS source {source} out of range")
-        return BfsPushPull(graph, owner_of, source)
+        return (kernel or BfsPushPull)(graph, owner_of, source)
     if name == "sssp":
         source = params.get("source", 0)
         if not (0 <= source < graph.num_vertices):
             raise PlatformError(f"SSSP source {source} out of range")
         return SsspPushPull(graph, owner_of, source,
                             weight=params.get("weight", default_weight))
-    if name == "wcc":
-        return WccPushPull(graph, owner_of)
     if name == "pagerank":
-        return PageRankPushPull(
+        return (kernel or PageRankPushPull)(
             graph, owner_of,
             iterations=params.get("iterations", 20),
             damping=params.get("damping", 0.85),
         )
-    raise PlatformError(
-        f"unknown algorithm {algorithm!r}; the PGX.D engine supports "
-        f"{PGXD_ALGORITHMS}"
-    )
+    return WccPushPull(graph, owner_of)  # "wcc", the last name left

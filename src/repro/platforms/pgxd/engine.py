@@ -26,7 +26,7 @@ import numpy as np
 from repro.cluster.cluster import Cluster
 from repro.cluster.node import Node
 from repro.errors import JobFailedError, PlatformError
-from repro.graph.edgelist import EdgeList
+from repro.graph.edgelist import edge_list_size_bytes
 from repro.graph.graph import Graph
 from repro.graph.partition.range_partition import range_partition
 from repro.platforms.base import (
@@ -37,7 +37,10 @@ from repro.platforms.base import (
 )
 from repro.platforms.costmodel import PgxdCostModel, execution_jitter
 from repro.platforms.logging_util import GranulaLogWriter
-from repro.platforms.pgxd.algorithms import make_pushpull_program
+from repro.platforms.pgxd.algorithms import (
+    make_pushpull_program,
+    pushpull_algorithm,
+)
 from repro.platforms.pgxd.vectorized import pushpull_kernel_class
 
 #: Safety bound on phases for quiescence drivers.
@@ -72,10 +75,9 @@ class PgxdPlatform(Platform):
         """Stage the graph as an edge file on the shared filesystem."""
         if not name:
             raise PlatformError("dataset name must be non-empty")
-        edge_list = EdgeList.from_graph(graph)
         path = f"/pgxd/{name}.el"
-        size = edge_list.text_size_bytes()
-        self.cluster.shared_fs.put(path, size, payload=edge_list)
+        size = edge_list_size_bytes(graph)
+        self.cluster.shared_fs.put(path, size)
         self._datasets[name] = _Deployed(path, graph, size)
 
     def run_job(self, request: JobRequest) -> JobResult:
@@ -83,17 +85,17 @@ class PgxdPlatform(Platform):
         deployed: _Deployed = self._require_dataset(request.dataset)
         graph = deployed.graph
         owner_of = range_partition(graph.num_vertices, request.workers)
-        program = make_pushpull_program(
-            request.algorithm, request.params, graph, owner_of
-        )
-        kernel_cls = pushpull_kernel_class(program)
+        kernel_cls = pushpull_kernel_class(
+            pushpull_algorithm(request.algorithm))
         use_vectorized = resolve_engine_mode(
             self.engine_mode, kernel_cls is not None, self.name,
             request.algorithm,
         )
         self.last_engine_path = "vectorized" if use_vectorized else "scalar"
-        if use_vectorized:
-            program = kernel_cls.from_program(program)
+        program = make_pushpull_program(
+            request.algorithm, request.params, graph, owner_of,
+            kernel=kernel_cls if use_vectorized else None,
+        )
         job_id = self._next_job_id(request)
 
         self.cluster.reset()

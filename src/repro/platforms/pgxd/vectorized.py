@@ -38,12 +38,13 @@ What stays scalar, and why:
 
 from __future__ import annotations
 
-from typing import Dict, List, Optional, Sequence, Set, Tuple, Type
+from typing import List, Optional, Sequence, Set, Tuple, Type
 
 import numpy as np
 
 from repro.graph.algorithms.bfs import UNREACHED
 from repro.graph.graph import Graph
+from repro.platforms.base import VertexValues
 from repro.platforms.pgxd.algorithms import (
     ALPHA,
     BETA,
@@ -51,6 +52,7 @@ from repro.platforms.pgxd.algorithms import (
     PageRankPushPull,
     PhaseResult,
     PushPullProgram,
+    check_pagerank_params,
 )
 from repro.platforms.vecops import FoldPlan, fold_add
 
@@ -70,12 +72,6 @@ class BfsPushPullKernel(BfsPushPull):
         self.levels_arr[source] = 0
         self.frontier: Set[int] = {source}
         self.unexplored_edges = graph.num_edges
-
-    @classmethod
-    def from_program(cls, program: BfsPushPull) -> "BfsPushPullKernel":
-        """Rebuild a freshly constructed scalar program as a kernel."""
-        source = next(iter(program.frontier))
-        return cls(program.graph, program.owner_of, source)
 
     def _frontier_out_edges(self) -> int:
         if not self.frontier:
@@ -151,8 +147,8 @@ class BfsPushPullKernel(BfsPushPull):
         return ([int(c) for c in counts], int(found.sum()),
                 set(newly.tolist()))
 
-    def output(self) -> Dict[int, int]:
-        return dict(enumerate(self.levels_arr.tolist()))
+    def output(self) -> VertexValues:
+        return VertexValues(self.levels_arr)
 
 
 class PageRankPushPullKernel(PageRankPushPull):
@@ -161,6 +157,7 @@ class PageRankPushPullKernel(PageRankPushPull):
     def __init__(self, graph: Graph, owner_of: Sequence[int],
                  iterations: int = 20, damping: float = 0.85):
         PushPullProgram.__init__(self, graph, owner_of)
+        check_pagerank_params(iterations, damping)
         self.iterations = iterations
         self.damping = damping
         n = graph.num_vertices
@@ -181,14 +178,6 @@ class PageRankPushPullKernel(PageRankPushPull):
         self._remote = int(np.count_nonzero(
             owner[self.in_src] != np.repeat(owner, in_deg)))
 
-    @classmethod
-    def from_program(
-        cls, program: PageRankPushPull
-    ) -> "PageRankPushPullKernel":
-        """Rebuild a freshly constructed scalar program as a kernel."""
-        return cls(program.graph, program.owner_of,
-                   iterations=program.iterations, damping=program.damping)
-
     def run_phase(self, phase_index: int) -> PhaseResult:
         n = self.graph.num_vertices
         ranks = self.ranks_arr
@@ -201,21 +190,22 @@ class PageRankPushPullKernel(PageRankPushPull):
         return PhaseResult("pull", list(self._edges), n, self._remote,
                            converged=phase_index + 1 >= self.iterations)
 
-    def output(self) -> Dict[int, float]:
-        return dict(enumerate(self.ranks_arr.tolist()))
+    def output(self) -> VertexValues:
+        return VertexValues(self.ranks_arr)
+
+
+#: Kernel class per algorithm name.
+_KERNELS = {"bfs": BfsPushPullKernel, "pagerank": PageRankPushPullKernel}
 
 
 def pushpull_kernel_class(
-    program: PushPullProgram,
+    algorithm: str,
 ) -> Optional[Type[PushPullProgram]]:
-    """The kernel for ``program``, or None when it must stay scalar.
+    """The kernel for a built-in ``algorithm``, or None when it must stay
+    scalar.
 
-    Dispatch is by exact type: subclasses and custom programs keep the
-    reference path.  Kernel classes are built from the freshly
-    constructed scalar program by their ``from_program``.
+    The platform runs built-in algorithms only, by name, so dispatch is
+    by name; :func:`make_pushpull_program` builds the kernel in place of
+    the scalar driver, from the same parameters.
     """
-    if type(program) is BfsPushPull:
-        return BfsPushPullKernel
-    if type(program) is PageRankPushPull:
-        return PageRankPushPullKernel
-    return None
+    return _KERNELS.get(algorithm.lower())

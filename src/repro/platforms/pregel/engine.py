@@ -20,7 +20,7 @@ result of running the vertex program.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Any, Dict, List, Optional, Tuple
+from typing import Any, Dict, List, Mapping, Optional, Tuple
 
 from repro.cluster.cluster import Cluster
 from repro.cluster.node import Node
@@ -144,9 +144,12 @@ class GiraphPlatform(Platform):
         writer.assert_all_closed()
         finished_at = clock.now()
 
-        output: Dict[int, Any] = {}
-        for worker in workers:
-            output.update(worker.output())
+        if use_vectorized:
+            output: Mapping[int, Any] = workers[0].worker_set.output()
+        else:
+            output = {}
+            for worker in workers:
+                output.update(worker.output())
         if len(output) != graph.num_vertices:
             raise JobFailedError(
                 f"{job_id}: output covers {len(output)} of "

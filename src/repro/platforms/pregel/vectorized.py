@@ -36,6 +36,7 @@ from repro.graph.algorithms.bfs import UNREACHED
 from repro.graph.algorithms.sssp import default_weight
 from repro.graph.edgelist import int_text_size, text_size
 from repro.graph.graph import Graph
+from repro.platforms.base import VertexValues
 from repro.platforms.pregel.aggregators import AggregatorRegistry
 from repro.platforms.pregel.algorithms import (
     BfsProgram,
@@ -54,6 +55,7 @@ from repro.platforms.vecops import (
     group_sizes as _group_sizes,
     group_starts as _group_starts,
     stable_key_order,
+    stable_key_sort,
 )
 
 
@@ -145,9 +147,8 @@ class _KernelBase:
         (sender worker, target worker) route.
         """
         W = self.W
-        key = dsts * W + sender_owner
-        order = stable_key_order(key, self.n * W)
-        sorted_key = key[order]
+        order, sorted_key = stable_key_sort(dsts * W + sender_owner,
+                                            self.n * W)
         pair_starts = _group_starts(sorted_key)
         pair_key = sorted_key[pair_starts]
         pair_dst = pair_key // W
@@ -322,11 +323,10 @@ class _PageRankKernel(_KernelBase):
         # are (dst, worker) runs in sender-vertex order, level-2 fold
         # segments group those runs per dst in worker order.  CSR edges
         # come src-ascending, so a stable (dst, worker) order keeps src
-        # ascending within each run.
-        key1 = e_dst * W + owner[e_src]
-        order = stable_key_order(key1, n * W)
-        self.g_src = e_src[order]
-        key1 = key1[order]
+        # ascending within each run, and sorting the sources beside the
+        # key reads them back in that order.
+        self.g_src, key1 = stable_key_sort(e_dst * W + owner[e_src], n * W,
+                                           rows=e_src)
         starts1 = _group_starts(key1)
         pair_key = key1[starts1]
         pair_dst = pair_key // W
@@ -427,15 +427,12 @@ class _CdlpKernel(_KernelBase):
     def _propagate(self) -> None:
         """One round of mode relabeling: per recipient, the most frequent
         incoming label, ties broken toward the smallest label."""
-        labels = self.values[self.rev_src]
-        key = self.rev_dst * np.int64(self.n) + labels
-        order = stable_key_order(key, self.n * self.n)
-        sorted_dst = self.rev_dst[order]
-        sorted_lab = labels[order]
-        run_starts = _group_starts(key[order])
-        run_dst = sorted_dst[run_starts]
-        run_lab = sorted_lab[run_starts]
-        run_cnt = _group_sizes(run_starts, len(sorted_dst))
+        n = np.int64(self.n)
+        _, key = stable_key_sort(self.rev_dst * n + self.values[self.rev_src],
+                                 self.n * self.n)
+        run_starts = _group_starts(key)
+        run_dst, run_lab = np.divmod(key[run_starts], n)
+        run_cnt = _group_sizes(run_starts, len(key))
         dst_starts = _group_starts(run_dst)
         best = np.maximum.reduceat(run_cnt, dst_starts)
         per_dst = _group_sizes(dst_starts, len(run_dst))
@@ -551,6 +548,10 @@ class VectorizedWorkerSet:
         self._next_superstep = superstep
         self._next_aggregated = aggregated
 
+    def output(self) -> VertexValues:
+        """The whole job's per-vertex output (every worker's slice)."""
+        return VertexValues(self.kernel.values)
+
     def compute(
         self, worker_id: int, aggregators: AggregatorRegistry
     ) -> SuperstepWork:
@@ -572,7 +573,7 @@ class VectorizedWorker:
         node_name: str,
         vertex_ids: np.ndarray,
     ):
-        self._set = worker_set
+        self.worker_set = worker_set
         self.worker_id = worker_id
         self.node_name = node_name
         self._vertex_ids = vertex_ids
@@ -580,16 +581,15 @@ class VectorizedWorker:
         self.owner_of = worker_set.owner
         self.program = worker_set.program
         self.incoming = IncomingStore()
-        self._output: Optional[Dict[int, Any]] = None
 
     def load_partition(self) -> None:
         """Vertex values live in the kernel; nothing to initialize."""
 
     def partition_bytes(self) -> int:
-        return self._set._partition_bytes[self.worker_id]
+        return self.worker_set._partition_bytes[self.worker_id]
 
     def begin_superstep(self, superstep: int, aggregated: Dict[str, Any]) -> None:
-        self._set.begin(superstep, aggregated)
+        self.worker_set.begin(superstep, aggregated)
 
     def compute_superstep(
         self,
@@ -599,22 +599,16 @@ class VectorizedWorker:
         # Messages are accounted by kernel counter arithmetic; the
         # engine-provided outgoing store stays empty and its flush
         # delivers nothing.
-        return self._set.compute(self.worker_id, aggregators)
+        return self.worker_set.compute(self.worker_id, aggregators)
 
     def has_pending_messages(self) -> bool:
-        return self._set.kernel.pending
+        return self.worker_set.kernel.pending
 
     def all_halted(self) -> bool:
-        return self._set.kernel.halted
-
-    def output(self) -> Dict[int, Any]:
-        if self._output is None:
-            values = self._set.kernel.values[self._vertex_ids].tolist()
-            self._output = dict(zip(self._vertex_ids.tolist(), values))
-        return self._output
+        return self.worker_set.kernel.halted
 
     def output_text_bytes(self) -> int:
         """Size of the ``"<vertex> <value>"`` lines this worker writes."""
         ids = self._vertex_ids
-        return (int_text_size(ids) + text_size(self._set.kernel.values[ids])
-                + 2 * len(ids))
+        values = self.worker_set.kernel.values[ids]
+        return int_text_size(ids) + text_size(values) + 2 * len(ids)

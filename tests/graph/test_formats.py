@@ -5,6 +5,7 @@ import pytest
 from repro.errors import GraphError
 from repro.graph.edgelist import (
     EdgeList,
+    edge_list_size_bytes,
     parse_edge_list,
     render_edge_list,
     split_edges,
@@ -16,6 +17,7 @@ from repro.graph.vertexstore import (
     split_vertex_lines,
     vertex_store_size_bytes,
 )
+from repro.workloads.datasets import build_dataset
 
 
 class TestEdgeList:
@@ -30,6 +32,23 @@ class TestEdgeList:
         g = Graph(12, [(0, 11), (10, 3)])
         el = EdgeList.from_graph(g)
         assert el.text_size_bytes() == len(render_edge_list(el))
+
+    @pytest.mark.parametrize("graph", [
+        Graph(0, []),
+        Graph(5, []),
+        Graph(12, [(0, 11), (10, 3), (10, 0), (11, 11)]),
+        Graph(1001, [(999, 1000), (1000, 7), (3, 999), (0, 1)]),
+    ])
+    def test_size_from_degrees_matches_render(self, graph):
+        # Isolated vertices start no line; the rest start one per edge.
+        text = render_edge_list(EdgeList.from_graph(graph))
+        assert edge_list_size_bytes(graph) == len(text)
+
+    def test_size_from_degrees_on_dg_tiny(self):
+        graph = build_dataset("dg-tiny")
+        edge_list = EdgeList.from_graph(graph)
+        assert edge_list_size_bytes(graph) == edge_list.text_size_bytes() \
+            == len(render_edge_list(edge_list))
 
     def test_parse_skips_comments_and_blanks(self):
         text = "# header\n\n0 1\n  \n1 0\n"

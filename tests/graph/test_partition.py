@@ -1,10 +1,12 @@
 """Unit tests for partitioning strategies and quality metrics."""
 
 import hashlib
+import shutil
 
 import numpy as np
 import pytest
 
+from repro.cache import CACHE_DIR_ENV, content_key, default_cache
 from repro.errors import PartitionError
 from repro.graph.generators import powerlaw_graph, uniform_random_graph
 from repro.graph.graph import Graph
@@ -20,7 +22,11 @@ from repro.graph.partition import (
 )
 from repro.graph.partition.metrics import partition_sizes
 from repro.graph.partition.vertexcut import cut_from_arrays, cut_to_arrays
+from repro.platforms.gas import engine as gas_engine
+from repro.platforms.gas.engine import PowerGraphPlatform
 from repro.workloads.datasets import build_dataset
+
+from tests.conftest import make_powergraph_cluster
 
 #: SHA-256 of each ``cut_to_arrays`` column (little-endian int64 bytes)
 #: of dg-tiny cut 8 ways, computed at commit 8146030, when a cut still
@@ -205,6 +211,85 @@ class TestCutColumns:
             cut_from_arrays(0, one, one, one, one)
         with pytest.raises(PartitionError):
             cut_from_arrays(2, one, np.zeros(2, dtype=np.int64), one, one)
+
+
+class TestCutCacheEntry:
+    """PowerGraph's artifact-cache entry of a cut holds only what the
+    partitioner decided (``part`` and ``pairs``); the edges come from
+    the graph."""
+
+    @pytest.fixture
+    def cache(self, tmp_path, monkeypatch):
+        monkeypatch.setenv(CACHE_DIR_ENV, str(tmp_path))
+        return default_cache()
+
+    @pytest.fixture
+    def partitioner_calls(self, monkeypatch):
+        calls = []
+
+        def counted(graph, parts):
+            calls.append(parts)
+            return greedy_vertex_cut(graph, parts)
+
+        monkeypatch.setattr(gas_engine, "greedy_vertex_cut", counted)
+        return calls
+
+    @staticmethod
+    def _load(graph, parts):
+        # A fresh platform holds no cut in memory: only the disk cache.
+        platform = PowerGraphPlatform(make_powergraph_cluster())
+        return platform._load_or_build_cut(graph, parts)
+
+    @staticmethod
+    def _entries(cache):
+        return [entry for entry in cache.ls() if entry.kind == "vertex-cut"]
+
+    @staticmethod
+    def _assert_is_the_fresh_cut(cut, graph, parts):
+        _assert_tables_are_the_columns(cut)
+        fresh = greedy_vertex_cut(graph, parts)
+        for name, column in cut_to_arrays(fresh).items():
+            assert getattr(cut, name).dtype == np.int64, name
+            assert np.array_equal(getattr(cut, name), column), name
+
+    @pytest.mark.parametrize("parts,dtype", [(8, np.uint8),
+                                             (257, np.uint16)])
+    def test_entry_rebuilds_the_fresh_cut(self, cache, dg_tiny,
+                                          partitioner_calls, parts, dtype):
+        self._load(dg_tiny, parts)
+        [entry] = self._entries(cache)
+        assert entry.arrays == ["pairs", "part"]
+        assert cache.get(entry.key)["part"].dtype == dtype
+        cut = self._load(dg_tiny, parts)
+        assert partitioner_calls == [parts]  # the second load hit
+        self._assert_is_the_fresh_cut(cut, dg_tiny, parts)
+
+    def test_wrong_length_entry_is_recomputed(self, cache, dg_tiny,
+                                              partitioner_calls):
+        self._load(dg_tiny, 8)
+        [entry] = self._entries(cache)
+        arrays = {name: np.array(column)
+                  for name, column in cache.get(entry.key).items()}
+        shutil.rmtree(entry.path)
+        cache.put(entry.key, {"part": arrays["part"][:-1],
+                              "pairs": arrays["pairs"]}, kind="vertex-cut")
+        cut = self._load(dg_tiny, 8)
+        assert partitioner_calls == [8, 8]
+        self._assert_is_the_fresh_cut(cut, dg_tiny, 8)
+
+    def test_impl_1_entry_is_not_read(self, cache, dg_tiny,
+                                      partitioner_calls):
+        # The layout before: full src/dst/part/pairs columns, impl 1.
+        old_key = content_key("vertex-cut", {
+            "graph": dg_tiny.content_key, "parts": 8, "ingress": "greedy",
+            "impl": 1})
+        cache.put(old_key, cut_to_arrays(greedy_vertex_cut(dg_tiny, 8)),
+                  kind="vertex-cut")
+        cut = self._load(dg_tiny, 8)
+        assert partitioner_calls == [8]
+        assert sorted(e.arrays for e in self._entries(cache)) == [
+            ["dst", "pairs", "part", "src"], ["pairs", "part"]]
+        self._assert_is_the_fresh_cut(cut, dg_tiny, 8)
 
 
 class TestMetrics:

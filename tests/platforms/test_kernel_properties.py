@@ -11,19 +11,33 @@ returns exactly what the code it replaced returned:
   and :func:`int_text_size` ≡ their sum;
 - :func:`float_text_lengths` ≡ ``len(str(x))`` over every float64 (its
   shortest round-trip repr), and :func:`text_size` ≡ their sum;
-- :func:`quote_value` ≡ ``quote(str(v), safe='')`` over arbitrary text.
+- :func:`quote_value` ≡ ``quote(str(v), safe='')`` over arbitrary text;
+- :func:`stable_key_sort` ≡ ``(rows[order], key[order])`` for
+  ``order = argsort(kind="stable")``;
+- every :class:`GranulaLogWriter` line ≡ :func:`format_line` of its
+  fields;
+- :class:`VertexValues` ≡ ``dict(enumerate(values.tolist()))``;
+- :meth:`CpuAccount.sample` ≡ the per-interval loop it replaced, and
+  :meth:`EnvironmentMonitor.flatten` ≡ a sort of the sample objects.
 """
 
 from __future__ import annotations
 
 import math
+import pickle
 import sys
 from urllib.parse import quote
 
 import numpy as np
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
+import pytest
 
+from repro import logformat
+from repro.cluster.clock import SimClock
+from repro.cluster.cpu import CpuAccount, UsageSeries
+from repro.core.monitor.envmonitor import EnvironmentMonitor
+from repro.core.monitor.records import EnvSample
 from repro.graph.algorithms.bfs import UNREACHED
 from repro.graph.csr import sorted_distinct
 from repro.graph.edgelist import (
@@ -34,7 +48,13 @@ from repro.graph.edgelist import (
     text_size,
 )
 from repro.logformat import format_line, quote_value
-from repro.platforms.vecops import stable_key_order, vertex_set
+from repro.platforms.base import VertexValues
+from repro.platforms.logging_util import GranulaLogWriter
+from repro.platforms.vecops import (
+    stable_key_order,
+    stable_key_sort,
+    vertex_set,
+)
 
 INT64_MIN, INT64_MAX = -2 ** 63, 2 ** 63 - 1
 
@@ -94,6 +114,47 @@ class TestStableKeyOrder:
             keys[::7] = 0
             assert np.array_equal(stable_key_order(keys, bound),
                                   np.argsort(keys, kind="stable"))
+
+
+class TestStableKeySort:
+    @settings(max_examples=200, deadline=None)
+    @given(_keys())
+    def test_equals_stable_argsort_and_gather(self, case):
+        keys, bound = case
+        order, sorted_keys = stable_key_sort(keys, bound)
+        expected = np.argsort(keys, kind="stable")
+        assert order.dtype == sorted_keys.dtype == np.int64
+        assert np.array_equal(order, expected)
+        assert np.array_equal(sorted_keys, keys[expected])
+
+    @settings(max_examples=200, deadline=None)
+    @given(_keys(), st.data())
+    def test_ascending_rows_come_back_in_sorted_order(self, case, data):
+        # Rows that never decrease (a CSR edge list's sources) read back
+        # as ``rows[order]``; equal rows may swap unseen.
+        keys, bound = case
+        steps = data.draw(st.lists(st.integers(0, 3), min_size=len(keys),
+                                   max_size=len(keys)))
+        rows = np.cumsum(np.array(steps, dtype=np.int64))
+        got_rows, sorted_keys = stable_key_sort(keys, bound, rows=rows)
+        expected = np.argsort(keys, kind="stable")
+        assert np.array_equal(got_rows, rows[expected])
+        assert np.array_equal(sorted_keys, keys[expected])
+
+    def test_wide_keys_and_trivial_inputs(self):
+        rng = np.random.default_rng(4)
+        keys = rng.integers(0, 2 ** 62, 300)
+        keys[::5] = 7
+        order, sorted_keys = stable_key_sort(keys, 2 ** 62)
+        assert np.array_equal(order, np.argsort(keys, kind="stable"))
+        assert np.array_equal(sorted_keys, np.sort(keys))
+        for keys, bound in ((np.array([3, 3, 3]), 1 + 3),
+                            (np.zeros(4, dtype=np.int64), 1),
+                            (np.array([9]), 10)):
+            order, sorted_keys = stable_key_sort(keys, bound)
+            assert order.tolist() == list(range(len(keys)))
+            assert sorted_keys.tolist() == keys.tolist()
+            assert sorted_keys is not keys
 
 
 class TestVertexSet:
@@ -249,3 +310,209 @@ class TestQuoteValue:
                             "uid": "u", "name": "a/b", "value": "50%"})
         assert line == ("GRANULA ts=1.5 job=j%201 event=info uid=u "
                         "name=a%2Fb value=50%25")
+
+
+# -- log lines ---------------------------------------------------------------
+
+#: Text the log grammar must quote: separators, the escape character,
+#: ``+`` (which ``unquote`` keeps) and non-ASCII characters.
+_LOG_TEXT = st.text(
+    alphabet=st.sampled_from(list("ab Z09_.-~%=+/&\tä漢🙂")), max_size=12)
+_TIMESTAMPS = st.floats(min_value=-1e9, max_value=1e12, allow_nan=False)
+_INFO_VALUES = st.one_of(
+    _LOG_TEXT, st.integers(), st.booleans(),
+    st.floats(allow_nan=True, allow_infinity=True))
+
+
+class TestLogWriterLines:
+    """Each event kind's f-string is :func:`format_line` of its fields."""
+
+    @settings(max_examples=300, deadline=None)
+    @given(_LOG_TEXT.filter(bool), st.data())
+    @example("job 1", None)
+    def test_lines_equal_format_line(self, job_id, data):
+        writer = GranulaLogWriter(job_id, SimClock())
+        expected = []
+        events = ([("start", "Job", "Client", 0.5, None),
+                   ("info", "Name", 1, 0.5, None),
+                   ("info", "Name", 1.0, 0.5, None),
+                   ("info", "Name", True, 0.5, None),
+                   ("end", None, None, 2.0, None)]
+                  if data is None else
+                  data.draw(st.lists(st.tuples(
+                      st.sampled_from(["start", "info", "end"]),
+                      _LOG_TEXT, _INFO_VALUES, _TIMESTAMPS,
+                      st.booleans()), max_size=12)))
+        ops = []
+        for kind, text, value, ts, child in events:
+            if kind == "start" or not ops:
+                parent = ops[-1] if ops and child else None
+                mission, actor = text or "M", str(value) or "A"
+                op = writer.start(mission, actor, parent, ts=ts)
+                ops.append(op)
+                expected.append({
+                    "ts": f"{ts:.6f}", "job": job_id, "event": "start",
+                    "uid": op.uid, "parent": op.parent_uid,
+                    "mission": mission, "actor": actor})
+            elif kind == "info":
+                writer.info(ops[-1], text, value, ts=ts)
+                expected.append({
+                    "ts": f"{ts:.6f}", "job": job_id, "event": "info",
+                    "uid": ops[-1].uid, "name": text, "value": value})
+            else:
+                op = ops[-1]
+                if op.closed:
+                    continue
+                ended = max(ts, op.started_at)
+                writer.end(op, ts=ended)
+                expected.append({
+                    "ts": f"{ended:.6f}", "job": job_id, "event": "end",
+                    "uid": op.uid})
+        assert writer.lines == [format_line(f) for f in expected]
+        for line, fields in zip(writer.lines, expected):
+            parsed = logformat.parse_line(line)
+            assert parsed == {k: str(v) for k, v in fields.items()}
+
+    def test_equal_values_of_other_types_keep_their_text(self):
+        # 1, 1.0 and True are one dict key; their texts differ.
+        writer = GranulaLogWriter("j", SimClock())
+        op = writer.start("M", "A", ts=0.0)
+        for value in (1, 1.0, True, "1"):
+            writer.info(op, "v", value, ts=0.0)
+        assert [line.rsplit("=", 1)[1] for line in writer.lines[1:]] == [
+            "1", "1.0", "True", "1"]
+
+
+# -- job outputs ---------------------------------------------------------------
+
+_OUTPUT_ARRAYS = st.one_of(
+    st.lists(st.integers(INT64_MIN, INT64_MAX), max_size=40).map(
+        lambda xs: np.array(xs, dtype=np.int64)),
+    st.lists(st.floats(allow_nan=False), max_size=40).map(
+        lambda xs: np.array(xs, dtype=np.float64)),
+)
+
+
+class _HashesLikeOne:
+    """A key with vertex 1's hash that equals nothing."""
+
+    def __hash__(self):
+        return 1
+
+    def __eq__(self, other):
+        return False
+
+
+class TestVertexValues:
+    """A job output over an array is ``dict(enumerate(values.tolist()))``."""
+
+    @settings(max_examples=200, deadline=None)
+    @given(_OUTPUT_ARRAYS)
+    def test_mapping_equals_dict(self, values):
+        output = VertexValues(values)
+        expected = dict(enumerate(values.tolist()))
+        n = len(expected)
+        assert len(output) == n
+        assert list(output) == list(expected)
+        keys = [-1, n, n + 1, 0, 1, 1.0, 0.0, 1.5, True, False,
+                np.int64(1), np.int32(0), np.uint8(n - 1 if n else 0),
+                "1", None, (0,), -0.0, _HashesLikeOne()]
+        for key in keys:
+            assert (key in output) == (key in expected), key
+        assert output._values is None  # nothing has read a value yet
+        for key in keys:
+            assert output.get(key, "absent") == expected.get(key, "absent")
+        assert output == expected and expected == output
+        assert list(output.items()) == list(expected.items())
+        assert list(output.values()) == list(expected.values())
+        for key in keys:
+            if key in expected:
+                assert output[key] == expected[key]
+            else:
+                with pytest.raises(KeyError):
+                    output[key]
+
+    def test_unhashable_keys_raise_like_dict(self):
+        output = VertexValues(np.arange(3))
+        with pytest.raises(TypeError):
+            [0] in output
+        with pytest.raises(TypeError):
+            output.get([0])
+
+    def test_private_read_only_copy(self):
+        values = np.array([1.5, 2.5])
+        output = VertexValues(values)
+        values[0] = 9.0
+        assert output[0] == 1.5
+        with pytest.raises(ValueError):
+            output._array[0] = 3.0
+
+    @settings(max_examples=50, deadline=None)
+    @given(_OUTPUT_ARRAYS)
+    def test_pickles(self, values):
+        # Forked workers of the parallel harness return results pickled.
+        output = VertexValues(values)
+        clone = pickle.loads(pickle.dumps(output))
+        assert type(clone) is VertexValues and clone._values is None
+        assert clone == dict(enumerate(values.tolist()))
+
+
+# -- CPU series ------------------------------------------------------------------
+
+
+def _sample_by_loop(account: CpuAccount, t0: float, t1: float,
+                    step: float) -> UsageSeries:
+    """The per-interval loop :meth:`CpuAccount.sample` replaced."""
+    n = int(math.ceil((t1 - t0) / step)) if t1 > t0 else 0
+    lo = t0 + np.arange(n, dtype=np.float64) * step
+    hi = np.minimum(lo + step, t1)
+    width = hi - lo
+    cpu = np.zeros(n, dtype=np.float64)
+    for iv in account.intervals:
+        span = np.minimum(iv.end, hi) - np.maximum(iv.start, lo)
+        cpu += np.where(span > 0.0, iv.cores * span, 0.0)
+    values = np.divide(cpu, width, out=np.zeros(n, dtype=np.float64),
+                       where=width > 0)
+    return UsageSeries(times=lo.tolist(), values=values.tolist(), step=step)
+
+
+_INTERVALS = st.lists(st.tuples(
+    st.floats(-20, 80, allow_nan=False),
+    st.one_of(st.just(0.0), st.floats(0, 0.3), st.floats(0, 40)),
+    st.sampled_from([0.0, 0.25, 1.0, 3.0, 16.0, 64.0])), max_size=60)
+
+
+class TestCpuSample:
+    @settings(max_examples=300, deadline=None)
+    @given(_INTERVALS, st.floats(-10, 20, allow_nan=False),
+           st.one_of(st.just(0.0), st.floats(0, 90)),
+           st.sampled_from([1.0, 0.5, 0.3, 2.5, 7.0]))
+    @example([(0.0, 1.0, 1.0), (0.5, 0.0, 2.0), (3.0, 5.0, 0.0)],
+             0.0, 2.5, 1.0)
+    @example([(-5.0, 2.0, 1.0), (50.0, 3.0, 4.0)], 0.0, 10.0, 1.0)
+    def test_equals_interval_loop(self, intervals, t0, length, step):
+        account = CpuAccount(16)
+        for start, duration, cores in intervals:
+            account.record(start, start + duration, cores)
+        got = account.sample(t0, t0 + length, step)
+        want = _sample_by_loop(account, t0, t0 + length, step)
+        assert got.times == want.times
+        # Bit for bit: hex strings tell -0.0 and 0.0 apart.
+        assert [v.hex() for v in got.values] == [v.hex() for v in want.values]
+
+    @settings(max_examples=100, deadline=None)
+    @given(st.dictionaries(
+        st.text(alphabet="abn0123", min_size=1, max_size=4),
+        st.tuples(st.floats(-3, 3, allow_nan=False), st.integers(0, 12),
+                  st.sampled_from([0.5, 1.0])),
+        max_size=6))
+    def test_flatten_equals_sorted_samples(self, spec):
+        series = {
+            name: UsageSeries(
+                times=[t0 + i * step for i in range(count)],
+                values=[float(i % 3) for i in range(count)], step=step)
+            for name, (t0, count, step) in spec.items()}
+        want = [EnvSample(ts, name, value)
+                for name in sorted(series) for ts, value in series[name]]
+        want.sort(key=lambda s: (s.timestamp, s.node))
+        assert EnvironmentMonitor.flatten(series) == want

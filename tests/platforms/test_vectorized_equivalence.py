@@ -21,6 +21,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from repro import logformat
 from repro.core.archive.serialize import archive_to_json
 from repro.errors import PlatformError, ReproError
 from repro.graph.graph import Graph
@@ -30,7 +31,11 @@ from repro.graph.partition.vertexcut import (
     greedy_vertex_cut,
     random_vertex_cut,
 )
-from repro.platforms.base import JobRequest, resolve_engine_mode
+from repro.platforms.base import (
+    JobRequest,
+    VertexValues,
+    resolve_engine_mode,
+)
 from repro.platforms.faults import FaultPlan, SlowNode, WorkerCrash
 from repro.platforms.gas.algorithms import BfsGas, make_gas_program
 from repro.platforms.gas.engine import PowerGraphPlatform
@@ -39,6 +44,7 @@ from repro.platforms import vecops
 from repro.platforms.mapreduce.api import Record
 from repro.platforms.mapreduce.engine import HadoopPlatform
 from repro.platforms.pgxd.algorithms import (
+    BfsPushPull,
     PageRankPushPull,
     make_pushpull_program,
 )
@@ -326,19 +332,26 @@ class TestDispatch:
     def test_pgxd_dispatches_bfs_and_pagerank_only(self, line_graph):
         owner_of = [0, 0, 1, 1, 1]
         expected = {"bfs": BfsPushPullKernel,
-                    "pagerank": PageRankPushPullKernel,
-                    "wcc": None, "sssp": None}
+                    "PageRank": PageRankPushPullKernel,
+                    "wcc": None, "sssp": None, "cdlp": None}
         for algo, kernel in expected.items():
-            program = make_pushpull_program(
-                algo, {"source": 0}, line_graph, owner_of)
-            assert pushpull_kernel_class(program) is kernel
+            assert pushpull_kernel_class(algo) is kernel
+            if kernel is not None:
+                program = make_pushpull_program(
+                    algo, {"source": 0}, line_graph, owner_of, kernel=kernel)
+                assert type(program) is kernel
 
-    def test_pgxd_subclass_stays_scalar(self, line_graph):
-        class TracingPageRank(PageRankPushPull):
-            pass
-
-        program = TracingPageRank(line_graph, [0, 0, 1, 1, 1])
-        assert pushpull_kernel_class(program) is None
+    def test_pgxd_kernels_check_parameters(self, line_graph):
+        # The kernels are built without the scalar driver, so they must
+        # reject what the scalar driver rejects.
+        owner_of = [0, 0, 1, 1, 1]
+        for params in ({"iterations": -1}, {"damping": 1.0}):
+            with pytest.raises(PlatformError):
+                make_pushpull_program("pagerank", params, line_graph,
+                                      owner_of, kernel=PageRankPushPullKernel)
+        with pytest.raises(PlatformError, match="out of range"):
+            make_pushpull_program("bfs", {"source": 5}, line_graph,
+                                  owner_of, kernel=BfsPushPullKernel)
 
     @pytest.mark.parametrize("algo", ["wcc", "sssp"])
     def test_pgxd_forced_vectorized_rejects_push_programs(self, algo,
@@ -369,20 +382,34 @@ class TestDispatch:
     def test_job_life_matrix_stays_on_arrays(self, monkeypatch):
         # The matrix's output and record bytes are counted off arrays: a
         # state dtype that falls back to per-element ``str`` fails here.
+        # Log lines come from the writer's per-kind f-strings (the
+        # grammar's field-map renderer is their oracle only), PGX.D
+        # builds its kernels without the scalar drivers' per-vertex
+        # dicts, and no job output is turned into Python values.
         def per_element(*args, **kwargs):
             raise AssertionError("per-element text accounting")
+
+        def scalar_path(*args, **kwargs):
+            raise AssertionError("scalar per-vertex set-up")
 
         oracle = vecops.output_text_bytes
         for module in list(sys.modules.values()):
             if getattr(module, "output_text_bytes", None) is oracle:
                 monkeypatch.setattr(module, "output_text_bytes", per_element)
         monkeypatch.setattr(Record, "encoded_size", per_element)
+        monkeypatch.setattr(logformat, "format_line", per_element)
+        monkeypatch.setattr(BfsPushPull, "__init__", scalar_path)
+        monkeypatch.setattr(PageRankPushPull, "__init__", scalar_path)
         runner = WorkloadRunner()
         for platform_name in _PLATFORMS:
             for algo in ("bfs", "pagerank"):
-                runner.run(WorkloadSpec(platform_name, algo, "dg-tiny"))
+                iteration = runner.run(
+                    WorkloadSpec(platform_name, algo, "dg-tiny"))
                 path = runner.platform(platform_name).last_engine_path
                 assert path == "vectorized", (platform_name, algo)
+                output = iteration.run.result.output
+                assert type(output) is VertexValues, (platform_name, algo)
+                assert output._values is None, (platform_name, algo)
 
     def test_resolve_rejects_unknown_mode(self):
         with pytest.raises(PlatformError):
