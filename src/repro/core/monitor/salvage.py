@@ -16,7 +16,8 @@ quarantines what is not, and reports honestly what is missing:
 - **truncated operations** (start without end) get a synthesized close
   at the last-seen job timestamp, flagged ``InferredEnd`` with
   provenance ``inferred``;
-- **orphaned operations** (unknown parent) are quarantined under a
+- **orphaned operations** (unknown parent, or a parent cycle no root
+  reaches, cut at its earliest-started member) are quarantined under a
   synthetic ``Unattributed`` operation; a lost job root is replaced by a
   synthetic ``SalvagedJob`` root.
 
@@ -403,6 +404,7 @@ class SalvageParser:
             else:
                 op.parent = parent
                 parent.children.append(op)
+        orphans = self._cut_cycles(roots, orphans, by_uid)
 
         # Truncation: synthesize ends at the last-seen job timestamp.
         for op in by_uid.values():
@@ -418,6 +420,44 @@ class SalvageParser:
             if op.duration is not None:
                 op.infos.setdefault("Duration", op.duration)
         return root
+
+    @staticmethod
+    def _cut_cycles(
+        roots: List[ArchivedOperation],
+        orphans: List[ArchivedOperation],
+        by_uid: Dict[str, ArchivedOperation],
+    ) -> List[ArchivedOperation]:
+        """The orphans plus one member of each parent cycle no root or
+        orphan reaches — the cycle's earliest-started member, cut from
+        its parent — in start order."""
+        reached = set()
+
+        def reach(stack: List[ArchivedOperation]) -> None:
+            while stack:
+                op = stack.pop()
+                reached.add(op.uid)
+                stack.extend(op.children)
+
+        reach(roots + orphans)
+        if len(reached) == len(by_uid):
+            return orphans
+        rank = {uid: k for k, uid in enumerate(by_uid)}
+        cut: List[ArchivedOperation] = []
+        for uid, op in by_uid.items():
+            if uid in reached:
+                continue
+            path: Dict[str, int] = {}
+            while op.uid not in path:  # Up the parents to the cycle.
+                path[op.uid] = len(path)
+                op = op.parent
+            cycle = list(path)[path[op.uid]:]
+            member = by_uid[min(cycle, key=rank.__getitem__)]
+            above = member.parent
+            above.children = [c for c in above.children if c is not member]
+            member.parent = None
+            cut.append(member)
+            reach([member])
+        return sorted(orphans + cut, key=lambda op: rank[op.uid])
 
     def _attach(
         self,

@@ -158,6 +158,26 @@ class TestOrphans:
         assert len(quarantine) == 1
         assert [c.mission for c in quarantine[0].children] == ["Mystery"]
 
+    def test_parent_cycle_is_quarantined(self):
+        # c1 and c2 name each other as parent: no root reaches either.
+        log = clean_log()[:-1] + [
+            line(9.5, "start", "c1", parent="c2", mission="Cycle",
+                 actor="Worker-3"),
+            line(9.6, "start", "c2", parent="c1", mission="Loop",
+                 actor="Worker-4"),
+            line(9.8, "end", "c1"),
+            clean_log()[-1],
+        ]
+        archive, report = salvage_archive(log)
+        assert report.orphans_reattached == 1
+        assert report.node("Worker-3").orphaned == 1
+        assert report.inferred_ends == 1  # c2 never ended.
+        quarantine = archive.root.children[-1]
+        assert quarantine.mission == UNATTRIBUTED_MISSION
+        [cut] = quarantine.children
+        assert (cut.uid, [c.uid for c in cut.children]) == ("c1", ["c2"])
+        assert archive.size() == 6
+
     def test_missing_root_is_synthesized(self):
         log = clean_log()[1:]  # drop the job start; "end j" dangles
         archive, report = salvage_archive(log)
