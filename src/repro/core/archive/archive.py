@@ -137,10 +137,10 @@ class ArchivedOperation:
 class PerformanceArchive:
     """The standardized archive of one job's performance results.
 
-    An archive is born either as an operation tree (hand-built, salvaged,
-    live, or a v1/v2 document) or as its v3 operations block — the
-    parallel pre-order columns :func:`~repro.core.archive.builder.build_archive`
-    and :func:`~repro.core.archive.serialize.archive_from_json` produce.
+    An archive is born either as an operation tree (hand-built, or a
+    v1/v2 document) or as its v3 operations block — the parallel
+    pre-order columns the builder (strict, salvage, live snapshots) and
+    :func:`~repro.core.archive.serialize.archive_from_json` produce.
     A table-born archive answers :meth:`size`, :attr:`makespan` and
     rendering from the block; :attr:`root` (and :meth:`walk`,
     :meth:`operation`, :meth:`find`) builds the tree on first access and
@@ -182,7 +182,7 @@ class PerformanceArchive:
         :func:`~repro.core.archive.serialize.operations_to_columns`
         renders for some tree: ``parent`` in pre-order, info rows grouped
         by operation with one row per key, values encoded, uids unique.
-        Its callers (the builder, the v3 loader) check that; the archive
+        Its callers (the builders, the v3 loader) check that; the archive
         does not.
         """
         archive = cls.__new__(cls)

@@ -3,8 +3,11 @@
 The builder turns the parsed log columns into the archive's v3
 operations table — the parallel pre-order columns the JSON document and
 the ``.gcol`` sidecar are rendered from — without an operation object
-per event.  When a model is given it *filters* the operations to those
-the model covers ("the info of each job is collected, filtered, and
+per event.  A log is resolved into :class:`OperationRows` (strictly
+here, with repairs by :mod:`repro.core.monitor.salvage` for damaged logs
+and live snapshots), and the rows render the same whichever resolved
+them.  When a model is given it *filters* the operations to those the
+model covers ("the info of each job is collected, filtered, and
 stored", Section 3.3 P3): subtrees the model does not match are pruned
 from the archive and reported as feedback for the next modeling
 iteration.  A coarser model therefore yields a smaller, cheaper archive
@@ -97,7 +100,7 @@ def build_archive(
         type(rule) not in _COLUMN_RULES
         for node in model.walk() for rule in node.rules
     )
-    table = _LogTable(run.columns, report).archive_table(
+    table = _log_rows(run.columns, report).archive_table(
         model, report, derive=not tree_rules)
     archive = PerformanceArchive.from_table(
         run.job_id,
@@ -117,7 +120,7 @@ def build_archive(
     return archive, report
 
 
-class _LogTable:
+def _log_rows(columns: RecordColumns, report: BuildReport) -> "OperationRows":
     """The operations of a well-formed log, one row per start event in
     log order (creation order: a parent's row precedes its children's).
 
@@ -127,59 +130,84 @@ class _LogTable:
     earliest offending log row.  Damaged logs go through
     :mod:`repro.core.monitor.salvage`, which repairs instead.
     """
+    events, uid, ts = columns.event, columns.uid, columns.timestamp
+    kind = np.fromiter(map(_EVENT_KIND.get, events, repeat(_INFO)),
+                       np.int8, len(events))
+    starts, ends, infos = (np.flatnonzero(kind == k)
+                           for k in (_START, _END, _INFO))
+    n = len(starts)
+    start_list = starts.tolist()
+    uids = [uid[i] for i in start_list]
+    row_of = dict(zip(uids, range(n)))
+    # No parent: the root.  An unknown uid: row n; a None uid: -1.
+    row_of[None] = -1
+    get = row_of.get
+    # Each log row's operation: start rows must name their own row
+    # (a repeated uid names its last start), every other row one
+    # started before it.
+    owner = np.fromiter(map(get, uid, repeat(n)), np.int64, len(uid))
+    parent = np.fromiter(
+        map(get, [columns.parent_uid[i] for i in start_list], repeat(n)),
+        np.int64, n)
+    born = np.append(starts, len(events))  # born[n]: after every row.
+    end_row, info_row = owner[ends], owner[infos]
+    if not (
+        np.array_equal(owner[starts], np.arange(n))
+        and np.count_nonzero(parent < 0) == 1
+        and (parent < np.arange(n)).all()
+        and np.array_equal(np.sort(end_row), np.arange(n))
+        and (born[end_row] < ends).all()
+        and (info_row >= 0).all() and (born[info_row] < infos).all()
+    ):
+        raise _first_fault(columns)
+    end_log = np.empty(n, dtype=np.int64)
+    end_log[end_row] = ends
+    info_list = infos.tolist()
+    raw = [columns.info_value[i] for i in info_list]
+    report.infos_recorded += len(info_list)
+    return OperationRows(
+        uid=uids,
+        mission=[columns.mission[i] or "" for i in start_list],
+        actor=[columns.actor[i] or "" for i in start_list],
+        start=[ts[i] for i in start_list],
+        end=[ts[i] for i in end_log.tolist()],
+        parent=parent,
+        info_row=info_row,
+        info_name=[columns.info_name[i] for i in info_list],
+        info_value=raw,
+        decoded={value: coerce_info_value(value or "") for value in set(raw)},
+    )
 
-    def __init__(self, columns: RecordColumns, report: BuildReport):
-        events, uid, ts = columns.event, columns.uid, columns.timestamp
-        kind = np.fromiter(map(_EVENT_KIND.get, events, repeat(_INFO)),
-                           np.int8, len(events))
-        starts, ends, infos = (np.flatnonzero(kind == k)
-                               for k in (_START, _END, _INFO))
-        n = len(starts)
-        start_list = starts.tolist()
-        self.uid = [uid[i] for i in start_list]
-        row_of = dict(zip(self.uid, range(n)))
-        # No parent: the root.  An unknown uid: row n; a None uid: -1.
-        row_of[None] = -1
-        get = row_of.get
-        # Each log row's operation: start rows must name their own row
-        # (a repeated uid names its last start), every other row one
-        # started before it.
-        owner = np.fromiter(map(get, uid, repeat(n)), np.int64, len(uid))
-        parent = np.fromiter(
-            map(get, [columns.parent_uid[i] for i in start_list], repeat(n)),
-            np.int64, n)
-        born = np.append(starts, len(events))  # born[n]: after every row.
-        end_row, info_row = owner[ends], owner[infos]
-        if not (
-            np.array_equal(owner[starts], np.arange(n))
-            and np.count_nonzero(parent < 0) == 1
-            and (parent < np.arange(n)).all()
-            and np.array_equal(np.sort(end_row), np.arange(n))
-            and (born[end_row] < ends).all()
-            and (info_row >= 0).all() and (born[info_row] < infos).all()
-        ):
-            raise _first_fault(columns)
-        self.n = n
-        self.parent = parent
-        self.start = [ts[i] for i in start_list]
-        end_log = np.empty(n, dtype=np.int64)
-        end_log[end_row] = ends
-        self.end = [ts[i] for i in end_log.tolist()]
-        self.mission = [columns.mission[i] or "" for i in start_list]
-        self.actor = [columns.actor[i] or "" for i in start_list]
-        self.info_row = info_row
-        info_list = infos.tolist()
-        self.info_name = [columns.info_name[i] for i in info_list]
-        self.info_raw = [columns.info_value[i] for i in info_list]
-        report.infos_recorded += len(info_list)
+
+@dataclass
+class OperationRows:
+    """A log's operations resolved into rows, as the v3 table renders
+    them, whichever builder resolved them (strict or salvage).
+
+    Row 0 is the root (``parent[0] == -1``); siblings keep row order.
+    Info rows are in writing order; ``decoded`` maps each ``info_value``
+    token to its value.
+    """
+
+    uid: List[str]
+    mission: List[str]
+    actor: List[str]
+    start: List[Any]
+    end: List[Any]
+    parent: np.ndarray
+    info_row: np.ndarray
+    info_name: List[Any]
+    info_value: List[Any]
+    decoded: Dict[Any, Any]
 
     # -- the v3 table ------------------------------------------------------
 
-    def archive_table(self, model: Optional[JobModel], report: BuildReport,
-                      derive: bool) -> Dict[str, Any]:
+    def archive_table(self, model: Optional[JobModel] = None,
+                      report: Optional[BuildReport] = None,
+                      derive: bool = True) -> Dict[str, Any]:
         """The archive's operations block: filtered, in pre-order, with
         recorded infos and (``derive``) Duration and the model's rules."""
-        n, parent = self.n, self.parent
+        n, parent = len(self.uid), self.parent
         up = parent.copy()
         up[0] = 0  # The root as its own parent: walks up end there.
         kept = np.ones(n, dtype=bool)
@@ -247,10 +275,11 @@ class _LogTable:
             m: (base, index is not None)
             for m, (base, index) in self.mission_split.items()})
         actor_code = _codes(self.actor_base)
+        n = len(self.uid)
         key = (np.fromiter(map(mission_code.__getitem__, self.mission),
-                           np.int64, self.n) * (max(actor_code.values()) + 1)
+                           np.int64, n) * (max(actor_code.values()) + 1)
                + np.fromiter(map(actor_code.__getitem__, self.actor),
-                             np.int64, self.n))
+                             np.int64, n))
         _keys, first, node_of = np.unique(
             key, return_index=True, return_inverse=True)
         nodes = [model.match(self.mission[row], self.actor[row])
@@ -367,16 +396,16 @@ class _Entries:
     that concatenation is the dict's order.
     """
 
-    def __init__(self, log: _LogTable, kept: np.ndarray, pos: np.ndarray):
+    def __init__(self, log: OperationRows, kept: np.ndarray,
+                 pos: np.ndarray):
         info_row = log.info_row
         keep = np.flatnonzero(kept[info_row])
         self.pos = pos
         self.rows = info_row[keep].tolist()
         keep = keep.tolist()
         self.names = [log.info_name[k] for k in keep]
-        self.raw = [log.info_raw[k] for k in keep]
-        self.decoded = {value: coerce_info_value(value or "")
-                        for value in set(self.raw)}
+        self.raw = [log.info_value[k] for k in keep]
+        self.decoded = log.decoded
         encoded = {value: _encode_value(d) for value, d in self.decoded.items()}
         self.pos_part = [pos[info_row[keep]]]
         self.key_part = [self.names]
@@ -491,7 +520,7 @@ def _encoded(values: List[Any]) -> List[Any]:
 class _RuleContext:
     """What the column rules read: durations, children, current infos."""
 
-    def __init__(self, log: _LogTable, durations: List[Any],
+    def __init__(self, log: OperationRows, durations: List[Any],
                  kids: List[Sequence[int]], entries: _Entries):
         self.log = log
         self.parent = log.parent.tolist()

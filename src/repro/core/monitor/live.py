@@ -3,10 +3,11 @@
 Everything in PRs 2-9 is post-mortem — an evaluation is invisible until
 its archive lands in the store.  This module closes that gap (ROADMAP
 item 2): a :class:`LiveMonitor` accepts platform log lines *while the
-job runs*, folds them into a partially-built archive via the salvage
-machinery (:mod:`repro.core.monitor.salvage` — operations that have not
-closed yet get a synthesized end flagged ``inferred``, exactly like a
-crash-truncated log), and publishes a sequence of **snapshots**:
+job runs*, resolves the prefix with salvage's repairs into the column
+builder's table (:func:`repro.core.monitor.salvage.salvage_table` —
+operations that have not closed yet get a synthesized end flagged
+``inferred``, exactly like a crash-truncated log), and publishes a
+sequence of **snapshots**:
 
 - each snapshot is a complete, self-contained archive document built
   from the full event prefix seen so far — never a delta, so a consumer
@@ -37,6 +38,7 @@ from __future__ import annotations
 
 import json
 import threading
+import time
 from dataclasses import dataclass
 from typing import Dict, Iterable, Iterator, List, Optional, Tuple
 
@@ -44,7 +46,11 @@ from repro.core.archive.archive import PerformanceArchive
 from repro.core.archive.serialize import archive_to_json
 from repro.core.monitor.logparser import ParseReport, parse_log_columns
 from repro.core.monitor.records import EnvSample, RecordColumns
-from repro.core.monitor.salvage import DEFAULT_SKEW_TOLERANCE, SalvageParser
+from repro.core.monitor.salvage import (
+    DEFAULT_SKEW_TOLERANCE,
+    SalvageParser,
+    salvage_table,
+)
 
 #: Default seconds between heartbeat comments on an idle SSE stream.
 DEFAULT_HEARTBEAT = 1.0
@@ -162,26 +168,18 @@ class LiveMonitor:
         optional inter-chunk ``delay`` makes the progression observable
         by humans; tests leave it at 0.
         """
-        import time
-
         lines = list(lines)
         env = list(env)
-        if chunks is None:
-            chunks = self.replay_chunks
-        if delay is None:
-            delay = self.replay_delay
+        chunks = self.replay_chunks if chunks is None else chunks
+        delay = self.replay_delay if delay is None else delay
         chunks = max(1, min(chunks, len(lines) or 1))
         size = max(1, (len(lines) + chunks - 1) // chunks)
         fed_env = 0
         for offset in range(0, len(lines) or 1, size):
             batch = lines[offset:offset + size]
             # Ship env samples up to the last timestamp in this batch.
-            horizon = None
-            for line in reversed(batch):
-                ts = _line_timestamp(line)
-                if ts is not None:
-                    horizon = ts
-                    break
+            horizon = next((ts for ts in map(_line_timestamp, reversed(batch))
+                            if ts is not None), None)
             take = len(env)
             if horizon is not None and offset + size < len(lines):
                 take = fed_env
@@ -209,7 +207,6 @@ class LiveMonitor:
                 body=body,
                 complete=True,
                 records=len(self._columns),
-                inferred_ends=0,
             )
             self._latest = snapshot
             self._complete = True
@@ -251,13 +248,7 @@ class LiveMonitor:
         snapshot object.
         """
         with self._cond:
-            if not self._dirty:
-                return self._latest
-            built = self._build_locked()
-            if built is not None:
-                self._latest = built
-            self._dirty = False
-            return self._latest
+            return self._refresh_locked()
 
     def wait(
         self,
@@ -274,21 +265,15 @@ class LiveMonitor:
         with self._cond:
             deadline = None
             while True:
-                snap = self._latest
-                if self._dirty:
-                    built = self._build_locked()
-                    if built is not None:
-                        self._latest = built
-                    self._dirty = False
-                    snap = self._latest
+                snap = self._refresh_locked()
                 if snap is not None and snap.seq > after_seq:
                     return snap
                 if self._complete:
                     return snap
                 if timeout is not None:
                     if deadline is None:
-                        deadline = _monotonic() + timeout
-                    remaining = deadline - _monotonic()
+                        deadline = time.monotonic() + timeout
+                    remaining = deadline - time.monotonic()
                     if remaining <= 0:
                         return None
                     self._cond.wait(remaining)
@@ -297,46 +282,43 @@ class LiveMonitor:
 
     # -- internals ---------------------------------------------------------
 
-    def _build_locked(self) -> Optional[LiveSnapshot]:
-        """Rebuild the partial archive from the full prefix (lock held).
+    def _refresh_locked(self) -> Optional[LiveSnapshot]:
+        """The latest snapshot, rebuilt first if events changed (lock
+        held).
 
-        Each snapshot re-scans the accumulated columns from scratch:
-        salvage synthesis (inferred ends, orphan quarantine) is not
+        A rebuild re-scans the accumulated columns from scratch:
+        salvage's repairs (inferred ends, orphan quarantine) are not
         incremental — an operation open in snapshot N may close in
         N+1 — and re-deriving from the prefix is what makes every
         snapshot a valid self-contained archive.
         """
+        if not self._dirty:
+            return self._latest
         columns, report = self._parser.select(
             self._columns, self._parsed, job_id=self.job_id
         )
-        if not len(columns):
-            return None
-        root = self._parser.build_tree(columns, report)
-        seq = self._seq + 1
-        metadata = dict(self.metadata)
-        metadata["live"] = {
-            "partial": True,
-            "snapshot_seq": seq,
-            "records": report.records,
-            "inferred_ends": report.inferred_ends,
-        }
-        metadata["ingest"] = report.to_dict()
-        archive = PerformanceArchive(
-            job_id=self.job_id,
-            root=root,
-            platform=self.platform,
-            metadata=metadata,
-            env_samples=list(self._env),
-        )
-        body = archive_to_json(archive).encode("utf-8")
-        self._seq = seq
-        return LiveSnapshot(
-            seq=seq,
-            body=body,
-            complete=False,
-            records=report.records,
-            inferred_ends=report.inferred_ends,
-        )
+        if len(columns):
+            table = salvage_table(columns, report)
+            metadata = dict(self.metadata, live={
+                "partial": True,
+                "snapshot_seq": self._seq + 1,
+                "records": report.records,
+                "inferred_ends": report.inferred_ends,
+            }, ingest=report.to_dict())
+            archive = PerformanceArchive.from_table(
+                self.job_id, table, platform=self.platform,
+                metadata=metadata, env_samples=self._env)
+            body = archive_to_json(archive).encode("utf-8")
+            self._seq += 1
+            self._latest = LiveSnapshot(
+                seq=self._seq,
+                body=body,
+                complete=False,
+                records=report.records,
+                inferred_ends=report.inferred_ends,
+            )
+        self._dirty = False
+        return self._latest
 
 
 class LiveJobRegistry:
@@ -406,10 +388,10 @@ class LiveJobRegistry:
 
     def drain(self, timeout: float = 15.0) -> bool:
         """Wait until no SSE stream is open.  True when drained."""
-        deadline = _monotonic() + timeout
+        deadline = time.monotonic() + timeout
         with self._lock:
             while self._streams > 0:
-                remaining = deadline - _monotonic()
+                remaining = deadline - time.monotonic()
                 if remaining <= 0:
                     return False
                 self._lock.wait(remaining)
@@ -517,9 +499,3 @@ def _line_timestamp(line: str) -> Optional[float]:
         return float(token)
     except ValueError:
         return None
-
-
-def _monotonic() -> float:
-    import time
-
-    return time.monotonic()

@@ -12,15 +12,24 @@ quarantines what is not, and reports honestly what is missing:
   emitting node where the line still carries one;
 - **out-of-order records** are re-sorted; displacements beyond the
   configured clock-skew tolerance are counted as skew violations;
-- **duplicate records and repeated UIDs** are deduplicated;
+- **duplicate records and repeated UIDs** are deduplicated (the first
+  start of a uid is its operation); end and info events of an operation
+  that never started are dropped;
+- **an end before its start** closes the operation with zero length,
+  flagged ``inferred`` where that end falls among its infos;
 - **truncated operations** (start without end) get a synthesized close
   at the last-seen job timestamp, flagged ``InferredEnd`` with
   provenance ``inferred``;
-- **orphaned operations** (unknown parent, or a parent cycle no root
-  reaches, cut at its earliest-started member) are quarantined under a
-  synthetic ``Unattributed`` operation; a lost job root is replaced by a
-  synthetic ``SalvagedJob`` root.
+- **orphaned operations** (unknown or own parent, or the earliest-started
+  member of a parent cycle no root reaches) are quarantined, in start
+  order, under a synthetic ``Unattributed`` operation after the root's
+  other children, and the root's window widens to hold them; a lost or
+  split job root is replaced by a synthetic ``SalvagedJob`` root.
 
+Each repair is a row operation: :func:`salvage_table` resolves the
+selected records into the rows the column builder renders
+(:class:`~repro.core.archive.builder.OperationRows`), so a salvaged
+archive, like a strictly built one, is born as its v3 operations table.
 The structured :class:`IngestReport` carries per-node counts of every
 anomaly class, so degraded analysis downstream can surface a
 completeness score instead of silently overstating its confidence.
@@ -31,10 +40,16 @@ from __future__ import annotations
 import re
 from collections import Counter
 from dataclasses import dataclass, field
-from typing import Dict, Iterable, List, Optional, Tuple
+from typing import Any, Dict, Iterable, List, Optional, Tuple
+
+import numpy as np
 
 from repro import logformat
-from repro.core.archive.archive import ArchivedOperation, PerformanceArchive
+from repro.core.archive.archive import (
+    PROVENANCE_INFERRED,
+    PROVENANCE_KEY,
+    PerformanceArchive,
+)
 from repro.core.monitor.logparser import ParseReport, parse_log_columns
 from repro.core.monitor.records import RecordColumns, coerce_info_value
 from repro.errors import IngestError
@@ -54,6 +69,9 @@ SALVAGED_ROOT_MISSION = "SalvagedJob"
 DEFAULT_SKEW_TOLERANCE = 1.0
 
 _ACTOR_RE = re.compile(r"actor=([^\s]+)")
+_START, _END = logformat.EVENT_START, logformat.EVENT_END
+#: Parent codes of a root and of an orphan, before the rows are laid out.
+_ROOT, _ORPHAN = -1, -2
 
 
 @dataclass
@@ -332,203 +350,142 @@ class SalvageParser:
             rows = sorted(rows, key=timestamps.__getitem__)
         return rows
 
-    # -- tree-level pass ---------------------------------------------------
 
-    def build_tree(
-        self,
-        columns: RecordColumns,
-        report: IngestReport,
-    ) -> ArchivedOperation:
-        """Assemble a (possibly partial) operation tree, salvaging.
+def salvage_table(columns: RecordColumns, report: IngestReport) -> Dict[str, Any]:
+    """The v3 operations table of selected log columns, each repair (see
+    the module docstring) a row operation; never raises on damage."""
+    # The builder imports the monitor package, which imports this module.
+    from repro.core.archive.builder import OperationRows
 
-        Never raises on structural damage: truncated operations are
-        closed at the last-seen timestamp, orphans are quarantined under
-        a synthetic ``Unattributed`` operation, and a lost root is
-        replaced by a synthetic ``SalvagedJob`` root.
-        """
-        if not len(columns):
-            raise IngestError("no records to build a tree from")
-        events = columns.event
-        uids = columns.uid
-        timestamps = columns.timestamp
-        last_ts = max(timestamps)
-        by_uid: Dict[str, ArchivedOperation] = {}
-        # Pass 1: materialize every started operation (order-independent,
-        # so a parent whose start sorted after its child still links up).
-        for i, event in enumerate(events):
-            if event == logformat.EVENT_START and uids[i] not in by_uid:
-                by_uid[uids[i]] = ArchivedOperation(
-                    uid=uids[i],
-                    mission=columns.mission[i] or "",
-                    actor=columns.actor[i] or "",
-                    start_time=timestamps[i],
-                )
-        # Pass 2: ends, infos, parent links.
-        parent_of: Dict[str, Optional[str]] = {}
-        for i, event in enumerate(events):
-            uid = uids[i]
-            op = by_uid.get(uid)
-            if event == logformat.EVENT_START:
-                if uid in parent_of:
-                    continue  # Duplicate start already dropped by dedup.
-                parent_of[uid] = columns.parent_uid[i]
-            elif op is None:
-                # End/info for an operation whose start line was lost:
-                # nothing measurable to attach it to.
-                report.dropped_events += 1
-                report.node(None).orphaned += 1
-            elif event == logformat.EVENT_END:
-                if op.end_time is None:
-                    if timestamps[i] < op.start_time:
-                        # Skew beyond repair: clamp to a zero-length span.
-                        op.end_time = op.start_time
-                        op.mark_inferred()
-                        report.skew_violations += 1
-                    else:
-                        op.end_time = timestamps[i]
-            else:
-                op.infos[columns.info_name[i]] = coerce_info_value(
-                    columns.info_value[i] or ""
-                )
+    if not len(columns):
+        raise IngestError("no records to build a tree from")
+    events, uids, ts = columns.event, columns.uid, columns.timestamp
+    last_ts = max(ts)
+    first: Dict[str, int] = {}  # uid -> log row of its first start
+    for i in [i for i, event in enumerate(events) if event == _START]:
+        first.setdefault(uids[i], i)
+    rows = list(first.values())
+    op_of = dict(zip(first, range(len(rows))))
+    uid = list(first)
+    mission = [columns.mission[i] or "" for i in rows]
+    actor = [columns.actor[i] or "" for i in rows]
+    start = [ts[i] for i in rows]
+    end: List[Any] = [None] * len(rows)
+    #: (operation, key, token): recorded tokens are the log's text, the
+    #: synthesized values their own tokens.
+    infos: List[Tuple[int, Any, Any]] = []
 
-        roots: List[ArchivedOperation] = []
-        orphans: List[ArchivedOperation] = []
-        for uid, op in by_uid.items():
-            parent_uid = parent_of.get(uid)
-            if parent_uid is None:
-                roots.append(op)
-                continue
-            parent = by_uid.get(parent_uid)
-            if parent is None or parent is op:
-                orphans.append(op)
-            else:
-                op.parent = parent
-                parent.children.append(op)
-        orphans = self._cut_cycles(roots, orphans, by_uid)
+    def mark(k: int) -> None:
+        infos.append((k, PROVENANCE_KEY, PROVENANCE_INFERRED))
 
-        # Truncation: synthesize ends at the last-seen job timestamp.
-        for op in by_uid.values():
-            if op.end_time is None:
-                op.end_time = max(last_ts, op.start_time)
-                op.infos["InferredEnd"] = True
-                op.mark_inferred()
-                report.inferred_ends += 1
-                report.node(op.actor).truncated += 1
-
-        root = self._attach(roots, orphans, by_uid, last_ts, report)
-        for op in root.walk():
-            if op.duration is not None:
-                op.infos.setdefault("Duration", op.duration)
-        return root
-
-    @staticmethod
-    def _cut_cycles(
-        roots: List[ArchivedOperation],
-        orphans: List[ArchivedOperation],
-        by_uid: Dict[str, ArchivedOperation],
-    ) -> List[ArchivedOperation]:
-        """The orphans plus one member of each parent cycle no root or
-        orphan reaches — the cycle's earliest-started member, cut from
-        its parent — in start order."""
-        reached = set()
-
-        def reach(stack: List[ArchivedOperation]) -> None:
-            while stack:
-                op = stack.pop()
-                reached.add(op.uid)
-                stack.extend(op.children)
-
-        reach(roots + orphans)
-        if len(reached) == len(by_uid):
-            return orphans
-        rank = {uid: k for k, uid in enumerate(by_uid)}
-        cut: List[ArchivedOperation] = []
-        for uid, op in by_uid.items():
-            if uid in reached:
-                continue
-            path: Dict[str, int] = {}
-            while op.uid not in path:  # Up the parents to the cycle.
-                path[op.uid] = len(path)
-                op = op.parent
-            cycle = list(path)[path[op.uid]:]
-            member = by_uid[min(cycle, key=rank.__getitem__)]
-            above = member.parent
-            above.children = [c for c in above.children if c is not member]
-            member.parent = None
-            cut.append(member)
-            reach([member])
-        return sorted(orphans + cut, key=lambda op: rank[op.uid])
-
-    def _attach(
-        self,
-        roots: List[ArchivedOperation],
-        orphans: List[ArchivedOperation],
-        by_uid: Dict[str, ArchivedOperation],
-        last_ts: float,
-        report: IngestReport,
-    ) -> ArchivedOperation:
-        """Settle on a single root, quarantining what does not fit."""
-
-        def fresh_uid(base: str) -> str:
-            uid = base
-            serial = 1
-            while uid in by_uid:
-                serial += 1
-                uid = f"{base}-{serial}"
-            return uid
-
-        if len(roots) == 1:
-            root = roots[0]
+    get = op_of.get
+    for i, event in enumerate(events):
+        if event == _START:
+            continue
+        k = get(uids[i])
+        if k is None:  # Its start line was lost: nothing to attach to.
+            report.dropped_events += 1
+            report.node(None).orphaned += 1
+        elif event == _END:
+            if end[k] is None:
+                if ts[i] < start[k]:  # Skew beyond repair.
+                    end[k] = start[k]
+                    mark(k)
+                    report.skew_violations += 1
+                else:
+                    end[k] = ts[i]
         else:
-            # Zero roots (job root lost) or several (tree split): hold
-            # everything together under a synthetic job root.
-            candidates = roots + orphans
-            start = min(
-                (op.start_time for op in candidates if op.start_time is not None),
-                default=0.0,
-            )
-            root = ArchivedOperation(
-                uid=fresh_uid("salvage:root"),
-                mission=SALVAGED_ROOT_MISSION,
-                actor="Salvage",
-                start_time=start,
-                end_time=max(last_ts, start),
-            )
-            root.mark_inferred()
-            by_uid[root.uid] = root
-            report.synthesized_root = True
-            for op in roots:
-                op.parent = root
-                root.children.append(op)
-            roots = [root]
+            infos.append((k, columns.info_name[i], columns.info_value[i]))
+    decoded = {value: coerce_info_value(value or "")
+               for value in {value for _k, _key, value in infos}}
+    decoded.update({True: True, PROVENANCE_INFERRED: PROVENANCE_INFERRED})
 
-        if orphans:
-            start = min(op.start_time for op in orphans)
-            end = max(op.end_time for op in orphans)
-            quarantine = ArchivedOperation(
-                uid=fresh_uid("salvage:unattributed"),
-                mission=UNATTRIBUTED_MISSION,
-                actor="Salvage",
-                start_time=start,
-                end_time=end,
-            )
-            quarantine.mark_inferred()
-            by_uid[quarantine.uid] = quarantine
-            quarantine.parent = root
-            root.children.append(quarantine)
-            for op in orphans:
-                op.parent = quarantine
-                quarantine.children.append(op)
-                report.orphans_reattached += 1
-                report.node(op.actor).orphaned += 1
-            # The quarantine window must fit inside the root's span.
-            if root.start_time is not None and start < root.start_time:
-                root.start_time = start
-                root.mark_inferred()
-            if root.end_time is not None and end > root.end_time:
-                root.end_time = end
-                root.mark_inferred()
-        return root
+    parent = [_ROOT if above is None else get(above, _ORPHAN)
+              for above in [columns.parent_uid[i] for i in rows]]
+    _cut_cycles(parent)  # An own parent is a cycle of one.
+
+    for k, closed in enumerate(end):
+        if closed is None:  # Truncated: close at the last-seen timestamp.
+            end[k] = max(last_ts, start[k])
+            infos.append((k, "InferredEnd", True))
+            mark(k)
+            report.inferred_ends += 1
+            report.node(actor[k]).truncated += 1
+
+    roots = [k for k, above in enumerate(parent) if above == _ROOT]
+    orphans = [k for k, above in enumerate(parent) if above == _ORPHAN]
+    taken = set(uid)
+
+    def synthesize(base: str, name: str, begin: Any, finish: Any) -> int:
+        fresh, serial = base, 1
+        while fresh in taken:
+            serial += 1
+            fresh = f"{base}-{serial}"
+        taken.add(fresh)
+        for column, value in ((uid, fresh), (mission, name),
+                              (actor, "Salvage"), (start, begin),
+                              (end, finish), (parent, _ROOT)):
+            column.append(value)
+        mark(len(uid) - 1)
+        return len(uid) - 1
+
+    if len(roots) == 1:
+        root = roots[0]
+    else:  # The job root was lost, or the tree split.
+        begin = min((start[k] for k in roots + orphans), default=0.0)
+        root = synthesize("salvage:root", SALVAGED_ROOT_MISSION, begin,
+                          max(last_ts, begin))
+        report.synthesized_root = True
+        for k in roots:
+            parent[k] = root
+    if orphans:
+        begin = min(start[k] for k in orphans)
+        finish = max(end[k] for k in orphans)
+        quarantine = synthesize("salvage:unattributed", UNATTRIBUTED_MISSION,
+                                begin, finish)
+        parent[quarantine] = root
+        for k in orphans:
+            parent[k] = quarantine
+            report.orphans_reattached += 1
+            report.node(actor[k]).orphaned += 1
+        # The quarantine window must fit inside the root's span.
+        if begin < start[root]:
+            start[root] = begin
+            mark(root)
+        if finish > end[root]:
+            end[root] = finish
+            mark(root)
+
+    # Row 0 is the root; the rest keep start order, the quarantine last.
+    order = [root] + [k for k in range(len(uid)) if k != root]
+    row = np.empty(len(order), dtype=np.int64)
+    row[order] = np.arange(len(order))
+    above = row[np.asarray(parent, dtype=np.int64)[order]]
+    above[0] = -1
+    return OperationRows(
+        *([column[k] for k in order]
+          for column in (uid, mission, actor, start, end)),
+        parent=above,
+        info_row=row[np.array([k for k, _key, _value in infos], np.int64)],
+        info_name=[key for _k, key, _value in infos],
+        info_value=[value for _k, _key, value in infos],
+        decoded=decoded,
+    ).archive_table()
+
+
+def _cut_cycles(parent: List[int]) -> None:
+    """Orphan the earliest-started member of each parent cycle no root or
+    orphan reaches (``parent``: negative codes for roots and orphans)."""
+    reaches = [above < 0 for above in parent]
+    for k in range(len(parent)):
+        path: Dict[int, int] = {}
+        while not reaches[k] and k not in path:  # Up the parents.
+            path[k] = len(path)
+            k = parent[k]
+        if not reaches[k]:  # Back on the path: a cycle.
+            parent[min(list(path)[path[k]:])] = _ORPHAN
+        for on_path in path:
+            reaches[on_path] = True
 
 
 def salvage_archive(
@@ -540,7 +497,7 @@ def salvage_archive(
     """Salvage a damaged platform log straight into an archive.
 
     This is the black-box (model-less) ingestion path: the archive
-    carries the salvaged tree with recorded infos and durations, its
+    holds the salvaged operations with recorded infos and durations, its
     metadata records the ingest anomalies, and every synthesized value
     is flagged with ``inferred`` provenance for degraded analysis.
 
@@ -555,11 +512,8 @@ def salvage_archive(
             f"nothing salvageable: {report.total_lines} lines, "
             f"{report.malformed} malformed, 0 usable records"
         )
-    root = parser.build_tree(columns, report)
-    archive = PerformanceArchive(
-        job_id=columns.job_id[0],
-        root=root,
-        platform=platform,
-        metadata={"salvaged": True, "ingest": report.to_dict()},
-    )
-    return archive, report
+    table = salvage_table(columns, report)
+    metadata = {"salvaged": True, "ingest": report.to_dict()}
+    return PerformanceArchive.from_table(
+        columns.job_id[0], table, platform=platform, metadata=metadata,
+    ), report

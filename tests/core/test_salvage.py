@@ -6,7 +6,9 @@ from repro import logformat
 from repro.core.archive.archive import (
     PROVENANCE_INFERRED,
     PROVENANCE_MEASURED,
+    PerformanceArchive,
 )
+from repro.core.archive.serialize import operations_to_columns
 from repro.core.monitor.logparser import parse_log_columns
 from repro.core.monitor.records import RecordColumns
 from repro.core.monitor.salvage import (
@@ -15,8 +17,10 @@ from repro.core.monitor.salvage import (
     IngestReport,
     SalvageParser,
     salvage_archive,
+    salvage_table,
 )
 from repro.errors import IngestError, ReproError
+from tests.core import salvage_reference as reference
 
 
 def line(ts, event, uid, job="job-1", **extra):
@@ -126,8 +130,8 @@ class TestReordering:
         assert tolerant_report.skew_violations == 0
 
 
-class TestTreeFromUnfilteredColumns:
-    """``build_tree`` on columns that skipped ``parse``'s selection."""
+class TestTableFromUnfilteredColumns:
+    """``salvage_table`` on columns that skipped ``parse``'s selection."""
 
     def test_repeated_start_keeps_the_first(self):
         log = clean_log()
@@ -135,13 +139,16 @@ class TestTreeFromUnfilteredColumns:
                            mission="Impostor", actor="Worker-9"))
         columns, _parsed = parse_log_columns(log)
         report = IngestReport()
-        root = SalvageParser().build_tree(columns, report)
+        table = salvage_table(columns, report)
+        root = PerformanceArchive.from_table("job-1", table).root
         assert [c.mission for c in root.children] == ["Startup", "LoadGraph"]
         assert report.clean
+        assert table == operations_to_columns(
+            reference.build_tree(columns, IngestReport()))
 
     def test_no_records_is_a_typed_error(self):
         with pytest.raises(IngestError, match="no records"):
-            SalvageParser().build_tree(RecordColumns(), IngestReport())
+            salvage_table(RecordColumns(), IngestReport())
 
 
 class TestOrphans:

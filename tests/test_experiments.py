@@ -5,6 +5,8 @@ module through the experiments' process-wide runner, so the whole module
 costs two platform runs.
 """
 
+from pathlib import Path
+
 import pytest
 
 from repro.experiments import (
@@ -18,6 +20,8 @@ from repro.experiments import (
 )
 from repro.experiments.common import shared_runner
 from repro.experiments.report import ALL_EXPERIMENTS, render_markdown, run_all
+
+EXPERIMENTS_MD = Path(__file__).resolve().parents[1] / "EXPERIMENTS.md"
 
 
 @pytest.fixture(scope="module")
@@ -176,3 +180,6 @@ class TestReport:
             assert f"## {name}" in text
         assert "reproduced" in text
         assert "MISMATCH" not in text
+        # The committed report is this rendering: regenerate it with
+        # ``granula experiments --out EXPERIMENTS.md`` when it moves.
+        assert text == EXPERIMENTS_MD.read_text()
