@@ -371,8 +371,8 @@ def salvage_table(columns: RecordColumns, report: IngestReport) -> Dict[str, Any
     actor = [columns.actor[i] or "" for i in rows]
     start = [ts[i] for i in rows]
     end: List[Any] = [None] * len(rows)
-    #: (operation, key, token): recorded tokens are the log's text, the
-    #: synthesized values their own tokens.
+    # (operation, key, token): recorded tokens are the log's text, the
+    # synthesized values their own tokens.
     infos: List[Tuple[int, Any, Any]] = []
 
     def mark(k: int) -> None:
