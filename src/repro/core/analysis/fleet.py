@@ -8,18 +8,19 @@ against an :class:`~repro.core.archive.store.ArchiveStore` by streaming
 job ids off the index and reading each job's metric values straight
 from its memory-mapped ``.gcol`` sidecar as numpy vectors — no
 :class:`~repro.core.archive.archive.PerformanceArchive` tree is ever
-materialized.  A job whose sidecar is missing or damaged is read from
-its JSON document's own columns instead, through the same extraction,
-and is reported in ``degraded_jobs``; its values are identical (the
-sidecar only mirrors those columns), only slower to obtain.
+materialized.  A job whose sidecar is missing, or damaged in a column
+the plan reads (each column is verified on its first read), is read
+from its JSON document's own columns instead, through the same
+extraction, and is reported in ``degraded_jobs``; its values are
+identical (the sidecar only mirrors those columns), only slower.
 
 The scan discipline lives in :class:`FleetScanSession`: one context
-manager that opens each job's sidecar exactly once per query, extracts
-everything the plan needs (group key, metric vector, top-k candidates,
-mission shares, timestamp), and closes the mapping *before* moving to
-the next job — so a 10k-archive query holds one mapping at a time
-instead of exhausting file descriptors, and an exception mid-scan still
-releases the active view.
+manager that opens each job's sidecar exactly once per query (one
+``stat``, one ``open``), extracts everything the plan needs (group key,
+metric vector, top-k candidates, mission shares, timestamp), and closes
+the mapping *before* moving to the next job — so a 10k-archive query
+holds one mapping at a time instead of exhausting file descriptors, and
+an exception mid-scan still releases the active view.
 
 Regression detection reuses the diagnosis vocabulary: each flagged job
 becomes a :class:`~repro.core.analysis.diagnosis.Finding` whose cohort
@@ -48,7 +49,9 @@ from repro.core.analysis.fleetplan import (
     AggSpec,
     FleetPlan,
 )
-from repro.core.archive.columnar import ColumnarArchiveView, document_view
+from repro.core.archive.columnar import (
+    ColumnarArchiveView, SidecarError, document_view,
+)
 from repro.core.archive.store import ArchiveStore
 from repro.errors import ArchiveError, QueryError
 
@@ -226,6 +229,20 @@ class FleetScanSession:
         timestamp = view.root_start if self._need_timestamp else None
         return JobScan(job_id, group, values, top, shares, timestamp)
 
+    def _scan_sidecar(self, job_id: str, summary: Dict) -> Optional[JobScan]:
+        """The job's scan off its sidecar, or None when it is missing or
+        damaged in a column the plan reads."""
+        view = self.store.columnar_view(job_id, lazy=True)
+        if view is None:
+            return None
+        try:
+            with view:
+                return self._scan_columnar(job_id, summary, view)
+        except SidecarError as exc:
+            logger.warning("fleet scan: sidecar for %s unusable (%s); "
+                           "falling back to JSON", job_id, exc)
+            return None
+
     # -- iteration -----------------------------------------------------------
 
     def jobs(self) -> Iterator[JobScan]:
@@ -239,12 +256,13 @@ class FleetScanSession:
         for job_id in self.store.iter_jobs(**filters):
             summary = self.store.summary(job_id)
             try:
-                view = self.store.columnar_view(job_id)
-                degraded = view is None
+                scan = self._scan_sidecar(job_id, summary)
+                degraded = scan is None
                 if degraded:
-                    view = document_view(self.store.handle(job_id).document)
-                with view:
-                    scan = self._scan_columnar(job_id, summary, view)
+                    with document_view(
+                        self.store.handle(job_id).document
+                    ) as view:
+                        scan = self._scan_columnar(job_id, summary, view)
             except (ArchiveError, OSError, UnicodeDecodeError) as exc:
                 self.jobs_failed += 1
                 logger.warning(
@@ -681,8 +699,9 @@ def run_fleet_query(
     """Execute one fleet plan against a store; returns the JSON document.
 
     Jobs are scanned off their ``.gcol`` sidecars; a job whose sidecar
-    is missing or damaged is read from its JSON document's columns and
-    reported in ``degraded_jobs``.  Values are identical either way;
+    is missing, or damaged in a column the plan reads, is read from its
+    JSON document's columns and reported in ``degraded_jobs``.  Values
+    are identical either way;
     the sidecar is an accelerator, never an oracle.  A job that cannot
     be read at all (or whose columns cannot be encoded) is counted in
     ``jobs_failed``.

@@ -32,6 +32,8 @@ File layout (all integers little-endian)::
                              sidecar belongs to (binds the pair)
           count, info_count  row counts
           data_sha256        checksum over the whole data region
+          column_sha256      optional: base64 of each column's 32-byte
+                             SHA-256, in the order ``columns`` lists them
           columns            name -> {offset (relative), nbytes, dtype}
           index              optional store index entry + metadata
     align64(16 + H)   column blobs, each aligned to 64 bytes:
@@ -52,16 +54,19 @@ The sidecar is strictly an accelerator: the JSON archive remains the
 durable truth, and any damage (bad magic, checksum mismatch, a stale
 ``archive_checksum``, a row pointing outside its table) makes the
 loader raise :class:`SidecarError` so callers read the JSON document's
-own columns instead.
+own columns instead.  Point queries verify the whole file at open;
+fleet scans verify each column on its first read (:func:`load_sidecar`).
 """
 
 from __future__ import annotations
 
+import base64
 import copy
 import functools
 import hashlib
 import json
 import mmap
+import os
 import re
 import struct
 from pathlib import Path
@@ -320,6 +325,7 @@ def build_sidecar(
     columns: Mapping[str, Any],
     archive_checksum: str,
     extra: Optional[Mapping[str, Any]] = None,
+    checksums: bool = True,
 ) -> bytes:
     """Serialize a columnar operations block into sidecar bytes.
 
@@ -335,6 +341,9 @@ def build_sidecar(
     fleet scans can skip the JSON parse entirely.  The
     ``archive_checksum`` binding makes the copy trustworthy: a header
     whose checksum matches the JSON tail describes those exact bytes.
+
+    ``checksums`` records the data region's and every column's SHA-256
+    (:func:`table_of_columns`' bytes never leave the process).
     """
     count = int(columns["count"])
     blobs: Dict[str, np.ndarray] = {}
@@ -359,6 +368,7 @@ def build_sidecar(
     blobs["info_isnum"] = np.array(flags, dtype="|u1")
 
     directory: Dict[str, Dict[str, Any]] = {}
+    digests: Dict[str, bytes] = {}
     data = bytearray()
     for name, array in blobs.items():
         data.extend(bytes(_align(len(data)) - len(data)))
@@ -368,14 +378,21 @@ def build_sidecar(
             "nbytes": len(raw),
             "dtype": array.dtype.str,
         }
+        if checksums:
+            digests[name] = hashlib.sha256(raw).digest()
         data.extend(raw)
     header: Dict[str, Any] = {
         "archive_checksum": archive_checksum,
         "count": count,
         "info_count": len(encoded_values),
-        "data_sha256": hashlib.sha256(data).hexdigest(),
         "columns": directory,
     }
+    if checksums:
+        header["data_sha256"] = hashlib.sha256(data).hexdigest()
+        # In the directory's order as written (sort_keys, below).
+        header["column_sha256"] = base64.b64encode(
+            b"".join(digests[name] for name in sorted(digests))
+        ).decode("ascii")
     if extra is not None:
         header["index"] = dict(extra)
     header_json = json.dumps(header, sort_keys=True,
@@ -438,56 +455,99 @@ def read_sidecar_header(path: Union[str, Path]) -> Dict[str, Any]:
     return _parse_header(raw, path.name)
 
 
+def _column_digests(header: Dict[str, Any], name: str) -> Optional[bytes]:
+    """The header's packed column SHA-256s (None: not recorded)."""
+    packed = header.get("column_sha256")
+    try:
+        digests = None if packed is None else base64.b64decode(packed)
+    except (TypeError, ValueError):
+        digests = b""
+    if digests is not None and len(digests) != 32 * len(header["columns"]):
+        raise SidecarError(f"sidecar {name}: malformed column digests")
+    return digests
+
+
 def load_sidecar(
     path: Union[str, Path],
     expected_checksum: Optional[str] = None,
-    verify: bool = True,
+    lazy: bool = False,
 ) -> "ColumnarArchiveView":
-    """Memory-map a sidecar into a query view (checksum-verified).
+    """Memory-map a sidecar into a checksum-verified query view.
 
     The file is opened once: the header is parsed off the same mapping
     the columns are served from.  ``expected_checksum`` is the JSON
     archive's payload checksum; a sidecar written for different archive
     bytes is *stale* and raises :class:`SidecarError` — callers read
-    the JSON document instead.  With ``verify`` the data region's SHA-256 is
-    recomputed, so bit rot is detected before a single query is
-    answered.
+    the JSON document instead.  A missing file raises
+    :class:`FileNotFoundError`.
+
+    By default (a point query) the data region's SHA-256 is recomputed
+    and every column checked before the view is returned.  With
+    ``lazy`` (a fleet scan) each column is hashed against its digest and
+    checked on its first read, which raises :class:`SidecarError` if it
+    is damaged; a sidecar without column digests is hashed whole at open.
     """
-    path = Path(path)
+    name = os.path.basename(path)
     try:
-        with path.open("rb") as handle:
-            buffer = mmap.mmap(handle.fileno(), 0, access=mmap.ACCESS_READ)
+        fd = os.open(path, os.O_RDONLY)
+        try:
+            buffer = mmap.mmap(fd, 0, access=mmap.ACCESS_READ)
+        finally:
+            os.close(fd)
+    except FileNotFoundError:
+        raise
     except (OSError, ValueError) as exc:
         raise SidecarError(f"cannot map sidecar {path}: {exc}") from None
+    table = None
     try:
-        header = _parse_header(buffer, path.name)
+        header = _parse_header(buffer, name)
         if expected_checksum is not None and (
             header.get("archive_checksum") != expected_checksum
         ):
             raise SidecarError(
-                f"sidecar {path.name} is stale: written for archive "
+                f"sidecar {name} is stale: written for archive "
                 f"checksum {header.get('archive_checksum')!r}, the JSON "
                 f"now has {expected_checksum!r}"
             )
         data_offset = header["data_offset"]
-        if verify:
+        digests = _column_digests(header, name)
+        if not lazy or digests is None:
             digest = hashlib.sha256(
                 memoryview(buffer)[data_offset:]
             ).hexdigest()
             if digest != header.get("data_sha256"):
                 raise SidecarError(
-                    f"sidecar {path.name}: data checksum mismatch (stored "
+                    f"sidecar {name}: data checksum mismatch (stored "
                     f"{header.get('data_sha256')!r}, computed {digest!r})"
+                    + _damaged_columns(header, buffer, digests)
                 )
-        table = _ColumnTable(header, buffer, data_offset)
+            digests = None
+        table = _ColumnTable(header, buffer, data_offset, digests)
+        if not lazy:
+            table.read_all()
     except SidecarError as exc:
         # The failed frames still view the mapping; dropping the
         # traceback frees them, so the mapping can close right away.
         error = exc.with_traceback(None)
     else:
         return ColumnarArchiveView(table)
+    if table is not None:
+        table.close()  # Drops the columns read so far, then the mapping.
     buffer.close()
     raise error
+
+
+def _damaged_columns(header: Dict[str, Any], buffer: Any,
+                     digests: Optional[bytes]) -> str:
+    """The mismatch message's list of columns failing their digests."""
+    damaged = []
+    table = _ColumnTable(header, buffer, header["data_offset"], digests)
+    for column in header["columns"] if digests else ():
+        try:
+            table.column(column)
+        except SidecarError:
+            damaged.append(column)
+    return f"; damaged column(s): {', '.join(damaged)}" if damaged else ""
 
 
 def table_of_columns(
@@ -499,7 +559,7 @@ def table_of_columns(
     :func:`build_sidecar` encodes it and the loader's header parse and
     :class:`_ColumnTable` decode it, so it passes every check a sidecar
     file passes (plus the tree decoder's list-column and unique-uid
-    checks); only the data SHA-256 is skipped, as the bytes never left
+    checks); only the SHA-256s are skipped, as the bytes never left
     the process.  An un-encodable timestamp (a bool, an int beyond
     2**53) raises :class:`QueryError` naming it; any other defect
     raises :class:`ArchiveError`.
@@ -510,7 +570,7 @@ def table_of_columns(
     try:
         if len(set(columns["uid"])) != len(columns["uid"]):
             raise ArchiveError("columnar operations: duplicate operation uid")
-        raw = build_sidecar(columns, "", extra)
+        raw = build_sidecar(columns, "", extra, checksums=False)
     except SidecarError as exc:  # The encoder's one refusal: a timestamp.
         raise QueryError(f"archive columns: {exc}") from None
     except (TypeError, ValueError, KeyError, OverflowError) as exc:
@@ -518,7 +578,9 @@ def table_of_columns(
             f"archive columns are not encodable: {exc!r}") from None
     header = _parse_header(raw, "in memory")
     try:
-        return _ColumnTable(header, raw, header["data_offset"])
+        table = _ColumnTable(header, raw, header["data_offset"])
+        table.read_all()
+        return table
     except SidecarError as exc:
         raise ArchiveError(f"archive columns: {exc}") from None
 
@@ -542,17 +604,27 @@ def document_view(document: Mapping[str, Any]) -> "ColumnarArchiveView":
     ))
 
 
-class _ColumnTable:
-    """Decoded sidecar columns plus lazily derived lookup structures.
+#: Layout 2's columns (layout 1 stores each coded name as a per-row
+#: ``{name}_offsets`` + ``{name}_heap``, re-encoded at open).
+_COLUMNS = ("parent", "start", "start_kind", "end", "end_kind",
+            "uid_offsets", "uid_heap", "info_op", "info_value_offsets",
+            "info_value_heap", "info_num", "info_isnum") + tuple(
+    f"{name}_{part}" for name in _CODED
+    for part in ("dict_offsets", "dict_heap", "codes"))
 
-    One table is shared by every view chained off it, so derived
-    artifacts (decoded dictionaries, per-key info row maps) are computed
-    at most once per loaded sidecar.  Everything derived is either
-    dictionary-sized or a numpy vector over the rows.
+
+class _ColumnTable:
+    """Sidecar columns, each read and checked on first access, plus
+    lazily derived lookup structures.
+
+    One table is shared by every view chained off it, so columns and
+    derived artifacts (decoded dictionaries, per-key info row maps) are
+    computed at most once per loaded sidecar.  Everything derived is
+    either dictionary-sized or a numpy vector over the rows.
     """
 
     def __init__(self, header: Dict[str, Any], buffer: Any,
-                 data_offset: int):
+                 data_offset: int, digests: Optional[bytes] = None):
         self.archive_checksum = str(header.get("archive_checksum", ""))
         try:
             self.count = int(header["count"])
@@ -568,105 +640,116 @@ class _ColumnTable:
             extra if isinstance(extra, dict) else None
         )
         self._buffer = buffer
-        # One read-only byte array over the mapping; columns are typed
+        self._directory = header["columns"]
+        self._data_offset = data_offset
+        #: Each column's SHA-256, in directory order (None: the whole
+        #: data region was verified at open).
+        self._digests = digests
+        # One read-only byte array over the buffer; columns are typed
         # views of slices of it.
-        data = np.frombuffer(buffer, dtype=np.uint8)
-
-        def column(name: str) -> np.ndarray:
-            try:
-                entry = header["columns"][name]
-                dtype = _DTYPES[entry["dtype"]]
-                start = data_offset + int(entry["offset"])
-                nbytes = int(entry["nbytes"])
-            except (KeyError, TypeError, ValueError) as exc:
-                raise SidecarError(
-                    f"sidecar column {name!r} missing or malformed "
-                    f"({exc})"
-                ) from None
-            if (nbytes % dtype.itemsize or start < data_offset
-                    or nbytes < 0 or start + nbytes > len(data)):
-                raise SidecarError(
-                    f"sidecar column {name!r} out of bounds"
-                )
-            return data[start:start + nbytes].view(dtype)
-
-        self.parent = column("parent")
-        self.start = column("start")
-        self.start_kind = column("start_kind")
-        self.end = column("end")
-        self.end_kind = column("end_kind")
-        self._uid_heap = (column("uid_offsets"), column("uid_heap"))
-        self.info_op = column("info_op")
-        self._value_heap = (column("info_value_offsets"),
-                            column("info_value_heap"))
-        self.info_num = column("info_num")
-        self.info_isnum = column("info_isnum")
-        #: name -> one code per row into the name's dictionary.
-        self.codes: Dict[str, np.ndarray] = {}
+        self._data = np.frombuffer(buffer, dtype=np.uint8)
+        self._slices: Dict[str, np.ndarray] = {}
         self._dictionaries: Dict[str, List[str]] = {}
-        self._dictionary_heaps: Dict[str, Tuple[np.ndarray, np.ndarray]] = {}
-        sizes: Dict[str, int] = {}
-        for name in _CODED:
-            if header["version"] == 1:
+        if header["version"] == 1:
+            # Per-row heaps: re-encoded at open as layout 2's columns.
+            for name in _CODED:
                 try:
                     words, codes = _dictionary(_decode_heap(
-                        column(f"{name}_offsets"), column(f"{name}_heap")))
+                        self.column(f"{name}_offsets"),
+                        self.column(f"{name}_heap")))
                 except UnicodeDecodeError as exc:
                     raise SidecarError(
                         f"sidecar column {name!r} is not UTF-8 ({exc})"
                     ) from None
-                self._dictionaries[name] = words
-                sizes[name] = len(words)
-            else:
-                heap = (column(f"{name}_dict_offsets"),
-                        column(f"{name}_dict_heap"))
-                self._dictionary_heaps[name] = heap
-                codes = column(f"{name}_codes")
-                sizes[name] = len(heap[0]) - 1
-            self.codes[name] = codes
-        self._check(sizes)
+                offsets, heap = _heap(words)
+                self._slices[f"{name}_dict_offsets"] = offsets
+                self._slices[f"{name}_dict_heap"] = np.frombuffer(
+                    heap, dtype="|u1")
+                self._slices[f"{name}_codes"] = codes
         self._uids: Optional[List[str]] = None
         #: info key -> per-operation-row info row (-1: key absent).
         self._info_rows: Dict[str, np.ndarray] = {}
 
-    def _check(self, sizes: Dict[str, int]) -> None:
-        """Reject columns that are not one tree or point outside their
-        tables.
+    def column(self, name: str) -> np.ndarray:
+        """One column as a typed view of the buffer, on its first read
+        hashed against its digest (a per-column open) and checked."""
+        array = self._slices.get(name)
+        if array is not None:
+            return array
+        try:
+            entry = self._directory[name]
+            dtype = _DTYPES[entry["dtype"]]
+            start = self._data_offset + int(entry["offset"])
+            nbytes = int(entry["nbytes"])
+        except (KeyError, TypeError, ValueError) as exc:
+            raise SidecarError(
+                f"sidecar column {name!r} missing or malformed ({exc})"
+            ) from None
+        if (nbytes % dtype.itemsize or start < self._data_offset
+                or nbytes < 0 or start + nbytes > len(self._data)):
+            raise SidecarError(f"sidecar column {name!r} out of bounds")
+        raw = self._data[start:start + nbytes]
+        if self._digests is not None:
+            at = 32 * list(self._directory).index(name)
+            if hashlib.sha256(raw).digest() != self._digests[at:at + 32]:
+                raise SidecarError(
+                    f"sidecar column {name!r}: checksum mismatch")
+        array = raw.view(dtype)
+        self._check(name, array)
+        self._slices[name] = array
+        return array
+
+    def _check(self, name: str, array: np.ndarray) -> None:
+        """Reject a column that is not its table's length (per operation,
+        or per info row for ``info_*``), not one tree, or pointing
+        outside its table.
 
         A checksum-consistent file can still be hand-built: one root at
         row 0 and pre-order (``0 <= parent[i] < i`` below it) are what
         make every parent walk end at the root, and in-range ``info_op``
-        and codes are what make every lookup a plain index.
+        and codes are what make every lookup a plain index.  Viewed
+        unsigned, a negative index is huge: one max() per column.
         """
-        n, k = self.count, self.info_count
-        lengths = {
-            n: (self.parent, self.start, self.start_kind, self.end,
-                self.end_kind, self.codes["mission"], self.codes["actor"]),
-            n + 1: (self._uid_heap[0],),
-            k: (self.info_op, self.codes["info_key"], self.info_num,
-                self.info_isnum),
-            k + 1: (self._value_heap[0],),
-        }
-        if any(len(array) != size
-               for size, arrays in lengths.items() for array in arrays):
+        n = self.count
+        if not name.endswith(("_heap", "_dict_offsets")) and len(array) != (
+            self.info_count if name.startswith("info_") else n
+        ) + name.endswith("_offsets"):  # An offset index has one more.
             raise SidecarError("column lengths disagree with counts")
-        parent = self.parent
-        if n and (parent[0] != -1 or (parent[1:] < 0).any()
-                  or (parent >= np.arange(n)).any()):
+        if name == "parent" and n and (
+            array[0] != -1 or (array[1:] < 0).any()
+            or (array >= np.arange(n)).any()
+        ):
             raise SidecarError(
                 "parent column is not one tree in pre-order (row 0 is "
                 "the root, parent -1; every other row's parent precedes it)"
             )
-        # Viewed unsigned, a negative index is huge: one max() per column.
-        if k and self.info_op.view("<u8").max() >= n:
+        if name == "info_op" and len(array) and array.view("<u8").max() >= n:
             raise SidecarError(
                 "info_op column points outside the operation rows"
             )
-        for name, codes in self.codes.items():
-            if len(codes) and codes.view("<u4").max() >= sizes[name]:
-                raise SidecarError(
-                    f"{name} codes point outside its dictionary"
-                )
+        if name.endswith("_codes") and len(array) and array.view(
+            "<u4"
+        ).max() >= len(self.column(name[:-5] + "dict_offsets")) - 1:
+            raise SidecarError(
+                f"{name[:-6]} codes point outside its dictionary")
+
+    parent = property(lambda self: self.column("parent"))
+    start = property(lambda self: self.column("start"))
+    start_kind = property(lambda self: self.column("start_kind"))
+    end = property(lambda self: self.column("end"))
+    end_kind = property(lambda self: self.column("end_kind"))
+    info_op = property(lambda self: self.column("info_op"))
+    info_num = property(lambda self: self.column("info_num"))
+    info_isnum = property(lambda self: self.column("info_isnum"))
+
+    def codes(self, name: str) -> np.ndarray:
+        """One code per row of a coded column, into its dictionary."""
+        return self.column(f"{name}_codes")
+
+    def read_all(self) -> None:
+        """Read and check every column now (a point query's open)."""
+        for name in _COLUMNS:
+            self.column(name)
 
     @functools.cached_property
     def has_int_timestamps(self) -> bool:
@@ -679,8 +762,9 @@ class _ColumnTable:
         """The distinct strings of one coded column (decoded once)."""
         words = self._dictionaries.get(name)
         if words is None:
-            words = _decode_heap(*self._dictionary_heaps[name])
-            self._dictionaries[name] = words
+            words = self._dictionaries[name] = _decode_heap(
+                self.column(f"{name}_dict_offsets"),
+                self.column(f"{name}_dict_heap"))
         return words
 
     def lut(self, name: str, accept: Callable[[str], Any]) -> np.ndarray:
@@ -701,7 +785,7 @@ class _ColumnTable:
             return cached
         rows = np.flatnonzero(
             self.lut("info_key", lambda word: word == key)[
-                self.codes["info_key"]]
+                self.codes("info_key")]
         )[::-1]
         out = np.full(self.count, -1, dtype=np.int64)
         if len(rows):
@@ -718,8 +802,8 @@ class _ColumnTable:
         Each stored value is one compact JSON document, so the wanted
         slices joined with commas form one JSON array: a single parse.
         """
-        offsets, heap = self._value_heap
-        raw = heap.tobytes()
+        offsets = self.column("info_value_offsets")
+        raw = self.column("info_value_heap").tobytes()
         starts = offsets[rows].tolist()
         ends = offsets[rows + 1].tolist()
         values = json.loads(
@@ -738,7 +822,7 @@ class _ColumnTable:
         once per call); pre-order, checked at load, bounds every walk.
         """
         names = self.dictionary("mission")
-        codes = self.codes["mission"]
+        codes = self.codes("mission")
         parent = self.parent
         memo: Dict[int, str] = {}
         out: List[str] = []
@@ -770,9 +854,11 @@ class _ColumnTable:
         """The service-level operation records of the given rows."""
         rows = [int(i) for i in rows]
         if self._uids is None:
-            self._uids = _decode_heap(*self._uid_heap)
+            self._uids = _decode_heap(self.column("uid_offsets"),
+                                      self.column("uid_heap"))
         missions = self.dictionary("mission")
         actors = self.dictionary("actor")
+        mission_codes, actor_codes = self.codes("mission"), self.codes("actor")
         out: List[Dict[str, Any]] = []
         for i, path in zip(rows, self.paths_at(rows)):
             start = self.timestamp(self.start, self.start_kind, i)
@@ -780,8 +866,8 @@ class _ColumnTable:
             out.append({
                 "uid": self._uids[i],
                 "path": path,
-                "mission": missions[self.codes["mission"][i]],
-                "actor": actors[self.codes["actor"][i]],
+                "mission": missions[mission_codes[i]],
+                "actor": actors[actor_codes[i]],
                 "start": start,
                 "end": end,
                 "duration": (
@@ -790,11 +876,6 @@ class _ColumnTable:
                 ),
             })
         return out
-
-    @property
-    def closed(self) -> bool:
-        """Whether the underlying mapping has been released."""
-        return self._buffer is None
 
     def close(self) -> None:
         """Release the underlying mapping (views become invalid).
@@ -809,13 +890,8 @@ class _ColumnTable:
         buffer, self._buffer = self._buffer, None
         if buffer is None:
             return
-        self.parent = None
-        self.start = self.start_kind = None
-        self.end = self.end_kind = None
-        self.info_op = self.info_num = self.info_isnum = None
-        self._uid_heap = self._value_heap = None
-        self.codes = {}
-        self._dictionary_heaps = {}
+        self._data = None
+        self._slices = {}
         self._dictionaries = {}
         self._uids = None
         self._info_rows = {}
@@ -860,11 +936,6 @@ class ColumnarArchiveView:
     def __len__(self) -> int:
         return len(self._selection)
 
-    @property
-    def closed(self) -> bool:
-        """Whether the backing mapping has been released."""
-        return self._table.closed
-
     def close(self) -> None:
         """Release the underlying file mapping."""
         self._table.close()
@@ -886,7 +957,7 @@ class ColumnarArchiveView:
                accept: Callable[[str], Any]) -> "ColumnarArchiveView":
         table = self._table
         return self._narrow(
-            table.lut(name, accept)[table.codes[name][self._selection]]
+            table.lut(name, accept)[table.codes(name)[self._selection]]
         )
 
     def path(self, pattern: str) -> "ColumnarArchiveView":
@@ -1077,7 +1148,7 @@ class ColumnarArchiveView:
         """
         table = self._table
         bases = [_split(word)[0] for word in table.dictionary("mission")]
-        return bases, table.codes["mission"][rows]
+        return bases, table.codes("mission")[rows]
 
 
 __all__ = [

@@ -635,8 +635,9 @@ def validate_sidecar(
     sidecar findings are warnings, never errors.  The sidecar is cross-checked
     against the JSON's payload checksum, so a *stale* sidecar (archive
     rewritten, sidecar left behind) is reported alongside byte-level
-    corruption (data-region SHA-256 mismatch, truncated header).
-    Never raises.
+    corruption (data-region SHA-256 mismatch, naming the damaged columns
+    where the sidecar has column digests; truncated header).  Never
+    raises.
     """
     # Local import: columnar depends on this module's sibling ``store``
     # for atomic writes, so a top-level import would be cyclic.

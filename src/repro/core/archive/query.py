@@ -105,7 +105,7 @@ class ArchiveQuery(ColumnarArchiveView):
         string (a ``None`` key is skipped), in pre-order."""
         ops = self._ops()
         keys = [key_of(word) for word in self._table.dictionary(name)]
-        codes = self._table.codes[name][self._selection]
+        codes = self._table.codes(name)[self._selection]
         groups: Dict = {}
         for row, code in zip(self._selection.tolist(), codes.tolist()):
             if keys[code] is not None:

@@ -48,6 +48,7 @@ except ImportError:  # pragma: no cover - non-POSIX fallback
 
 from repro.core.archive.archive import PerformanceArchive
 from repro.core.archive.columnar import (
+    SIDECAR_SUFFIX,
     ColumnarArchiveView,
     SidecarError,
     build_sidecar,
@@ -318,9 +319,9 @@ def _stamp_of(stat: os.stat_result) -> _Stamp:
     return (stat.st_ino, stat.st_mtime_ns, stat.st_size)
 
 
-def _stamp(path: Path) -> Optional[_Stamp]:
+def _stamp(path: Union[str, Path]) -> Optional[_Stamp]:
     try:
-        return _stamp_of(path.stat())
+        return _stamp_of(os.stat(path))
     except OSError:
         return None
 
@@ -756,6 +757,10 @@ class ArchiveStore:
     def _archive_path(self, job_id: str) -> Path:
         return self.directory / f"{validate_job_id(job_id)}.json"
 
+    def _archive_file(self, job_id: str, suffix: str = ".json") -> str:
+        """:meth:`_archive_path` (or a sibling) as a string."""
+        return os.path.join(self.directory, validate_job_id(job_id) + suffix)
+
     def save(self, archive: PerformanceArchive, overwrite: bool = False) -> Path:
         """Persist an archive durably and index it; returns its file path.
 
@@ -839,23 +844,26 @@ class ArchiveStore:
         """Where the job's binary column sidecar lives (may not exist)."""
         return sidecar_path(self._archive_path(job_id))
 
-    def columnar_view(self, job_id: str) -> Optional[ColumnarArchiveView]:
+    def columnar_view(self, job_id: str,
+                      lazy: bool = False) -> Optional[ColumnarArchiveView]:
         """Zero-copy query view of one archive, or None.
 
-        Returns a checksum-verified :class:`ColumnarArchiveView` over
-        the mmap'd ``.gcol`` sidecar when one exists and matches the
-        JSON's payload checksum; any damage or staleness logs a warning
-        and returns ``None`` — callers then query the JSON document's
-        own columns (:func:`~repro.core.archive.columnar.document_view`).
-        Raises :class:`ArchiveError` only when the archive itself is
-        absent.
+        Returns a view over the mmap'd ``.gcol`` sidecar when one exists
+        and matches the JSON's payload checksum; any damage or staleness
+        logs a warning and returns ``None`` — callers then query the
+        JSON document's own columns
+        (:func:`~repro.core.archive.columnar.document_view`).  ``lazy``
+        (a fleet scan) verifies each column on its first read instead of
+        all at open (:func:`~repro.core.archive.columnar.load_sidecar`).
+        One ``stat`` and one ``open``; raises :class:`ArchiveError` only
+        when the archive itself is absent.
         """
-        side = self.sidecar_path(job_id)
         checksum = self.checksum(job_id)  # Raises if the JSON is gone.
-        if not side.exists():
-            return None
         try:
-            return load_sidecar(side, expected_checksum=checksum)
+            return load_sidecar(self._archive_file(job_id, SIDECAR_SUFFIX),
+                                expected_checksum=checksum, lazy=lazy)
+        except FileNotFoundError:
+            return None
         except SidecarError as exc:
             logger.warning(
                 "archive store %s: sidecar for %s unusable (%s); "
@@ -874,7 +882,7 @@ class ArchiveStore:
         block (it is the last key of a serialized archive) before
         falling back to a full parse.
         """
-        path = self._archive_path(job_id)
+        path = self._archive_file(job_id)
         stamp = _stamp(path)
         if stamp is None:
             self._checksums.pop(job_id, None)
@@ -887,10 +895,10 @@ class ArchiveStore:
         return checksum
 
     @staticmethod
-    def _read_checksum(path: Path) -> str:
+    def _read_checksum(path: Union[str, Path]) -> str:
         tail_bytes = 4096
         try:
-            with path.open("rb") as fh:
+            with open(path, "rb") as fh:
                 fh.seek(0, os.SEEK_END)
                 size = fh.tell()
                 fh.seek(max(0, size - tail_bytes))

@@ -296,7 +296,9 @@ class SalvageParser:
         rows: List[int],
         report: IngestReport,
     ) -> List[int]:
-        """Drop exact duplicates and repeated start/end events per UID."""
+        """Drop exact duplicates and repeated start/end events per UID
+        (an exact repeat of a start or end row repeats its uid, so only
+        info rows need an exact key)."""
         events = columns.event
         uids = columns.uid
         actor_of: Dict[str, str] = {}
@@ -310,18 +312,17 @@ class SalvageParser:
         for i in rows:
             event = events[i]
             uid = uids[i]
-            key = (
-                event, uid, columns.timestamp[i],
-                columns.info_name[i], columns.info_value[i],
-            )
-            duplicate = key in seen_exact
             if event == logformat.EVENT_START:
-                duplicate = duplicate or uid in started
+                duplicate = uid in started
                 started.add(uid)
             elif event == logformat.EVENT_END:
-                duplicate = duplicate or uid in ended
+                duplicate = uid in ended
                 ended.add(uid)
-            seen_exact.add(key)
+            else:
+                key = (event, uid, columns.timestamp[i],
+                       columns.info_name[i], columns.info_value[i])
+                duplicate = key in seen_exact
+                seen_exact.add(key)
             if duplicate:
                 report.duplicate_records += 1
                 report.node(actor_of.get(uid)).duplicates += 1

@@ -10,6 +10,7 @@ tests can demand byte identity with them.
 
 from __future__ import annotations
 
+import base64
 import hashlib
 import json
 import math
@@ -184,6 +185,10 @@ def build_sidecar(columns: Mapping[str, Any], archive_checksum: str,
         "count": int(columns["count"]),
         "info_count": len(texts),
         "data_sha256": hashlib.sha256(bytes(data)).hexdigest(),
+        "column_sha256": base64.b64encode(b"".join(
+            hashlib.sha256(blobs[name].tobytes()).digest()
+            for name in sorted(blobs)
+        )).decode("ascii"),
         "columns": directory,
     }
     if extra is not None:

@@ -9,7 +9,9 @@ so must a freshly written sidecar of the same archives, the other
 column source (``ArchiveQuery`` over the tree and the JSON document's
 own columns; for the fleet plans, a copy of the store without
 sidecars), and the plain-walk reference — the dictionary-coded layout
-is a faster encoding, not a different answer.
+is a faster encoding, not a different answer.  A sidecar without
+per-column digests (every v1 file) is verified as a whole region even
+by a fleet scan.
 """
 
 import json
@@ -30,6 +32,11 @@ from repro.core.archive.query import ArchiveQuery
 from repro.core.archive.store import ArchiveHandle, ArchiveStore
 from tests.conftest import sidecarless_fleet_query
 from tests.core.query_reference import ReferenceQuery, reference_fleet_query
+from tests.core.test_fleet_verification import (
+    data_region,
+    flip,
+    strip_column_digests,
+)
 
 FIXTURE = Path(__file__).parent / "gcol_v1"
 EXPECTED = json.loads((FIXTURE / "expected.json").read_text("utf-8"))
@@ -128,6 +135,36 @@ class TestV1Fixture:
             document = run_fleet_query(store, plan)
             assert document["degraded_jobs"] == []
         assert canonical(document) == canonical(case["document"])
+
+    @pytest.mark.parametrize("surface", ["v1", "v2-stripped"])
+    def test_sidecars_without_column_digests_verify_whole(
+        self, v1_store, v2_store, surface,
+    ):
+        """A sidecar without per-column digests — the v1 files, and a
+        fresh one with its digests stripped — answers the literals, and
+        a flip anywhere in its data region degrades the job under every
+        plan, whatever columns the plan reads."""
+        store = v1_store if surface == "v1" else v2_store
+        if surface == "v2-stripped":
+            for job_id in JOBS:
+                side = store.sidecar_path(job_id)
+                side.write_bytes(strip_column_digests(side.read_bytes()))
+        plans = [(FleetPlan.from_params(case["params"], op=case["op"]),
+                  case["document"]) for case in EXPECTED["fleet"]]
+        for plan, expected in plans:
+            document = run_fleet_query(store, plan)
+            assert document["degraded_jobs"] == []
+            assert canonical(document) == canonical(expected)
+        victims = JOBS[:3]
+        for job_id, where in zip(victims, (0.0, 0.5, 1.0)):
+            side = store.sidecar_path(job_id)
+            start, end = data_region(side)
+            flip(side, start + int(where * (end - 1 - start)))
+        for plan, expected in plans:
+            document = run_fleet_query(store, plan)
+            assert document["degraded_jobs"] == victims
+            assert canonical(dict(document, degraded_jobs=[])) == \
+                canonical(expected)
 
     def test_rebuild_index_reads_v1_headers_only(self, v1_store,
                                                  monkeypatch):

@@ -8,7 +8,8 @@ whether each job is read from its ``.gcol`` sidecar or, on a copy of
 the store without sidecars, from its JSON document's own columns; only
 ``degraded_jobs`` may differ.  When sidecars are corrupted or deleted,
 the scan must degrade per job (reported in ``degraded_jobs``), never
-change a value.  And a fleet split across several stores, merged the
+change a value — and a flipped byte degrades its job exactly when it
+lies in a column the plan reads.  And a fleet split across several stores, merged the
 way the cluster router merges its shards, must answer what one store
 holding every job answers — whether the shards send their sample
 vectors as JSON float lists or packed.
@@ -36,6 +37,12 @@ from repro.core.archive.archive import ArchivedOperation, PerformanceArchive
 from repro.core.archive.store import ArchiveStore
 from tests.conftest import sidecarless_fleet_query
 from tests.core.query_reference import reference_fleet_query
+from tests.core.test_fleet_verification import (
+    column_spans,
+    columns_read,
+    data_region,
+    flip,
+)
 
 MISSIONS = ("Load", "Compute", "Step-0", "Step-1", "Step-12", "IO-2",
             "Step-007", "a--1", "Step-1-2", "-3", "Wörk-1")
@@ -194,6 +201,37 @@ class TestFleetModeInvariance:
             columnar = run_fleet_query(store, plan)
             assert columnar["degraded_jobs"] == victims
             assert dict(columnar, degraded_jobs=[]) == reference
+
+
+    @given(stores_of_archives(), st.sampled_from(PLANS), st.data())
+    @settings(max_examples=25, deadline=None)
+    def test_flips_degrade_exactly_the_jobs_whose_read_columns_moved(
+        self, archives, plan, data,
+    ):
+        """Random single-byte flips in sidecar data regions: the
+        answer stays the reference's, and a job is degraded exactly
+        when a flip lands in a column its plan reads."""
+        with tempfile.TemporaryDirectory() as directory:
+            store = ArchiveStore(Path(directory) / "s")
+            for archive in archives:
+                store.save(archive)
+            read = columns_read(store, plan)
+            expected = []
+            for job_id in store.list():
+                side = store.sidecar_path(job_id)
+                start, end = data_region(side)
+                if not data.draw(st.booleans()) or start == end:
+                    continue
+                offset = data.draw(st.integers(start, end - 1))
+                flip(side, offset, data.draw(st.integers(1, 255)))
+                if any(at <= offset < at + nbytes
+                       for name, (at, nbytes) in column_spans(side).items()
+                       if name in read[job_id]):
+                    expected.append(job_id)
+            columnar = run_fleet_query(store, plan)
+            assert columnar["degraded_jobs"] == expected
+            assert dict(columnar, degraded_jobs=[]) == \
+                reference_fleet_query(store, plan)
 
 
 class TestFleetMergeInvariance:
