@@ -21,7 +21,6 @@ from pathlib import Path
 from typing import Dict, Set, Tuple
 from unittest import mock
 
-import numpy as np
 import pytest
 
 from repro.core.analysis.fleet import run_fleet_query
@@ -35,6 +34,7 @@ from repro.core.archive.columnar import (
 from repro.core.archive.integrity import validate_sidecar
 from repro.core.archive.store import ArchiveStore
 from tests.core.query_reference import reference_fleet_query
+from tests.core.test_columnar import patched
 from tests.service.conftest import make_archive
 
 #: ``service_direct``'s plan: it reads the four timestamp columns.
@@ -95,27 +95,18 @@ def strip_column_digests(payload: bytes) -> bytes:
 
 
 def rebound(payload: bytes, name: str, row: int, value: int) -> bytes:
-    """Sidecar bytes with one cell of a column changed and both the
-    column's digest and the data digest re-bound: it passes every
-    checksum, only the column's *contents* are wrong."""
-    header, data_offset = _header(payload)
+    """``patched`` bytes with the column's digest re-bound too: the file
+    passes every checksum, only the column's *contents* are wrong."""
+    out = patched(payload, name, row, value)
+    header, data_offset = _header(out)
     entry = header["columns"][name]
-    dtype = np.dtype(entry["dtype"])
-    out = bytearray(payload)
     start = data_offset + entry["offset"]
-    column = np.frombuffer(out, dtype=dtype,
-                           count=entry["nbytes"] // dtype.itemsize,
-                           offset=start)
-    column[row] = value
     digests = bytearray(base64.b64decode(header["column_sha256"]))
     at = 32 * list(header["columns"]).index(name)
     digests[at:at + 32] = hashlib.sha256(
-        bytes(out[start:start + entry["nbytes"]])).digest()
-    data = hashlib.sha256(bytes(out[data_offset:])).hexdigest()
-    return (bytes(out)
-            .replace(header["column_sha256"].encode(),
-                     base64.b64encode(bytes(digests)))
-            .replace(header["data_sha256"].encode(), data.encode()))
+        out[start:start + entry["nbytes"]]).digest()
+    return out.replace(header["column_sha256"].encode(),
+                       base64.b64encode(bytes(digests)))
 
 
 def columns_read(store: ArchiveStore, plan: FleetPlan) -> Dict[str, Set[str]]:
