@@ -9,10 +9,10 @@ the store without sidecars, from its JSON document's own columns; only
 ``degraded_jobs`` may differ.  When sidecars are corrupted or deleted,
 the scan must degrade per job (reported in ``degraded_jobs``), never
 change a value — and a flipped byte degrades its job exactly when it
-lies in a column the plan reads.  And a fleet split across several stores, merged the
-way the cluster router merges its shards, must answer what one store
-holding every job answers — whether the shards send their sample
-vectors as JSON float lists or packed.
+lies in a column the plan reads.  And a fleet split across several
+stores, merged the way the cluster router merges its shards, must
+answer what one store holding every job answers — whether the shards
+send their sample vectors as JSON float lists or packed.
 """
 
 from __future__ import annotations
