@@ -3,8 +3,7 @@
 from __future__ import annotations
 
 import json
-from pathlib import Path
-from typing import Callable, List, Optional, Sequence, Tuple, Union
+from typing import Callable, List, Optional, Sequence, Tuple
 
 from repro.core.visualize.render_html import render_report_html
 from repro.experiments.common import (
@@ -152,21 +151,3 @@ def render_html(runner: WorkloadRunner) -> str:
         title="Granula reproduction: cross-platform BFS (dg1000-scaled)",
     )
 
-
-def write_report(
-    path: Union[str, Path],
-    runner: Optional[WorkloadRunner] = None,
-    jobs: Optional[int] = None,
-    html_path: Optional[Union[str, Path]] = None,
-) -> List[ExperimentResult]:
-    """Run everything and write EXPERIMENTS.md; returns the results.
-
-    ``html_path`` additionally writes the HTML report rendered from the
-    same in-memory archives.
-    """
-    runner = runner or shared_runner()
-    results = run_all(runner, jobs=jobs)
-    Path(path).write_text(render_markdown(results))
-    if html_path is not None:
-        Path(html_path).write_text(render_html(runner))
-    return results

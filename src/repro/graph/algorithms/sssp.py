@@ -19,7 +19,7 @@ def default_weight(src: int, dst: int) -> float:
     """Deterministic pseudo-weights in [1, 2) derived from the edge ids.
 
     Graphalytics SSSP uses edge properties; synthetic graphs have none, so
-    benchmarks share this reproducible weight function.
+    every engine and reference shares this reproducible weight function.
     """
     h = ((src * 2654435761) ^ (dst * 40503)) & 0xFFFF
     return 1.0 + h / 65536.0

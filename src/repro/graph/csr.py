@@ -8,7 +8,7 @@ Backed by int64 numpy arrays; it is the one in-memory form of a
 
 from __future__ import annotations
 
-from typing import Iterator, Tuple
+from typing import Iterator, Optional, Tuple
 
 import numpy as np
 
@@ -27,6 +27,58 @@ def group_starts(keys: np.ndarray) -> np.ndarray:
 def group_sizes(starts: np.ndarray, total: int) -> np.ndarray:
     """Length of each group given its start offsets."""
     return np.diff(np.append(starts, total))
+
+
+def stable_key_sort(
+    key: np.ndarray, bound: int, rows: Optional[np.ndarray] = None,
+) -> Tuple[np.ndarray, np.ndarray]:
+    """``(rows[order], key[order])`` for ``order = np.argsort(key,
+    kind="stable")``, integer keys in ``[0, bound)``.
+
+    ``rows`` defaults to the row index, so the first array is ``order``
+    itself.  Each key is packed above its row into one int64,
+    ``key << b | row``, and the packed values are sorted.  They are
+    distinct, so every sort algorithm returns them in the same order: by
+    key, and rows with equal keys by row, i.e. in input order.  That is
+    the one stable permutation; the low ``b`` bits read it back and the
+    high bits are the sorted keys, so neither needs a gather.  Sorting
+    by a composite key ``v * R + p`` with ``0 <= p < R`` is also
+    ``np.lexsort((p, v))``.  numpy sorts int64 with a vectorised
+    quicksort, several times faster than its stable sort of the same
+    keys; keys too wide to share 63 bits with the rows take the stable
+    sort.
+
+    ``rows`` may instead be any non-negative column that never
+    decreases from one row to the next (the sources of a CSR edge
+    list).  Packed beside the key it still sorts equal keys in input
+    order, except among rows holding the same value, whose order does
+    not show, so the low bits read back ``rows[order]`` without a
+    gather.
+    """
+    key = np.asarray(key, dtype=np.int64)
+    n = len(key)
+    if rows is None:
+        rows = np.arange(n, dtype=np.int64)
+    else:
+        rows = np.asarray(rows, dtype=np.int64)
+    if n < 2 or bound <= 1:
+        return rows.copy(), key.copy()
+    row_bits = int(rows[-1]).bit_length()
+    if (int(bound) - 1).bit_length() + row_bits > 63:
+        order = np.argsort(key, kind="stable")
+        return rows[order], key[order]
+    packed = key << row_bits
+    packed |= rows
+    packed.sort()
+    sorted_key = packed >> row_bits
+    packed &= (1 << row_bits) - 1
+    return packed, sorted_key
+
+
+def stable_key_order(key: np.ndarray, bound: int) -> np.ndarray:
+    """``np.argsort(key, kind="stable")`` for integer keys in
+    ``[0, bound)``: the order half of :func:`stable_key_sort`."""
+    return stable_key_sort(key, bound)[0]
 
 
 def sorted_distinct(keys: np.ndarray) -> np.ndarray:
@@ -157,10 +209,10 @@ class CsrGraph:
         is stable.
         """
         n = self.num_vertices
-        order = np.argsort(self.indices, kind="stable")
+        sources, _ = stable_key_sort(self.indices, n, rows=self.sources())
         indptr = np.zeros(n + 1, dtype=np.int64)
         np.cumsum(np.bincount(self.indices, minlength=n), out=indptr[1:])
-        return CsrGraph(indptr, self.sources()[order])
+        return CsrGraph(indptr, sources)
 
     def undirected(self) -> "CsrGraph":
         """The undirected view: each row holds the distinct neighbours

@@ -3,8 +3,8 @@
 The paper's dataset is ``dg1000``, produced by LDBC Datagen [Erling et al.,
 SIGMOD'15].  :mod:`repro.graph.generators.datagen` provides a deterministic
 Datagen-like social-network generator (power-law degrees plus community
-structure); the other modules supply the standard families used by the
-ablation benchmarks.
+structure); the other modules supply the standard synthetic families
+(power-law, uniform, grid) used by the tests and ablations.
 """
 
 from repro.graph.generators.datagen import datagen_graph

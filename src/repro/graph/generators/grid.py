@@ -2,7 +2,7 @@
 
 Grids are the canonical *regular* workload: every vertex has (almost) the
 same degree, so they serve as the balanced counterpoint to power-law
-graphs in the partitioning ablation.
+graphs when comparing partitioners.
 """
 
 from __future__ import annotations

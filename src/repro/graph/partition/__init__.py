@@ -3,8 +3,8 @@
 Giraph assigns whole vertices to workers (edge-cut, hash by default);
 PowerGraph assigns *edges* to machines and replicates vertices across them
 (vertex-cut), which is its key idea for power-law graphs.  Both families
-live here, together with the quality metrics the ablation benchmark
-reports (balance, cut fraction, replication factor).
+live here, together with their quality metrics (balance, cut fraction,
+replication factor).
 """
 
 from repro.graph.partition.hash_partition import hash_partition

@@ -1,8 +1,8 @@
 """Partition quality metrics.
 
-The ablation benchmark (`benchmarks/test_bench_ablation_partitioning.py`)
-reports these for edge-cut vs vertex-cut on power-law vs uniform graphs —
-the comparison motivating PowerGraph's design in Table 1.
+Edge-cut balance and cut fraction against vertex-cut replication, on
+power-law vs uniform graphs: the comparison motivating PowerGraph's
+design in Table 1.
 """
 
 from __future__ import annotations

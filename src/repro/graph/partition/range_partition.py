@@ -2,8 +2,8 @@
 
 Assigns vertex ranges of (nearly) equal cardinality to partitions.  Range
 partitioning preserves locality in id-ordered graphs but is vulnerable to
-skew when degree correlates with id — the ablation benchmark demonstrates
-exactly that on power-law graphs.
+skew when degree correlates with id: on power-law graphs its edge balance
+is worse than hashing's.
 """
 
 from __future__ import annotations

@@ -28,7 +28,7 @@ from repro.cluster.cluster import Cluster
 from repro.cluster.node import Node
 from repro.cluster.provisioning import MpiLauncher
 from repro.errors import JobFailedError, PartitionError, PlatformError
-from repro.graph.edgelist import EdgeList, edge_list_size_bytes
+from repro.graph.edgelist import edge_list_size_bytes
 from repro.graph.graph import Graph
 from repro.graph.partition.vertexcut import (
     VertexCut,
@@ -59,7 +59,6 @@ class _Deployed:
 
     path: str
     graph: Graph
-    edge_list: EdgeList
     size_bytes: int
 
 
@@ -103,11 +102,10 @@ class PowerGraphPlatform(Platform):
         """Write ``graph`` as an edge-list file on the shared filesystem."""
         if not name:
             raise PlatformError("dataset name must be non-empty")
-        edge_list = EdgeList.from_graph(graph)
         path = f"/data/{name}.el"
         size = edge_list_size_bytes(graph)
-        self.cluster.shared_fs.put(path, size, payload=edge_list)
-        self._datasets[name] = _Deployed(path, graph, edge_list, size)
+        self.cluster.shared_fs.put(path, size)
+        self._datasets[name] = _Deployed(path, graph, size)
         self._cut_cache = {
             key: cut for key, cut in self._cut_cache.items()
             if key[0] != name
@@ -277,7 +275,7 @@ class PowerGraphPlatform(Platform):
                 if (factor := fault.link_factor(node.name)) != 1.0
             }
         plan = plan_sequential_load(
-            self.cluster.shared_fs, deployed.path, deployed.edge_list,
+            self.cluster.shared_fs, deployed.path, deployed.graph.num_edges,
             cut, self.cluster.network, cost,
             read_factor=read_factor, link_factors=link_factors,
         )

@@ -15,7 +15,6 @@ from typing import List, Mapping, Optional
 
 from repro.cluster.filesystem import SharedFileSystem
 from repro.cluster.network import NetworkModel
-from repro.graph.edgelist import EdgeList
 from repro.graph.partition.vertexcut import VertexCut
 from repro.platforms.costmodel import PowerGraphCostModel
 
@@ -43,14 +42,15 @@ class LoadPlan:
 def plan_sequential_load(
     shared_fs: SharedFileSystem,
     path: str,
-    edge_list: EdgeList,
+    num_edges: int,
     cut: VertexCut,
     network: NetworkModel,
     cost: PowerGraphCostModel,
     read_factor: float = 1.0,
     link_factors: Optional[Mapping[int, float]] = None,
 ) -> LoadPlan:
-    """Compute the load-phase durations for a deployed edge file.
+    """Compute the load-phase durations for a deployed edge file of
+    ``num_edges`` edges.
 
     Rank 0's stream time is I/O (one reader on the shared filesystem)
     plus per-edge parse CPU.  Each rank's finalize time covers receiving
@@ -62,7 +62,7 @@ def plan_sequential_load(
     """
     size_bytes = shared_fs.get(path).size_bytes
     read_s = shared_fs.contended_read_time(path, concurrent_readers=1) * read_factor
-    parse_s = edge_list.num_edges * cost.parse_edge_s
+    parse_s = num_edges * cost.parse_edge_s
     stream_s = read_s + parse_s
 
     finalize_s: List[float] = []
@@ -83,5 +83,5 @@ def plan_sequential_load(
         stream_s=stream_s,
         finalize_s=finalize_s,
         bytes_read=size_bytes,
-        edges_parsed=edge_list.num_edges,
+        edges_parsed=num_edges,
     )

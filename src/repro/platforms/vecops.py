@@ -34,63 +34,12 @@ import numpy as np
 # The run primitives live with the sorted graph arrays; the kernels
 # import them from here.
 from repro.graph.csr import group_sizes, group_starts  # noqa: F401
+from repro.graph.csr import stable_key_order, stable_key_sort  # noqa: F401
 
 #: Segment length up to which a :class:`FoldPlan` folds segments in
 #: lockstep (one element per round); longer segments (hubs) fold
 #: individually.
 FOLD_CHUNK = 32
-
-
-def stable_key_sort(
-    key: np.ndarray, bound: int, rows: Optional[np.ndarray] = None,
-) -> Tuple[np.ndarray, np.ndarray]:
-    """``(rows[order], key[order])`` for ``order = np.argsort(key,
-    kind="stable")``, integer keys in ``[0, bound)``.
-
-    ``rows`` defaults to the row index, so the first array is ``order``
-    itself.  Each key is packed above its row into one int64,
-    ``key << b | row``, and the packed values are sorted.  They are
-    distinct, so every sort algorithm returns them in the same order: by
-    key, and rows with equal keys by row, i.e. in input order.  That is
-    the one stable permutation; the low ``b`` bits read it back and the
-    high bits are the sorted keys, so neither needs a gather.  Sorting
-    by a composite key ``v * R + p`` with ``0 <= p < R`` is also
-    ``np.lexsort((p, v))``.  numpy sorts int64 with a vectorised
-    quicksort, several times faster than its stable sort of the same
-    keys; keys too wide to share 63 bits with the rows take the stable
-    sort.
-
-    ``rows`` may instead be any non-negative column that never
-    decreases from one row to the next (the sources of a CSR edge
-    list).  Packed beside the key it still sorts equal keys in input
-    order, except among rows holding the same value, whose order does
-    not show, so the low bits read back ``rows[order]`` without a
-    gather.
-    """
-    key = np.asarray(key, dtype=np.int64)
-    n = len(key)
-    if rows is None:
-        rows = np.arange(n, dtype=np.int64)
-    else:
-        rows = np.asarray(rows, dtype=np.int64)
-    if n < 2 or bound <= 1:
-        return rows.copy(), key.copy()
-    row_bits = int(rows[-1]).bit_length()
-    if (int(bound) - 1).bit_length() + row_bits > 63:
-        order = np.argsort(key, kind="stable")
-        return rows[order], key[order]
-    packed = key << row_bits
-    packed |= rows
-    packed.sort()
-    sorted_key = packed >> row_bits
-    packed &= (1 << row_bits) - 1
-    return packed, sorted_key
-
-
-def stable_key_order(key: np.ndarray, bound: int) -> np.ndarray:
-    """``np.argsort(key, kind="stable")`` for integer keys in
-    ``[0, bound)``: the order half of :func:`stable_key_sort`."""
-    return stable_key_sort(key, bound)[0]
 
 
 def vertex_set(ids: np.ndarray, n: int) -> np.ndarray:

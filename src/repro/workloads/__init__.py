@@ -1,6 +1,6 @@
 """Workloads: named datasets, end-to-end runners, parameter sweeps.
 
-The experiment drivers and benchmarks go through this layer: it builds
+The experiment drivers and ablations go through this layer: it builds
 DAS5-like clusters, materializes the named datasets (scaled replicas of
 the paper's Datagen graphs), deploys them on the platforms, and runs
 monitored jobs.

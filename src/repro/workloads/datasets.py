@@ -8,7 +8,7 @@ at 10^3-10^5 vertices, with the platform cost models calibrated at the
 ``dg1000-scaled`` size (see :mod:`repro.platforms.costmodel`).
 
 Graphs are deterministic (fixed seeds) and cached per process, so tests,
-experiments and benchmarks all see identical inputs.
+experiments and the benchmark harness all see identical inputs.
 """
 
 from __future__ import annotations

@@ -1,6 +1,6 @@
 """Parameter sweeps over workloads.
 
-Sweeps drive the ablation benchmarks: vary one dimension (dataset size,
+Sweeps drive the ablations: vary one dimension (dataset size,
 worker count, algorithm) while holding the rest fixed, and collect the
 domain-level decomposition of every run for comparison.
 """

@@ -133,3 +133,29 @@ class TestSequentialLoadBehaviour:
 
         assert duration_of("LoadGraph") > duration_of("ProcessGraph")
         assert duration_of("StreamEdges") > 0
+
+
+class TestIngressOption:
+    def test_random_ingress_runs_correctly(self, tiny_graph):
+        platform = PowerGraphPlatform(make_powergraph_cluster(),
+                                      ingress="random")
+        platform.deploy_dataset("tiny", tiny_graph)
+        result = platform.run_job(JobRequest("bfs", "tiny", 8,
+                                             params={"source": 0}))
+        assert compare_exact(bfs_levels(tiny_graph, 0), result.output).ok
+
+    def test_random_ingress_higher_replication(self, tiny_graph):
+        greedy = PowerGraphPlatform(make_powergraph_cluster(),
+                                    ingress="greedy")
+        greedy.deploy_dataset("tiny", tiny_graph)
+        rand = PowerGraphPlatform(make_powergraph_cluster(),
+                                  ingress="random")
+        rand.deploy_dataset("tiny", tiny_graph)
+        request = JobRequest("bfs", "tiny", 8, params={"source": 0})
+        g_rf = greedy.run_job(request).stats["replication_factor"]
+        r_rf = rand.run_job(request).stats["replication_factor"]
+        assert r_rf > g_rf
+
+    def test_unknown_ingress_rejected(self):
+        with pytest.raises(PlatformError):
+            PowerGraphPlatform(make_powergraph_cluster(), ingress="magic")

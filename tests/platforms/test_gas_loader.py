@@ -26,7 +26,7 @@ class TestPlanSequentialLoad:
     def test_stream_time_has_read_and_parse(self, setup):
         shared, edge_list, cut = setup
         cost = PowerGraphCostModel()
-        plan = plan_sequential_load(shared, "/g.el", edge_list, cut,
+        plan = plan_sequential_load(shared, "/g.el", edge_list.num_edges, cut,
                                     das5_network(), cost)
         parse_only = edge_list.num_edges * cost.parse_edge_s
         assert plan.stream_s > parse_only
@@ -35,14 +35,14 @@ class TestPlanSequentialLoad:
 
     def test_finalize_per_rank(self, setup):
         shared, edge_list, cut = setup
-        plan = plan_sequential_load(shared, "/g.el", edge_list, cut,
+        plan = plan_sequential_load(shared, "/g.el", edge_list.num_edges, cut,
                                     das5_network(), PowerGraphCostModel())
         assert len(plan.finalize_s) == cut.parts
         assert all(f >= 0 for f in plan.finalize_s)
 
     def test_finalize_tracks_edge_counts(self, setup):
         shared, edge_list, cut = setup
-        plan = plan_sequential_load(shared, "/g.el", edge_list, cut,
+        plan = plan_sequential_load(shared, "/g.el", edge_list.num_edges, cut,
                                     das5_network(), PowerGraphCostModel())
         counts = cut.edge_counts()
         # Ranks with more edges finalize no faster than emptier ranks.
@@ -54,15 +54,15 @@ class TestPlanSequentialLoad:
     def test_stream_scales_with_parse_cost(self, setup):
         shared, edge_list, cut = setup
         cheap = plan_sequential_load(
-            shared, "/g.el", edge_list, cut, das5_network(),
+            shared, "/g.el", edge_list.num_edges, cut, das5_network(),
             PowerGraphCostModel(parse_edge_s=1e-5))
         expensive = plan_sequential_load(
-            shared, "/g.el", edge_list, cut, das5_network(),
+            shared, "/g.el", edge_list.num_edges, cut, das5_network(),
             PowerGraphCostModel(parse_edge_s=1e-3))
         assert expensive.stream_s > 10 * cheap.stream_s
 
     def test_missing_file_raises(self, setup):
         shared, edge_list, cut = setup
         with pytest.raises(FileSystemError):
-            plan_sequential_load(shared, "/missing.el", edge_list, cut,
+            plan_sequential_load(shared, "/missing.el", edge_list.num_edges, cut,
                                  das5_network(), PowerGraphCostModel())

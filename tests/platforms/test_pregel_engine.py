@@ -180,3 +180,17 @@ class TestResourceUsage:
         # Load runs at a far higher utilization level than the
         # latency-bound submit phase.
         assert tags["giraph:load"] > tags["giraph:submit"]
+
+
+class TestCombinerToggle:
+    def test_no_combiner_increases_wire_messages(self, tiny_graph):
+        platform = GiraphPlatform(make_giraph_cluster())
+        platform.deploy_dataset("tiny", tiny_graph)
+        with_combiner = platform.run_job(JobRequest(
+            "bfs", "tiny", 8, params={"source": 0}))
+        without = platform.run_job(JobRequest(
+            "bfs", "tiny", 8, params={"source": 0, "combiner": False}))
+        # Same answer, same logical messages, but longer runtime without
+        # sender-side combining (more bytes hit the wire).
+        assert with_combiner.output == without.output
+        assert without.makespan >= with_combiner.makespan

@@ -18,7 +18,10 @@ from repro.experiments import (
     run_fig8,
     run_table1,
 )
-from repro.experiments.common import shared_runner
+from repro.cli import main
+from repro.experiments.common import GIRAPH_BFS, POWERGRAPH_BFS, shared_runner
+from repro.experiments.ext_cross_platform import PGXD_BFS
+from repro.experiments.ext_hadoop_baseline import HADOOP_BFS
 from repro.experiments.report import ALL_EXPERIMENTS, render_markdown, run_all
 
 EXPERIMENTS_MD = Path(__file__).resolve().parents[1] / "EXPERIMENTS.md"
@@ -166,14 +169,18 @@ class TestExtSalvage:
         assert measured["deterministic_replay"] is True
 
 
+@pytest.fixture(scope="module")
+def results(runner):
+    return run_all(runner)
+
+
 class TestReport:
-    def test_run_all_covers_every_artifact(self, runner):
-        results = run_all(runner)
+    def test_run_all_covers_every_artifact(self, results):
         assert len(results) == len(ALL_EXPERIMENTS) == 12
         assert all(r.all_checks_pass for r in results)
 
-    def test_markdown_structure(self, runner):
-        text = render_markdown(run_all(runner))
+    def test_markdown_structure(self, results):
+        text = render_markdown(results)
         assert text.startswith("# Experiments")
         for name in ("Table 1", "Figure 3", "Figure 4", "Figure 5",
                      "Figure 6", "Figure 7", "Figure 8"):
@@ -183,3 +190,16 @@ class TestReport:
         # The committed report is this rendering: regenerate it with
         # ``granula experiments --out EXPERIMENTS.md`` when it moves.
         assert text == EXPERIMENTS_MD.read_text()
+
+    def test_cli_regenerates_every_artifact(self, tmp_path):
+        """``granula experiments`` is the one regeneration path: the
+        committed EXPERIMENTS.md, and the HTML report charting the four
+        BFS runs."""
+        md, html = tmp_path / "E.md", tmp_path / "r.html"
+        assert main(["experiments", "--out", str(md),
+                     "--html", str(html)]) == 0
+        assert md.read_text() == EXPERIMENTS_MD.read_text()
+        report = html.read_text()
+        for spec in (GIRAPH_BFS, POWERGRAPH_BFS, HADOOP_BFS, PGXD_BFS):
+            assert spec.label() in report
+        assert "<svg" in report
