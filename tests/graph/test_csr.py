@@ -2,10 +2,14 @@
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from repro.errors import GraphError
+from repro.graph import csr as csr_module
 from repro.graph.csr import CsrGraph
 from repro.graph.graph import Graph
+from repro.platforms import vecops
 
 
 class TestCsrConstruction:
@@ -73,3 +77,56 @@ class TestCsrAccess:
 
     def test_nbytes_positive(self, csr):
         assert csr.nbytes() > 0
+
+
+@st.composite
+def raw_csrs(draw):
+    """A CsrGraph straight from its arrays: rows may repeat a neighbour,
+    hold self-loops and come in any order, which no builder produces."""
+    n = draw(st.integers(1, 20))
+    degrees = draw(st.lists(st.integers(0, 6), min_size=n, max_size=n))
+    indices = draw(st.lists(st.integers(0, n - 1), min_size=sum(degrees),
+                            max_size=sum(degrees)))
+    indptr = np.concatenate(([0], np.cumsum(degrees))).astype(np.int64)
+    return CsrGraph(indptr, np.array(indices, dtype=np.int64))
+
+
+def argsort_transpose(csr):
+    """The in-adjacency as a stable argsort of the destinations."""
+    order = np.argsort(csr.indices, kind="stable")
+    counts = np.bincount(csr.indices, minlength=csr.num_vertices)
+    indptr = np.concatenate(([0], np.cumsum(counts))).astype(np.int64)
+    return indptr, csr.sources()[order]
+
+
+class TestTransposed:
+    @given(csr=raw_csrs())
+    @settings(max_examples=80, deadline=None)
+    def test_matches_stable_argsort(self, csr):
+        indptr, indices = argsort_transpose(csr)
+        flipped = csr.transposed()
+        assert flipped.indptr.tolist() == indptr.tolist()
+        assert flipped.indices.tolist() == indices.tolist()
+        assert flipped.indices.dtype == np.int64
+
+    def test_twice_gives_back_a_built_graph(self):
+        g = Graph(6, [(0, 5), (0, 1), (3, 3), (4, 0), (5, 2), (2, 0)])
+        csr = g.csr()
+        again = csr.transposed().transposed()
+        assert np.array_equal(again.indptr, csr.indptr)
+        assert np.array_equal(again.indices, csr.indices)
+
+    @pytest.mark.parametrize("n, edges, rows", [
+        (0, [], []),
+        (1, [], [[]]),
+        (3, [(2, 0)], [[2], [], []]),
+        (2, [(1, 1)], [[], [1]]),
+    ])
+    def test_graphs_too_small_to_sort(self, n, edges, rows):
+        flipped = Graph(n, edges).csr().transposed()
+        assert flipped.num_vertices == n
+        assert [flipped.out_neighbors(v).tolist() for v in range(n)] == rows
+
+    def test_kernels_share_the_graph_sort(self):
+        assert vecops.stable_key_sort is csr_module.stable_key_sort
+        assert vecops.stable_key_order is csr_module.stable_key_order

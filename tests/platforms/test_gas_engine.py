@@ -4,6 +4,8 @@ import pytest
 
 from repro.errors import PlatformError
 from repro.graph.algorithms import bfs_levels
+from repro.graph.edgelist import EdgeList
+from repro.graph.generators import powerlaw_graph
 from repro.graph.validate import compare_exact
 from repro.platforms.base import JobRequest
 from repro.platforms.gas.engine import PowerGraphPlatform
@@ -29,6 +31,23 @@ class TestDeployment:
     def test_unknown_dataset_rejected(self, platform):
         with pytest.raises(PlatformError):
             platform.run_job(JobRequest("bfs", "nope", 4))
+
+    def test_file_is_the_edge_list_text(self, platform, tiny_graph):
+        stored = platform.cluster.shared_fs.get("/data/tiny.el")
+        assert stored.size_bytes \
+            == EdgeList.from_graph(tiny_graph).text_size_bytes()
+
+    def test_redeploy_replaces_the_graph(self, tiny_graph):
+        p = PowerGraphPlatform(make_powergraph_cluster())
+        request = JobRequest("bfs", "data", 4, params={"source": 0})
+        p.deploy_dataset("data", tiny_graph)
+        p.run_job(request)
+        other = powerlaw_graph(300, 1500, seed=3)
+        p.deploy_dataset("data", other)
+        result = p.run_job(request)
+        assert compare_exact(bfs_levels(other, 0), result.output).ok
+        assert p.cluster.shared_fs.get("/data/data.el").size_bytes \
+            == EdgeList.from_graph(other).text_size_bytes()
 
 
 class TestJobExecution:

@@ -66,3 +66,24 @@ class TestPlanSequentialLoad:
         with pytest.raises(FileSystemError):
             plan_sequential_load(shared, "/missing.el", edge_list.num_edges, cut,
                                  das5_network(), PowerGraphCostModel())
+
+    def test_no_edges_is_the_read_alone(self, setup):
+        shared, _edge_list, cut = setup
+        plan = plan_sequential_load(shared, "/g.el", 0, cut, das5_network(),
+                                    PowerGraphCostModel())
+        assert plan.edges_parsed == 0
+        assert plan.stream_s == shared.contended_read_time(
+            "/g.el", concurrent_readers=1)
+
+    def test_edge_count_feeds_parse_only(self, setup):
+        shared, edge_list, cut = setup
+        cost = PowerGraphCostModel()
+        m = edge_list.num_edges
+        one = plan_sequential_load(shared, "/g.el", m, cut, das5_network(),
+                                   cost)
+        two = plan_sequential_load(shared, "/g.el", 2 * m, cut,
+                                   das5_network(), cost)
+        assert two.stream_s - one.stream_s == pytest.approx(
+            m * cost.parse_edge_s)
+        assert two.finalize_s == one.finalize_s
+        assert two.bytes_read == one.bytes_read
